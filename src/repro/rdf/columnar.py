@@ -582,8 +582,10 @@ class ColumnarGraph(TripleStore):
         large loads).
         """
         if format in ("ntriples", "nt"):
+            from .ntriples import split_ntriples_lines
+
             graph = cls(segment_size=segment_size)
-            graph.ingest_ntriples(data.splitlines())
+            graph.ingest_ntriples(split_ntriples_lines(data))
             return graph
         if format in ("turtle", "ttl"):
             from .turtle import parse_turtle

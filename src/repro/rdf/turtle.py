@@ -265,10 +265,9 @@ class TurtleParser:
     def _parse_string_literal(self) -> Literal:
         token = self._next()
         raw = token.value
-        if token.kind == "LONG_STRING":
-            lexical = unescape_string(raw[3:-3])
-        else:
-            lexical = unescape_string(raw[1:-1])
+        quote = 3 if token.kind == "LONG_STRING" else 1
+        lexical = unescape_string(raw[quote:-quote], token.line,
+                                  token.column + quote)
         nxt = self._peek()
         if nxt.kind == "LANGTAG":
             self._next()

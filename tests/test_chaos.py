@@ -11,7 +11,16 @@ deterministically replays the same short command prefix (``load``,
 ``revalidate`` at occurrence 0), so a spec whose hit lands inside that
 replay window re-fires on every fresh process: that models a deterministic
 poison-pill bug, not a transient fault, and no amount of retrying can
-converge it.  Hits outside the window fire once and heal."""
+converge it.  Hits outside the window fire once and heal.
+
+The window only holds while one shard fails rounds.  A failed round is
+retried on *every* shard, so a shard that answered it replays ``check`` and
+``revalidate`` once more.  With round-failing faults on both shards, each
+shard's failure pushes the other, freshly respawned, shard to its own
+fault occurrence: shard 0 drops its response at hit 4 because shard 1
+crashed the round, shard 1 crashes again because shard 0 dropped, forever
+(seeds 910 and 1698 drew such plans).  That pair is a poison pill too, so
+the plans put every round-failing fault on one shard."""
 
 from __future__ import annotations
 
@@ -19,7 +28,7 @@ import functools
 import json
 import random
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.service import (
@@ -44,6 +53,14 @@ TRANSIENT_FAULTS = (
     ("fleet.drop-response", (4, 5, 6)),
     ("fleet.stall", (0, 1, 2, 3)),
 )
+
+#: faults that fail a whole delta round (and so force every shard to retry
+#: it); apply crashes are tolerated at staging and stalls only slow a round.
+ROUND_FAILING = frozenset({
+    "fleet.crash-before-revalidate",
+    "fleet.crash-after-revalidate",
+    "fleet.drop-response",
+})
 
 
 def community():
@@ -84,15 +101,25 @@ def response_key(response):
 
 
 def transient_plan(seed: int) -> FaultPlan:
-    """A random schedule drawn entirely from the transient hit region."""
+    """A random schedule drawn entirely from the transient hit region.
+
+    Round-failing faults all land on the shard the first of them drew (see
+    the module docstring for the cross-shard livelock this rules out).
+    """
     rng = random.Random(seed)
     specs = []
+    failing_shard = None
     for point, hit_choices in TRANSIENT_FAULTS:
         if rng.random() < 0.5:
             continue
+        shard = rng.randrange(2)
+        if point in ROUND_FAILING:
+            if failing_shard is None:
+                failing_shard = shard
+            shard = failing_shard
         specs.append(FaultSpec(
             point=point,
-            shard=rng.randrange(2),
+            shard=shard,
             hits=(rng.choice(hit_choices),),
             delay=0.3 if point == "fleet.stall" else 0.0,
         ))
@@ -130,6 +157,8 @@ def check_degraded_window(session, workload):
 class TestSeededFaultSchedulesConverge:
     @settings(max_examples=5, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10_000))
+    @example(seed=910)
+    @example(seed=1698)
     def test_faulty_run_converges_to_fault_free_verdicts(self, seed):
         expected_keys, expected_blob, expected_len, expected_generation = \
             fault_free_run()
@@ -217,5 +246,7 @@ class TestFaultPlansAreReproducible:
         rebuild the exact same plan — the whole point of seeded faults."""
         plan = transient_plan(seed)
         assert transient_plan(seed) == plan
+        assert len({spec.shard for spec in plan.specs
+                    if spec.point in ROUND_FAILING}) <= 1
         assert FaultPlan.from_json(
             json.loads(json.dumps(plan.to_json()))) == plan

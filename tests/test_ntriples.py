@@ -1,14 +1,20 @@
 """Unit tests for the N-Triples parser and serialiser."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.rdf import BNode, EX, Graph, Literal, Triple, XSD
+from repro.rdf import BNode, EX, Graph, Literal, Triple, XSD, parse_turtle
+from repro.rdf.columnar import ColumnarGraph
 from repro.rdf.errors import ParseError
 from repro.rdf.ntriples import (
+    _parse_line_tokens,
     escape_string,
     iter_ntriples,
+    iter_ntriples_lines,
     parse_ntriples,
     serialize_ntriples,
+    split_ntriples_lines,
     unescape_string,
 )
 
@@ -29,6 +35,26 @@ class TestEscaping:
 
     def test_tab_and_backslash(self):
         assert escape_string("a\tb\\c") == "a\\tb\\\\c"
+
+    def test_no_backslash_returns_the_input_itself(self):
+        value = "plain caf\u00e9 text"
+        assert unescape_string(value) is value
+
+    @pytest.mark.parametrize("escaped", ["\\uZZZZ", "\\u+fff", "\\U00110000"])
+    def test_malformed_unicode_escapes_are_parse_errors(self, escaped):
+        with pytest.raises(ParseError, match="invalid \\\\[uU] escape"):
+            unescape_string("ab" + escaped)
+
+    def test_errors_point_at_the_backslash(self):
+        with pytest.raises(ParseError) as info:
+            unescape_string("ab\\q", 7, 30)
+        assert (info.value.line, info.value.column) == (7, 32)
+        assert str(info.value) == "unknown escape sequence: \\q at line 7, column 32"
+
+    def test_error_on_a_later_line_names_only_the_line(self):
+        with pytest.raises(ParseError) as info:
+            unescape_string("a\nb\\q", 3, 10)
+        assert (info.value.line, info.value.column) == (4, None)
 
 
 class TestParsing:
@@ -129,3 +155,202 @@ class TestSerialisation:
     def test_plain_string_has_no_datatype_suffix(self):
         graph = Graph([Triple(EX.s, EX.p, Literal("plain"))])
         assert "^^" not in serialize_ntriples(graph)
+
+
+#: characters ``str.splitlines`` breaks at that N-Triples allows raw inside
+#: a string literal.
+NON_EOL_BREAKS = ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"]
+
+
+class TestLineSplitting:
+    @pytest.mark.parametrize("char", NON_EOL_BREAKS, ids=repr)
+    def test_raw_character_inside_a_literal_parses(self, char):
+        graph = parse_ntriples(f'<http://a> <http://b> "x{char}y" .\n')
+        assert next(iter(graph)).object == Literal(f"x{char}y")
+
+    @pytest.mark.parametrize("char", NON_EOL_BREAKS, ids=repr)
+    def test_serialised_literal_round_trips(self, char):
+        graph = Graph([Triple(EX.s, EX.p, Literal(f"x{char}y")),
+                       Triple(EX.s, EX.q, Literal("z"))])
+        text = serialize_ntriples(graph)
+        assert parse_ntriples(text) == graph
+        assert ColumnarGraph.parse(text, format="ntriples") == graph
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"], ids=repr)
+    def test_every_ntriples_eol_ends_a_line(self, eol):
+        text = eol.join(['<http://a> <http://b> "1" .',
+                         "# comment", "",
+                         '<http://a> <http://b> "2" .']) + eol
+        assert split_ntriples_lines(text)[:4] == [
+            '<http://a> <http://b> "1" .', "# comment", "",
+            '<http://a> <http://b> "2" .']
+        assert [t.object.lexical for t in iter_ntriples(text)] == ["1", "2"]
+
+
+class TestPositionedErrors:
+    @pytest.mark.parametrize("literal, message, column", [
+        ('"ab\\q"', "unknown escape sequence: \\q", 26),
+        ('"ab\\u12"', "invalid \\u escape: '\\\\u12'", 26),
+        ('"\\U0011FFFF"@en', "invalid \\U escape", 24),
+    ])
+    def test_escape_error_mid_document_has_line_and_column(
+            self, literal, message, column):
+        text = ('<http://a> <http://b> "ok" .\n'
+                f'<http://a> <http://b>  {literal} .\n')
+        with pytest.raises(ParseError) as info:
+            parse_ntriples(text)
+        assert (info.value.line, info.value.column) == (2, column)
+        assert str(info.value).startswith(message)
+
+    def test_turtle_escape_error_has_line_and_column(self):
+        text = '@prefix e: <http://e/> .\ne:a e:b "ab\\q" .\n'
+        with pytest.raises(ParseError) as info:
+            parse_turtle(text)
+        assert (info.value.line, info.value.column) == (2, 12)
+
+    def test_empty_iri_is_a_parse_error(self):
+        with pytest.raises(ParseError) as info:
+            parse_ntriples('<http://a> <http://b> <> .')
+        assert (info.value.line, info.value.column) == (1, 21)
+
+
+class TestTermSharing:
+    def test_repeated_terms_are_one_object_on_the_dict_path(self):
+        text = ('<http://a> <http://p> <http://b> .\n'
+                '<http://b> <http://p> "x"@en .\n'
+                '<http://a> <http://q> "x"@en .\n'
+                '_:n <http://q> <http://a> .\n')
+        first, second, third, fourth = iter_ntriples(text)
+        assert first.subject is third.subject is fourth.object
+        assert first.predicate is second.predicate
+        assert first.object is second.subject
+        assert second.object is third.object
+        by_key = {(t.subject.n3(), t.predicate.n3()): t
+                  for t in parse_ntriples(text)}
+        assert (by_key[("<http://a>", "<http://p>")].subject
+                is by_key[("<http://a>", "<http://q>")].subject)
+
+    def test_streaming_path_shares_nothing_across_lines(self):
+        lines = ['<http://a> <http://p> "x" .', '<http://a> <http://p> "y" .']
+        first, second = iter_ntriples_lines(lines)
+        assert first.subject == second.subject
+        assert first.subject is not second.subject
+        assert first.predicate is not second.predicate
+
+    def test_streaming_ingest_stays_bounded(self):
+        lines = [f'<http://example.org/s{i % 7}> <http://example.org/p> '
+                 f'"v{i % 3}"@en .' for i in range(100)]
+        graph = ColumnarGraph(segment_size=16)
+        assert graph.ingest_ntriples(iter(lines)) == 21
+        stats = graph.store_stats()
+        assert stats["dictionary"]["decoded_terms"] == 0
+        assert stats["peak_tail_rows"] <= 16
+
+
+# -- differential test: one-match ingest vs the per-token reference ---------
+
+def _reference(text):
+    triples = []
+    for lineno, line in enumerate(split_ntriples_lines(text), start=1):
+        stripped = line.strip()
+        if stripped and not stripped.startswith("#"):
+            triples.append(_parse_line_tokens(line, lineno))
+    return triples
+
+
+def _outcome(parse):
+    try:
+        return ("ok", parse())
+    except ParseError as error:
+        return ("error", str(error), error.line, error.column)
+
+
+_IRI_CHARS = "abcxyz019/#:._-~é"
+_LABEL_CHARS = "abAB019_.-"
+_RAW_CHARS = "ab zéà\U0001F600' \x1c\t#.<>@^_:"
+_ESCAPES = ["\\t", "\\n", "\\r", '\\"', "\\\\", "\\'", "\\u00e9", "\\U0001F600"]
+
+iris = st.builds(lambda tail: f"<http://ex.org/{tail}>",
+                 st.text(_IRI_CHARS, max_size=6))
+bnodes = st.builds(lambda head, tail: f"_:{head}{tail}",
+                   st.sampled_from("ab0"), st.text(_LABEL_CHARS, max_size=4))
+lexicals = st.lists(st.one_of(st.sampled_from(_RAW_CHARS),
+                              st.sampled_from(_ESCAPES)),
+                    max_size=6).map("".join)
+literals = st.builds(
+    lambda lexical, suffix: f'"{lexical}"{suffix}', lexicals,
+    st.sampled_from(["", "@en", "@en-GB", "@EN",
+                     "^^<http://www.w3.org/2001/XMLSchema#integer>"]))
+spaces = st.sampled_from([" ", "  ", "\t", ""])
+
+
+_BAD_ESCAPES = ["\\q", "\\ ", "\\u12", "\\uZZZZ", "\\U0011FFFF"]
+bad_literals = st.builds(lambda head, bad, tail: f'"{head}{bad}{tail}"',
+                         lexicals, st.sampled_from(_BAD_ESCAPES), lexicals)
+
+
+@st.composite
+def triple_lines(draw, objects=st.one_of(iris, bnodes, literals)):
+    subject = draw(st.one_of(iris, bnodes))
+    obj = draw(objects)
+    line = (f"{draw(spaces)}{subject}{draw(spaces)}{draw(iris)}"
+            f"{draw(spaces)}{obj}{draw(spaces)}.")
+    if draw(st.booleans()):
+        line += f"{draw(spaces)}# note"
+    return line
+
+
+@st.composite
+def mutated(draw, line):
+    index = draw(st.integers(0, len(line)))
+    action = draw(st.sampled_from(["delete", "insert", "truncate"]))
+    if action == "delete":
+        return line[:index] + line[index + 1:]
+    if action == "truncate":
+        return line[:index]
+    insert = draw(st.sampled_from(list('"<>\\._@^ #qu')
+                                  + ["\\q", "\\u1", "\\U0011FFFF"]))
+    return line[:index] + insert + line[index:]
+
+
+@st.composite
+def documents(draw):
+    # a small pool of lines per document makes terms repeat across lines
+    pool = draw(st.lists(triple_lines(), min_size=1, max_size=4))
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["triple", "triple", "triple", "comment",
+                                     "blank", "mutated", "mutated",
+                                     "bad-escape"]))
+        if kind == "triple":
+            lines.append(draw(st.sampled_from(pool)))
+        elif kind == "bad-escape":
+            lines.append(draw(triple_lines(bad_literals)))
+        elif kind == "comment":
+            lines.append(f"{draw(spaces)}# {draw(triple_lines())}")
+        elif kind == "blank":
+            lines.append(draw(spaces))
+        else:
+            lines.append(draw(mutated(draw(st.sampled_from(pool)))))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join(lines) + draw(st.sampled_from(["", eol]))
+
+
+class TestDifferentialParser:
+    @settings(max_examples=300, deadline=None)
+    @given(text=documents())
+    def test_one_match_ingest_agrees_with_the_per_token_reference(self, text):
+        expected = _outcome(lambda: _reference(text))
+        assert _outcome(lambda: list(iter_ntriples(text))) == expected
+        assert _outcome(lambda: list(iter_ntriples_lines(
+            split_ntriples_lines(text)))) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(text=documents())
+    def test_dict_and_columnar_parses_agree(self, text):
+        outcome = _outcome(lambda: parse_ntriples(text))
+        columnar = _outcome(lambda: ColumnarGraph.parse(text, format="ntriples"))
+        if outcome[0] == "ok":
+            assert columnar[0] == "ok" and columnar[1] == outcome[1]
+        else:
+            assert columnar == outcome

@@ -8,16 +8,14 @@ neighbourhood scans and streaming N-Triples ingest.  This benchmark compares
 the two backends on identical data:
 
 * **verdict identity** (gates every run): validating the sparse, person and
-  community workloads — serially and with ``--jobs 2`` — must produce entry-
-  for-entry identical reports and typings on both stores,
+  community workloads must produce entry-for-entry identical reports and
+  typings on both stores,
 * **memory footprint**: tracemalloc-measured resident bytes per triple when
   each store is built from the same serialized N-Triples (full runs gate a
   ≥3× columnar advantage on the community workload, ``--min-memory-ratio``),
 * **neighbourhood-scan throughput**: cold ``neighbourhood_any`` scans over
   every node with per-store caches cleared each round (full runs gate a ≥2×
   columnar speedup, ``--min-scan-speedup``),
-* **snapshot shipping**: pickled payload bytes and encode/decode time of
-  ``Graph.snapshot()`` under the shared compact codec,
 * **streaming ingest** (full runs): a synthetic N-Triples stream is fed
   line-by-line into ``ColumnarGraph.ingest_ntriples``; the peak decoded tail
   must stay bounded by one segment.
@@ -37,7 +35,6 @@ from __future__ import annotations
 import argparse
 import gc
 import json
-import pickle
 import sys
 import time
 import tracemalloc
@@ -64,12 +61,12 @@ def _workload(kind: str, scale: int, seed: int, store: str):
                                        store=store)
 
 
-def run_verdict_round(kind: str, scale: int, seed: int, jobs: int) -> dict:
+def run_verdict_round(kind: str, scale: int, seed: int) -> dict:
     """Validate the same workload on both stores; reports must be identical."""
     rows = {}
     for store in ("dict", "columnar"):
         workload = _workload(kind, scale, seed, store)
-        validator = Validator(workload.graph, workload.schema, jobs=jobs)
+        validator = Validator(workload.graph, workload.schema)
         gc.collect()
         start = time.perf_counter()
         report = validator.validate_graph()
@@ -84,7 +81,6 @@ def run_verdict_round(kind: str, scale: int, seed: int, jobs: int) -> dict:
              and rows["dict"]["typing"] == rows["columnar"]["typing"])
     return {
         "workload": kind,
-        "jobs": jobs,
         "triples": rows["dict"]["triples"],
         "pairs": len(rows["dict"]["verdicts"]),
         "dict_s": rows["dict"]["seconds"],
@@ -174,26 +170,6 @@ def run_scan_round(scale: int, seed: int, repeats: int) -> dict:
     }
 
 
-def run_snapshot_round(scale: int, seed: int) -> dict:
-    """Pickled snapshot payload size and round-trip time, both stores."""
-    row = {}
-    for store in ("dict", "columnar"):
-        graph = _workload("community", scale, seed, store).graph
-        snapshot = graph.snapshot()
-        gc.collect()
-        start = time.perf_counter()
-        payload = pickle.dumps(snapshot, protocol=pickle.HIGHEST_PROTOCOL)
-        encode_s = time.perf_counter() - start
-        start = time.perf_counter()
-        pickle.loads(payload)
-        decode_s = time.perf_counter() - start
-        row[f"{store}_payload_bytes"] = len(payload)
-        row[f"{store}_encode_s"] = encode_s
-        row[f"{store}_decode_s"] = decode_s
-    row["triples"] = len(graph)
-    return row
-
-
 def run_ingest_round(num_triples: int) -> dict:
     """Stream a synthetic N-Triples file; the decoded tail stays one segment."""
 
@@ -260,25 +236,23 @@ def main(argv=None) -> int:
                "min_memory_ratio": args.min_memory_ratio,
                "min_scan_speedup": args.min_scan_speedup}
 
-    print(f"{'workload':>10} {'jobs':>5} {'triples':>8} {'dict':>9} "
+    print(f"{'workload':>10} {'triples':>8} {'dict':>9} "
           f"{'columnar':>9} {'agree':>6}")
     verdict_rows = []
     for kind in ("sparse", "person", "community"):
-        for jobs in (1, 2):
-            row = run_verdict_round(kind, scale, args.seed, jobs)
-            verdict_rows.append(row)
-            print(f"{row['workload']:>10} {row['jobs']:>5} {row['triples']:>8} "
-                  f"{row['dict_s'] * 1000:>7.1f}ms "
-                  f"{row['columnar_s'] * 1000:>7.1f}ms "
-                  f"{'yes' if row['agree'] else 'NO':>6}")
-            if not row["agree"]:
-                print(f"  !! {kind} (jobs={jobs}): stores disagree",
-                      file=sys.stderr)
-                ok = False
-            if not row["ground_truth_ok"]:
-                print(f"  !! {kind} (jobs={jobs}): verdicts disagree with "
-                      "ground truth", file=sys.stderr)
-                ok = False
+        row = run_verdict_round(kind, scale, args.seed)
+        verdict_rows.append(row)
+        print(f"{row['workload']:>10} {row['triples']:>8} "
+              f"{row['dict_s'] * 1000:>7.1f}ms "
+              f"{row['columnar_s'] * 1000:>7.1f}ms "
+              f"{'yes' if row['agree'] else 'NO':>6}")
+        if not row["agree"]:
+            print(f"  !! {kind}: stores disagree", file=sys.stderr)
+            ok = False
+        if not row["ground_truth_ok"]:
+            print(f"  !! {kind}: verdicts disagree with ground truth",
+                  file=sys.stderr)
+            ok = False
     payload["verdict_rounds"] = verdict_rows
 
     memory = run_memory_round(scale, args.seed)
@@ -292,13 +266,6 @@ def main(argv=None) -> int:
     print(f"scan: dict {scan['dict_triples_per_s']:,.0f} triples/s, "
           f"columnar {scan['columnar_triples_per_s']:,.0f} triples/s "
           f"({scan['scan_speedup']:.2f}x)")
-
-    snapshot = run_snapshot_round(scale, args.seed)
-    payload["snapshot"] = snapshot
-    print(f"snapshot: dict {snapshot['dict_payload_bytes']:,} B "
-          f"({snapshot['dict_encode_s'] * 1000:.1f}ms encode), "
-          f"columnar {snapshot['columnar_payload_bytes']:,} B "
-          f"({snapshot['columnar_encode_s'] * 1000:.1f}ms encode)")
 
     gates_checked = not args.quick
     if gates_checked:

@@ -1,25 +1,21 @@
 #!/usr/bin/env python3
-"""B16 — resident shard fleet: warm delta rounds vs fork-per-run sharding.
+"""B16 — resident shard fleet: warm delta rounds against the serial session.
 
-PR 8 promotes :class:`~repro.service.sharding.ShardedValidator` from a
-fork-a-pool-per-run scheduler into a *resident* fleet: shard worker
-processes live for the session, each owning a shard-local graph replica,
-change journal and maintained baseline, so a delta round is a pair of queue
-round-trips instead of a pool spawn + full state pickle.  This benchmark
-drives both modes through the same session API and gates the claims:
+:class:`~repro.service.sharding.ShardedValidator` runs on a *resident*
+fleet: shard worker processes live for the session, each owning a
+shard-local graph replica, change journal and maintained baseline, so a
+delta round is a pair of queue round-trips.  This benchmark drives a
+``shards=2`` session and a serial one through the same session API:
 
-* **warm resident rounds vs refork rounds** (full runs gate ≥3×,
-  ``--min-speedup``): identical community workloads take the same sequence
-  of delta + full-verdict-sweep rounds through a ``shards=2`` resident
-  session and a ``shards=2`` ``resident=False`` (PR 7 fork-per-run) session;
-  mean round wall time must favour the resident fleet,
+* **round timings** (reported, not gated): identical community workloads
+  take the same sequence of delta + full-verdict-sweep rounds through both
+  sessions; the mean round wall time of each is reported,
 * **per-round byte identity** (gates every run): each round's
   :class:`DeltaResponse` and every default (reason-less) verdict response
-  must serialise byte-identically across serial, ``--jobs 2``, resident
-  ``--shards 2`` and refork ``--shards 2`` sessions,
+  must serialise byte-identically across the serial and ``--shards 2``
+  sessions,
 * **fleet health** (gates every run): the resident fleet must finish with
-  zero respawns and the same worker pids it started with — the speedup has
-  to come from residency, not from degraded serial fallbacks,
+  zero respawns and the same worker pids it started with,
 * **kill-one-worker heal round** (gates every run): after SIGKILLing one
   shard worker, degraded reads (``allow_degraded``) must answer from the
   surviving shard and the coordinator baseline *without blocking on the
@@ -34,8 +30,8 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_fleet.py --quick    # CI smoke
     PYTHONPATH=src python benchmarks/bench_fleet.py --json BENCH_fleet.json
 
-Exit status: 0 on success, 1 on any byte mismatch, fleet respawn, or (full
-runs) a missed resident-vs-refork speedup threshold.
+Exit status: 0 on success, 1 on any byte mismatch, fleet respawn or failed
+heal round.
 """
 
 from __future__ import annotations
@@ -70,7 +66,7 @@ def _workload(scale: int, seed: int):
 
 def _round_delta(nodes, round_index):
     """One reversible mutation per round touching two subjects (so the
-    restricted re-run is non-trivial and the refork path really forks):
+    restricted re-run is non-trivial on both shards with high odds):
     break a person with a duplicate age on even rounds, repair them on odd
     rounds, and always add a valid-preserving alias to a second person."""
     victim = nodes[round_index % len(nodes)]
@@ -88,14 +84,9 @@ def _verdict_blob(session, nodes):
 
 
 def run_fleet_rounds(scale: int, rounds: int, seed: int) -> dict:
-    """The headline comparison: identical delta + verdict-sweep rounds
-    through four sessions; resident and refork rounds are timed."""
-    modes = [
-        ("serial", {}),
-        ("jobs2", {"jobs": 2}),
-        ("resident", {"shards": 2, "resident": True}),
-        ("refork", {"shards": 2, "resident": False}),
-    ]
+    """Identical delta + verdict-sweep rounds through a serial and a
+    resident ``shards=2`` session; both are timed."""
+    modes = [("serial", {}), ("resident", {"shards": 2})]
     sessions = {}
     for name, kwargs in modes:
         workload = _workload(scale, seed)
@@ -105,8 +96,7 @@ def run_fleet_rounds(scale: int, rounds: int, seed: int) -> dict:
                    key=lambda term: term.value)
 
     byte_mismatches = 0
-    resident_times = []
-    refork_times = []
+    times = {name: [] for name, _ in modes}
     try:
         for session in sessions.values():
             session.validate()
@@ -125,10 +115,7 @@ def run_fleet_rounds(scale: int, rounds: int, seed: int) -> dict:
                 responses[name] = json.dumps(response.to_json(),
                                              sort_keys=True)
                 blobs[name] = blob
-                if name == "resident":
-                    resident_times.append(elapsed)
-                elif name == "refork":
-                    refork_times.append(elapsed)
+                times[name].append(elapsed)
             if len(set(responses.values())) != 1 or len(set(blobs.values())) != 1:
                 byte_mismatches += 1
 
@@ -137,17 +124,13 @@ def run_fleet_rounds(scale: int, rounds: int, seed: int) -> dict:
         for session in sessions.values():
             session.close()
 
-    resident_mean = statistics.mean(resident_times)
-    refork_mean = statistics.mean(refork_times)
     return {
         "workload": "community",
         "nodes": len(nodes),
         "rounds": rounds,
         "shards": 2,
-        "resident_round_ms": round(resident_mean * 1e3, 3),
-        "refork_round_ms": round(refork_mean * 1e3, 3),
-        "speedup": round(refork_mean / resident_mean, 2)
-        if resident_mean else float("inf"),
+        "resident_round_ms": round(statistics.mean(times["resident"]) * 1e3, 3),
+        "serial_round_ms": round(statistics.mean(times["serial"]) * 1e3, 3),
         "byte_identical": byte_mismatches == 0,
         "byte_mismatch_rounds": byte_mismatches,
         "fleet_pids_stable": fleet_before.get("pids")
@@ -247,26 +230,24 @@ def run_heal_round(scale: int, seed: int) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true",
-                        help="CI smoke scale; speedup reported, not gated")
+                        help="CI smoke scale")
     parser.add_argument("--json", metavar="PATH",
                         help="write the result table to PATH as JSON")
     parser.add_argument("--rounds", type=int, default=None,
                         help="delta + verdict-sweep rounds per mode")
     parser.add_argument("--seed", type=int, default=11)
-    parser.add_argument("--min-speedup", type=float, default=3.0,
-                        help="required resident/refork ratio on full runs")
     args = parser.parse_args(argv)
 
     scale, rounds = (24, 3) if args.quick else (64, 10)
     rounds = args.rounds if args.rounds is not None else rounds
 
-    print(f"== resident fleet vs fork-per-run sharding "
+    print(f"== resident fleet vs serial session "
           f"(scale={scale}, rounds={rounds}, shards=2) ==")
     row = run_fleet_rounds(scale, rounds, args.seed)
     print(f"  resident round : {row['resident_round_ms']}ms mean "
           f"(delta + {row['nodes']}-verdict sweep)")
-    print(f"  refork round   : {row['refork_round_ms']}ms mean")
-    print(f"  speedup        : {row['speedup']}x "
+    print(f"  serial round   : {row['serial_round_ms']}ms mean")
+    print(f"  checks         : "
           f"(byte_identical={row['byte_identical']}, "
           f"pids_stable={row['fleet_pids_stable']}, "
           f"respawns={row['fleet_respawns']})")
@@ -284,15 +265,12 @@ def main(argv=None) -> int:
     failures = []
     if not row["byte_identical"]:
         failures.append(f"{row['byte_mismatch_rounds']} rounds were not "
-                        "byte-identical across serial/jobs/resident/refork")
+                        "byte-identical across serial/resident")
     if not row["fleet_pids_stable"]:
         failures.append("resident fleet pids changed mid-benchmark")
     if row["fleet_respawns"]:
         failures.append(f"resident fleet respawned {row['fleet_respawns']} "
                         "workers")
-    if not args.quick and row["speedup"] < args.min_speedup:
-        failures.append(f"resident speedup {row['speedup']}x is below the "
-                        f"{args.min_speedup}x threshold")
     if not heal["worker_killed"]:
         failures.append("fault injection did not kill the shard 0 worker")
     if not heal["degraded_reads_answered"]:

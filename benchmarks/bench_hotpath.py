@@ -11,9 +11,9 @@ power-law hubs referencing them, and facet-heavy constraints the compiled
 value screen refuses, so every entity reaches the engine when the cache
 is off.
 
-Three arms run with the cache on and off — serial bulk validation,
-``jobs=2`` SCC-parallel bulk validation, and incremental revalidation
-after a wide mutation — and two checks gate the timings:
+Two arms run with the cache on and off — serial bulk validation and
+incremental revalidation after a wide mutation — and two checks gate the
+timings:
 
 * verdict identity: the cached and uncached reports must agree on every
   ``(node, label)`` pair, in every arm,
@@ -63,20 +63,20 @@ def _verdicts(report):
     return {(entry.node, str(entry.label)): entry.conforms for entry in report}
 
 
-def _make_validator(workload, *, cached: bool, jobs: int = 1) -> Validator:
-    return Validator(workload.graph, workload.schema, cache=True, jobs=jobs,
+def _make_validator(workload, *, cached: bool) -> Validator:
+    return Validator(workload.graph, workload.schema, cache=True,
                      signature_cache=None if cached else False)
 
 
-def _timed_full(workload, *, cached: bool, jobs: int = 1):
-    validator = _make_validator(workload, cached=cached, jobs=jobs)
+def _timed_full(workload, *, cached: bool):
+    validator = _make_validator(workload, cached=cached)
     gc.collect()
     start = time.perf_counter()
     report = validator.validate_graph(labels=_LABELS)
     return validator, report, time.perf_counter() - start
 
 
-def run_full_arm(mode: str, scale: int, hubs: int, seed: int, jobs: int,
+def run_full_arm(mode: str, scale: int, hubs: int, seed: int,
                  reps: int = 1) -> dict:
     """One cached-vs-uncached bulk round; returns timings plus identity.
 
@@ -94,9 +94,9 @@ def run_full_arm(mode: str, scale: int, hubs: int, seed: int, jobs: int,
     ratios = []
     for _ in range(max(1, reps)):
         rep_validator, rep_cached, rep_cached_s = _timed_full(
-            cached_w, cached=True, jobs=jobs)
+            cached_w, cached=True)
         _, rep_uncached, rep_uncached_s = _timed_full(
-            uncached_w, cached=False, jobs=jobs)
+            uncached_w, cached=False)
         ratios.append(rep_uncached_s / rep_cached_s if rep_cached_s
                       else float("inf"))
         cached_s = min(cached_s, rep_cached_s)
@@ -108,7 +108,6 @@ def run_full_arm(mode: str, scale: int, hubs: int, seed: int, jobs: int,
     stats = collect_stats(validator, cached_report.total_stats())
     return {
         "mode": mode,
-        "jobs": jobs,
         "entities": scale,
         "hubs": hubs,
         "triples": len(cached_w.graph),
@@ -161,7 +160,6 @@ def run_revalidate_arm(scale: int, hubs: int, seed: int) -> dict:
     fresh = _verdicts(fresh_report)
     return {
         "mode": "revalidate",
-        "jobs": 1,
         "entities": scale,
         "hubs": hubs,
         "cached_s": rounds[True],
@@ -205,21 +203,18 @@ def main(argv=None) -> int:
     # discarded warmup round: the very first validation of a process pays
     # import/allocator warmup, and wall time on small shared machines swings
     # enough that a single sample would make the gated ratio a coin toss.
-    # The jobs=2 arm is identity-checked, not speed-gated — one pair is
-    # plenty (worker pools dominate its wall time anyway).
     reps = 1 if args.quick else 5
     if not args.quick:
-        run_full_arm("warmup", 60, 2, args.seed, jobs=1)
+        run_full_arm("warmup", 60, 2, args.seed)
 
     ok = True
-    print(f"{'mode':>12} {'jobs':>5} {'pairs':>7} {'uncached':>10} "
+    print(f"{'mode':>12} {'pairs':>7} {'uncached':>10} "
           f"{'cached':>10} {'speedup':>8} {'identical':>9}")
-    serial = run_full_arm("serial", scale, hubs, args.seed, jobs=1, reps=reps)
-    parallel = run_full_arm("jobs2", scale, hubs, args.seed, jobs=2, reps=1)
+    serial = run_full_arm("serial", scale, hubs, args.seed, reps=reps)
     revalidate = run_revalidate_arm(scale, hubs, args.seed)
-    arms = [serial, parallel, revalidate]
+    arms = [serial, revalidate]
     for arm in arms:
-        print(f"{arm['mode']:>12} {arm['jobs']:>5} {arm.get('pairs', '-'):>7} "
+        print(f"{arm['mode']:>12} {arm.get('pairs', '-'):>7} "
               f"{arm['uncached_s'] * 1000:>8.1f}ms "
               f"{arm['cached_s'] * 1000:>8.1f}ms "
               f"{arm['speedup']:>7.2f}x {str(arm['identical']):>9}")

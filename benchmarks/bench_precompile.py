@@ -15,8 +15,7 @@ Three checks gate every timing:
 
 * verdict agreement between the compiled and the uncompiled validator on the
   sparse-mismatch workload itself (plus its ground truth),
-* verdict agreement on the person and community workloads, serially **and**
-  through the parallel scheduler (``jobs=2``),
+* verdict agreement on the person and community workloads,
 * on full runs, a ≥2× end-to-end speedup (``--min-speedup``) of the compiled
   bulk path over ``precompile=False`` on the largest sparse-mismatch size.
 
@@ -182,22 +181,20 @@ def run_agreement(quick: bool) -> list:
         num_communities=4 if quick else 12, seed=7)
     rows = []
     for name, workload in (("person", person), ("community", community)):
-        for jobs in (1, 2):
-            compiled = Validator(workload.graph, workload.schema,
-                                 cache=True, jobs=jobs).validate_graph()
-            plain = Validator(workload.graph, workload.schema, cache=True,
-                              jobs=jobs, precompile=False).validate_graph()
-            verdicts = _verdicts(compiled)
-            rows.append({
-                "workload": name,
-                "jobs": jobs,
-                "pairs": len(compiled),
-                "agree": verdicts == _verdicts(plain),
-                "ground_truth_ok": all(
-                    verdicts[(node, "Person")] == (node in set(workload.valid_nodes))
-                    for node in workload.all_nodes
-                ),
-            })
+        compiled = Validator(workload.graph, workload.schema,
+                             cache=True).validate_graph()
+        plain = Validator(workload.graph, workload.schema, cache=True,
+                          precompile=False).validate_graph()
+        verdicts = _verdicts(compiled)
+        rows.append({
+            "workload": name,
+            "pairs": len(compiled),
+            "agree": verdicts == _verdicts(plain),
+            "ground_truth_ok": all(
+                verdicts[(node, "Person")] == (node in set(workload.valid_nodes))
+                for node in workload.all_nodes
+            ),
+        })
     return rows
 
 
@@ -239,10 +236,10 @@ def main(argv=None) -> int:
     agreement_rows = run_agreement(args.quick)
     for row in agreement_rows:
         status = "ok" if row["agree"] and row["ground_truth_ok"] else "MISMATCH"
-        print(f"agreement {row['workload']:>10} jobs={row['jobs']} "
+        print(f"agreement {row['workload']:>10} "
               f"({row['pairs']} pairs): {status}")
         if status != "ok":
-            print(f"  !! {row['workload']} jobs={row['jobs']}: compiled and "
+            print(f"  !! {row['workload']}: compiled and "
                   "uncompiled verdicts (or ground truth) disagree", file=sys.stderr)
             ok = False
 

@@ -19,8 +19,8 @@ claims:
   warm verdict query — a baseline lookup through the session — against cold
   per-request validation (a fresh ``Validator`` + ``validate_node`` per
   query, what a stateless service would do),
-* **byte identity across server modes** (gates every run): serial,
-  ``--jobs 2`` and ``--shards 2`` sessions must serialise every default
+* **byte identity across server modes** (gates every run): serial and
+  ``--shards 2`` sessions must serialise every default
   (reason-less) verdict response byte-identically on the sparse, person and
   community workloads, before and after a delta.
 
@@ -200,8 +200,8 @@ def run_warm_vs_cold(scale: int, queries: int, seed: int) -> dict:
 
 
 def run_byte_identity(kind: str, scale: int, seed: int) -> dict:
-    """Serial / jobs=2 / shards=2 sessions must serialise identically."""
-    modes = [("serial", {}), ("jobs2", {"jobs": 2}), ("shards2", {"shards": 2})]
+    """Serial and shards=2 sessions must serialise identically."""
+    modes = [("serial", {}), ("shards2", {"shards": 2})]
     sessions = []
     for _, kwargs in modes:
         workload = _workload(kind, scale, seed)
@@ -222,8 +222,9 @@ def run_byte_identity(kind: str, scale: int, seed: int) -> dict:
     for session in sessions:
         session.apply_delta(DeltaRequest(add=delta))
     after = payloads()
-    identical = (before[0] == before[1] == before[2]
-                 and after[0] == after[1] == after[2])
+    for session in sessions:
+        session.close()
+    identical = before[0] == before[1] and after[0] == after[1]
     return {"workload": kind, "nodes": len(nodes), "byte_identical": identical}
 
 
@@ -269,7 +270,7 @@ def main(argv=None) -> int:
           f"identity_ok={warm_cold['identity_ok']}")
 
     byte_rows = []
-    print("== byte identity across serial / --jobs 2 / --shards 2 ==")
+    print("== byte identity across serial / --shards 2 ==")
     for kind in ("sparse", "person", "community"):
         row = run_byte_identity(kind, scale, args.seed)
         byte_rows.append(row)

@@ -14,8 +14,8 @@ This benchmark measures both representations on the same traces:
   ``ValidationContext.confirm`` when one recursive component settles,
 * **workload replay** — the conforming ``(node, label)`` trace produced by
   actually validating the single-community recursive workload (the same
-  generators ``bench_bulk_validation.py`` / ``bench_parallel_validation.py``
-  run), replayed against both representations,
+  generator ``bench_bulk_validation.py`` runs), replayed against both
+  representations,
 * **combine** — folding per-node singleton typings together, the
   ``τ1 ⊎ τ2`` side of the algebra.
 
@@ -158,8 +158,7 @@ def run_workload_replay(people: int, seed: int) -> dict:
     One community means the valid members form a single strongly-connected
     ``foaf:knows`` component — exactly the k-member recursive-component
     confirmation the HAMT targets — and the trace comes from a real
-    validation run of the same workload family the bulk and parallel
-    benchmarks use.
+    validation run of the same workload family the bulk benchmark uses.
     """
     workload = generate_community_workload(
         num_communities=1, people_per_community=people,

@@ -93,8 +93,7 @@ def _headline_fleet(data: Dict[str, Any]) -> List[str]:
     heal = data.get("heal_round", {})
     return [
         f"resident round {_fmt(rounds.get('resident_round_ms', 0.0))}ms vs "
-        f"refork {_fmt(rounds.get('refork_round_ms', 0.0))}ms "
-        f"({_fmt(rounds.get('speedup', 0.0))}x)",
+        f"serial {_fmt(rounds.get('serial_round_ms', 0.0))}ms",
         f"heal round {_fmt(heal.get('heal_round_ms', 0.0))}ms, "
         f"respawns={_fmt(heal.get('respawns', 0))}",
     ]

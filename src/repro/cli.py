@@ -75,11 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="validate every node in a fresh context with no "
                            "cross-node caching (the paper-faithful baseline; "
                            "slower on graphs with shared or recursive structure)")
-    validate.add_argument("--jobs", type=int, default=1, metavar="N",
-                          help="validate independent reference-graph components "
-                               "across N worker processes (whole-graph modes "
-                               "--all-nodes/--shape only; default 1: serial). "
-                               "Incompatible with --per-node and the sparql engine")
     validate.add_argument("--no-precompile", action="store_true",
                           help="disable the compiled-schema fast paths "
                                "(static prefilter + predicate-indexed atom "
@@ -127,8 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
     revalidate.add_argument("--shape",
                             help="revalidate against this single shape label "
                                  "(default: every shape)")
-    revalidate.add_argument("--jobs", type=int, default=1, metavar="N",
-                            help="worker processes for both passes (default 1)")
     revalidate.add_argument("--no-precompile", action="store_true",
                             help="disable the compiled-schema fast paths")
     revalidate.add_argument("--no-signature-cache", action="store_true",
@@ -175,15 +168,10 @@ def build_parser() -> argparse.ArgumentParser:
                        default="turtle")
     serve.add_argument("--store", choices=["dict", "columnar"], default="dict",
                        help="storage backend for the preloaded graph")
-    serve.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="default SCC-parallel worker count per graph")
     serve.add_argument("--shards", type=int, default=0, metavar="N",
-                       help="hash-partition subjects across N worker "
-                            "processes (the sharded scheduler; 0/1: off)")
-    serve.add_argument("--no-resident-shards", action="store_true",
-                       help="fork a fresh worker pool per run instead of "
-                            "keeping a resident shard fleet warm (escape "
-                            "hatch; slower deltas)")
+                       help="hash-partition subjects across N resident "
+                            "worker processes, kept warm for the graph's "
+                            "lifetime (0/1: serial)")
     serve.add_argument("--fleet-response-timeout", type=float, default=120.0,
                        metavar="SECONDS",
                        help="how long the coordinator waits on a resident "
@@ -291,16 +279,6 @@ def _render_report(report: ValidationReport, output_format: str,
 
 
 def _command_validate(args: argparse.Namespace) -> int:
-    if args.jobs < 1:
-        raise SystemExit("error: --jobs must be at least 1")
-    if args.jobs > 1 and args.per_node:
-        raise SystemExit("error: --jobs > 1 shares settled verdicts across "
-                         "components and is incompatible with --per-node")
-    if args.jobs > 1 and args.engine == "sparql":
-        raise SystemExit("error: --jobs > 1 is not supported with the sparql engine")
-    if args.jobs > 1 and (args.shape_map or args.shape_map_file):
-        raise SystemExit("error: --jobs > 1 needs a whole-graph mode "
-                         "(--all-nodes or --shape); shape maps validate serially")
     from .service.session import ValidationSession, collect_stats
 
     graph = _load_graph(args.data, args.data_format, args.store)
@@ -316,13 +294,13 @@ def _command_validate(args: argparse.Namespace) -> int:
             engine_options["cache"] = DerivativeCache(
                 max_entries=args.cache_max_entries)
         validator = Validator(graph, schema, engine=_build_engine(args.engine),
-                              shared_context=False, jobs=args.jobs,
+                              shared_context=False,
                               precompile=not args.no_precompile,
                               signature_cache=False,
                               **engine_options)
     else:
         session = ValidationSession(
-            graph, schema, engine=_build_engine(args.engine), jobs=args.jobs,
+            graph, schema, engine=_build_engine(args.engine),
             precompile=not args.no_precompile, use_cache=wants_cache,
             cache_max_entries=args.cache_max_entries,
             use_signature_cache=not args.no_signature_cache)
@@ -346,8 +324,7 @@ def _command_validate(args: argparse.Namespace) -> int:
         if session is not None and not (args.shape_map or args.shape_map_file):
             stats = session.stats()
         else:
-            stats = collect_stats(validator, report.total_stats(),
-                                  {"jobs": args.jobs})
+            stats = collect_stats(validator, report.total_stats())
         _print_service_stats(stats, args.cache_stats)
     return 0 if report.conforms else 1
 
@@ -360,8 +337,6 @@ def _command_revalidate(args: argparse.Namespace) -> int:
     the graph's change journal; ``Validator.revalidate`` then consumes the
     journal and re-runs only the affected reference-graph region.
     """
-    if args.jobs < 1:
-        raise SystemExit("error: --jobs must be at least 1")
     if not args.add and not args.remove:
         raise SystemExit("error: revalidate needs a change set "
                          "(--add and/or --remove)")
@@ -370,7 +345,7 @@ def _command_revalidate(args: argparse.Namespace) -> int:
     graph = _load_graph(args.data, args.data_format, args.store)
     schema = _load_schema(args.schema)
     labels = [args.shape] if args.shape else None
-    session = ValidationSession(graph, schema, jobs=args.jobs,
+    session = ValidationSession(graph, schema,
                                 precompile=not args.no_precompile,
                                 use_cache=False,
                                 use_signature_cache=not args.no_signature_cache)
@@ -408,18 +383,14 @@ def _command_serve(args: argparse.Namespace) -> int:
     baseline answers verdict queries without fresh runs.  With ``--data``
     the file is preloaded and validated before the socket starts accepting.
     """
-    if args.jobs < 1:
-        raise SystemExit("error: --jobs must be at least 1")
     if args.shards < 0:
         raise SystemExit("error: --shards must be at least 0")
     from .service.server import serve
     from .service.session import ValidationSession
 
     schema = _load_schema(args.schema)
-    resident = not args.no_resident_shards
     server = serve(schema, host=args.host, port=args.port,
-                   jobs=args.jobs, shards=args.shards,
-                   resident=resident,
+                   shards=args.shards,
                    precompile=not args.no_precompile,
                    cache_max_entries=args.cache_max_entries,
                    connection_timeout=args.connection_timeout or None,
@@ -429,8 +400,7 @@ def _command_serve(args: argparse.Namespace) -> int:
     if args.data:
         graph = _load_graph(args.data, args.data_format, args.store)
         session = ValidationSession(
-            graph, schema, jobs=args.jobs, shards=args.shards,
-            resident=resident,
+            graph, schema, shards=args.shards,
             precompile=not args.no_precompile,
             cache_max_entries=args.cache_max_entries,
             fleet_response_timeout=args.fleet_response_timeout)
@@ -440,7 +410,7 @@ def _command_serve(args: argparse.Namespace) -> int:
               f"({len(graph)} triples, {len(report)} pairs, "
               f"conforms={report.conforms})", file=sys.stderr)
     print(f"serve: listening on http://{server.host}:{server.port} "
-          f"(jobs={args.jobs}, shards={args.shards})", file=sys.stderr)
+          f"(shards={args.shards})", file=sys.stderr)
     try:
         server.serve_forever()
     except KeyboardInterrupt:

@@ -25,14 +25,12 @@ from .errors import (
     NamespaceError,
     ParseError,
     RDFError,
-    StaleSnapshotError,
 )
 from .columnar import ColumnarGraph
 from .dictionary import TermDictionary
 from .graph import (
     ChangeJournal,
     Graph,
-    NeighbourhoodSnapshot,
     NeighbourhoodView,
     OrderedTriples,
     TripleStore,
@@ -74,7 +72,7 @@ __all__ = [
     "is_subject_term", "is_predicate_term", "is_object_term",
     # graph / storage layer
     "Graph", "TripleStore", "ColumnarGraph", "TermDictionary",
-    "ChangeJournal", "NeighbourhoodSnapshot", "NeighbourhoodView",
+    "ChangeJournal", "NeighbourhoodView",
     "OrderedTriples", "decompositions", "decomposition_count",
     # namespaces
     "Namespace", "NamespaceManager",
@@ -85,5 +83,4 @@ __all__ = [
     "parse_ntriples", "parse_term", "serialize_ntriples", "parse_turtle", "serialize_turtle",
     # errors
     "RDFError", "NamespaceError", "DatatypeError", "ParseError", "GraphError",
-    "StaleSnapshotError",
 ]

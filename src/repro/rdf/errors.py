@@ -13,7 +13,6 @@ __all__ = [
     "DatatypeError",
     "ParseError",
     "GraphError",
-    "StaleSnapshotError",
 ]
 
 
@@ -31,16 +30,6 @@ class DatatypeError(RDFError):
 
 class GraphError(RDFError):
     """Raised for invalid graph-level operations."""
-
-
-class StaleSnapshotError(GraphError):
-    """Raised when a neighbourhood snapshot no longer matches its graph.
-
-    A :class:`~repro.rdf.graph.NeighbourhoodSnapshot` captures the per-subject
-    neighbourhoods at one graph generation; using it after the graph has
-    mutated would silently serve old neighbourhoods (e.g. to parallel
-    validation workers).  ``ensure_fresh`` raises this instead.
-    """
 
 
 class ParseError(RDFError):

@@ -16,13 +16,12 @@ extraction stay close to O(result size).
 
 from __future__ import annotations
 
-from array import array
 from collections import defaultdict
 from contextlib import contextmanager
 from typing import (AbstractSet, Dict, FrozenSet, Iterable, Iterator, List,
                     Mapping, Optional, Set, Tuple)
 
-from .errors import GraphError, StaleSnapshotError
+from .errors import GraphError
 from .namespaces import NamespaceManager
 from .terms import IRI, ObjectTerm, SubjectTerm, Triple
 
@@ -30,7 +29,6 @@ __all__ = [
     "ChangeJournal",
     "Graph",
     "NeighbourhoodView",
-    "NeighbourhoodSnapshot",
     "OrderedTriples",
     "TripleStore",
     "decompositions",
@@ -140,7 +138,7 @@ class TripleStore:
     ``neighbourhood_ordered`` and the set protocol (``__len__`` /
     ``__iter__`` / ``__contains__``) — and inherits everything the
     validation layers actually call: the batch/journal machinery, pattern
-    query helpers, snapshots and the graph algebra of the paper.  Because
+    query helpers and the graph algebra of the paper.  Because
     the derived behaviour is shared code over identical primitives,
     validation verdicts are store-independent by construction.
 
@@ -199,7 +197,8 @@ class TripleStore:
         self._neigh_ordered.pop(key, None)
         # the generation counts every effective mutation, batch or not: an
         # integer bump is nearly free, and anything derived from the graph
-        # (snapshots, shared contexts) stays stale-detectable even mid-batch.
+        # (shared contexts, maintained baselines) stays stale-detectable even
+        # mid-batch.
         self._generation += 1
         if self._batch_depth:
             self._batch_dirty.add(key)
@@ -244,8 +243,8 @@ class TripleStore:
         Nestable; only the outermost pair takes effect.  While a batch is
         open, triple reads see every mutation immediately (per-subject
         neighbourhood caches are still invalidated eagerly, and the
-        generation still counts every effective mutation — snapshots and
-        derived state stay stale-detectable mid-batch), but the journal
+        generation still counts every effective mutation — derived state
+        stays stale-detectable mid-batch), but the journal
         receives one record per touched *subject* instead of one per triple,
         all stamped with the batch's final generation.  A batch that changes
         nothing (empty, or a fully idempotent replay) leaves the generation
@@ -384,8 +383,7 @@ class TripleStore:
         """``Σgₙ`` in whatever representation is cheapest to produce.
 
         For the dict store that is the unsorted frozenset (no predicate
-        sort); the columnar store and :class:`NeighbourhoodSnapshot` return
-        their ordered tuples instead.  Order-insensitive consumers — the
+        sort); the columnar store returns its ordered tuples instead.  Order-insensitive consumers — the
         compiled-schema prefilter above all — should use this accessor.
         """
         return self.neighbourhood(node)
@@ -404,24 +402,6 @@ class TripleStore:
     def neighbourhood_view(self, node: SubjectTerm) -> "NeighbourhoodView":
         """Return a :class:`NeighbourhoodView` over ``Σgₙ``."""
         return NeighbourhoodView(node, self.neighbourhood(node))
-
-    def snapshot(self, nodes: Optional[Iterable[SubjectTerm]] = None
-                 ) -> "NeighbourhoodSnapshot":
-        """Return a picklable :class:`NeighbourhoodSnapshot` of ``Σgₙ`` tables.
-
-        ``nodes`` defaults to every subject node.  The snapshot captures the
-        predicate-sorted neighbourhood of each requested node (empty tuples
-        for nodes without outgoing triples are stored explicitly), so worker
-        processes can validate against it without holding the full graph.
-        """
-        if nodes is None:
-            node_list: List[SubjectTerm] = list(self.nodes())
-        else:
-            node_list = list(nodes)
-        return NeighbourhoodSnapshot(
-            {node: self.neighbourhood_ordered(node) for node in node_list},
-            generation=self._generation,
-        )
 
     def union(self, other: "TripleStore") -> "TripleStore":
         """Return a new graph ``self ⊕ other`` (blank-node identity preserved).
@@ -727,138 +707,6 @@ class Graph(TripleStore):
 
             return parse_ntriples(data)
         raise GraphError(f"unknown parse format: {format!r}")
-
-
-class NeighbourhoodSnapshot:
-    """A picklable, read-only table of per-subject neighbourhoods.
-
-    Exposes the slice of the :class:`Graph` API a validation context needs —
-    :meth:`neighbourhood`, :meth:`neighbourhood_ordered` and ``generation`` —
-    so it can stand in for the full graph inside worker processes during
-    parallel bulk validation.  Lookups outside the captured node set raise
-    :class:`~repro.rdf.errors.GraphError` instead of silently returning an
-    empty neighbourhood: a miss means the scheduler under-approximated the
-    nodes a worker could touch, which must surface as an error rather than
-    as a wrong verdict.
-    """
-
-    __slots__ = ("_ordered", "_sets", "_packed", "generation")
-
-    def __init__(self, ordered: Dict[SubjectTerm, "OrderedTriples"],
-                 generation: int = 0):
-        self._ordered = dict(ordered)
-        self._sets: Dict[SubjectTerm, FrozenSet[Triple]] = {}
-        self._packed: Optional[tuple] = None
-        self.generation = generation
-
-    def _pack(self) -> tuple:
-        """Columnar wire form: each distinct term once, plus raw id buffers.
-
-        Neighbourhood tables are extremely redundant — every triple repeats
-        its subject, predicates come from a small vocabulary, and objects
-        are shared across nodes.  Pickling the triple objects pays a
-        per-object frame for all of that redundancy on every worker spawn.
-        The packed form assigns snapshot-local dense ids to the distinct
-        terms and ships three flat ``array('q')`` buffers (node ids, table
-        offsets, interleaved predicate/object id pairs): 16 bytes per triple
-        plus each term exactly once, for both the dict and columnar stores.
-        """
-        if self._packed is None:
-            local: Dict[object, int] = {}
-            node_ids = array("q")
-            offsets = array("q", [0])
-            pairs = array("q")
-            for node, ordered in self._ordered.items():
-                nid = local.get(node)
-                if nid is None:
-                    nid = local[node] = len(local)
-                node_ids.append(nid)
-                for triple in ordered:
-                    for term in (triple.predicate, triple.object):
-                        tid = local.get(term)
-                        if tid is None:
-                            tid = local[term] = len(local)
-                        pairs.append(tid)
-                offsets.append(len(pairs))
-            self._packed = (tuple(local), node_ids, offsets, pairs)
-        return self._packed
-
-    def __reduce__(self):
-        # the lazily-built frozenset cache is rebuilt on demand in the target
-        # process; only the packed buffers travel (and are kept, so a
-        # re-pickle of the same snapshot is free).
-        return (_unpack_snapshot, (*self._pack(), self.generation))
-
-    def ensure_fresh(self, graph: "Graph") -> "NeighbourhoodSnapshot":
-        """Raise :class:`StaleSnapshotError` unless ``graph`` is unchanged.
-
-        The check compares the generation stamped at capture time with the
-        graph's current one, so a snapshot reused across mutations fails
-        loudly instead of serving old neighbourhoods to parallel workers.
-        Returns ``self`` so call sites can chain.
-        """
-        current = getattr(graph, "generation", None)
-        if current != self.generation:
-            raise StaleSnapshotError(
-                f"neighbourhood snapshot captured at generation "
-                f"{self.generation} but the graph is at generation {current}; "
-                f"re-snapshot after mutating"
-            )
-        return self
-
-    def __len__(self) -> int:
-        return len(self._ordered)
-
-    def __contains__(self, node: object) -> bool:
-        return node in self._ordered
-
-    def nodes(self) -> Iterator[SubjectTerm]:
-        """Iterate over the captured nodes."""
-        return iter(self._ordered.keys())
-
-    def neighbourhood_ordered(self, node: SubjectTerm) -> "OrderedTriples":
-        """Return the captured predicate-sorted ``Σgₙ`` for ``node``."""
-        try:
-            return self._ordered[node]
-        except KeyError:
-            raise GraphError(
-                f"node {node.n3()} is outside this neighbourhood snapshot"
-            ) from None
-
-    def neighbourhood(self, node: SubjectTerm) -> FrozenSet[Triple]:
-        """Return the captured ``Σgₙ`` for ``node`` as a frozenset."""
-        cached = self._sets.get(node)
-        if cached is None:
-            cached = frozenset(self.neighbourhood_ordered(node))
-            self._sets[node] = cached
-        return cached
-
-    def neighbourhood_any(self, node: SubjectTerm) -> "OrderedTriples":
-        """``Σgₙ`` in the cheapest representation: the captured tuple."""
-        return self.neighbourhood_ordered(node)
-
-    def __repr__(self) -> str:
-        return f"NeighbourhoodSnapshot(<{len(self._ordered)} nodes>)"
-
-
-def _unpack_snapshot(terms: tuple, node_ids: "array", offsets: "array",
-                     pairs: "array", generation: int) -> NeighbourhoodSnapshot:
-    """Rebuild a :class:`NeighbourhoodSnapshot` from its packed wire form.
-
-    Terms are materialised exactly once per distinct term in the receiving
-    process; every rebuilt :class:`Triple` shares them.
-    """
-    ordered: Dict[SubjectTerm, OrderedTriples] = {}
-    for index, nid in enumerate(node_ids):
-        node = terms[nid]
-        start, end = offsets[index], offsets[index + 1]
-        ordered[node] = OrderedTriples(
-            Triple(node, terms[pairs[i]], terms[pairs[i + 1]])
-            for i in range(start, end, 2)
-        )
-    snapshot = NeighbourhoodSnapshot(ordered, generation=generation)
-    snapshot._packed = (terms, node_ids, offsets, pairs)
-    return snapshot
 
 
 class NeighbourhoodView:

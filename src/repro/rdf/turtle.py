@@ -29,6 +29,13 @@ from .terms import BNode, IRI, Literal, ObjectTerm, SubjectTerm, Triple
 
 __all__ = ["parse_turtle", "serialize_turtle", "TurtleParser", "TurtleSerializer"]
 
+#: deepest nesting of blank-node property lists ``[ … ]`` and collections
+#: ``( … )`` the parser accepts.  Each level costs a few Python frames of
+#: recursive descent; past this depth the parser raises a positioned
+#: :class:`ParseError` instead of running into the interpreter's recursion
+#: limit.
+MAX_NESTING_DEPTH = 128
+
 
 # --------------------------------------------------------------------------- tokens
 _TOKEN_SPEC = [
@@ -107,6 +114,7 @@ class TurtleParser:
         self._base = base or ""
         self._graph = Graph(namespaces=NamespaceManager(bind_defaults=False))
         self._bnode_counter = 0
+        self._depth = 0
 
     # -- token helpers -----------------------------------------------------
     def _peek(self) -> _Token:
@@ -129,6 +137,14 @@ class TurtleParser:
     def _error(self, message: str) -> ParseError:
         token = self._peek()
         return ParseError(message + f" (found {token.value!r})", token.line, token.column)
+
+    def _enter_nested(self) -> None:
+        """Open one ``[ … ]`` / ``( … )`` level, refusing past the bound."""
+        if self._depth >= MAX_NESTING_DEPTH:
+            raise self._error(
+                f"nesting deeper than {MAX_NESTING_DEPTH} levels of "
+                "blank-node property lists and collections")
+        self._depth += 1
 
     def _fresh_bnode(self) -> BNode:
         self._bnode_counter += 1
@@ -285,19 +301,23 @@ class TurtleParser:
         return Literal(lexical)
 
     def _parse_blank_node_property_list(self) -> BNode:
+        self._enter_nested()
         self._expect("LBRACKET")
         node = self._fresh_bnode()
         if self._peek().kind != "RBRACKET":
             self._parse_predicate_object_list(node)
         self._expect("RBRACKET")
+        self._depth -= 1
         return node
 
     def _parse_collection(self) -> SubjectTerm:
+        self._enter_nested()
         self._expect("LPAREN")
         items: List[ObjectTerm] = []
         while self._peek().kind != "RPAREN":
             items.append(self._parse_object())
         self._expect("RPAREN")
+        self._depth -= 1
         if not items:
             return RDF.nil
         head = self._fresh_bnode()

@@ -52,7 +52,6 @@ class ServiceError(Exception):
     ``verdict-not-found`` 404   (node, shape) outside the maintained baseline
     ``no-baseline``      409    verdict/delta before any full validation run
     ``stale-baseline``   409    graph mutated behind the maintained typing
-    ``stale-snapshot``   409    graph mutated during parallel scheduling
     ``journal-overflow`` 409    change journal overflowed; the delta was
                                 applied but incremental revalidation refused
                                 the unbounded rebuild (retry with
@@ -176,8 +175,8 @@ class ValidationRequest:
     ``data`` is the RDF payload itself (the wire carries content, not
     paths); ``schema`` is ShExC text, empty to use the server's preloaded
     schema.  ``labels`` restricts validation to the named shapes (default:
-    every shape).  ``jobs``/``shards`` of ``None`` defer to the server's
-    configuration; explicit values override it per graph.
+    every shape).  ``shards`` of ``None`` defers to the server's
+    configuration; an explicit value overrides it per graph.
     """
 
     data: str = ""
@@ -185,7 +184,6 @@ class ValidationRequest:
     schema: str = ""
     store: str = "dict"
     labels: Optional[Tuple[str, ...]] = None
-    jobs: Optional[int] = None
     shards: Optional[int] = None
 
     def __post_init__(self):
@@ -206,8 +204,6 @@ class ValidationRequest:
         }
         if self.labels is not None:
             payload["labels"] = list(self.labels)
-        if self.jobs is not None:
-            payload["jobs"] = self.jobs
         if self.shards is not None:
             payload["shards"] = self.shards
         return payload
@@ -222,7 +218,6 @@ class ValidationRequest:
                    schema=_get(data, "schema", str, ""),
                    store=_get(data, "store", str, "dict"),
                    labels=_opt_labels(data),
-                   jobs=_opt_int(data, "jobs"),
                    shards=_opt_int(data, "shards"))
 
 
@@ -295,9 +290,8 @@ class VerdictResponse:
     clients key their caches on it and invalidate when it moves.
 
     ``reason`` is ``None`` unless explicitly requested: failure-message
-    wording is processing-order-dependent across the serial, parallel and
-    sharded schedulers (a documented caveat since the parallel scheduler
-    landed), so the *default* response is byte-identical across modes and
+    wording is processing-order-dependent across the serial and sharded
+    schedulers, so the *default* response is byte-identical across modes and
     the explanatory text is opt-in (``?reason=1``).
 
     ``degraded``/``missing_shards`` are set only on degraded reads
@@ -537,12 +531,7 @@ class ServiceStats:
             fleet = self.fleet
             lines.append("fleet-stats: "
                          f"shards={fleet.get('shards', 0)} "
-                         f"resident={fleet.get('resident', False)} "
                          f"workers_alive={fleet.get('workers_alive', 0)} "
                          f"workers_loaded={fleet.get('workers_loaded', 0)} "
                          f"respawns={fleet.get('respawns', 0)}")
-        if self.session.get("jobs", 1) and self.session.get("jobs", 1) > 1:
-            lines.append("cache-stats: note: with --jobs > 1 derivative caches "
-                         "are worker-local; the counters above cover only the "
-                         "coordinating process")
         return "\n".join(lines)

@@ -1,7 +1,6 @@
 """Resident shard fleet: persistent worker processes with shard-local state.
 
-PR 7's ``--shards N`` re-forked a process pool on every run and shipped a
-fresh neighbourhood snapshot each time.  This module keeps the shard workers
+The scheduler behind ``serve --shards N``.  The shard workers stay
 **resident** for the lifetime of a session, the way a serving fleet keeps
 model replicas warm:
 
@@ -10,12 +9,12 @@ model replicas warm:
 * each worker runs a :class:`~repro.shex.validator.Validator` restricted (via
   ``subject_filter``) to the subjects its shard owns by
   :func:`shard_of` — so the worker maintains a shard-local incremental
-  baseline and runs the PR 5 revalidate loop locally,
+  baseline and runs the incremental revalidate loop locally,
 * deltas are **broadcast** to every replica (replicas must stay whole so
   cross-shard reference targets keep deriving from shard-local state), while
   the revalidation *work* is hash-partitioned by subject ownership,
 * only **settled** verdicts ever travel back to the coordinator, under the
-  same merge protocol as the SCC scheduler and the re-fork shard path.
+  settled-verdict merge protocol.
 
 The coordinator talks to each worker over an explicit request/response queue
 pair.  Commands: ``load`` (replica + warm full run), ``apply`` (one delta
@@ -84,7 +83,8 @@ class _ShardReplica:
 
     def __init__(self, shard_index: int, shards: int, schema, engine_spec,
                  compiled, triples, max_recursion_depth: int,
-                 recursion_limit: int, journal_max_entries: int):
+                 recursion_limit: int, journal_max_entries: int,
+                 use_signature_cache: bool):
         if recursion_limit > sys.getrecursionlimit():
             sys.setrecursionlimit(recursion_limit)
         self.shard_index = shard_index
@@ -98,10 +98,11 @@ class _ShardReplica:
             options["cache"] = DerivativeCache(max_entries=cache_bound)
         engine = get_engine(name, **options)
         self.validator = Validator(
-            self.graph, schema, engine=engine, shared_context=True, jobs=1,
+            self.graph, schema, engine=engine, shared_context=True,
             precompile=compiled is not None, compiled=compiled,
             max_recursion_depth=max_recursion_depth,
             subject_filter=_OwnedBy(shards, shard_index),
+            signature_cache=None if use_signature_cache else False,
         )
         self.rounds = 0
         self.full_runs = 0
@@ -182,6 +183,7 @@ class _ShardReplica:
         return self.validator._incremental_generation, self.verdicts(pairs)
 
     def stats(self) -> Dict[str, Any]:
+        context = self.validator._context
         return {
             "shard": self.shard_index,
             "triples": len(self.graph),
@@ -189,6 +191,8 @@ class _ShardReplica:
             "rounds": self.rounds,
             "full_runs": self.full_runs,
             "maintained_pairs": len(self.validator._incremental_entries or ()),
+            "signature_hits": (context.stats.signature_hits
+                               if context is not None else 0),
             "journal": dict(self.graph.journal.stats()),
         }
 
@@ -249,11 +253,11 @@ def _fleet_worker_main(shard_index: int, shards: int,
             if command == "load":
                 (schema, engine_spec, compiled, triples, labels,
                  max_recursion_depth, recursion_limit,
-                 journal_max_entries) = payload
+                 journal_max_entries, use_signature_cache) = payload
                 replica = _ShardReplica(
                     shard_index, shards, schema, engine_spec, compiled,
                     triples, max_recursion_depth, recursion_limit,
-                    journal_max_entries)
+                    journal_max_entries, use_signature_cache)
                 _respond(responses, injector, ("ok", replica.run(labels)))
             elif command == "stats":
                 _respond(responses, injector,

@@ -90,17 +90,14 @@ class ValidationService:
     """
 
     def __init__(self, schema: Optional[Schema] = None, *,
-                 jobs: int = 1, shards: int = 0,
-                 resident: bool = True,
+                 shards: int = 0,
                  precompile: bool = True,
                  cache_max_entries: Optional[int] = None,
                  fleet_response_timeout: float = 120.0,
                  fault_plan=None,
                  delta_ledger_size: int = 256):
         self.schema = schema
-        self.jobs = jobs
         self.shards = shards
-        self.resident = resident
         self.precompile = precompile
         self.cache_max_entries = cache_max_entries
         self.fleet_response_timeout = fleet_response_timeout
@@ -114,9 +111,7 @@ class ValidationService:
         """Load a graph, run the initial full validation, register it."""
         session = ValidationSession.from_request(
             request, default_schema=self.schema,
-            default_jobs=self.jobs, default_shards=self.shards,
-            default_resident=self.resident,
-            precompile=self.precompile,
+            default_shards=self.shards, precompile=self.precompile,
             cache_max_entries=self.cache_max_entries,
             fleet_response_timeout=self.fleet_response_timeout,
             fault_plan=self.fault_plan,
@@ -517,8 +512,7 @@ class ReproServer:
 
 
 def serve(schema: Optional[Schema] = None, *, host: str = "127.0.0.1",
-          port: int = 0, jobs: int = 1, shards: int = 0,
-          resident: bool = True,
+          port: int = 0, shards: int = 0,
           precompile: bool = True,
           cache_max_entries: Optional[int] = None,
           connection_timeout: Optional[float] = 30.0,
@@ -534,8 +528,7 @@ def serve(schema: Optional[Schema] = None, *, host: str = "127.0.0.1",
     plan is shipped to every resident shard worker (the ``fleet.*`` points).
     """
     service = ValidationService(
-        schema, jobs=jobs, shards=shards,
-        resident=resident, precompile=precompile,
+        schema, shards=shards, precompile=precompile,
         cache_max_entries=cache_max_entries,
         fleet_response_timeout=fleet_response_timeout,
         fault_plan=faults.plan if faults is not None else None)

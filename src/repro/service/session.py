@@ -30,7 +30,7 @@ from collections import OrderedDict
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..rdf import ColumnarGraph, Graph, ParseError, TripleStore
-from ..rdf.errors import GraphError, StaleSnapshotError
+from ..rdf.errors import GraphError
 from ..rdf.ntriples import iter_ntriples, parse_term
 from ..rdf.terms import ObjectTerm, Triple
 from ..shex.results import MatchStats
@@ -128,8 +128,8 @@ class ValidationSession:
     """A warm, lock-serialized validation lifecycle around one graph.
 
     Parameters mirror the :class:`Validator` knobs a service exposes:
-    ``jobs`` picks the SCC-parallel scheduler, ``shards`` the hash-sharded
-    one (``shards > 1`` wins; both ``1`` means serial), ``precompile`` the
+    ``shards > 1`` runs on a resident shard fleet (``0``/``1`` means
+    serial), ``precompile`` the
     compiled-schema fast paths, ``use_cache``/``cache_max_entries`` the
     global derivative cache, ``use_signature_cache`` the
     neighbourhood-signature verdict dedupe (on by default; CLI
@@ -140,8 +140,7 @@ class ValidationSession:
 
     def __init__(self, graph: TripleStore, schema: Schema, *,
                  engine: Union[str, object, None] = None,
-                 jobs: int = 1, shards: int = 0,
-                 resident: bool = True,
+                 shards: int = 0,
                  precompile: bool = True,
                  use_cache: bool = True,
                  cache_max_entries: Optional[int] = None,
@@ -159,20 +158,19 @@ class ValidationSession:
                 max_entries=cache_max_entries)
         self.graph = graph
         self.schema = schema
-        self.jobs = max(jobs, 1)
         self.shards = max(shards, 0)
+        signature_cache = None if use_signature_cache else False
         if self.shards > 1:
             self.validator: Validator = ShardedValidator(
                 graph, schema, engine=engine, shards=self.shards,
-                resident=resident, precompile=precompile,
+                precompile=precompile, signature_cache=signature_cache,
                 max_recursion_depth=max_recursion_depth,
                 fleet_response_timeout=fleet_response_timeout,
                 fault_plan=fault_plan, **engine_options)
         else:
             self.validator = Validator(
-                graph, schema, engine=engine, jobs=self.jobs,
-                precompile=precompile,
-                signature_cache=None if use_signature_cache else False,
+                graph, schema, engine=engine, precompile=precompile,
+                signature_cache=signature_cache,
                 max_recursion_depth=max_recursion_depth, **engine_options)
         self._lock = threading.RLock()
         self._totals = MatchStats()
@@ -195,9 +193,7 @@ class ValidationSession:
     @classmethod
     def from_request(cls, request: ValidationRequest, *,
                      default_schema: Optional[Schema] = None,
-                     default_jobs: int = 1,
                      default_shards: int = 0,
-                     default_resident: bool = True,
                      precompile: bool = True,
                      cache_max_entries: Optional[int] = None,
                      use_signature_cache: bool = True,
@@ -230,13 +226,10 @@ class ValidationSession:
                 graph = Graph.parse(request.data, format=request.data_format)
         except ParseError as error:
             raise ServiceError("parse-error", str(error), 400) from error
-        jobs = request.jobs if request.jobs is not None else default_jobs
         shards = request.shards if request.shards is not None else default_shards
-        if jobs < 1 or shards < 0:
-            raise ServiceError("bad-request",
-                               "jobs must be >= 1 and shards >= 0", 400)
-        return cls(graph, schema, jobs=jobs, shards=shards,
-                   resident=default_resident, precompile=precompile,
+        if shards < 0:
+            raise ServiceError("bad-request", "shards must be >= 0", 400)
+        return cls(graph, schema, shards=shards, precompile=precompile,
                    cache_max_entries=cache_max_entries,
                    use_signature_cache=use_signature_cache,
                    fleet_response_timeout=fleet_response_timeout,
@@ -244,15 +237,12 @@ class ValidationSession:
                    delta_ledger_size=delta_ledger_size)
 
     # -- lifecycle -----------------------------------------------------------------
-    def validate(self, labels: Optional[Sequence[LabelArg]] = None,
-                 jobs: Optional[int] = None) -> ValidationReport:
+    def validate(self, labels: Optional[Sequence[LabelArg]] = None
+                 ) -> ValidationReport:
         """Run (or re-run) the full validation and refresh the baseline."""
         with self._lock:
             self._check_open()
-            try:
-                report = self.validator.validate_graph(labels=labels, jobs=jobs)
-            except StaleSnapshotError as error:
-                raise ServiceError("stale-snapshot", str(error), 409) from error
+            report = self.validator.validate_graph(labels=labels)
             self._full_runs += 1
             self._totals = report.total_stats()
             return report
@@ -324,8 +314,6 @@ class ValidationSession:
             raise ServiceError(error.reason,
                                f"delta applied (+{added}/-{removed}) but "
                                f"not revalidated: {error}", 409) from error
-        except StaleSnapshotError as error:
-            raise ServiceError("stale-snapshot", str(error), 409) from error
         self._delta_rounds += 1
         self._totals = self._totals.merge(result.delta.total_stats())
         stats = result.stats()
@@ -533,7 +521,6 @@ class ValidationSession:
                 "verdict_queries": self._verdict_queries,
                 "replayed_deltas": self._replayed_deltas,
                 "ledger_entries": len(self._ledger),
-                "jobs": self.jobs,
                 "shards": self.shards,
             })
 

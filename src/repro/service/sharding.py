@@ -1,32 +1,23 @@
 """Hash-sharded bulk validation: the service's scale-out scheduler.
 
-:class:`ShardedValidator` partitions the *subjects* (not the reference-graph
-components) across worker processes by a deterministic hash of their
-N-Triples rendering (:func:`shard_of`), so a graph whose reference structure
-collapses into few big components — where the SCC scheduler degenerates to
-serial — still spreads across ``shards`` workers.
+:class:`ShardedValidator` partitions the *subjects* across worker processes
+by a deterministic hash of their N-Triples rendering (:func:`shard_of`), so
+the work spreads across ``shards`` workers whatever the reference structure
+of the graph looks like.
 
-Two scheduling backends share that partition:
+The shard processes live for the validator's lifetime
+(:class:`~repro.service.fleet.ShardFleet`).  Each worker owns a full
+shard-local graph replica with its own bounded journal and a maintained
+baseline restricted to the subjects it owns; deltas are broadcast to the
+replicas and each worker runs the incremental revalidate loop locally.
+Warm rounds cost queue round-trips, not process forks.
 
-* **Resident fleet** (``resident=True``, the default): shard processes live
-  for the validator's lifetime (:class:`~repro.service.fleet.ShardFleet`).
-  Each worker owns a full shard-local graph replica with its own bounded
-  journal and a maintained baseline restricted to the subjects it owns;
-  deltas are broadcast to the replicas and each worker runs the PR 5
-  revalidate loop locally.  Warm rounds cost queue round-trips instead of
-  process forks and snapshot pickling.
-* **Re-fork pool** (``resident=False``): PR 7's behaviour — a fresh
-  ``ProcessPoolExecutor`` plus a neighbourhood snapshot per run.  Kept as
-  the escape hatch and as the benchmark baseline (``bench_fleet.py``).
-
-Correctness rides entirely on the existing settled-verdict merge protocol
-for both backends: each worker derives cross-shard reference targets locally
-from shard-local state when they are not already settled, and only the
-verdicts its context **settled** merge back into the coordinator's shared
-context.  Provisional, hypothesis-dependent and budget-poisoned state never
-crosses a process boundary, exactly as in the SCC scheduler — so verdicts
-are identical to the serial path by the same argument
-(``docs/architecture.md``, "settled-verdict merge rule").  Cross-shard
+Correctness rides on the settled-verdict merge protocol: each worker derives
+cross-shard reference targets locally from its whole-graph replica, and only
+the verdicts its context **settled** merge back into the coordinator's
+shared context.  Provisional, hypothesis-dependent and budget-poisoned state
+never crosses a process boundary, so verdicts are identical to the serial
+path (``docs/architecture.md``, "settled-verdict merge rule").  Cross-shard
 targets may be derived redundantly by several shards; redundant derivation
 of a *settled* verdict is idempotent.
 """
@@ -36,16 +27,10 @@ from __future__ import annotations
 import sys
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from ..rdf.errors import StaleSnapshotError
-from ..rdf.terms import Literal, ObjectTerm
+from ..rdf.terms import ObjectTerm
 from ..shex.results import ValidationReportEntry
 from ..shex.typing import ShapeLabel
-from ..shex.validator import (
-    IncrementalFallback,
-    Validator,
-    _parallel_worker_init,
-    _parallel_worker_run,
-)
+from ..shex.validator import IncrementalFallback, Validator
 from .api import ServiceError
 from .fleet import ShardFleet, shard_of
 
@@ -53,29 +38,25 @@ __all__ = ["ShardedValidator", "shard_of"]
 
 
 class ShardedValidator(Validator):
-    """A :class:`Validator` whose parallel scheduler shards by subject hash.
+    """A :class:`Validator` whose scheduler shards by subject hash.
 
     Both ``validate_graph`` and ``revalidate`` route through the overridden
-    ``_run_parallel``, so full runs and incremental rounds shard the same
-    way.  ``shards <= 1`` (or too little work) falls back to the inherited
-    behaviour.  With ``resident=True`` (default) the shard workers are a
-    persistent :class:`~repro.service.fleet.ShardFleet`; call
-    :meth:`close_fleet` (or let the owning session's ``close`` do it) to
-    release the processes.
+    ``_schedule``, so full runs and incremental rounds shard the same way.
+    ``shards <= 1`` (or too little work) falls back to the serial path.  The
+    shard workers are a persistent :class:`~repro.service.fleet.ShardFleet`;
+    call :meth:`close_fleet` (or let the owning session's ``close`` do it)
+    to release the processes.
     """
 
-    def __init__(self, *args, shards: int = 2, resident: bool = True,
+    def __init__(self, *args, shards: int = 2,
                  fleet_response_timeout: float = 120.0,
                  fleet_journal_limits: Optional[Sequence[Optional[int]]] = None,
                  fault_plan=None,
                  **kwargs):
         if shards < 1:
             raise ValueError("shards must be at least 1")
-        # the parallel entry points trigger on jobs > 1; one worker per shard
-        kwargs.setdefault("jobs", shards if shards > 1 else 1)
         super().__init__(*args, **kwargs)
         self.shards = shards
-        self.resident = resident
         self._fleet: Optional[ShardFleet] = None
         self._fleet_response_timeout = fleet_response_timeout
         #: deterministic fault schedule forwarded to the fleet (chaos tests).
@@ -89,12 +70,12 @@ class ShardedValidator(Validator):
         self._fleet_labels: Optional[Tuple[ShapeLabel, ...]] = None
 
     # -- dispatch -------------------------------------------------------------
-    def _run_parallel(self, label_list: Sequence[ShapeLabel], jobs: int,
-                      restrict: Optional[FrozenSet[ObjectTerm]] = None,
-                      ) -> Optional[Dict[Tuple[ObjectTerm, ShapeLabel],
-                                         ValidationReportEntry]]:
+    def _schedule(self, label_list: Sequence[ShapeLabel],
+                  restrict: Optional[FrozenSet[ObjectTerm]] = None,
+                  ) -> Optional[Dict[Tuple[ObjectTerm, ShapeLabel],
+                                     ValidationReportEntry]]:
         if self.shards <= 1:
-            return super()._run_parallel(label_list, jobs, restrict)
+            return None
         if not self.shared_context:
             raise ValueError(
                 "sharded validation shares settled verdicts across shards "
@@ -103,8 +84,6 @@ class ShardedValidator(Validator):
             raise ValueError(
                 "sharded validation needs an engine constructible by name "
                 "so worker processes can rebuild it")
-        if not self.resident:
-            return self._run_parallel_refork(label_list, restrict)
         if restrict is None:
             return self._fleet_full_run(label_list)
         return self._fleet_delta_run(label_list, restrict)
@@ -138,7 +117,8 @@ class ShardedValidator(Validator):
             bound = self.graph.journal.max_entries
         return (self.schema, self._worker_engine_spec, self.compiled,
                 triples, list(labels), self.max_recursion_depth,
-                sys.getrecursionlimit(), bound)
+                sys.getrecursionlimit(), bound,
+                self.signature_cache is not None)
 
     def _fleet_load(self, fleet: ShardFleet,
                     labels: Tuple[ShapeLabel, ...]) -> List[tuple]:
@@ -312,7 +292,7 @@ class ShardedValidator(Validator):
         the next fleet operation; the survivors stay in sync.
         """
         fleet = self._fleet
-        if not self.resident or self.shards <= 1 or fleet is None \
+        if self.shards <= 1 or fleet is None \
                 or not any(worker.loaded for worker in fleet.workers):
             return
         add = list(add)
@@ -324,8 +304,7 @@ class ShardedValidator(Validator):
     def dead_shards(self) -> Tuple[int, ...]:
         """Shard indices whose resident worker is currently down (no heal)."""
         fleet = self._fleet
-        if not self.resident or self.shards <= 1 or fleet is None \
-                or not fleet.workers:
+        if self.shards <= 1 or fleet is None or not fleet.workers:
             return ()
         return tuple(worker.index for worker in fleet.workers
                      if worker.failed or not worker.loaded
@@ -345,8 +324,7 @@ class ShardedValidator(Validator):
         so a dead owner simply lands in ``missing_shards``.
         """
         fleet = self._fleet
-        if not self.resident or self.shards <= 1 or fleet is None \
-                or not fleet.workers:
+        if self.shards <= 1 or fleet is None or not fleet.workers:
             return None, None, ()
         shard_index = shard_of(node, self.shards)
         worker = fleet.workers[shard_index]
@@ -363,8 +341,7 @@ class ShardedValidator(Validator):
 
     def fleet_stats(self, include_workers: bool = True) -> Dict[str, object]:
         """Fleet health for :class:`~repro.service.api.ServiceStats`."""
-        info: Dict[str, object] = {"resident": self.resident,
-                                   "shards": self.shards}
+        info: Dict[str, object] = {"shards": self.shards}
         fleet = self._fleet
         if fleet is None or not fleet.workers:
             info["started"] = False
@@ -378,86 +355,3 @@ class ShardedValidator(Validator):
             except Exception:  # noqa: BLE001 — stats must never take a server down
                 info["workers"] = []
         return info
-
-    # -- the PR 7 re-fork backend ---------------------------------------------
-    def _run_parallel_refork(self, label_list: Sequence[ShapeLabel],
-                             restrict: Optional[FrozenSet[ObjectTerm]] = None,
-                             ) -> Optional[Dict[Tuple[ObjectTerm, ShapeLabel],
-                                                ValidationReportEntry]]:
-        """Per-run process pool + snapshot: the pre-fleet scheduler."""
-        from concurrent.futures import ProcessPoolExecutor
-
-        spec = self._worker_engine_spec
-        compiled = self.compiled
-        context = self._bulk_context()
-        generation = getattr(self.graph, "generation", None)
-        subject_set = set(self.graph.nodes())
-
-        if restrict is not None:
-            # incremental round: re-run exactly the affected closure.  The
-            # snapshot covers the closure plus its demanded-but-unsettled
-            # expansion (workers derive those chains in-context); everything
-            # else the closure references is settled and travels as a seed.
-            index = self._schema_reference_index()
-            snapshot_nodes: Set[ObjectTerm] = set(
-                self._restrict_scan_set(restrict, context, index))
-            work_nodes = [node for node in restrict if node in subject_set]
-        else:
-            # full run: every subject gets work pairs; every non-literal
-            # object must be snapshot-resolvable because any worker may
-            # recurse into it while deriving a cross-shard reference.
-            snapshot_nodes = set(subject_set)
-            for triple in self.graph:
-                if not isinstance(triple.object, Literal):
-                    snapshot_nodes.add(triple.object)
-            work_nodes = list(subject_set)
-        if len(work_nodes) <= 1:
-            return None
-
-        buckets: List[List[ObjectTerm]] = [[] for _ in range(self.shards)]
-        for node in sorted(work_nodes, key=lambda term: term.sort_key()):
-            buckets[shard_of(node, self.shards)].append(node)
-
-        seed_confirmed, seed_failed = context.settled_verdicts()
-        snapshot = self.graph.snapshot(snapshot_nodes)
-        if snapshot.generation != generation:
-            raise StaleSnapshotError(
-                f"graph mutated during sharded scheduling (generation "
-                f"{generation} -> {snapshot.generation}); re-run validation")
-        init_args = (self.schema, spec, snapshot, self.max_recursion_depth,
-                     sys.getrecursionlimit(), compiled)
-
-        entries: Dict[Tuple[ObjectTerm, ShapeLabel], ValidationReportEntry] = {}
-        new_confirmed: List[Tuple[ObjectTerm, ShapeLabel]] = []
-        new_failed: List[Tuple[ObjectTerm, ShapeLabel]] = []
-        seen: Set[Tuple[ObjectTerm, ShapeLabel]] = set()
-        with ProcessPoolExecutor(max_workers=self.shards,
-                                 initializer=_parallel_worker_init,
-                                 initargs=init_args) as pool:
-            futures = []
-            for bucket in buckets:
-                pairs = [(node, label) for node in bucket
-                         for label in label_list]
-                if not pairs:
-                    continue
-                futures.append(pool.submit(
-                    _parallel_worker_run, pairs, seed_confirmed, seed_failed))
-            for future in futures:
-                worker_entries, confirmed, failed, worker_stats = future.result()
-                # per-phase profile counters accrued inside the shard worker
-                # survive into the coordinator's context, as on --jobs runs
-                context.stats = context.stats.merge(worker_stats)
-                for entry in worker_entries:
-                    entries[(entry.node, entry.label)] = entry
-                # two shards can settle the same cross-shard target; the
-                # verdicts agree (determinism), keep the first occurrence
-                for pair in confirmed:
-                    if pair not in seen:
-                        seen.add(pair)
-                        new_confirmed.append(pair)
-                for pair in failed:
-                    if pair not in seen:
-                        seen.add(pair)
-                        new_failed.append(pair)
-        context.seed_settled(new_confirmed, new_failed)
-        return entries

@@ -373,7 +373,9 @@ def recursive_labels(schema: Schema) -> FrozenSet[ShapeLabel]:
     """Return the labels involved in at least one reference cycle."""
     graph = schema_dependency_graph(schema)
     recursive: set = set()
-    for component in nx.strongly_connected_components(graph):
+    condensation = nx.condensation(graph)
+    for component_index in condensation.nodes:
+        component = condensation.nodes[component_index]["members"]
         if len(component) > 1:
             recursive.update(component)
         else:

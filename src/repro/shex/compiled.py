@@ -28,8 +28,8 @@ context — so every prefilter verdict is **definitive** (safe to cache, safe
 to share across processes), and shape-reference arcs are never screened, so
 hypothesis-dependent outcomes always fall through to the full engine.
 
-A :class:`CompiledSchema` is picklable: parallel workers receive the parent's
-compiled tables once per process instead of recompiling them.
+A :class:`CompiledSchema` is picklable: resident shard workers receive the
+coordinator's compiled tables once per process instead of recompiling them.
 """
 
 from __future__ import annotations
@@ -129,8 +129,8 @@ def store_counts(graph, node) -> Mapping[IRI, int]:
     """Per-predicate out-edge counts of ``node``, via the store's fast path.
 
     Both triple stores expose ``predicate_counts`` (the dict store reads its
-    SPO index, the columnar store counts id pairs); neighbourhood snapshots
-    and foreign graph objects fall back to counting materialised triples.
+    SPO index, the columnar store counts id pairs); foreign graph objects
+    fall back to counting materialised triples.
     """
     counter = getattr(graph, "predicate_counts", None)
     if counter is not None:
@@ -325,8 +325,8 @@ class CompiledSchema:
 
     Build one per :class:`~repro.shex.schema.Schema` (the
     :class:`~repro.shex.validator.Validator` does this by default) and thread
-    it through validation contexts; workers of the parallel bulk path receive
-    it pickled instead of recompiling.
+    it through validation contexts; resident shard workers receive it pickled
+    instead of recompiling.
     """
 
     def __init__(self, schema: Schema):

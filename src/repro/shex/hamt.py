@@ -26,7 +26,7 @@ consumed 5 bits per level (32-way branching, ≤ 12 levels); keys whose full
 ``sort_key()``/``repr``.  Because ``str`` hashes are randomised per process
 (PYTHONHASHSEED), a pickled map does **not** ship its tree: ``__reduce__``
 serialises the items and the receiving process rebuilds the trie under its
-own hash seed — parallel validation ships typings across processes, and a
+own hash seed — sharded validation ships typings across processes, and a
 layout keyed to the sender's seed would be silently unsearchable.
 
 No new dependencies: pure python, stdlib only.

@@ -1,35 +1,22 @@
-"""Reference-graph partitioning for parallel bulk validation.
+"""Reference analysis for incremental revalidation.
 
-The paper defines validation per ``(node, shape)`` pair, but whole-graph
-validation decomposes along the *node reference graph*: node ``n`` depends on
-node ``m`` exactly when some triple ``⟨n, p, m⟩`` can trigger a shape
-reference (its predicate ``p`` is admitted by a ``vp → @label`` arc of some
-shape in the schema).  Validating ``n`` can recurse into ``m``, but never
-into a node it has no such edge to.
-
-Condensing that graph into strongly-connected components yields a DAG whose
-components can be validated independently as long as every component runs
-*after* the components it references: by the soundness argument of the bulk
-subsystem (PR 1), a settled — confirmed or refuted — verdict is definitive
-and order-independent, so a component only ever needs the settled verdicts
-of its successors, never their in-progress hypotheses.  This module computes
-that decomposition:
+The paper defines validation per ``(node, shape)`` pair, but the verdict of
+node ``n`` depends on node ``m`` exactly when some triple ``⟨n, p, m⟩`` can
+trigger a shape reference (its predicate ``p`` is admitted by a
+``vp → @label`` arc of some shape in the schema).  Validating ``n`` can
+recurse into ``m``, but never into a node it has no such edge to.  After a
+mutation, only the nodes that can reach a changed subject along those
+*reference edges* can change verdict.  This module computes that set:
 
 * :class:`ReferenceIndex` — which predicates can trigger which ``@label``
-  references (the schema-level analysis),
-* :func:`reference_edges` — the node-level reference edges of a data graph,
-* :func:`strongly_connected_components` — an **iterative** Tarjan (no Python
-  recursion, so million-node chains do not hit the recursion limit) emitting
-  components dependencies-first (reverse topological order),
-* :func:`partition_reference_graph` — the full :class:`GraphPartition` with
-  condensation levels (antichains of mutually-independent components) ready
-  for a parallel scheduler.
+  references (the schema-level analysis, in both directions),
+* :func:`affected_nodes` — the reverse-reachability closure of a dirty
+  subject set, the nodes an incremental round must re-run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from ..rdf.graph import Graph
 from ..rdf.terms import IRI, Literal, ObjectTerm, SubjectTerm
@@ -39,14 +26,7 @@ from .node_constraints import PredicateSet, ShapeRef
 from .schema import Schema
 from .typing import ShapeLabel
 
-__all__ = [
-    "ReferenceIndex",
-    "GraphPartition",
-    "affected_nodes",
-    "reference_edges",
-    "strongly_connected_components",
-    "partition_reference_graph",
-]
+__all__ = ["ReferenceIndex", "affected_nodes"]
 
 
 def _as_label(label: object) -> ShapeLabel:
@@ -161,84 +141,6 @@ class ReferenceIndex:
         return result
 
 
-def reference_edges(
-    graph: Graph, schema: Schema, index: Optional[ReferenceIndex] = None,
-    compiled: Optional[CompiledSchema] = None,
-    subjects: Optional[Iterable[SubjectTerm]] = None,
-) -> Tuple[Dict[SubjectTerm, Set[ObjectTerm]], Dict[ObjectTerm, Set[ShapeLabel]]]:
-    """Extract the node-level reference edges (and demanded labels) of a graph.
-
-    Returns ``(edges, demanded)`` where ``edges[n]`` is the set of nodes the
-    validation of ``n`` can recurse into, and ``demanded[m]`` the labels an
-    incoming reference can check ``m`` against (the static over-approximation
-    a scheduler must have settled before any upstream component runs).
-    With ``subjects``, only the triples of those subjects are scanned — the
-    cost becomes proportional to that set, which is how incremental
-    revalidation partitions just the affected subgraph.
-
-    Literal objects are skipped: a literal's neighbourhood is empty, so its
-    verdict is self-contained and any worker can (re)derive it locally.
-
-    With a :class:`~repro.shex.compiled.CompiledSchema`, the demanded-label
-    over-approximation is tightened into the edge set: a reference whose
-    target the prefilter settles **for every demanded label** (required /
-    first-predicate mismatch rejects, empty-nullable accepts, …) resolves
-    locally in any worker without recursing further, so it contributes no
-    scheduling edge.  The targets stay in ``demanded`` — they must remain in
-    the partition (and in worker snapshots) — but sparse-mismatch graphs
-    shred into far more independent components.  Sound only when validation
-    actually runs with the same compiled schema, which is how
-    :meth:`Validator.validate_graph` wires it.
-    """
-    index = index if index is not None else ReferenceIndex(schema)
-    edges: Dict[SubjectTerm, Set[ObjectTerm]] = {}
-    demanded: Dict[ObjectTerm, Set[ShapeLabel]] = {}
-    if not index.has_references:
-        return edges, demanded
-    #: (target, label) → prefilter-decided?, computed once per pair.
-    decided: Dict[Tuple[ObjectTerm, ShapeLabel], bool] = {}
-    counts: Dict[ObjectTerm, Dict[IRI, int]] = {}
-    neighbourhood_any = getattr(graph, "neighbourhood_any", graph.neighbourhood)
-    if subjects is None:
-        triple_source: Iterable = graph
-    else:
-        triple_source = (triple for subject in subjects
-                         for triple in graph.triples(subject=subject))
-    for triple in triple_source:
-        target = triple.object
-        if isinstance(target, Literal):
-            continue
-        labels = index.labels_for(triple.predicate)
-        if not labels:
-            continue
-        demanded.setdefault(target, set()).update(labels)
-        if compiled is not None:
-            needs_edge = False
-            for label in labels:
-                key = (target, label)
-                verdict = decided.get(key)
-                if verdict is None:
-                    target_counts = counts.get(target)
-                    if target_counts is None:
-                        # counts come straight from the store indexes; the
-                        # neighbourhood stays lazy so count-only decisions
-                        # never materialise the target's triples.
-                        target_counts = store_counts(graph, target)
-                        counts[target] = target_counts
-                    verdict = (label in compiled
-                               and compiled.decides(
-                                   label,
-                                   LazyNeighbourhood(neighbourhood_any, target),
-                                   target_counts))
-                    decided[key] = verdict
-                if not verdict:
-                    needs_edge = True
-            if not needs_edge:
-                continue
-        edges.setdefault(triple.subject, set()).add(target)
-    return edges, demanded
-
-
 def affected_nodes(
     graph: Graph,
     schema: Schema,
@@ -264,10 +166,8 @@ def affected_nodes(
     With a :class:`~repro.shex.compiled.CompiledSchema`, propagation *stops*
     at a non-dirty node whose demanded labels the prefilter decides
     statically: those verdicts are functions of the node's own (unchanged)
-    neighbourhood, so its referrers consume identical facts — the same
-    pruning (and the same soundness argument) as
-    :func:`reference_edges` ``(compiled=...)``, valid only when revalidation
-    runs with the same compiled schema.  Dirty nodes always propagate: their
+    neighbourhood, so its referrers consume identical facts.  Valid only
+    when revalidation runs with the same compiled schema.  Dirty nodes always propagate: their
     neighbourhood changed, so even a statically-decided verdict may differ
     from what referrers consumed before.
     """
@@ -318,205 +218,3 @@ def affected_nodes(
                 affected.add(referrer)
                 frontier.append(referrer)
     return frozenset(affected)
-
-
-def strongly_connected_components(
-    nodes: Sequence[ObjectTerm],
-    edges: Dict[ObjectTerm, Set[ObjectTerm]],
-) -> List[List[ObjectTerm]]:
-    """Tarjan's SCC algorithm, fully iterative, dependencies first.
-
-    ``nodes`` fixes the vertex set and the DFS root order (determinism);
-    successors outside ``nodes`` are ignored.  Components are emitted in
-    reverse topological order of the condensation: whenever component ``A``
-    references component ``B``, ``B`` appears before ``A`` — exactly the
-    order a scheduler must settle verdicts in.  The explicit work stack
-    replaces recursion, so arbitrarily deep reference chains never hit
-    Python's recursion limit.
-    """
-    node_set = set(nodes)
-    index_of: Dict[ObjectTerm, int] = {}
-    lowlink: Dict[ObjectTerm, int] = {}
-    on_stack: Set[ObjectTerm] = set()
-    stack: List[ObjectTerm] = []
-    components: List[List[ObjectTerm]] = []
-    counter = 0
-
-    def successors(node: ObjectTerm) -> List[ObjectTerm]:
-        targets = edges.get(node)
-        if not targets:
-            return []
-        return sorted(
-            (t for t in targets if t in node_set), key=lambda term: term.sort_key()
-        )
-
-    for root in nodes:
-        if root in index_of:
-            continue
-        index_of[root] = lowlink[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        frames: List[Tuple[ObjectTerm, Iterable[ObjectTerm]]] = [
-            (root, iter(successors(root)))
-        ]
-        while frames:
-            node, iterator = frames[-1]
-            descended = False
-            for succ in iterator:
-                if succ not in index_of:
-                    index_of[succ] = lowlink[succ] = counter
-                    counter += 1
-                    stack.append(succ)
-                    on_stack.add(succ)
-                    frames.append((succ, iter(successors(succ))))
-                    descended = True
-                    break
-                if succ in on_stack and index_of[succ] < lowlink[node]:
-                    lowlink[node] = index_of[succ]
-            if descended:
-                continue
-            frames.pop()
-            if frames:
-                parent = frames[-1][0]
-                if lowlink[node] < lowlink[parent]:
-                    lowlink[parent] = lowlink[node]
-            if lowlink[node] == index_of[node]:
-                component: List[ObjectTerm] = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == node:
-                        break
-                component.reverse()
-                components.append(component)
-    return components
-
-
-@dataclass
-class GraphPartition:
-    """The condensation of a data graph's reference graph, ready to schedule.
-
-    ``components`` are in dependencies-first order; ``levels`` groups
-    component indices into antichains — two components in the same level
-    have no reference path between them in either direction, so they can be
-    validated concurrently once every earlier level has settled.
-    """
-
-    #: strongly-connected components, dependencies (referenced nodes) first.
-    components: Tuple[Tuple[ObjectTerm, ...], ...]
-    #: indices into ``components`` per condensation level, level 0 first.
-    levels: Tuple[Tuple[int, ...], ...]
-    #: node → index of its component.
-    component_of: Dict[ObjectTerm, int] = field(repr=False)
-    #: node-level reference edges the partition was derived from.
-    edges: Dict[SubjectTerm, Set[ObjectTerm]] = field(repr=False)
-    #: labels incoming references can demand of a node (over-approximation).
-    demanded: Dict[ObjectTerm, FrozenSet[ShapeLabel]] = field(repr=False)
-    #: per component, the out-of-component nodes its members reference.
-    external_targets: Tuple[FrozenSet[ObjectTerm], ...] = field(repr=False)
-
-    @property
-    def nodes(self) -> List[ObjectTerm]:
-        """Every node of the partition, in component order."""
-        return [node for component in self.components for node in component]
-
-    @property
-    def largest_component(self) -> int:
-        """Size of the largest strongly-connected component."""
-        return max((len(c) for c in self.components), default=0)
-
-    def stats(self) -> Dict[str, int]:
-        """Summary counters for benchmarks and traces."""
-        return {
-            "nodes": sum(len(c) for c in self.components),
-            "components": len(self.components),
-            "levels": len(self.levels),
-            "largest_component": self.largest_component,
-            "edges": sum(len(targets) for targets in self.edges.values()),
-        }
-
-
-def partition_reference_graph(
-    graph: Graph,
-    schema: Schema,
-    extra_nodes: Iterable[ObjectTerm] = (),
-    compiled: Optional[CompiledSchema] = None,
-    restrict_to: Optional[Iterable[SubjectTerm]] = None,
-    index: Optional[ReferenceIndex] = None,
-) -> GraphPartition:
-    """Partition a data graph's nodes by reference-graph SCC.
-
-    The vertex set is every subject node, every non-literal object reachable
-    through a reference-carrying predicate, and ``extra_nodes`` (a scheduler
-    passes the nodes it wants report entries for).  Nodes without any
-    reference edge become singleton components in level 0 — the perfectly
-    parallel case; a schema without references therefore partitions every
-    node into its own component.  A compiled schema additionally prunes
-    edges to prefilter-decidable targets (see :func:`reference_edges`).
-
-    With ``restrict_to`` (incremental revalidation's affected closure), only
-    those subjects' triples are scanned and the vertex set is the closure
-    plus the targets its members demand: the whole partition is proportional
-    to the closure, never to the graph.  Sound for scheduling because an
-    affected closure is *edge-closed upstream* — every node whose validation
-    can recurse into a closure member is itself in the closure — so the
-    subgraph's SCCs and their relative order coincide with the restriction
-    of the full condensation; dependencies that leave the closure are
-    exactly the settled verdicts a scheduler seeds.  Callers that already
-    hold the schema's :class:`ReferenceIndex` pass it as ``index``.
-    """
-    index = index if index is not None else ReferenceIndex(schema)
-    if restrict_to is None:
-        edges, demanded = reference_edges(graph, schema, index,
-                                          compiled=compiled)
-        node_set: Set[ObjectTerm] = set(graph.nodes())
-    else:
-        restricted = set(restrict_to)
-        edges, demanded = reference_edges(graph, schema, index,
-                                          compiled=compiled,
-                                          subjects=restricted)
-        node_set = restricted
-    node_set.update(demanded)
-    node_set.update(extra_nodes)
-    nodes = sorted(node_set, key=lambda term: term.sort_key())
-
-    raw_components = strongly_connected_components(nodes, edges)
-    components = tuple(tuple(component) for component in raw_components)
-    component_of: Dict[ObjectTerm, int] = {}
-    for comp_index, component in enumerate(components):
-        for node in component:
-            component_of[node] = comp_index
-
-    # dependencies-first emission guarantees every successor component has a
-    # smaller index, so one left-to-right pass computes the levels.
-    level_of: List[int] = []
-    external: List[FrozenSet[ObjectTerm]] = []
-    for comp_index, component in enumerate(components):
-        targets: Set[ObjectTerm] = set()
-        for node in component:
-            for target in edges.get(node, ()):
-                if component_of.get(target, comp_index) != comp_index:
-                    targets.add(target)
-        external.append(frozenset(targets))
-        level = 0
-        for target in targets:
-            successor_level = level_of[component_of[target]]
-            if successor_level + 1 > level:
-                level = successor_level + 1
-        level_of.append(level)
-
-    level_count = max(level_of, default=-1) + 1
-    level_buckets: List[List[int]] = [[] for _ in range(level_count)]
-    for comp_index, level in enumerate(level_of):
-        level_buckets[level].append(comp_index)
-
-    return GraphPartition(
-        components=components,
-        levels=tuple(tuple(bucket) for bucket in level_buckets),
-        component_of=component_of,
-        edges=edges,
-        demanded={node: frozenset(labels) for node, labels in demanded.items()},
-        external_targets=tuple(external),
-    )

@@ -295,7 +295,7 @@ class ValidationContext:
         self._neighbourhood_any = getattr(graph, "neighbourhood_any",
                                           graph.neighbourhood)
         # stores that can count out-edges per predicate without building
-        # neighbourhood triples (both triple stores can; snapshots cannot)
+        # neighbourhood triples (both triple stores can)
         # let the prefilter decide count-only shapes with no triples at all.
         self._graph_predicate_counts = getattr(graph, "predicate_counts", None)
         #: schema-level reference index (duck-typed
@@ -449,7 +449,7 @@ class ValidationContext:
         """Import **settled** verdicts established by another context.
 
         This is the only way verdicts may cross context (and process)
-        boundaries during parallel bulk validation, and it is sound precisely
+        boundaries during sharded validation, and it is sound precisely
         because only *definitive* verdicts are accepted: confirmed pairs were
         established with no outstanding hypothesis, refuted pairs failed on
         their own neighbourhood, and both are order-independent facts about

@@ -69,6 +69,12 @@ from .typing import ShapeLabel
 
 __all__ = ["parse_shexc", "serialize_shexc", "ShExCParser", "ShExCSerializer"]
 
+#: deepest nesting of triple-expression groups ``( … )`` the parser accepts.
+#: Each level costs a few Python frames of recursive descent; past this depth
+#: the parser raises a positioned :class:`ParseError` instead of running into
+#: the interpreter's recursion limit.
+MAX_NESTING_DEPTH = 128
+
 
 _RDF_TYPE = IRI("http://www.w3.org/1999/02/22-rdf-syntax-ns#type")
 
@@ -158,6 +164,7 @@ class ShExCParser:
         self._base = ""
         self._shapes: Dict[ShapeLabel, ShapeExpr] = {}
         self._start: Optional[ShapeLabel] = None
+        self._depth = 0
 
     # -- token helpers -----------------------------------------------------------
     def _peek(self, offset: int = 0) -> _Token:
@@ -267,9 +274,14 @@ class ShExCParser:
     def _parse_unary(self) -> ShapeExpr:
         token = self._peek()
         if token.kind == "LPAREN":
+            if self._depth >= MAX_NESTING_DEPTH:
+                raise self._error(
+                    f"groups nested deeper than {MAX_NESTING_DEPTH} levels")
+            self._depth += 1
             self._next()
             inner = self._parse_one_of()
             self._expect("RPAREN")
+            self._depth -= 1
             return self._apply_cardinality(inner)
         return self._parse_triple_constraint()
 

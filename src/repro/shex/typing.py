@@ -48,7 +48,7 @@ class ShapeLabel:
 
     def __reduce__(self):
         # the immutability guard breaks slot-based pickling; rebuild through
-        # the constructor (parallel validation ships labels across processes)
+        # the constructor (sharded validation ships labels across processes)
         return (ShapeLabel, (self.name,))
 
     def __eq__(self, other) -> bool:

@@ -16,7 +16,6 @@ surrounding code stays identical.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import (
@@ -28,14 +27,12 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
-    Set,
     Tuple,
     Union,
 )
 
-from ..rdf.errors import StaleSnapshotError
-from ..rdf.graph import Graph, NeighbourhoodSnapshot
-from ..rdf.terms import Literal, ObjectTerm, SubjectTerm
+from ..rdf.graph import Graph
+from ..rdf.terms import ObjectTerm, SubjectTerm
 from .backtracking import BacktrackingEngine
 from .cache import DerivativeCache, SignatureCache
 from .compiled import CompiledSchema
@@ -201,12 +198,6 @@ class Validator:
         next call when the graph has changed.
     max_recursion_depth:
         recursion budget handed to every context this validator creates.
-    jobs:
-        default worker-process count for ``validate_graph``.  With
-        ``jobs > 1`` the graph is partitioned by strongly-connected component
-        of its node reference graph (:mod:`repro.shex.partition`) and
-        independent components are validated concurrently; ``1`` (the
-        default) keeps the serial bulk path.
     precompile:
         build a :class:`~repro.shex.compiled.CompiledSchema` for the schema
         (default True) and thread it through every context this validator
@@ -252,7 +243,6 @@ class Validator:
                  engine: Union[str, object, None] = None,
                  shared_context: bool = True,
                  max_recursion_depth: int = 500,
-                 jobs: int = 1,
                  precompile: bool = True,
                  compiled: Optional[CompiledSchema] = None,
                  subject_filter: Optional[Callable[[SubjectTerm], bool]] = None,
@@ -263,7 +253,6 @@ class Validator:
         self.engine = get_engine(engine, **engine_options)
         self.shared_context = shared_context
         self.max_recursion_depth = max_recursion_depth
-        self.jobs = jobs
         #: restricts which subjects appear in bulk reports and the maintained
         #: baseline.  A resident shard worker validates (and maintains) only
         #: the subjects it owns; reference targets outside the filter are
@@ -484,28 +473,41 @@ class Validator:
         return [node for node in nodes
                 if self.validate_node(node, label, context=context).conforms]
 
-    def validate_graph(self, labels: Optional[Sequence[Union[ShapeLabel, str]]] = None,
-                       jobs: Optional[int] = None) -> ValidationReport:
+    def validate_graph(self, labels: Optional[Sequence[Union[ShapeLabel, str]]] = None
+                       ) -> ValidationReport:
         """Validate every subject node against every (or the given) labels.
 
-        ``jobs`` overrides the validator's default worker count for this
-        call.  With more than one job the reference graph is partitioned by
-        strongly-connected component and independent components are validated
-        across worker processes; verdicts are identical to the serial bulk
-        path (up to failure-message wording and recursion-budget edge cases —
-        see ``docs/architecture.md``).
+        Runs the serial bulk path unless :meth:`_schedule` hands the run to
+        another scheduler (the resident shard fleet of
+        :class:`repro.service.sharding.ShardedValidator`); verdicts are
+        identical either way.
         """
         if self.schema is None:
             raise SchemaError("validate_graph requires a schema")
         label_list = [self._resolve_label(label) for label in labels] if labels \
             else list(self.schema.labels())
-        n_jobs = self.jobs if jobs is None else jobs
-        if n_jobs is not None and n_jobs > 1:
-            report = self._validate_graph_parallel(label_list, n_jobs)
-        else:
+        entries = self._schedule(label_list)
+        if entries is None:
             report = self._validate_graph_serial(label_list)
+        else:
+            report = self._assemble_report(label_list, entries)
         self._record_incremental_baseline(label_list, report)
         return report
+
+    def _schedule(self, label_list: Sequence[ShapeLabel],
+                  restrict: Optional[FrozenSet[ObjectTerm]] = None,
+                  ) -> Optional[Dict[Tuple[ObjectTerm, ShapeLabel],
+                                     ValidationReportEntry]]:
+        """The scheduling seam: hand a run to another scheduler, or not.
+
+        Returns the per-pair entries of a run the scheduler answered — every
+        subject × label on a full run, every affected subject × label when
+        ``restrict`` (incremental revalidation's affected closure) is given
+        — with the scheduler's settled verdicts already merged into the
+        shared context.  ``None`` means "run serially", which is all the
+        base class ever answers.
+        """
+        return None
 
     def _record_incremental_baseline(self, label_list: Sequence[ShapeLabel],
                                      report: ValidationReport) -> None:
@@ -582,199 +584,6 @@ class Validator:
         )
         return report
 
-    def _validate_graph_parallel(self, label_list: Sequence[ShapeLabel],
-                                 jobs: int) -> ValidationReport:
-        """Validate reference-graph components concurrently across processes.
-
-        The scheduler walks the condensation of the node reference graph
-        level by level (each level is an antichain of mutually-independent
-        components), validates whole components as units in worker processes,
-        and lets only **settled** verdicts cross process boundaries: each
-        task is seeded with the settled verdicts of the components it
-        references, and each worker reports back the verdicts its context
-        settled.  Provisional (hypothesis-dependent) state and derivative
-        caches stay worker-local.
-        """
-        entries = self._run_parallel(label_list, jobs)
-        if entries is None:
-            # zero or one strongly-connected component: there is no
-            # independent work to spread, so degenerate gracefully to the
-            # serial bulk path instead of paying for an idle process pool.
-            return self._validate_graph_serial(label_list)
-        subjects = sorted(self.graph.nodes(), key=lambda term: term.sort_key())
-        report = ValidationReport()
-        conforming: List[Tuple[ObjectTerm, ShapeLabel]] = []
-        for node in subjects:
-            for label in label_list:
-                entry = entries[(node, label)]
-                report.entries.append(entry)
-                if entry.conforms:
-                    conforming.append((node, label))
-        report.typing = ShapeTyping.from_pairs(conforming)
-        return report
-
-    def _run_parallel(self, label_list: Sequence[ShapeLabel], jobs: int,
-                      restrict: Optional[FrozenSet[ObjectTerm]] = None,
-                      ) -> Optional[Dict[Tuple[ObjectTerm, ShapeLabel],
-                                         ValidationReportEntry]]:
-        """Run the parallel scheduler; return the per-pair entries.
-
-        With ``restrict`` (incremental revalidation's affected closure) the
-        partition covers only the affected subgraph — its vertices, edges
-        and worker snapshot are proportional to the closure, never to the
-        graph — and only restricted nodes get work pairs; the settled
-        verdicts of everything a restricted component depends on (external
-        targets, unrestricted members) are *seeded* into its batches exactly
-        like upstream components in a full run — the merge protocol does not
-        care whether a settled fact comes from another component or from a
-        previous run.  Returns ``None`` when the partition degenerates
-        (≤ 1 component) and the caller should use the serial path.
-        """
-        from concurrent.futures import ProcessPoolExecutor
-
-        from .partition import partition_reference_graph
-
-        if not self.shared_context:
-            raise ValueError(
-                "parallel bulk validation shares settled verdicts across "
-                "components and is incompatible with shared_context=False "
-                "(the per-node baseline); use jobs=1 instead"
-            )
-        if self.subject_filter is not None:
-            raise ValueError(
-                "parallel bulk validation is incompatible with a "
-                "subject_filter (shard workers validate their owned subset "
-                "serially); use jobs=1 instead"
-            )
-        spec = self._worker_engine_spec
-        if spec is None:
-            raise ValueError(
-                "parallel bulk validation needs an engine constructible by "
-                "name ('derivatives' or 'backtracking') so worker processes "
-                "can rebuild it; engine objects cannot be shipped"
-            )
-
-        # the compiled schema tightens the partition (references whose target
-        # the prefilter settles locally need no scheduling edge) and ships to
-        # every worker so nothing is recompiled per process.
-        compiled = self.compiled
-        # verdicts settled by earlier runs carry over, exactly as in the
-        # serial shared-context path; new ones are merged back afterwards.
-        context = self._bulk_context()
-        generation = getattr(self.graph, "generation", None)
-        scan: Optional[Set[ObjectTerm]] = None
-        if restrict is not None:
-            index = self._schema_reference_index()
-            scan = self._restrict_scan_set(restrict, context, index)
-            partition = partition_reference_graph(
-                self.graph, self.schema, compiled=compiled,
-                restrict_to=scan, index=index)
-        else:
-            partition = partition_reference_graph(
-                self.graph, self.schema, compiled=compiled,
-                index=self._schema_reference_index())
-        if len(partition.components) <= 1:
-            return None
-        subject_set = set(self.graph.nodes())
-
-        # per-component work lists: report pairs for subjects, plus the
-        # labels incoming references may demand of any node.
-        component_pairs: List[List[Tuple[ObjectTerm, ShapeLabel]]] = []
-        for component in partition.components:
-            pairs: List[Tuple[ObjectTerm, ShapeLabel]] = []
-            for node in sorted(component, key=lambda term: term.sort_key()):
-                if restrict is not None and node not in restrict:
-                    # scan-expansion (or demanded) node: work pairs only for
-                    # the demanded labels the context has not settled —
-                    # settled ones are seeded below instead.
-                    wanted = [
-                        label
-                        for label in sorted(partition.demanded.get(node, ()))
-                        if not context.is_confirmed(node, label)
-                        and not context.is_failed(node, label)
-                    ]
-                else:
-                    wanted = list(label_list) if node in subject_set else []
-                    for label in sorted(partition.demanded.get(node, ())):
-                        if label not in wanted:
-                            wanted.append(label)
-                pairs.extend((node, label) for label in wanted)
-            component_pairs.append(pairs)
-
-        settled: Dict[ObjectTerm, List[Tuple[ShapeLabel, bool]]] = {}
-        seed_confirmed, seed_failed = context.settled_verdicts()
-        for node, label in seed_confirmed:
-            settled.setdefault(node, []).append((label, True))
-        for node, label in seed_failed:
-            settled.setdefault(node, []).append((label, False))
-
-        # the snapshot must describe the same graph the partition was derived
-        # from: if anything mutated the graph between partitioning and
-        # capture, the stamped generation moves past the one recorded above.
-        snapshot = self.graph.snapshot(partition.nodes)
-        if snapshot.generation != generation:
-            raise StaleSnapshotError(
-                f"graph mutated during parallel scheduling (generation "
-                f"{generation} -> {snapshot.generation}); re-run validation"
-            )
-        # the signature cache itself stays parent-local (verdict tables must
-        # not cross process boundaries); workers rebuild a private one from
-        # this recipe, exactly like the derivative cache.
-        signature_cache = self.signature_cache
-        signature_spec = ((True, signature_cache.max_entries)
-                          if signature_cache is not None else None)
-        init_args = (self.schema, spec, snapshot, self.max_recursion_depth,
-                     sys.getrecursionlimit(), compiled, signature_spec)
-        entries: Dict[Tuple[ObjectTerm, ShapeLabel], ValidationReportEntry] = {}
-        new_confirmed: List[Tuple[ObjectTerm, ShapeLabel]] = []
-        new_failed: List[Tuple[ObjectTerm, ShapeLabel]] = []
-        workers = min(jobs, len(partition.components))
-        with ProcessPoolExecutor(max_workers=workers,
-                                 initializer=_parallel_worker_init,
-                                 initargs=init_args) as pool:
-            for level in partition.levels:
-                futures = []
-                for batch in _balance_batches(level, component_pairs, jobs):
-                    pairs = [pair for comp_index in batch
-                             for pair in component_pairs[comp_index]]
-                    if not pairs:
-                        continue
-                    # seed the task with every settled verdict about the
-                    # nodes this batch references outside itself — plus, on
-                    # restricted runs, the still-valid verdicts of batch
-                    # members that need no re-run.
-                    targets: set = set()
-                    for comp_index in batch:
-                        targets.update(partition.external_targets[comp_index])
-                        if restrict is not None:
-                            targets.update(
-                                node for node in partition.components[comp_index]
-                                if node not in restrict
-                            )
-                    batch_confirmed: List[Tuple[ObjectTerm, ShapeLabel]] = []
-                    batch_failed: List[Tuple[ObjectTerm, ShapeLabel]] = []
-                    for node in targets:
-                        for label, verdict in settled.get(node, ()):
-                            bucket = batch_confirmed if verdict else batch_failed
-                            bucket.append((node, label))
-                    futures.append(pool.submit(
-                        _parallel_worker_run, pairs, batch_confirmed, batch_failed))
-                for future in futures:
-                    (worker_entries, confirmed, failed,
-                     worker_stats) = future.result()
-                    context.stats = context.stats.merge(worker_stats)
-                    for entry in worker_entries:
-                        entries[(entry.node, entry.label)] = entry
-                    for pair in confirmed:
-                        settled.setdefault(pair[0], []).append((pair[1], True))
-                        new_confirmed.append(pair)
-                    for pair in failed:
-                        settled.setdefault(pair[0], []).append((pair[1], False))
-                        new_failed.append(pair)
-        # the merge protocol: only settled verdicts enter the shared context.
-        context.seed_settled(new_confirmed, new_failed)
-        return entries
-
     # -- session hooks --------------------------------------------------------------
     @property
     def maintained_generation(self) -> Optional[int]:
@@ -805,7 +614,6 @@ class Validator:
 
     # -- incremental revalidation --------------------------------------------------
     def revalidate(self, labels: Optional[Sequence[Union[ShapeLabel, str]]] = None,
-                   jobs: Optional[int] = None,
                    allow_full_rebuild: bool = True) -> RevalidationResult:
         """Revalidate only what the graph's mutations can have changed.
 
@@ -814,9 +622,8 @@ class Validator:
         reverse reference-reachability (:func:`repro.shex.partition.affected_nodes`),
         the shared context drops exactly those nodes' settled verdicts
         (:meth:`ValidationContext.retract_nodes`), and only the affected
-        subjects are re-run — through the serial bulk loop or, with
-        ``jobs > 1``, through the parallel scheduler restricted to the
-        affected components.  Everything else (verdicts, HAMT typing entries,
+        subjects are re-run — through the serial bulk loop unless
+        :meth:`_schedule` takes the restricted round.  Everything else (verdicts, HAMT typing entries,
         report entries) is reused as-is.
 
         Falls back to a full ``validate_graph`` — flagged via
@@ -833,12 +640,11 @@ class Validator:
         label_list = tuple(
             self._resolve_label(label) for label in labels
         ) if labels else tuple(self.schema.labels())
-        n_jobs = self.jobs if jobs is None else jobs
 
         def full_rebuild(reason: str, message: str) -> RevalidationResult:
             if not allow_full_rebuild:
                 raise IncrementalFallback(reason, message)
-            report = self.validate_graph(labels=label_list, jobs=n_jobs)
+            report = self.validate_graph(labels=label_list)
             return RevalidationResult(
                 report=report, delta=report, dirty=frozenset(),
                 affected=frozenset(entry.node for entry in report.entries),
@@ -859,8 +665,8 @@ class Validator:
                 "the change set is unknowable and a full run is required")
         table = self._incremental_entries
         if not dirty:
-            report = self._assemble_incremental_report(
-                label_list, table, self._incremental_typing)
+            report = self._assemble_report(label_list, table,
+                                           self._incremental_typing)
             return RevalidationResult(
                 report=report, delta=ValidationReport(), dirty=dirty,
                 affected=frozenset(), full_rebuild=False,
@@ -887,10 +693,10 @@ class Validator:
             key=lambda term: term.sort_key(),
         )
         new_entries: Dict[Tuple[ObjectTerm, ShapeLabel], ValidationReportEntry] = {}
-        if n_jobs is not None and n_jobs > 1 and affected_subjects:
+        scheduled = None
+        if affected_subjects:
             try:
-                parallel_entries = self._run_parallel(label_list, n_jobs,
-                                                      restrict=affected)
+                scheduled = self._schedule(label_list, affected)
             except IncrementalFallback as error:
                 # a scheduler (e.g. the resident shard fleet) declared the
                 # restricted run unanswerable; honour the caller's rebuild
@@ -909,10 +715,8 @@ class Validator:
                                      self.max_recursion_depth,
                                      self._incremental_generation)
                 raise
-        else:
-            parallel_entries = None
-        if parallel_entries is not None:
-            new_entries = parallel_entries
+        if scheduled is not None:
+            new_entries = scheduled
         elif affected_subjects:
             entries_list = self._validate_pairs_serial(context, label_list,
                                                        affected_subjects)
@@ -942,47 +746,16 @@ class Validator:
         typing = self._incremental_typing.without_nodes(affected)
         typing = typing.combine(delta.typing)
         self._incremental_typing = typing
-        report = self._assemble_incremental_report(label_list, table, typing)
+        report = self._assemble_report(label_list, table, typing)
         return RevalidationResult(
             report=report, delta=delta, dirty=dirty,
             affected=affected, full_rebuild=False, retracted=retracted,
         )
 
-    def _restrict_scan_set(self, restrict: FrozenSet[ObjectTerm],
-                           context: ValidationContext,
-                           index) -> Set[ObjectTerm]:
-        """Expand a restricted closure over demanded-but-unsettled targets.
-
-        Workers re-running only ``restrict`` must be able to derive every
-        reference target whose demanded verdicts the context has NOT settled,
-        transitively: a seed cannot cover those, so they need work pairs,
-        scheduling edges and snapshot coverage like any closure member.
-        Typically the expansion is empty — a full baseline settles everything
-        it demands — but a label-subset baseline can leave demanded chains
-        unsettled.  Shared by the SCC scheduler and the hash-sharded service
-        scheduler (:class:`repro.service.sharding.ShardedValidator`).
-        """
-        scan = set(restrict)
-        frontier: List[ObjectTerm] = list(scan)
-        while frontier:
-            source = frontier.pop()
-            if isinstance(source, Literal):
-                continue
-            for triple in self.graph.triples(subject=source):
-                target = triple.object
-                if isinstance(target, Literal) or target in scan:
-                    continue
-                if any(not context.is_confirmed(target, label)
-                       and not context.is_failed(target, label)
-                       for label in index.labels_for(triple.predicate)):
-                    scan.add(target)
-                    frontier.append(target)
-        return scan
-
     def _schema_reference_index(self):
         """The schema's :class:`~repro.shex.partition.ReferenceIndex`, cached
-        per schema object so repeated revalidation rounds (and the parallel
-        scheduler) never re-walk the shape expressions."""
+        per schema object so repeated revalidation rounds never re-walk the
+        shape expressions."""
         from .partition import ReferenceIndex
 
         if self._reference_index is None \
@@ -1015,19 +788,24 @@ class Validator:
                 and key[4] == self.max_recursion_depth
                 and key[5] == self._incremental_generation)
 
-    def _assemble_incremental_report(
+    def _assemble_report(
         self, label_list: Sequence[ShapeLabel],
         table: Dict[Tuple[ObjectTerm, ShapeLabel], ValidationReportEntry],
-        typing: ShapeTyping,
+        typing: Optional[ShapeTyping] = None,
     ) -> ValidationReport:
-        """Build the full report from the baseline table, canonical order."""
-        report = ValidationReport(typing=typing)
+        """Build the full report from a per-pair table, canonical order.
+
+        Without ``typing`` the report's typing is derived from its entries.
+        """
+        report = ValidationReport()
         entries = report.entries
         for node in sorted(self.graph.nodes(), key=lambda term: term.sort_key()):
             if not self._owns(node):
                 continue
             for label in label_list:
                 entries.append(table[(node, label)])
+        report.typing = typing if typing is not None else ShapeTyping.from_pairs(
+            (entry.node, entry.label) for entry in entries if entry.conforms)
         return report
 
     # -- helpers -----------------------------------------------------------------
@@ -1156,7 +934,7 @@ def _prefilter_signature_store(context: ValidationContext, cache: SignatureCache
     stats.signature_dedupes += 1
 
 
-# -- parallel scheduling helpers ---------------------------------------------------
+# -- the worker engine recipe -------------------------------------------------------
 def _make_engine_spec(engine: Union[str, object, None],
                       engine_options: Mapping[str, object]) -> Optional[tuple]:
     """Build the picklable ``(name, options, cache_bound)`` worker recipe.
@@ -1166,7 +944,7 @@ def _make_engine_spec(engine: Union[str, object, None],
     must not cross process boundaries (each worker keeps a private one), so a
     cache instance is replaced by ``True`` plus its ``max_entries`` bound.
     Engine *objects* passed to the validator cannot be shipped; the spec is
-    ``None`` then and parallel validation refuses to run.
+    ``None`` then and sharded validation refuses to run.
     """
     if engine is not None and not isinstance(engine, str):
         return None
@@ -1178,130 +956,3 @@ def _make_engine_spec(engine: Union[str, object, None],
         options["cache"] = True
         cache_bound = cache_option.max_entries
     return (name, options, cache_bound)
-
-
-def _balance_batches(level: Sequence[int],
-                     component_pairs: Sequence[Sequence[tuple]],
-                     jobs: int) -> List[List[int]]:
-    """Split one condensation level into at most ``jobs`` balanced batches.
-
-    Components in a level are mutually independent, so any grouping is
-    correct; longest-processing-time-first keeps the batches' work (number
-    of ``(node, label)`` pairs) even without creating one task per tiny
-    component.  Deterministic: ties break on component index.
-    """
-    count = min(max(jobs, 1), len(level))
-    if count == 0:
-        return []
-    ordered = sorted(level, key=lambda index: (-len(component_pairs[index]), index))
-    buckets: List[List[int]] = [[] for _ in range(count)]
-    loads = [0] * count
-    for comp_index in ordered:
-        target = min(range(count), key=lambda bucket: (loads[bucket], bucket))
-        buckets[target].append(comp_index)
-        loads[target] += len(component_pairs[comp_index])
-    return [bucket for bucket in buckets if bucket]
-
-
-#: per-process worker state: ``(schema, engine, snapshot,
-#: max_recursion_depth, compiled, signature_cache, reference_index)``.
-_WORKER_STATE: Optional[tuple] = None
-
-
-def _parallel_worker_init(schema: Schema, engine_spec: tuple,
-                          snapshot: NeighbourhoodSnapshot,
-                          max_recursion_depth: int,
-                          recursion_limit: int,
-                          compiled: Optional[CompiledSchema] = None,
-                          signature_spec: Optional[tuple] = None) -> None:
-    """Initialise one worker process for parallel bulk validation.
-
-    Runs once per worker: rebuilds the engine from its spec (so derivative
-    caches are worker-local but persist across that worker's tasks), adopts
-    the parent's recursion limit (deep reference chains recurse one Python
-    frame per hop), keeps the neighbourhood snapshot for every task, and
-    receives the parent's **compiled schema** — unpickled once, never
-    recompiled — so worker-side prefilter decisions match the scheduler's.
-    With ``signature_spec`` the worker also keeps a private
-    :class:`SignatureCache` across its tasks: signatures are pure functions
-    of the (snapshot, compiled schema) pair, so cross-task reuse inside one
-    worker is sound even though each task builds a fresh context.
-    """
-    global _WORKER_STATE
-    if recursion_limit > sys.getrecursionlimit():
-        sys.setrecursionlimit(recursion_limit)
-    name, options, cache_bound = engine_spec
-    options = dict(options)
-    if options.get("cache") is True and cache_bound is not None:
-        options["cache"] = DerivativeCache(max_entries=cache_bound)
-    engine = get_engine(name, **options)
-    if compiled is not None:
-        cache = getattr(engine, "cache", None)
-        if cache is not None:
-            cache.adopt_atoms(compiled.atom_tables())
-    signature_cache = None
-    if signature_spec is not None:
-        signature_cache = SignatureCache(max_entries=signature_spec[1])
-    from .partition import ReferenceIndex
-
-    reference_index = ReferenceIndex(schema) if schema is not None else None
-    _WORKER_STATE = (schema, engine, snapshot, max_recursion_depth, compiled,
-                     signature_cache, reference_index)
-
-
-def _parallel_worker_run(
-    pairs: Sequence[Tuple[ObjectTerm, ShapeLabel]],
-    seed_confirmed: Sequence[Tuple[ObjectTerm, ShapeLabel]],
-    seed_failed: Sequence[Tuple[ObjectTerm, ShapeLabel]],
-) -> tuple:
-    """Validate one batch of components inside a worker process.
-
-    A fresh :class:`ValidationContext` is built per task and seeded with the
-    settled verdicts of the components this batch references; after the
-    batch, only the verdicts the context *settled* are reported back (minus
-    the seeds).  Provisional entries — still conditional on an in-progress
-    hypothesis — and budget-poisoned outcomes never leave the worker, which
-    is what keeps the merge sound under recursion.
-    """
-    (schema, engine, snapshot, max_recursion_depth, compiled,
-     signature_cache, reference_index) = _WORKER_STATE
-    context = ValidationContext(snapshot, schema, engine.match_neighbourhood,
-                                max_recursion_depth=max_recursion_depth,
-                                compiled=compiled,
-                                reference_index=reference_index)
-    context.signature_cache = signature_cache
-    context.seed_settled(seed_confirmed, seed_failed)
-    entries: List[ValidationReportEntry] = []
-    for node, label in pairs:
-        # signature first, prefilter second — the same lane order as the
-        # serial bulk path, so reasons and per-entry stats line up across
-        # ``--jobs`` settings
-        entry = (_signature_probe(context, signature_cache, node, label)
-                 if signature_cache is not None else None)
-        if entry is None:
-            decision = context.prefilter_check(node, label)
-            if decision is not None:
-                entry = _decided_entry(node, label, decision)
-                if signature_cache is not None:
-                    _prefilter_signature_store(context, signature_cache, node,
-                                               label, decision)
-            else:
-                before = context.stats.copy()
-                result = context.check_reference(node, label)
-                entry_stats = context.stats.delta_since(before).merge(result.stats)
-                entry = ValidationReportEntry(
-                    node=node, label=label, conforms=result.matched,
-                    reason=result.reason, stats=entry_stats,
-                    limit_exceeded=result.limit_exceeded,
-                )
-                if signature_cache is not None:
-                    _signature_store(context, signature_cache, node, label, entry)
-        entries.append(entry)
-    confirmed, failed = context.settled_verdicts()
-    seeded = set(seed_confirmed)
-    seeded.update(seed_failed)
-    new_confirmed = [pair for pair in confirmed if pair not in seeded]
-    new_failed = [pair for pair in failed if pair not in seeded]
-    # the task context is fresh, so its stats are this task's profile delta;
-    # the coordinator merges them so per-phase counters survive --jobs runs.
-    return entries, new_confirmed, new_failed, context.stats

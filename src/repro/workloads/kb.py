@@ -21,8 +21,8 @@ hot-path benchmark can measure the neighbourhood-signature verdict dedupe
 * ``ex:seeAlso`` arcs target empty-neighbourhood IRIs against the nullable,
   fully screenable ``<Note>`` shape, keeping a statically decidable
   reference in the mix.
-* Entities are singleton components and hubs only point downstream, so the
-  reference condensation is wide and shallow — friendly to ``--jobs 2``.
+* Entities reference nothing and hubs only point downstream, so an edit to
+  one entity dirties only the hubs that point at it.
 """
 
 from __future__ import annotations

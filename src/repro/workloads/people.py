@@ -219,10 +219,9 @@ def generate_community_workload(
     reference graph decomposes into one strongly-connected component per
     community (the valid members form a ring with ``knows_chords`` extra
     intra-ring edges each) plus upstream singletons (invalid members point
-    *into* their ring but nothing points back at them).  This is the workload
-    parallel bulk validation is designed for: components are independent, so
-    the condensation's first level contains one unit of real work per
-    community.  Ground truth stays local by construction, exactly as in
+    *into* their ring but nothing points back at them).  Communities are
+    independent, so an edit inside one community never dirties another.
+    Ground truth stays local by construction, exactly as in
     :func:`generate_person_workload`.
     """
     if not 0 <= invalid_fraction <= 1:

@@ -134,3 +134,19 @@ class TestEngineBehaviour:
     def test_engine_is_callable(self, paper_expression):
         engine = BacktrackingEngine()
         assert engine(paper_expression, frozenset({A1})).matched
+
+
+class TestTypingAgreement:
+    def test_backtracking_typing_agrees_too(self):
+        # the recursive community rings build the same typing under both
+        # engines
+        from repro.shex import Validator
+        from repro.workloads import generate_community_workload
+
+        workload = generate_community_workload(
+            num_communities=2, people_per_community=4, seed=9)
+        graph, schema = workload.graph, workload.schema
+        derivative = Validator(graph, schema, cache=True).validate_graph()
+        backtracking = Validator(graph, schema, engine="backtracking",
+                                 budget=5_000_000).validate_graph()
+        assert backtracking.typing.to_dict() == derivative.typing.to_dict()

@@ -73,14 +73,21 @@ class TestBoundedCache:
         assert cache.evictions == 0
         assert len(cache) == 0
 
-    def test_bounded_cache_travels_to_parallel_workers(self):
+    def test_bounded_cache_travels_to_shard_workers(self):
         # an instance with a bound is rebuilt per worker with the same bound
+        from repro.service import ShardedValidator
+
         workload = generate_person_workload(num_people=12, seed=3)
         cache = DerivativeCache(max_entries=64)
         serial = Validator(workload.graph, workload.schema, cache=DerivativeCache())
-        parallel = Validator(workload.graph, workload.schema, cache=cache, jobs=2)
-        assert verdicts(parallel.validate_graph()) == \
-            verdicts(serial.validate_graph())
+        sharded = ShardedValidator(workload.graph, workload.schema, shards=2,
+                                   cache=cache)
+        assert sharded._worker_engine_spec[2] == 64
+        try:
+            assert verdicts(sharded.validate_graph()) == \
+                verdicts(serial.validate_graph())
+        finally:
+            sharded.close_fleet()
 
 
 class TestBoundedInternTables:

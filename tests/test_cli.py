@@ -91,35 +91,13 @@ class TestValidateCommand:
         assert exit_code == 2
         assert "choose" in capsys.readouterr().err
 
-    def test_parallel_jobs_match_serial(self, data_file, schema_file, capsys):
-        serial = main(["validate", "--data", data_file, "--schema", schema_file,
-                       "--all-nodes", "--bulk", "--format", "summary"])
-        serial_out = capsys.readouterr().out
-        parallel = main(["validate", "--data", data_file, "--schema", schema_file,
-                         "--all-nodes", "--bulk", "--jobs", "2",
-                         "--format", "summary"])
-        parallel_out = capsys.readouterr().out
-        assert parallel == serial == 1  # :mary fails either way
-        assert parallel_out == serial_out
-
-    def test_jobs_rejects_per_node(self, data_file, schema_file, capsys):
-        exit_code = main(["validate", "--data", data_file, "--schema", schema_file,
-                          "--all-nodes", "--jobs", "2", "--per-node"])
-        assert exit_code == 2
-        assert "per-node" in capsys.readouterr().err
-
-    def test_jobs_rejects_shape_map_mode(self, data_file, schema_file, capsys):
-        exit_code = main(["validate", "--data", data_file, "--schema", schema_file,
-                          "--shape-map", "<http://example.org/john>@<Person>",
-                          "--jobs", "2"])
-        assert exit_code == 2
-        assert "whole-graph" in capsys.readouterr().err
-
-    def test_jobs_rejects_sparql_engine(self, data_file, schema_file, capsys):
-        exit_code = main(["validate", "--data", data_file, "--schema", schema_file,
-                          "--all-nodes", "--jobs", "2", "--engine", "sparql"])
-        assert exit_code == 2
-        assert "sparql" in capsys.readouterr().err
+    @pytest.mark.parametrize("command", ["validate", "revalidate", "serve"])
+    def test_removed_jobs_option_is_a_usage_error(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--data", "d.ttl", "--schema", "s.shex",
+                  "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
 
     def test_cache_stats_are_printed_to_stderr(self, data_file, schema_file, capsys):
         exit_code = main(["validate", "--data", data_file, "--schema", schema_file,

@@ -2,13 +2,11 @@
 
 Covers the :class:`TermDictionary` id algebra, the ``ColumnarGraph`` store
 contract (it must be observationally identical to the dict-backed
-:class:`Graph`), segment/tombstone mechanics, streaming N-Triples ingest,
-the shared compact snapshot codec and the ``--store`` CLI flag.
+:class:`Graph`), segment/tombstone mechanics, streaming N-Triples ingest and the ``--store``
+CLI flag.
 """
 
 from __future__ import annotations
-
-import pickle
 
 import pytest
 
@@ -315,14 +313,11 @@ class TestStreamingIngest:
 
 
 class TestValidationParity:
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_verdicts_match_on_person_workload(self, jobs):
+    def test_verdicts_match_on_person_workload(self):
         workload = generate_person_workload(num_people=10, seed=5)
         columnar = ColumnarGraph(workload.graph, segment_size=16)
-        dict_report = Validator(workload.graph, workload.schema,
-                                jobs=jobs).validate_graph()
-        col_report = Validator(columnar, workload.schema,
-                               jobs=jobs).validate_graph()
+        dict_report = Validator(workload.graph, workload.schema).validate_graph()
+        col_report = Validator(columnar, workload.schema).validate_graph()
         assert _verdicts(col_report) == _verdicts(dict_report)
         assert col_report.typing == dict_report.typing
 
@@ -348,43 +343,6 @@ class TestValidationParity:
         validator = Validator(graph, person_schema())
         assert validator.store_stats() == graph.store_stats()
         assert validator.store_stats()["store"] == "columnar"
-
-
-class TestSnapshotCodec:
-    """Satellite 3: one compact codec for both stores."""
-
-    @pytest.mark.parametrize("store", ["dict", "columnar"])
-    def test_snapshot_roundtrip(self, store):
-        workload = generate_person_workload(num_people=6, seed=11, store=store)
-        graph = workload.graph
-        snapshot = graph.snapshot()
-        restored = pickle.loads(pickle.dumps(snapshot))
-        assert restored.generation == snapshot.generation
-        for node in graph.nodes():
-            assert restored.neighbourhood(node) == graph.neighbourhood(node)
-            assert list(restored.neighbourhood_ordered(node)) \
-                == list(graph.neighbourhood_ordered(node))
-
-    def test_payload_smaller_than_naive_pickle(self):
-        # the codec ships each distinct term once; re-pickling the
-        # neighbourhood dict would serialise shared terms per triple.
-        workload = generate_person_workload(num_people=30, seed=11)
-        graph = workload.graph
-        snapshot = graph.snapshot()
-        compact = len(pickle.dumps(snapshot, pickle.HIGHEST_PROTOCOL))
-        naive = len(pickle.dumps(
-            {node: tuple(graph.neighbourhood_ordered(node))
-             for node in graph.nodes()},
-            pickle.HIGHEST_PROTOCOL))
-        assert compact < naive
-
-    def test_repickling_is_stable(self):
-        graph = ColumnarGraph(paper_example_graph())
-        snapshot = graph.snapshot()
-        once = pickle.dumps(snapshot, pickle.HIGHEST_PROTOCOL)
-        assert pickle.dumps(snapshot, pickle.HIGHEST_PROTOCOL) == once
-        restored = pickle.loads(once)
-        assert pickle.dumps(restored, pickle.HIGHEST_PROTOCOL) == once
 
 
 class TestCliStoreFlag:

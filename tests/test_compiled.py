@@ -4,9 +4,7 @@ from __future__ import annotations
 
 import pickle
 
-import pytest
-
-from repro.rdf import EX, FOAF, XSD, Graph, Literal, Triple
+from repro.rdf import EX, FOAF, XSD, Literal, Triple
 from repro.shex import (
     CompiledSchema,
     CompiledShape,
@@ -22,7 +20,6 @@ from repro.shex.analysis import first_predicates, neighbourhood_cardinality_boun
 from repro.shex.compiled import predicate_counts
 from repro.shex.expressions import EPSILON, alternative, interleave
 from repro.shex.node_constraints import PredicateSet
-from repro.shex.partition import partition_reference_graph
 from repro.workloads import (
     generate_community_workload,
     generate_person_workload,
@@ -230,13 +227,12 @@ class TestCompiledSchema:
 
 # -------------------------------------------------------------------- validator wiring
 class TestValidatorIntegration:
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_verdicts_agree_with_no_precompile(self, jobs):
+    def test_verdicts_agree_with_no_precompile(self):
         workload = generate_community_workload(num_communities=4, seed=9)
-        fast = Validator(workload.graph, workload.schema, cache=True,
-                         jobs=jobs).validate_graph()
+        fast = Validator(workload.graph, workload.schema,
+                         cache=True).validate_graph()
         slow = Validator(workload.graph, workload.schema, cache=True,
-                         jobs=jobs, precompile=False).validate_graph()
+                         precompile=False).validate_graph()
         assert ({(e.node, str(e.label)): e.conforms for e in fast}
                 == {(e.node, str(e.label)): e.conforms for e in slow})
 
@@ -296,31 +292,6 @@ class TestValidatorIntegration:
         slow = Validator(workload.graph, workload.schema,
                          precompile=False).infer_typing()
         assert fast.to_dict() == slow.to_dict()
-
-
-class TestPartitionTightening:
-    def test_statically_decided_targets_need_no_edges(self):
-        graph = Graph()
-        graph.add(Triple(EX.a, FOAF.age, Literal(30)))
-        graph.add(Triple(EX.a, FOAF.name, Literal("A")))
-        graph.add(Triple(EX.a, FOAF.knows, EX.ghost))  # ghost: empty, rejectable
-        schema = person_schema()
-        plain = partition_reference_graph(graph, schema)
-        tightened = partition_reference_graph(graph, schema,
-                                              compiled=CompiledSchema(schema))
-        assert plain.stats()["edges"] == 1
-        assert tightened.stats()["edges"] == 0
-        # the target stays demanded (it must remain in worker snapshots)
-        assert EX.ghost in tightened.demanded
-
-    def test_undecidable_targets_keep_their_edges(self):
-        workload = generate_community_workload(num_communities=2, seed=1)
-        schema = workload.schema
-        plain = partition_reference_graph(workload.graph, schema)
-        tightened = partition_reference_graph(workload.graph, schema,
-                                              compiled=CompiledSchema(schema))
-        # ring members are plausible Persons: no edge may be dropped there
-        assert tightened.stats()["edges"] == plain.stats()["edges"]
 
 
 class TestCliEscapeHatch:

@@ -15,12 +15,10 @@ import pytest
 from repro.rdf import (
     EX,
     FOAF,
-    XSD,
     ChangeJournal,
     Graph,
     GraphError,
     Literal,
-    StaleSnapshotError,
     Triple,
 )
 from repro.shex import Validator
@@ -208,30 +206,6 @@ class TestGraphJournalIntegration:
         # and re-adding from a live query over another pattern
         graph.add_all(graph.triples(predicate=EX.p))
         assert len(graph) == 1
-
-    def test_mid_batch_snapshot_staleness_is_detected(self):
-        graph = Graph()
-        with graph.batch():
-            graph.add(Triple(EX.a, EX.p, Literal(1)))
-            snapshot = graph.snapshot()
-            graph.add(Triple(EX.b, EX.p, Literal(2)))
-            with pytest.raises(StaleSnapshotError):
-                snapshot.ensure_fresh(graph)
-
-
-class TestStaleSnapshot:
-    def test_fresh_snapshot_passes_and_chains(self):
-        graph = Graph(_triples((EX.a, EX.p, Literal(1))))
-        snapshot = graph.snapshot()
-        assert snapshot.ensure_fresh(graph) is snapshot
-
-    def test_stale_snapshot_raises(self):
-        graph = Graph(_triples((EX.a, EX.p, Literal(1))))
-        snapshot = graph.snapshot()
-        graph.add(Triple(EX.b, EX.p, Literal(2)))
-        with pytest.raises(StaleSnapshotError) as excinfo:
-            snapshot.ensure_fresh(graph)
-        assert "generation" in str(excinfo.value)
 
 
 # ----------------------------------------------------------------- HAMT dissoc
@@ -502,75 +476,6 @@ class TestRevalidate:
         validator.validate_graph(labels=["Person"])
         result = validator.revalidate()  # same labels, resolved by default
         assert not result.full_rebuild
-
-    def test_restricted_partition_covers_only_the_affected_subgraph(self):
-        from repro.shex.partition import partition_reference_graph
-
-        workload = generate_community_workload(
-            num_communities=6, people_per_community=6, seed=13)
-        graph, schema = workload.graph, workload.schema
-        member = workload.valid_nodes[0]
-        closure = affected_nodes(graph, schema, {member})
-        full = partition_reference_graph(graph, schema)
-        restricted = partition_reference_graph(graph, schema,
-                                               restrict_to=closure)
-        # proportional to the closure, not the graph
-        assert len(restricted.nodes) < len(full.nodes)
-        assert closure <= set(restricted.nodes)
-        # the closure's SCCs coincide with the full partition's restriction
-        full_components = {
-            frozenset(component) for component in full.components
-            if set(component) & closure
-        }
-        restricted_components = {
-            frozenset(component) for component in restricted.components
-            if set(component) & closure
-        }
-        assert full_components == restricted_components
-
-    def test_parallel_revalidate_matches_serial(self):
-        workload = generate_community_workload(
-            num_communities=6, people_per_community=6, seed=13)
-        graph, schema = workload.graph, workload.schema
-        validator = Validator(graph, schema)
-        validator.validate_graph(jobs=2)
-        victim = workload.valid_nodes[0]
-        graph.add(Triple(victim, FOAF.age,
-                         Literal("bad", datatype=XSD.string)))
-        result = validator.revalidate(jobs=2)
-        assert not result.full_rebuild
-        assert _verdicts(result.report) == self._fresh_verdicts(graph, schema)
-        assert result.report.typing == Validator(
-            graph.copy(), schema).validate_graph().typing
-
-    def test_parallel_revalidate_derives_unsettled_demanded_chains(self):
-        # a label-subset baseline can leave demanded reference chains
-        # unsettled: A demands B of o only after the edit, and (o, B) in
-        # turn recurses into t — the restricted scheduler must expand its
-        # subgraph (and worker snapshot) to cover the whole unsettled chain
-        from repro.shex import Schema
-
-        schema = Schema.from_shexc("""
-            PREFIX ex: <http://example.org/>
-            PREFIX xsd: <http://www.w3.org/2001/XMLSchema#>
-            <A> { ex:p @<B> * , ex:name xsd:string }
-            <B> { ex:q @<C> * , ex:name xsd:string }
-            <C> { ex:name xsd:string }
-        """)
-        graph = Graph()
-        with graph.batch():
-            graph.add(Triple(EX.s, EX.name, Literal("s")))
-            graph.add(Triple(EX.o, EX.name, Literal("o")))
-            graph.add(Triple(EX.o, EX.q, EX.t))
-            graph.add(Triple(EX.t, EX.name, Literal("t")))
-        validator = Validator(graph, schema)
-        validator.validate_graph(labels=["A"], jobs=2)
-        graph.add(Triple(EX.s, EX.p, EX.o))
-        result = validator.revalidate(labels=["A"], jobs=2)
-        assert not result.full_rebuild
-        fresh = Validator(graph.copy(), schema).validate_graph(labels=["A"])
-        assert _verdicts(result.report) == _verdicts(fresh)
-        assert result.report.entry_for(EX.s, "A").conforms
 
     def test_without_shared_context_degenerates_to_full(self):
         workload = generate_person_workload(num_people=5, seed=4)

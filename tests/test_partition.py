@@ -1,27 +1,14 @@
-"""Tests for reference-graph partitioning (repro.shex.partition)."""
+"""Tests for the schema-level reference index (repro.shex.partition)."""
 
 from __future__ import annotations
 
-from repro.rdf import EX, Graph
-from repro.rdf.terms import IRI, Literal, Triple
+from repro.rdf import EX
 from repro.rdf.namespaces import FOAF
 from repro.shex import Schema
 from repro.shex.expressions import arc, star
-from repro.shex.partition import (
-    GraphPartition,
-    ReferenceIndex,
-    partition_reference_graph,
-    reference_edges,
-    strongly_connected_components,
-)
+from repro.shex.partition import ReferenceIndex
 from repro.shex.typing import ShapeLabel
-from repro.workloads import (
-    generate_community_workload,
-    knows_chain_graph,
-    knows_cycle_graph,
-    paper_example_graph,
-    person_schema,
-)
+from repro.workloads import person_schema
 
 
 class TestReferenceIndex:
@@ -47,132 +34,3 @@ class TestReferenceIndex:
         })
         index = ReferenceIndex(schema)
         assert index.labels_for(EX.ref) == {ShapeLabel("A"), ShapeLabel("B")}
-
-
-class TestReferenceEdges:
-    def test_literal_objects_are_skipped(self):
-        graph = Graph()
-        graph.add(Triple(EX.a, FOAF.knows, Literal("not a person")))
-        edges, demanded = reference_edges(graph, person_schema())
-        assert edges == {}
-        assert demanded == {}
-
-    def test_non_reference_predicates_make_no_edges(self):
-        graph = Graph()
-        graph.add(Triple(EX.a, FOAF.name, Literal("A")))
-        graph.add(Triple(EX.a, EX.sees, EX.b))
-        edges, demanded = reference_edges(graph, person_schema())
-        assert edges == {}
-
-    def test_reference_edge_and_demand(self):
-        graph = Graph()
-        graph.add(Triple(EX.a, FOAF.knows, EX.b))
-        edges, demanded = reference_edges(graph, person_schema())
-        assert edges == {EX.a: {EX.b}}
-        assert demanded == {EX.b: {ShapeLabel("Person")}}
-
-
-class TestTarjan:
-    def test_cycle_is_one_component(self):
-        nodes = [EX.a, EX.b, EX.c]
-        edges = {EX.a: {EX.b}, EX.b: {EX.c}, EX.c: {EX.a}}
-        components = strongly_connected_components(nodes, edges)
-        assert len(components) == 1
-        assert sorted(components[0]) == sorted(nodes)
-
-    def test_chain_emits_dependencies_first(self):
-        nodes = [EX.a, EX.b, EX.c]
-        edges = {EX.a: {EX.b}, EX.b: {EX.c}}
-        components = strongly_connected_components(nodes, edges)
-        assert components == [[EX.c], [EX.b], [EX.a]]
-
-    def test_self_loop_is_a_singleton_component(self):
-        components = strongly_connected_components([EX.a], {EX.a: {EX.a}})
-        assert components == [[EX.a]]
-
-    def test_successors_outside_the_node_set_are_ignored(self):
-        components = strongly_connected_components([EX.a], {EX.a: {EX.ghost}})
-        assert components == [[EX.a]]
-
-    def test_deep_chain_does_not_hit_the_recursion_limit(self):
-        # 5000 nodes is far beyond Python's default recursion limit; an
-        # iterative Tarjan must handle it without sys.setrecursionlimit.
-        nodes = [IRI(f"http://example.org/n{i}") for i in range(5000)]
-        edges = {nodes[i]: {nodes[i + 1]} for i in range(len(nodes) - 1)}
-        components = strongly_connected_components(nodes, edges)
-        assert len(components) == len(nodes)
-        # dependencies-first: the chain's tail comes out first
-        assert components[0] == [nodes[-1]]
-        assert components[-1] == [nodes[0]]
-
-
-class TestPartition:
-    def test_paper_example(self):
-        partition = partition_reference_graph(paper_example_graph(), person_schema())
-        # john -> bob is the only reference edge; bob and mary are level 0
-        assert partition.stats()["components"] == 3
-        assert partition.stats()["levels"] == 2
-        level_0_nodes = {
-            node
-            for comp_index in partition.levels[0]
-            for node in partition.components[comp_index]
-        }
-        assert EX.bob in level_0_nodes
-        assert EX.mary in level_0_nodes
-        assert EX.john not in level_0_nodes
-
-    def test_self_referential_cycle_is_one_giant_component(self):
-        graph, _ = knows_cycle_graph(10)
-        partition = partition_reference_graph(graph, person_schema())
-        assert partition.stats()["components"] == 1
-        assert partition.largest_component == 10
-        assert partition.levels == ((0,),)
-
-    def test_chain_levels_are_topologically_ordered(self):
-        graph, _ = knows_chain_graph(6)
-        partition = partition_reference_graph(graph, person_schema())
-        assert partition.stats()["components"] == 7
-        # every level holds exactly one chain link; deeper links come first
-        assert len(partition.levels) == 7
-        for comp_index, external in enumerate(partition.external_targets):
-            for target in external:
-                target_comp = partition.component_of[target]
-                assert target_comp < comp_index  # dependencies-first indices
-
-    def test_disconnected_subjects_are_parallel_singletons(self):
-        graph = Graph()
-        for i in range(5):
-            graph.add(Triple(EX[f"s{i}"], FOAF.name, Literal(f"n{i}")))
-        partition = partition_reference_graph(graph, person_schema())
-        assert partition.stats()["components"] == 5
-        # no reference edges: everything sits in one perfectly-parallel level
-        assert len(partition.levels) == 1
-        assert partition.largest_component == 1
-
-    def test_object_only_nodes_join_the_partition_with_demands(self):
-        graph = Graph()
-        graph.add(Triple(EX.a, FOAF.age, Literal(30)))
-        graph.add(Triple(EX.a, FOAF.name, Literal("A")))
-        graph.add(Triple(EX.a, FOAF.knows, EX.phantom))  # phantom has no triples
-        partition = partition_reference_graph(graph, person_schema())
-        assert EX.phantom in partition.component_of
-        assert partition.demanded[EX.phantom] == {ShapeLabel("Person")}
-
-    def test_community_workload_partitions_per_community(self):
-        workload = generate_community_workload(
-            num_communities=4, people_per_community=8, seed=2)
-        partition = partition_reference_graph(workload.graph, workload.schema)
-        stats = partition.stats()
-        # at least one SCC per community, plus upstream invalid singletons
-        assert stats["components"] >= 4
-        assert stats["largest_component"] <= 8
-        # rings in level 0, invalid members referencing them one level up
-        assert len(partition.levels) == 2
-
-    def test_partition_stats_shape(self):
-        partition = partition_reference_graph(paper_example_graph(), person_schema())
-        assert isinstance(partition, GraphPartition)
-        stats = partition.stats()
-        assert set(stats) == {"nodes", "components", "levels",
-                              "largest_component", "edges"}
-        assert stats["nodes"] == sum(len(c) for c in partition.components)

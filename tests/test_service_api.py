@@ -42,7 +42,6 @@ validation_requests = st.builds(
     schema=text,
     store=st.sampled_from(["dict", "columnar"]),
     labels=labels,
-    jobs=opt_int,
     shards=opt_int,
 )
 
@@ -108,7 +107,7 @@ service_errors = st.builds(
     ServiceError,
     code=st.sampled_from(["bad-request", "parse-error", "schema-error",
                           "graph-not-found", "journal-overflow",
-                          "stale-snapshot", "request-timeout",
+                          "stale-baseline", "request-timeout",
                           "payload-too-large", "shutdown-timeout",
                           "fleet-worker-died", "offline-cache-miss"]),
     message=text,
@@ -223,6 +222,12 @@ class TestRejection:
         with pytest.raises(ServiceError):
             ValidationRequest(data_format="rdfxml")
 
+    def test_removed_jobs_field_is_ignored_like_any_unknown_key(self):
+        request = ValidationRequest.from_json(
+            {"version": API_VERSION, "data": "", "jobs": 4, "shards": 2})
+        assert request == ValidationRequest(shards=2)
+        assert "jobs" not in request.to_json()
+
 
 class TestVerdictByteIdentity:
     def test_reason_is_excluded_by_default(self):
@@ -252,7 +257,7 @@ class TestServiceStatsFormat:
             cache={"hits": 5, "misses": 7, "evictions": 0, "derivatives": 9,
                    "constraint_verdicts": 4, "max_entries": 0,
                    "hit_rate": 0.4167},
-            session={"jobs": 1, "shards": 0},
+            session={"shards": 0},
         )
 
     def test_line_prefixes_and_keys(self):
@@ -269,9 +274,3 @@ class TestServiceStatsFormat:
         rendered = ServiceStats().format_text()
         assert "prefilter-stats: disabled" in rendered
         assert "cache-stats: no derivative cache active" in rendered
-
-    def test_parallel_note_appears_with_jobs(self):
-        stats = ServiceStats(session={"jobs": 4})
-        assert "worker-local" in stats.format_text()
-        assert "worker-local" not in ServiceStats(
-            session={"jobs": 1}).format_text()

@@ -1,5 +1,5 @@
-"""Tests for the resident shard fleet: verdict identity with the serial and
-refork paths, warm worker persistence, per-shard journal semantics (a single
+"""Tests for the resident shard fleet: verdict identity with the serial
+path, warm worker persistence, per-shard journal semantics (a single
 shard's overflow must surface as a typed 409 *without* corrupting sibling
 baselines), worker-death handling (typed 503 + heal-by-respawn), and the
 client :class:`VerdictCache` under out-of-order generation observations."""
@@ -29,10 +29,9 @@ def community():
         invalid_fraction=0.25, seed=11)
 
 
-def build_session(shards=0, resident=True, jobs=1):
+def build_session(shards=0):
     workload = community()
-    session = ValidationSession(workload.graph, person_schema(), jobs=jobs,
-                                shards=shards, resident=resident)
+    session = ValidationSession(workload.graph, person_schema(), shards=shards)
     return workload, session
 
 
@@ -106,39 +105,16 @@ class TestResidentIdentity:
         finally:
             sharded.close_fleet()
 
-    def test_refork_mode_still_matches_serial(self):
-        """``resident=False`` keeps the PR 7 fork-per-run path as an escape
-        hatch, with identical wire responses."""
-        w_serial, serial = build_session()
-        w_refork, refork = build_session(shards=2, resident=False)
-        try:
-            serial.validate()
-            refork.validate()
-            stats = refork.stats().to_json()["fleet"]
-            assert stats["resident"] is False
-            assert not stats.get("started")
-
-            delta = round_delta(w_serial, 0)
-            resp_serial = serial.apply_delta(delta)
-            resp_refork = refork.apply_delta(delta)
-            assert (json.dumps(resp_serial.to_json(), sort_keys=True)
-                    == json.dumps(resp_refork.to_json(), sort_keys=True))
-            assert verdict_blob(serial, w_serial) \
-                == verdict_blob(refork, w_refork)
-        finally:
-            serial.close()
-            refork.close()
-
     def test_fleet_stats_line_in_format_text(self):
         _, fleet = build_session(shards=2)
         try:
             fleet.validate()
             rendered = fleet.stats().format_text()
-            assert "fleet-stats: shards=2 resident=True" in rendered
+            assert "fleet-stats: shards=2 workers_alive=2" in rendered
             assert "workers_alive=2" in rendered
         finally:
             fleet.close()
-        plain = ServiceStats(fleet={"resident": False}).format_text()
+        plain = ServiceStats(fleet={"shards": 2}).format_text()
         assert "fleet-stats" not in plain  # only shown once workers started
 
 

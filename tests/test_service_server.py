@@ -144,6 +144,20 @@ class TestWireErrors:
             client.load_graph(ValidationRequest(data="", schema="<S> { nope"))
         assert exc.value.code == "schema-error"
 
+    def test_too_deep_nesting_is_a_typed_400_not_a_500(self, client):
+        deep = 1000  # far past both parsers' nesting bounds
+        data = ("<http://example.org/s> <http://example.org/p> "
+                + "[ <http://example.org/p> " * deep + "1" + " ]" * deep
+                + " .\n")
+        with pytest.raises(ServiceError) as exc:
+            client.load_graph(ValidationRequest(data=data))
+        assert (exc.value.code, exc.value.http_status) == ("parse-error", 400)
+        schema = "<S> { " + "( " * deep + "<http://example.org/p> ." \
+            + " )" * deep + " }"
+        with pytest.raises(ServiceError) as exc:
+            client.load_graph(ValidationRequest(data="", schema=schema))
+        assert (exc.value.code, exc.value.http_status) == ("schema-error", 400)
+
     def test_verdict_not_found_is_404(self, client):
         graph_id = load_paper_graph(client)["graph_id"]
         with pytest.raises(ServiceError) as exc:

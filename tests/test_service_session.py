@@ -9,7 +9,6 @@ import time
 import pytest
 
 from repro.rdf import EX, Graph
-from repro.rdf.errors import StaleSnapshotError
 from repro.rdf.ntriples import iter_ntriples
 from repro.rdf.terms import IRI, Literal, Triple
 from repro.service import (
@@ -165,18 +164,6 @@ class TestTypedErrors:
             DeltaRequest(allow_full_rebuild=True))
         assert response.full_rebuild
         assert session.verdict("<http://example.org/john>").conforms
-
-    def test_stale_snapshot_maps_to_typed_error(self, session):
-        session.validate()
-
-        def raise_stale(*args, **kwargs):
-            raise StaleSnapshotError("snapshot went stale")
-
-        session.validator.revalidate = raise_stale
-        with pytest.raises(ServiceError) as exc:
-            session.apply_delta(DeltaRequest(add=MARY_FIX_ADD))
-        assert exc.value.code == "stale-snapshot"
-        assert exc.value.http_status == 409
 
     def test_from_request_schema_error(self):
         with pytest.raises(ServiceError) as exc:

@@ -1,26 +1,53 @@
 """Tests for the hash-sharded scheduler: deterministic partitioning, verdict
-identity with the serial path, and byte-identical wire responses across
-serial / ``--jobs`` / ``--shards`` server modes."""
+identity with the serial path, byte-identical wire responses across serial
+and ``--shards`` server modes, and the settled-verdict merge protocol under
+recursion (cycles, hypothesis-dependent verdicts, budget-exceeded pairs)."""
 
 from __future__ import annotations
 
 import json
 
+import pytest
+
+from repro.rdf import EX, Graph
+from repro.rdf.namespaces import FOAF
 from repro.rdf.ntriples import iter_ntriples
+from repro.rdf.terms import Literal, Triple
 from repro.service import (
     DeltaRequest,
     ShardedValidator,
     ValidationSession,
     shard_of,
 )
-from repro.shex import Validator
-from repro.workloads import generate_community_workload, person_schema
+from repro.shex import BacktrackingEngine, Schema, Validator
+from repro.shex.schema import ValidationContext
+from repro.shex.typing import ShapeLabel
+from repro.workloads import (
+    generate_community_workload,
+    generate_person_workload,
+    knows_cycle_graph,
+    paper_example_graph,
+    person_schema,
+)
 
 
 def community():
     return generate_community_workload(
         num_communities=4, people_per_community=6,
         invalid_fraction=0.25, seed=11)
+
+
+def verdicts(report):
+    return {(entry.node, str(entry.label)): entry.conforms for entry in report}
+
+
+def sharded_report(graph, schema, **options):
+    """One full ``ShardedValidator(shards=2)`` run; the fleet is closed after."""
+    validator = ShardedValidator(graph, schema, shards=2, **options)
+    try:
+        return validator, validator.validate_graph()
+    finally:
+        validator.close_fleet()
 
 
 def fix_delta(workload):
@@ -103,25 +130,55 @@ class TestShardedIdentity:
 
 class TestByteIdentity:
     def test_default_verdict_json_identical_across_modes(self):
-        """Serial, ``jobs=2`` and ``shards=2`` sessions must serialise every
-        default (reason-less) verdict response byte-identically."""
-        workloads = [community() for _ in range(3)]
+        """Serial and ``shards=2`` sessions must serialise every default
+        (reason-less) verdict response byte-identically."""
+        workloads = [community() for _ in range(2)]
         sessions = [
             ValidationSession(workloads[0].graph, workloads[0].schema),
-            ValidationSession(workloads[1].graph, workloads[1].schema, jobs=2),
-            ValidationSession(workloads[2].graph, workloads[2].schema,
+            ValidationSession(workloads[1].graph, workloads[1].schema,
                               shards=2),
         ]
         delta = fix_delta(workloads[0])
-        for session in sessions:
-            session.validate()
-            session.apply_delta(DeltaRequest(add=delta))
-        for node in workloads[0].all_nodes:
-            payloads = [
-                json.dumps(session.verdict(node).to_json(), sort_keys=True)
-                for session in sessions
-            ]
-            assert payloads[0] == payloads[1] == payloads[2], node
+        try:
+            for session in sessions:
+                session.validate()
+                session.apply_delta(DeltaRequest(add=delta))
+            for node in workloads[0].all_nodes:
+                payloads = [
+                    json.dumps(session.verdict(node).to_json(), sort_keys=True)
+                    for session in sessions
+                ]
+                assert payloads[0] == payloads[1], node
+        finally:
+            for session in sessions:
+                session.close()
+
+
+class TestSignatureCacheOption:
+    def test_disabled_cache_reaches_coordinator_and_replicas(self):
+        workload = generate_person_workload(num_people=30, seed=2)
+        sessions = {
+            enabled: ValidationSession(workload.graph.copy(), workload.schema,
+                                       shards=2, use_signature_cache=enabled)
+            for enabled in (True, False)
+        }
+        try:
+            hits = {}
+            for enabled, session in sessions.items():
+                session.validate()
+                workers = session.stats().fleet["workers"]
+                assert len(workers) == 2
+                hits[enabled] = sum(worker["signature_hits"]
+                                    for worker in workers)
+            assert sessions[False].validator.signature_cache is None
+            assert hits[False] == 0
+            # the workload repeats neighbourhood shapes, so the check above
+            # is not vacuous: with the cache on, the replicas do hit it
+            assert sessions[True].validator.signature_cache is not None
+            assert hits[True] > 0
+        finally:
+            for session in sessions.values():
+                session.close()
 
 
 class TestShardedDeltaMachinery:
@@ -147,3 +204,179 @@ class TestShardedDeltaMachinery:
         for entry in direct.entries:
             assert session.verdict(entry.node, entry.label).conforms == \
                 entry.conforms, entry.node
+
+
+class TestSettledVerdictProtocol:
+    """The context-level merge contract the fleet rides on."""
+
+    def test_seeded_verdicts_are_consulted(self):
+        graph = paper_example_graph()
+        schema = person_schema()
+        validator = Validator(graph, schema)
+        context = ValidationContext(graph, schema,
+                                    validator.engine.match_neighbourhood)
+        label = ShapeLabel("Person")
+        context.seed_settled(confirmed=[(EX.bob, label)])
+        assert context.is_confirmed(EX.bob, label)
+        context.seed_settled(failed=[(EX.mary, label)])
+        assert context.is_failed(EX.mary, label)
+
+    def test_settled_verdicts_round_trip(self):
+        graph = paper_example_graph()
+        schema = person_schema()
+        validator = Validator(graph, schema)
+        context = ValidationContext(graph, schema,
+                                    validator.engine.match_neighbourhood)
+        for node in (EX.john, EX.bob, EX.mary):
+            context.check_reference(node, "Person")
+        confirmed, failed = context.settled_verdicts()
+        other = ValidationContext(graph, schema,
+                                  validator.engine.match_neighbourhood)
+        other.seed_settled(confirmed, failed)
+        label = ShapeLabel("Person")
+        assert other.is_confirmed(EX.john, label)
+        assert other.is_confirmed(EX.bob, label)
+        assert other.is_failed(EX.mary, label)
+
+    def test_provisional_state_is_not_exported(self):
+        # a context mid-validation would hold provisional entries; a settled
+        # export straight after a clean run contains only definitive pairs
+        graph, _ = knows_cycle_graph(4)
+        schema = person_schema()
+        validator = Validator(graph, schema)
+        context = ValidationContext(graph, schema,
+                                    validator.engine.match_neighbourhood)
+        assert context.check_reference(EX.cycle0, "Person").matched
+        confirmed, failed = context.settled_verdicts()
+        assert failed == ()
+        # the whole cycle settled together once the outer frame resolved
+        assert {node for node, _ in confirmed} == set(graph.nodes())
+
+
+class TestShardedMerge:
+    """Recursive cases of the merge: every shard derives cross-shard targets
+    itself, and only settled verdicts may reach the coordinator."""
+
+    def test_paper_example_matches_serial(self):
+        graph = paper_example_graph()
+        schema = person_schema()
+        serial = Validator(graph, schema).validate_graph()
+        _, sharded = sharded_report(graph, schema)
+        assert verdicts(sharded) == verdicts(serial)
+        # report ordering is canonical in both paths
+        assert [(e.node, str(e.label)) for e in sharded.entries] == \
+            [(e.node, str(e.label)) for e in serial.entries]
+        assert sharded.typing == serial.typing
+
+    def test_cycle_spanning_shards_conforms(self):
+        # one reference cycle through every node: each shard's verdicts hang
+        # on hypotheses about nodes the other shard owns
+        graph, _ = knows_cycle_graph(8)
+        assert len({shard_of(node, 2) for node in graph.nodes()}) == 2
+        _, report = sharded_report(graph, person_schema())
+        assert len(report) == 8
+        assert report.conforms
+
+    def test_recursive_rings_match_serial_and_ground_truth(self):
+        workload = generate_community_workload(
+            num_communities=3, people_per_community=6, seed=7)
+        graph, schema = workload.graph, workload.schema
+        serial = Validator(graph, schema, cache=True).validate_graph()
+        _, sharded = sharded_report(graph, schema, cache=True)
+        per_node = Validator(graph, schema,
+                             shared_context=False).validate_graph()
+        assert verdicts(sharded) == verdicts(serial)
+        # value semantics: equal typings with equal hashes
+        assert serial.typing == sharded.typing == per_node.typing
+        assert hash(serial.typing) == hash(sharded.typing) \
+            == hash(per_node.typing)
+        valid = set(workload.valid_nodes)
+        for node in workload.all_nodes:
+            assert sharded.typing.has(node, "Person") == (node in valid)
+
+    def test_settled_verdicts_merge_into_coordinator_context(self):
+        workload = generate_person_workload(num_people=10, seed=6)
+        validator, _ = sharded_report(workload.graph, workload.schema,
+                                      cache=True)
+        confirmed, failed = validator._bulk_context().settled_verdicts()
+        label = ShapeLabel("Person")
+        for node in workload.valid_nodes:
+            assert (node, label) in confirmed
+        for node in workload.invalid_nodes:
+            assert (node, label) in failed
+
+    def test_budget_exceeded_pairs_never_merge(self):
+        # a knows chain longer than the recursion budget: the head pairs
+        # exceed it, and such verdicts must stay out of every settled table
+        graph = Graph()
+        for index in range(12):
+            node = EX[f"chain{index:02d}"]
+            graph.add(Triple(node, FOAF.age, Literal(20)))
+            graph.add(Triple(node, FOAF.name, Literal(f"Chain {index}")))
+            if index < 11:
+                graph.add(Triple(node, FOAF.knows, EX[f"chain{index + 1:02d}"]))
+        schema = person_schema()
+        serial = Validator(graph, schema, max_recursion_depth=4).validate_graph()
+        validator, sharded = sharded_report(graph, schema,
+                                            max_recursion_depth=4)
+        limited = {(entry.node, entry.label)
+                   for entry in sharded if entry.limit_exceeded}
+        assert limited
+        assert limited == {(entry.node, entry.label)
+                           for entry in serial if entry.limit_exceeded}
+        assert verdicts(sharded) == verdicts(serial)
+        confirmed, failed = validator._bulk_context().settled_verdicts()
+        assert not limited & (set(confirmed) | set(failed))
+
+    def test_backtracking_engine_agrees(self):
+        workload = generate_community_workload(
+            num_communities=3, people_per_community=4, seed=4)
+        derivative = Validator(workload.graph, workload.schema, cache=True)
+        _, backtracking = sharded_report(workload.graph, workload.schema,
+                                         engine="backtracking",
+                                         budget=5_000_000)
+        assert verdicts(backtracking) == \
+            verdicts(derivative.validate_graph())
+
+    def test_per_node_mode_is_rejected(self):
+        validator = ShardedValidator(paper_example_graph(), person_schema(),
+                                     shards=2, shared_context=False)
+        with pytest.raises(ValueError, match="shared"):
+            validator.validate_graph()
+
+    def test_engine_objects_are_rejected(self):
+        validator = ShardedValidator(paper_example_graph(), person_schema(),
+                                     shards=2, engine=BacktrackingEngine())
+        with pytest.raises(ValueError, match="name"):
+            validator.validate_graph()
+
+    def test_revalidate_derives_unsettled_demanded_chains(self):
+        # a label-subset baseline can leave demanded reference chains
+        # unsettled: A demands B of o only after the edit, and (o, B) in
+        # turn recurses into t — the owning shard must derive the whole
+        # unsettled chain from its replica
+        schema = Schema.from_shexc("""
+            PREFIX ex: <http://example.org/>
+            PREFIX xsd: <http://www.w3.org/2001/XMLSchema#>
+            <A> { ex:p @<B> * , ex:name xsd:string }
+            <B> { ex:q @<C> * , ex:name xsd:string }
+            <C> { ex:name xsd:string }
+        """)
+        graph = Graph()
+        with graph.batch():
+            graph.add(Triple(EX.s, EX.name, Literal("s")))
+            graph.add(Triple(EX.o, EX.name, Literal("o")))
+            graph.add(Triple(EX.o, EX.q, EX.t))
+            graph.add(Triple(EX.t, EX.name, Literal("t")))
+        validator = ShardedValidator(graph, schema, shards=2)
+        try:
+            validator.validate_graph(labels=["A"])
+            graph.add(Triple(EX.s, EX.p, EX.o))
+            validator.stage_fleet_delta([Triple(EX.s, EX.p, EX.o)], [])
+            result = validator.revalidate(labels=["A"])
+        finally:
+            validator.close_fleet()
+        assert not result.full_rebuild
+        fresh = Validator(graph.copy(), schema).validate_graph(labels=["A"])
+        assert verdicts(result.report) == verdicts(fresh)
+        assert result.report.entry_for(EX.s, "A").conforms

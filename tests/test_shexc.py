@@ -22,6 +22,7 @@ from repro.shex import (
     parse_shexc,
     serialize_shexc,
 )
+from repro.shex.shexc import MAX_NESTING_DEPTH
 from repro.workloads import paper_example_graph
 
 
@@ -274,6 +275,33 @@ class TestValueExpressions:
         reference = arcs_of(schema, "A")[0].object
         assert isinstance(reference, ShapeRef)
         assert reference.label == ShapeLabel(EX.B.value)
+
+
+def _nested_groups(depth: int) -> str:
+    return ("PREFIX ex: <http://example.org/>\n<S> { "
+            + "( " * depth + "ex:p ." + " )" * depth + " }\n")
+
+
+class TestNestingDepth:
+    """Group nesting is bounded explicitly, never by the interpreter's stack."""
+
+    @pytest.mark.parametrize("depth", [MAX_NESTING_DEPTH - 1, MAX_NESTING_DEPTH])
+    def test_groups_up_to_the_bound(self, depth):
+        schema = parse_shexc(_nested_groups(depth))
+        assert len(arcs_of(schema, "S")) == 1
+
+    def test_one_level_past_the_bound_is_a_positioned_parse_error(self):
+        with pytest.raises(ParseError) as info:
+            parse_shexc(_nested_groups(MAX_NESTING_DEPTH + 1))
+        assert "nested deeper than" in str(info.value)
+        assert info.value.line == 2
+        assert info.value.column == 1 + len("<S> { ") + MAX_NESTING_DEPTH * 2
+
+    def test_nesting_resets_between_shapes(self):
+        text = _nested_groups(MAX_NESTING_DEPTH) + (
+            "<T> { " + "( " * MAX_NESTING_DEPTH + "ex:q ."
+            + " )" * MAX_NESTING_DEPTH + " }\n")
+        assert len(parse_shexc(text)) == 2
 
 
 class TestSerialiser:

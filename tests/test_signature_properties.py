@@ -6,8 +6,7 @@ any random (schema, graph) pair, bulk validation with the cache on must
 produce exactly the verdicts of a run with the cache off.  The schemas
 drawn here include shape references (self- and mutually-recursive), the
 graphs include self-loops and cross-references, and the property is checked
-on the serial path, the ``--jobs 2`` SCC-parallel path and incremental
-revalidation after a random mutation.
+on the serial path and on incremental revalidation after a random mutation.
 
 A regression test rides along for the PR 1 stats contract: report entries
 carry independent stats snapshots even when the signature cache serves the
@@ -86,8 +85,8 @@ def _verdicts(report):
     return {(entry.node, entry.label): entry.conforms for entry in report}
 
 
-def _run(graph, schema, *, cached: bool, jobs: int = 1):
-    validator = Validator(graph, schema, jobs=jobs,
+def _run(graph, schema, *, cached: bool):
+    validator = Validator(graph, schema,
                           signature_cache=None if cached else False)
     return validator, validator.validate_graph()
 
@@ -104,13 +103,6 @@ class TestSignatureDedupeIdentity:
     @given(schema=schemas(), graph=graphs(store=ColumnarGraph))
     def test_columnar_id_native_verdicts_identical(self, schema, graph):
         _, cached = _run(graph, schema, cached=True)
-        _, uncached = _run(graph, schema, cached=False)
-        assert _verdicts(cached) == _verdicts(uncached)
-
-    @settings(max_examples=8, deadline=None)
-    @given(schema=schemas(), graph=graphs())
-    def test_jobs2_verdicts_identical(self, schema, graph):
-        _, cached = _run(graph, schema, cached=True, jobs=2)
         _, uncached = _run(graph, schema, cached=False)
         assert _verdicts(cached) == _verdicts(uncached)
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.rdf import BNode, EX, FOAF, Graph, IRI, Literal, RDF, Triple, XSD, parse_turtle
 from repro.rdf.errors import ParseError
+from repro.rdf.turtle import MAX_NESTING_DEPTH
 
 
 class TestDirectives:
@@ -165,6 +166,45 @@ class TestErrors:
             :s :p :o . # trailing comment
         """)
         assert len(graph) == 1
+
+
+def _nested_turtle(depth: int, opener: str, closer: str) -> str:
+    return (":s :p " + opener * depth + ":o" + closer * depth + " .\n")
+
+
+class TestNestingDepth:
+    """Nesting is bounded explicitly, never by the interpreter's stack."""
+
+    PREFIX = "@prefix : <http://example.org/> .\n"
+
+    @pytest.mark.parametrize("depth", [MAX_NESTING_DEPTH - 1, MAX_NESTING_DEPTH])
+    def test_blank_node_property_lists_up_to_the_bound(self, depth):
+        graph = parse_turtle(self.PREFIX + _nested_turtle(depth, "[ :p ", " ]"))
+        assert len(graph) == depth + 1
+
+    @pytest.mark.parametrize("depth", [MAX_NESTING_DEPTH - 1, MAX_NESTING_DEPTH])
+    def test_collections_up_to_the_bound(self, depth):
+        graph = parse_turtle(self.PREFIX + _nested_turtle(depth, "( ", " )"))
+        # every level is one list cell: an rdf:first and an rdf:rest arc
+        assert len(graph) == 2 * depth + 1
+
+    @pytest.mark.parametrize("opener,closer", [("[ :p ", " ]"), ("( ", " )")])
+    def test_one_level_past_the_bound_is_a_positioned_parse_error(
+            self, opener, closer):
+        text = _nested_turtle(MAX_NESTING_DEPTH + 1, opener, closer)
+        with pytest.raises(ParseError) as info:
+            parse_turtle(self.PREFIX + text)
+        assert "nesting deeper than" in str(info.value)
+        # the error points at the first opener past the bound
+        assert info.value.line == 2
+        assert info.value.column == 1 + len(":s :p ") \
+            + MAX_NESTING_DEPTH * len(opener)
+
+    def test_mixed_nesting_shares_one_bound(self):
+        half = MAX_NESTING_DEPTH // 2 + 1
+        text = ":s :p " + "[ :p ( " * half + ":o" + " ) ]" * half + " .\n"
+        with pytest.raises(ParseError):
+            parse_turtle(self.PREFIX + text)
 
 
 class TestSerialiser:

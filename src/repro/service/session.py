@@ -50,7 +50,6 @@ from .api import (
     VerdictResponse,
 )
 from .api import ServiceError
-from .sharding import ShardedValidator
 
 __all__ = ["ValidationSession", "collect_stats"]
 
@@ -161,6 +160,8 @@ class ValidationSession:
         self.shards = max(shards, 0)
         signature_cache = None if use_signature_cache else False
         if self.shards > 1:
+            from .sharding import ShardedValidator  # loads the fleet stack
+
             self.validator: Validator = ShardedValidator(
                 graph, schema, engine=engine, shards=self.shards,
                 precompile=precompile, signature_cache=signature_cache,

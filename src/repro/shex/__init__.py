@@ -60,7 +60,13 @@ matching frame is constructed, so statically decidable ``(node, label)``
 pairs never touch an engine.  Verdicts are identical either way;
 ``precompile=False`` (CLI ``--no-precompile``) is the measurement escape
 hatch.
+
+The SPARQL compiler (:mod:`repro.shex.sparql_gen`) and the SPARQL engine
+behind it load on first use (PEP 562), so a validation run that never asks
+for them does not import :mod:`repro.sparql`.
 """
+
+import importlib as _importlib
 
 from .backtracking import (
     BacktrackingBudgetExceeded,
@@ -136,7 +142,6 @@ from .schema import Schema, SchemaError, ValidationContext
 from .shape_map import FixedEntry, QueryEntry, ShapeMap, parse_shape_map
 from .shexc import parse_shexc, serialize_shexc
 from .shexj import schema_from_dict, schema_to_dict
-from .sparql_gen import SparqlEngine, shape_to_sparql_ask, shape_to_sparql_select
 from .typing import ShapeLabel, ShapeTyping
 from .validator import (
     ENGINES,
@@ -178,3 +183,23 @@ __all__ = [
     # SPARQL compilation
     "shape_to_sparql_ask", "shape_to_sparql_select", "SparqlEngine",
 ]
+
+# Exported names whose modules load on first attribute access.
+_LAZY_EXPORTS = {
+    "SparqlEngine": "sparql_gen",
+    "shape_to_sparql_ask": "sparql_gen",
+    "shape_to_sparql_select": "sparql_gen",
+}
+
+
+def __getattr__(name):
+    module = _LAZY_EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY_EXPORTS))

@@ -27,8 +27,6 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-import networkx as nx
-
 from ..rdf.terms import IRI
 from .expressions import (
     And,
@@ -358,31 +356,72 @@ def first_predicates(expr: ShapeExpr) -> Tuple[FrozenSet[IRI], bool]:
 
 
 # ------------------------------------------------------------------- schema structure
-def schema_dependency_graph(schema: Schema) -> nx.DiGraph:
-    """Return the directed graph of ``@label`` references between shapes."""
-    graph = nx.DiGraph()
-    for label, _ in schema.items():
-        graph.add_node(label)
-    for label, _ in schema.items():
-        for referenced in schema.dependencies(label):
-            graph.add_edge(label, referenced)
-    return graph
+def schema_dependency_graph(schema: Schema) -> Dict[ShapeLabel, FrozenSet[ShapeLabel]]:
+    """Return the ``@label`` references between shapes as an adjacency map.
+
+    Every label of the schema is a key; its value is the set of labels its
+    expression references directly (see :meth:`Schema.dependencies`).
+    """
+    return {label: schema.dependencies(label) for label, _ in schema.items()}
+
+
+def _strongly_connected_components(
+        graph: Dict[ShapeLabel, FrozenSet[ShapeLabel]]) -> List[List[ShapeLabel]]:
+    """Tarjan's algorithm, iterative so deep reference chains cannot overflow.
+
+    Components come out sorted and dependencies first: a component is
+    emitted only after every component it reaches.  Roots and successors
+    are visited in label order, so the result is deterministic.
+    """
+    index: Dict[ShapeLabel, int] = {}
+    lowlink: Dict[ShapeLabel, int] = {}
+    stack: List[ShapeLabel] = []
+    on_stack: set = set()
+    components: List[List[ShapeLabel]] = []
+    for root in sorted(graph):
+        if root in index:
+            continue
+        index[root] = lowlink[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(sorted(graph[root])))]
+        while work:
+            node, successors = work[-1]
+            for successor in successors:
+                if successor not in index:
+                    index[successor] = lowlink[successor] = len(index)
+                    stack.append(successor)
+                    on_stack.add(successor)
+                    work.append((successor, iter(sorted(graph[successor]))))
+                    break
+                if successor in on_stack:
+                    lowlink[node] = min(lowlink[node], index[successor])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    lowlink[parent] = min(lowlink[parent], lowlink[node])
+                if lowlink[node] == index[node]:
+                    component = []
+                    while True:
+                        member = stack.pop()
+                        on_stack.discard(member)
+                        component.append(member)
+                        if member == node:
+                            break
+                    components.append(sorted(component))
+    return components
 
 
 def recursive_labels(schema: Schema) -> FrozenSet[ShapeLabel]:
     """Return the labels involved in at least one reference cycle."""
     graph = schema_dependency_graph(schema)
-    recursive: set = set()
-    condensation = nx.condensation(graph)
-    for component_index in condensation.nodes:
-        component = condensation.nodes[component_index]["members"]
-        if len(component) > 1:
-            recursive.update(component)
-        else:
-            (only,) = component
-            if graph.has_edge(only, only):
-                recursive.add(only)
-    return frozenset(recursive)
+    return frozenset(
+        label
+        for component in _strongly_connected_components(graph)
+        for label in component
+        if len(component) > 1 or label in graph[label]
+    )
 
 
 def stratify_schema(schema: Schema) -> List[List[ShapeLabel]]:
@@ -394,13 +433,7 @@ def stratify_schema(schema: Schema) -> List[List[ShapeLabel]]:
     strata in reverse topological order — the order in which a cache-friendly
     validator would process them.
     """
-    graph = schema_dependency_graph(schema)
-    condensation = nx.condensation(graph)
-    strata: List[List[ShapeLabel]] = []
-    for component_index in reversed(list(nx.topological_sort(condensation))):
-        members = sorted(condensation.nodes[component_index]["members"])
-        strata.append(list(members))
-    return strata
+    return _strongly_connected_components(schema_dependency_graph(schema))
 
 
 @dataclass

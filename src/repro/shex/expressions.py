@@ -615,11 +615,25 @@ def expression_size(expr: ShapeExpr) -> int:
 
 
 def expression_depth(expr: ShapeExpr) -> int:
-    """Return the height of the expression tree."""
-    children = expr.children()
-    if not children:
-        return 1
-    return 1 + max(expression_depth(child) for child in children)
+    """Return the height of the expression tree.
+
+    An iterative post-order over the interned sub-expressions: deep chains
+    cannot overflow the stack, and a sub-expression shared by several
+    parents (``E+`` is ``E ‖ E*``) is measured once.
+    """
+    local: Dict["ShapeExpr", int] = {}
+    stack = [(expr, False)]
+    while stack:
+        current, expanded = stack.pop()
+        if current in local:
+            continue
+        children = current.children()
+        if expanded or not children:
+            local[current] = 1 + max((local[child] for child in children), default=0)
+        else:
+            stack.append((current, True))
+            stack.extend((child, False) for child in children)
+    return local[expr]
 
 
 def referenced_labels(expr: ShapeExpr):

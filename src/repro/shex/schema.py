@@ -19,6 +19,8 @@ This module provides:
 
 from __future__ import annotations
 
+import sys
+import threading
 from time import perf_counter
 from typing import (
     Callable,
@@ -35,11 +37,26 @@ from typing import (
 
 from ..rdf.graph import Graph
 from ..rdf.terms import Literal, ObjectTerm, Triple
-from .expressions import ShapeExpr, referenced_labels
+from .expressions import ShapeExpr, expression_depth, referenced_labels
 from .results import MatchResult, MatchStats
 from .typing import ShapeLabel, ShapeTyping
 
-__all__ = ["Schema", "SchemaError", "ValidationContext", "NeighbourhoodMatcher"]
+__all__ = ["Schema", "SchemaError", "ValidationContext", "NeighbourhoodMatcher",
+           "FRAMES_PER_HOP"]
+
+#: Python frames the derivative engine spends on one ``@label`` reference hop
+#: besides the walk down the referencing expression: ``check_reference`` →
+#: ``match_neighbourhood`` → ``derivative`` → atom dispatch → ``_derive_arc``.
+#: Pinned by ``tests/test_recursion_budget.py``.
+FRAMES_PER_HOP = 5
+
+#: frames kept free below the deepest reference chain, for the caller's own
+#: stack (CLI, HTTP handler thread) and the node-constraint checks at a leaf.
+#: A descent also checks the recursion limit once it has used about this
+#: many frames, so shallow runs never touch the limit.
+STACK_HEADROOM = 256
+
+_RECURSION_LIMIT_LOCK = threading.Lock()
 
 
 class SchemaError(Exception):
@@ -71,6 +88,7 @@ class Schema:
             if start not in self._shapes:
                 raise SchemaError(f"start shape {start} is not defined")
         self._start = start
+        self._max_depth: Optional[int] = None
         self._check_references()
 
     def _check_references(self) -> None:
@@ -127,6 +145,12 @@ class Schema:
             for ref in referenced_labels(expr)
         )
 
+    def max_expression_depth(self) -> int:
+        """The height of the deepest shape expression (computed once)."""
+        if self._max_depth is None:
+            self._max_depth = max(expression_depth(expr) for expr in self._shapes.values())
+        return self._max_depth
+
     def _reachable(self, label: ShapeLabel) -> FrozenSet[ShapeLabel]:
         seen: Set[ShapeLabel] = set()
         frontier = list(self.dependencies(label))
@@ -160,6 +184,23 @@ class Schema:
         from .shexc import serialize_shexc
 
         return serialize_shexc(self)
+
+
+def _reserve_recursion_limit(frames: int) -> int:
+    """Raise the interpreter's recursion limit to fit ``frames`` more frames.
+
+    Returns the limit that fits them.  The limit is process-wide and only
+    ever raised, under a lock, so concurrent sessions on server threads
+    cannot lower each other's.
+    """
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    with _RECURSION_LIMIT_LOCK:
+        if depth + frames > sys.getrecursionlimit():
+            sys.setrecursionlimit(depth + frames)
+    return depth + frames
 
 
 #: shared empty neighbourhood (literals, node-free subjects) — one instance.
@@ -279,6 +320,19 @@ class ValidationContext:
         self._provisional_by_depth: Dict[int, Set[Tuple[ObjectTerm, ShapeLabel]]] = {}
         self.stats = MatchStats()
         self.max_recursion_depth = max_recursion_depth
+        # The hop budget, not the interpreter, must stop a reference chain.
+        # A hop costs FRAMES_PER_HOP plus the walk down the current
+        # derivative; derivatives of ``E*`` and ``E1 ‖ E2`` add a level over
+        # the schema's own expressions, so the walk is taken as twice the
+        # deepest one.  The budget is reserved when a descent has used about
+        # STACK_HEADROOM frames (at the first frame for very deep shapes), so
+        # runs whose references stay shallow never raise the limit.
+        self._frames_per_hop = 0
+        self._reserve_at = -1
+        self._needed_limit = sys.maxsize  # unknown until the first reservation
+        if schema is not None:
+            self._frames_per_hop = FRAMES_PER_HOP + 2 * schema.max_expression_depth()
+            self._reserve_at = max(1, STACK_HEADROOM // self._frames_per_hop)
         self._depth = 0
         self._frames: List[_Frame] = []
         # hand engines that consume triples in predicate order the graph's
@@ -797,6 +851,11 @@ class ValidationContext:
         expr = self.schema.expression(label)
         neighbourhood = self._neighbourhood_of(node)
         self._depth += 1
+        if self._depth == self._reserve_at \
+                and sys.getrecursionlimit() < self._needed_limit:
+            self._needed_limit = _reserve_recursion_limit(
+                (self.max_recursion_depth - self._depth + 1) * self._frames_per_hop
+                + STACK_HEADROOM)
         frame = _Frame(node, label, self._depth)
         self._frames.append(frame)
         self.assume(node, label)

@@ -45,6 +45,7 @@ from .expressions import (
     Or,
     ShapeExpr,
     Star,
+    expression_size,
     interleave,
     optional,
     plus,
@@ -74,6 +75,15 @@ __all__ = ["parse_shexc", "serialize_shexc", "ShExCParser", "ShExCSerializer"]
 #: the parser raises a positioned :class:`ParseError` instead of running into
 #: the interpreter's recursion limit.
 MAX_NESTING_DEPTH = 128
+
+#: largest schema the parser builds, counted in expression-tree nodes
+#: (:func:`~repro.shex.expressions.expression_size`, summed over shapes).
+#: ``E+`` expands to ``E ‖ E*`` and ``E{m,n}`` to ``n`` copies of ``E``, so
+#: nested repetitions grow geometrically while the text grows linearly;
+#: every later pass over a shape walks that tree.  Each expansion and each
+#: finished shape is checked, and past this size the parser raises a
+#: positioned :class:`ParseError` instead of expanding further.
+MAX_EXPRESSION_SIZE = 50_000
 
 
 _RDF_TYPE = IRI("http://www.w3.org/1999/02/22-rdf-syntax-ns#type")
@@ -165,6 +175,7 @@ class ShExCParser:
         self._shapes: Dict[ShapeLabel, ShapeExpr] = {}
         self._start: Optional[ShapeLabel] = None
         self._depth = 0
+        self._size = 0  # expression nodes of the shapes parsed so far
 
     # -- token helpers -----------------------------------------------------------
     def _peek(self, offset: int = 0) -> _Token:
@@ -185,6 +196,19 @@ class ShExCParser:
     def _error(self, message: str) -> ParseError:
         token = self._peek()
         return ParseError(f"{message} (found {token.value!r})", token.line, token.column)
+
+    def _bounded(self, expr: ShapeExpr, token: _Token, copies: int = 1) -> ShapeExpr:
+        """Return ``expr`` unless ``copies`` of it overrun the schema's size bound.
+
+        ``token`` positions the error.  ``copies > 1`` checks a repetition
+        before it is expanded: every copy holds a whole ``expr`` subtree,
+        so ``copies * size`` is a lower bound on the expansion.
+        """
+        if self._size + copies * expression_size(expr) > MAX_EXPRESSION_SIZE:
+            raise ParseError(
+                f"schema expands to more than {MAX_EXPRESSION_SIZE} "
+                f"expression nodes (at {token.value!r})", token.line, token.column)
+        return expr
 
     # -- entry point --------------------------------------------------------------
     def parse(self) -> Schema:
@@ -245,10 +269,11 @@ class ShExCParser:
             expr: ShapeExpr = EPSILON
         else:
             expr = self._parse_one_of()
-        self._expect("RBRACE")
+        self._bounded(expr, self._expect("RBRACE"))
         if label in self._shapes:
             raise ParseError(f"shape {label} is defined twice")
         self._shapes[label] = expr
+        self._size += expression_size(expr)
 
     # -- triple expressions ----------------------------------------------------------
     def _parse_one_of(self) -> ShapeExpr:
@@ -311,14 +336,19 @@ class ShExCParser:
             return star(expr)
         if token.kind == "PLUS":
             self._next()
-            return plus(expr)
+            return self._bounded(plus(expr), token)
         if token.kind == "QUESTION":
             self._next()
             return optional(expr)
         if token.kind == "REPEAT":
             self._next()
             minimum, maximum = _parse_repeat_bounds(token.value)
-            return repeat(expr, minimum, maximum)
+            if maximum is not None and maximum < minimum:
+                raise ParseError(f"repetition {token.value} has maximum below minimum",
+                                 token.line, token.column)
+            # the parsed group holds an arc, so no copy simplifies away
+            self._bounded(expr, token, copies=minimum + 1 if maximum is None else maximum)
+            return self._bounded(repeat(expr, minimum, maximum), token)
         return expr
 
     # -- value expressions -------------------------------------------------------------

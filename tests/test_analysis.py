@@ -1,6 +1,9 @@
 """Tests for the static analysis of expressions and schemas."""
 
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.rdf import EX, FOAF
 from repro.shex import (
     EMPTY,
@@ -153,9 +156,9 @@ class TestCardinalityBounds:
 class TestSchemaStructure:
     def test_dependency_graph_of_portal_schema(self):
         graph = schema_dependency_graph(portal_schema())
-        assert graph.has_edge(ShapeLabel("Dataset"), ShapeLabel("Publisher"))
-        assert graph.has_edge(ShapeLabel("Dataset"), ShapeLabel("Distribution"))
-        assert not graph.has_edge(ShapeLabel("Publisher"), ShapeLabel("Dataset"))
+        assert ShapeLabel("Publisher") in graph[ShapeLabel("Dataset")]
+        assert ShapeLabel("Distribution") in graph[ShapeLabel("Dataset")]
+        assert ShapeLabel("Dataset") not in graph[ShapeLabel("Publisher")]
 
     def test_recursive_labels(self):
         assert recursive_labels(person_schema()) == {ShapeLabel("Person")}
@@ -183,6 +186,67 @@ class TestSchemaStructure:
         strata = stratify_schema(schema)
         assert len(strata) == 1
         assert set(strata[0]) == {ShapeLabel("A"), ShapeLabel("B")}
+
+
+@st.composite
+def label_graphs(draw):
+    """A random directed graph over 1–8 shape labels, self-loops included."""
+    count = draw(st.integers(min_value=1, max_value=8))
+    labels = [f"L{index}" for index in range(count)]
+    edges = draw(st.sets(st.tuples(st.sampled_from(labels), st.sampled_from(labels)),
+                         max_size=count * 3))
+    return labels, edges
+
+
+def schema_of(labels, edges):
+    shapes = {}
+    for label in labels:
+        arcs = [reference(EX[f"to{target}"], target)
+                for source, target in sorted(edges) if source == label]
+        shapes[label] = interleave_all(*arcs) if arcs else arc(EX.leaf)
+    return Schema(shapes)
+
+
+def reaches(edges, source):
+    """Labels reachable from ``source`` by one or more edges."""
+    seen, frontier = set(), [source]
+    while frontier:
+        current = frontier.pop()
+        for start, target in edges:
+            if start == current and target not in seen:
+                seen.add(target)
+                frontier.append(target)
+    return seen
+
+
+class TestStructureProperties:
+    """The stdlib SCC against a brute-force reachability oracle."""
+
+    @given(label_graphs())
+    @settings(max_examples=200, deadline=None)
+    def test_recursive_labels_are_the_labels_that_reach_themselves(self, graph):
+        labels, edges = graph
+        expected = {ShapeLabel(label) for label in labels if label in reaches(edges, label)}
+        assert recursive_labels(schema_of(labels, edges)) == expected
+
+    @given(label_graphs())
+    @settings(max_examples=200, deadline=None)
+    def test_strata_are_the_sccs_in_dependency_order(self, graph):
+        labels, edges = graph
+        strata = stratify_schema(schema_of(labels, edges))
+        flat = [label for stratum in strata for label in stratum]
+        assert sorted(flat) == sorted(ShapeLabel(label) for label in labels)
+        position = {label: index for index, stratum in enumerate(strata)
+                    for label in stratum}
+        for stratum in strata:
+            for member in stratum:
+                mutual = {other for other in labels
+                          if other == str(member)
+                          or (other in reaches(edges, str(member))
+                              and str(member) in reaches(edges, other))}
+                assert {str(label) for label in stratum} == mutual
+        for source, target in edges:
+            assert position[ShapeLabel(target)] <= position[ShapeLabel(source)]
 
 
 class TestSchemaReport:

@@ -133,6 +133,17 @@ class TestValidateCommand:
         assert exit_code == 2
         assert "error" in capsys.readouterr().err
 
+    def test_oversized_schema_expansion_is_a_parse_error(self, data_file, tmp_path,
+                                                         capsys):
+        # ~10^8 expression nodes if the nested ( … )+ groups were expanded
+        deep = tmp_path / "deep.shex"
+        deep.write_text("<S> { " + "( " * 24 + "<http://example.org/p> ."
+                        + " )+" * 24 + " }", encoding="utf-8")
+        exit_code = main(["validate", "--data", data_file, "--schema", str(deep),
+                          "--all-nodes"])
+        assert exit_code == 2
+        assert "expression nodes" in capsys.readouterr().err
+
 
 class TestOtherCommands:
     def test_revalidate_applies_a_change_set_incrementally(

@@ -1,0 +1,132 @@
+"""The reference-hop budget, not the interpreter's stack, bounds a chain.
+
+``<S> { ex:p @<S> ? }`` over a chain of ``n`` nodes nests one matching
+frame per node.  A :class:`ValidationContext` whose descent gets deep
+raises the interpreter's recursion limit to fit the rest of its
+``max_recursion_depth`` budget, at ``FRAMES_PER_HOP`` plus the expression
+walk per hop.  So a chain of up to ``max_recursion_depth`` nodes gets a verdict and a
+longer one gets a ``limit_exceeded`` failure — never a ``RecursionError``,
+whether the run starts from the library, the CLI or a ``repro serve``
+handler thread.  Each test starts from the interpreter's default limit.
+"""
+
+from __future__ import annotations
+
+import sys
+
+import pytest
+
+from repro.cli import main
+from repro.rdf import Graph, IRI
+from repro.service import ServiceClient, ValidationRequest, serve
+from repro.shex import Validator, expression_depth, parse_shexc
+from repro.shex.schema import FRAMES_PER_HOP, ValidationContext
+
+BUDGET = 500  # the default max_recursion_depth of Validator and the service
+CHAIN_SCHEMA = "PREFIX ex: <http://example.org/>\n<S> { ex:p @<S> ? }\n"
+HEAD = "<http://example.org/n0>"
+
+
+def chain_turtle(nodes: int) -> str:
+    """``nodes`` subjects linked n0 → n1 → … by ``ex:p``."""
+    lines = ["@prefix ex: <http://example.org/> ."]
+    lines += [f"ex:n{i} ex:p ex:n{i + 1} ." for i in range(nodes - 1)]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(autouse=True)
+def default_recursion_limit():
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(max(saved, sys.getrecursionlimit()))
+
+
+def hop_frame_counts(schema_text: str, nodes: int):
+    """Stack-depth deltas between successive ``check_reference`` calls."""
+    depths = []
+    original = ValidationContext.check_reference
+
+    def spy(self, node, label):
+        frame, depth = sys._getframe(), 0
+        while frame is not None:
+            depth += 1
+            frame = frame.f_back
+        depths.append(depth)
+        return original(self, node, label)
+
+    schema = parse_shexc(schema_text)
+    graph = Graph.parse(chain_turtle(nodes))
+    ValidationContext.check_reference = spy
+    try:
+        Validator(graph, schema).validate_node(IRI("http://example.org/n0"), "S")
+    finally:
+        ValidationContext.check_reference = original
+    return schema, [after - before for before, after in zip(depths, depths[1:])]
+
+
+class TestFramesPerHop:
+    def test_chain_hop_costs_frames_per_hop_plus_the_expression_walk(self):
+        schema, deltas = hop_frame_counts(CHAIN_SCHEMA, 20)
+        assert len(deltas) == 19  # one check_reference per node, n0 included
+        walk = expression_depth(schema.expression("S"))
+        # + 1: the spy's own frame sits on the stack once per hop
+        assert set(deltas) == {FRAMES_PER_HOP + walk + 1}
+
+    def test_deeper_shapes_stay_within_the_sized_walk(self):
+        text = ("PREFIX ex: <http://example.org/>\n"
+                "<S> { ex:a . ? ; ex:b . * ; ( ex:c . | ex:d . ) ? ; "
+                "ex:p @<S> ? ; ex:e . ? }\n")
+        schema, deltas = hop_frame_counts(text, 20)
+        assert deltas
+        assert max(deltas) <= FRAMES_PER_HOP + 2 * schema.max_expression_depth() + 1
+
+
+class TestChainAtTheBudget:
+    @pytest.mark.parametrize("nodes", [BUDGET - 1, BUDGET])
+    def test_chains_within_the_budget_get_verdicts(self, nodes):
+        report = Validator(Graph.parse(chain_turtle(nodes)),
+                           parse_shexc(CHAIN_SCHEMA)).validate_graph()
+        assert report.conforms
+        assert not any(entry.limit_exceeded for entry in report.entries)
+
+    def test_one_node_past_the_budget_is_limit_exceeded(self):
+        report = Validator(Graph.parse(chain_turtle(BUDGET + 1)),
+                           parse_shexc(CHAIN_SCHEMA)).validate_graph()
+        head = [entry for entry in report.entries if entry.node.n3() == HEAD]
+        assert len(head) == 1
+        assert not head[0].conforms and head[0].limit_exceeded
+
+    def test_validate_node_at_the_budget(self):
+        schema = parse_shexc(CHAIN_SCHEMA)
+        node = IRI("http://example.org/n0")
+        within = Validator(Graph.parse(chain_turtle(BUDGET)), schema)
+        assert within.validate_node(node, "S").conforms
+        past = Validator(Graph.parse(chain_turtle(BUDGET + 1)), schema)
+        result = past.validate_node(node, "S")
+        assert not result.conforms and result.limit_exceeded
+
+    def test_cli_validates_a_chain_past_the_default_stack(self, tmp_path, capsys):
+        data = tmp_path / "chain.ttl"
+        data.write_text(chain_turtle(BUDGET))
+        schema = tmp_path / "chain.shex"
+        schema.write_text(CHAIN_SCHEMA)
+        code = main(["validate", "--data", str(data), "--schema", str(schema),
+                     "--all-nodes", "--format", "summary"])
+        assert code == 0
+        # --all-nodes covers subjects; the chain's last node has no triples
+        assert f"{BUDGET - 1}/{BUDGET - 1} conform" in capsys.readouterr().out
+
+
+class TestChainOverHttp:
+    def test_serve_handler_thread_answers_at_and_past_the_budget(self):
+        with serve(parse_shexc(CHAIN_SCHEMA)) as server:
+            server.start_background()
+            client = ServiceClient(server.host, server.port)
+            verdicts = {}
+            for nodes in (BUDGET, BUDGET + 1):
+                loaded = client.load_graph(ValidationRequest(data=chain_turtle(nodes)))
+                verdicts[nodes] = client.verdict(loaded["graph_id"], HEAD, "S").conforms
+        assert verdicts == {BUDGET: True, BUDGET + 1: False}

@@ -158,6 +158,15 @@ class TestWireErrors:
             client.load_graph(ValidationRequest(data="", schema=schema))
         assert (exc.value.code, exc.value.http_status) == ("schema-error", 400)
 
+    def test_oversized_schema_expansion_is_a_typed_400(self, client):
+        body = "<http://example.org/p> ."
+        for _ in range(24):  # ~10^8 nodes if expanded
+            body = f"( {body} ; <http://example.org/q> . )+"
+        with pytest.raises(ServiceError) as exc:
+            client.load_graph(ValidationRequest(data="", schema="<S> { " + body + " }"))
+        assert (exc.value.code, exc.value.http_status) == ("schema-error", 400)
+        assert "expression nodes" in str(exc.value)
+
     def test_verdict_not_found_is_404(self, client):
         graph_id = load_paper_graph(client)["graph_id"]
         with pytest.raises(ServiceError) as exc:

@@ -18,11 +18,12 @@ from repro.shex import (
     Star,
     ValueSet,
     Validator,
+    expression_size,
     iter_subexpressions,
     parse_shexc,
     serialize_shexc,
 )
-from repro.shex.shexc import MAX_NESTING_DEPTH
+from repro.shex.shexc import MAX_EXPRESSION_SIZE, MAX_NESTING_DEPTH
 from repro.workloads import paper_example_graph
 
 
@@ -302,6 +303,70 @@ class TestNestingDepth:
             "<T> { " + "( " * MAX_NESTING_DEPTH + "ex:q ."
             + " )" * MAX_NESTING_DEPTH + " }\n")
         assert len(parse_shexc(text)) == 2
+
+
+def _sized_schema(size: int) -> str:
+    """A schema of exactly ``size`` expression nodes.
+
+    ``ex:p . {k}`` expands to ``k`` arcs under ``k - 1`` interleaves
+    (``2k - 1`` nodes); a second one-arc shape makes the total even.
+    """
+    copies = (size + 1) // 2
+    text = ("PREFIX ex: <http://example.org/>\n"
+            f"<S> {{ ex:p . {{{copies}}} }}\n")
+    if size % 2 == 0:
+        text += "<T> { ex:q . }\n"
+    return text
+
+
+def _nested_plus(levels: int) -> str:
+    body = "ex:p ."
+    for _ in range(levels):
+        body = f"( {body} ; ex:q . )+"
+    return "PREFIX ex: <http://example.org/>\n<S> { " + body + " }\n"
+
+
+class TestExpressionSize:
+    """Repetition expansion is bounded by the schema's total expression size."""
+
+    @pytest.mark.parametrize("size", [MAX_EXPRESSION_SIZE - 1, MAX_EXPRESSION_SIZE])
+    def test_schemas_up_to_the_bound(self, size):
+        schema = parse_shexc(_sized_schema(size))
+        assert sum(expression_size(expr) for _, expr in schema.items()) == size
+
+    def test_one_node_past_the_bound_is_a_positioned_parse_error(self):
+        text = _sized_schema(MAX_EXPRESSION_SIZE + 1)
+        with pytest.raises(ParseError) as info:
+            parse_shexc(text)
+        assert "expression nodes" in str(info.value)
+        assert info.value.line == 2
+        assert info.value.column == 1 + len("<S> { ex:p . ")
+
+    def test_bound_counts_every_shape(self):
+        text = _sized_schema(MAX_EXPRESSION_SIZE - 1) + "<U> { ex:r . ; ex:s . }\n"
+        with pytest.raises(ParseError) as info:
+            parse_shexc(text)
+        assert info.value.line == 3
+
+    def test_nested_plus_groups_stop_at_the_bound(self):
+        # each ( … )+ level doubles the expansion: 24 levels would be ~10^8
+        # nodes, so the parser must stop long before expanding them.
+        with pytest.raises(ParseError) as info:
+            parse_shexc(_nested_plus(24))
+        assert "expression nodes" in str(info.value)
+        assert info.value.line == 2
+
+    def test_huge_repetition_is_rejected_before_expansion(self):
+        with pytest.raises(ParseError) as info:
+            parse_shexc("PREFIX ex: <http://example.org/>\n"
+                        "<S> { ex:p . {0,1000000000} }")
+        assert "expression nodes" in str(info.value)
+
+    def test_inverted_repetition_bounds_are_a_parse_error(self):
+        with pytest.raises(ParseError) as info:
+            parse_shexc("PREFIX ex: <http://example.org/>\n<S> { ex:p . {3,1} }")
+        assert "maximum below minimum" in str(info.value)
+        assert info.value.line == 2
 
 
 class TestSerialiser:

@@ -1,29 +1,36 @@
 #!/usr/bin/env python3
-"""B9 — bulk validation: shared context + global derivative cache vs per-node.
+"""B9 — bulk validation: production vs the per-node ``reference=True`` oracle.
 
 The seed implementation rebuilt a fresh ``ValidationContext`` for every
 ``(node, label)`` pair, so ``validate_graph`` / ``infer_typing`` re-validated
 shared sub-structures from scratch — exactly the redundancy the Section 8
-typing context was meant to eliminate.  This benchmark measures the bulk
-subsystem introduced on top of it:
+typing context was meant to eliminate.  That per-node run survives as the
+reference (``Validator(reference=True)``: no compiled, signature or
+derivative caches either).  This benchmark measures production against it:
 
 * one **shared context** per run (confirmed/failed verdicts propagate),
-* **hash-consed expressions** + the **global cross-node derivative cache**
-  (``DerivativeEngine(cache=True)``),
-* **predicate-indexed cached neighbourhoods** in the graph.
+* **hash-consed expressions** + the **global cross-node derivative cache**,
+* **predicate-indexed cached neighbourhoods** in the graph,
+* the compiled-schema prefilter and the signature cache.
 
 Every configuration is checked against the workload's ground truth and
-against the per-node baseline before any number is reported, so the speedup
-cannot hide a verdict change.  On small sizes the backtracking engine is run
-through the same shared-context bulk path as an engine-agreement check.
+against the reference before any number is reported, so the speedup cannot
+hide a verdict change.  On small sizes the backtracking engine is run
+through the same production bulk path as an engine-agreement check.  A
+deterministic counter gate runs on every size, quick runs included: the
+production derivative cache must answer at least ``--min-cache-hit-rate``
+of its lookups at every size (default 0.94: the committed
+``BENCH_bulk_validation.json`` shows 0.944 at its smallest size and more
+above it), so the fast path cannot stop firing unnoticed.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_bulk_validation.py          # full
     PYTHONPATH=src python benchmarks/bench_bulk_validation.py --quick  # CI smoke
 
-Exit status: 0 on success, 1 when any verdict disagrees or the speedup on
-the largest size is below the --min-speedup threshold (default 2.0).
+Exit status: 0 on success, 1 when any verdict disagrees, a cache hit rate
+misses its gate or the speedup on the largest size is below the
+--min-speedup threshold (default 2.0).
 """
 
 from __future__ import annotations
@@ -56,12 +63,12 @@ def run_size(num_people: int, seed: int, check_backtracking: bool) -> dict:
     }
 
     start = time.perf_counter()
-    baseline = Validator(graph, schema, shared_context=False)
+    baseline = Validator(graph, schema, reference=True)
     baseline_report = baseline.validate_graph()
     baseline_time = time.perf_counter() - start
 
     start = time.perf_counter()
-    bulk = Validator(graph, schema, shared_context=True, cache=True)
+    bulk = Validator(graph, schema)
     bulk_report = bulk.validate_graph()
     bulk_time = time.perf_counter() - start
 
@@ -69,7 +76,7 @@ def run_size(num_people: int, seed: int, check_backtracking: bool) -> dict:
     bulk_verdicts = _verdicts(bulk_report)
     agree = baseline_verdicts == bulk_verdicts
     # the typings must agree too, not just the per-entry verdicts: this is
-    # what pins the HAMT-backed ShapeTyping to the per-node baseline
+    # what pins the HAMT-backed ShapeTyping to the reference
     typing_agree = (baseline_report.typing.to_dict()
                     == bulk_report.typing.to_dict())
     ground_truth_ok = all(
@@ -77,8 +84,7 @@ def run_size(num_people: int, seed: int, check_backtracking: bool) -> dict:
 
     backtracking_ok = True
     if check_backtracking:
-        bt = Validator(graph, schema, engine=BacktrackingEngine(budget=5_000_000),
-                       shared_context=True)
+        bt = Validator(graph, schema, engine=BacktrackingEngine(budget=5_000_000))
         backtracking_ok = _verdicts(bt.validate_graph()) == bulk_verdicts
 
     return {
@@ -104,13 +110,17 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--min-speedup", type=float, default=2.0,
                         help="fail when the largest size is below this speedup")
+    parser.add_argument("--min-cache-hit-rate", type=float, default=0.94,
+                        help="fail when the production derivative cache "
+                             "answers less than this share of its lookups "
+                             "at any size (default 0.94)")
     parser.add_argument("--json", metavar="PATH",
                         help="write the result rows as JSON (CI artifact)")
     args = parser.parse_args(argv)
 
     sizes = args.sizes or ([20, 40] if args.quick else [20, 60, 120, 240])
 
-    print(f"{'people':>7} {'triples':>8} {'per-node':>11} {'bulk':>11} "
+    print(f"{'people':>7} {'triples':>8} {'reference':>11} {'production':>11} "
           f"{'speedup':>8}  {'cache hit rate':>14}")
     ok = True
     rows = []
@@ -129,6 +139,11 @@ def main(argv=None) -> int:
                   f"ground_truth={row['ground_truth_ok']} "
                   f"backtracking={row['backtracking_ok']}", file=sys.stderr)
             ok = False
+        if hit < args.min_cache_hit_rate:
+            print(f"  !! derivative cache hit rate {hit:.1%} at size {size} "
+                  f"below the {args.min_cache_hit_rate:.0%} gate",
+                  file=sys.stderr)
+            ok = False
         last_speedup = row["speedup"]
 
     if last_speedup < args.min_speedup:
@@ -141,6 +156,7 @@ def main(argv=None) -> int:
             "benchmark": "bulk_validation",
             "quick": args.quick,
             "min_speedup": args.min_speedup,
+            "min_cache_hit_rate": args.min_cache_hit_rate,
             "results": rows,
             "ok": ok,
         }

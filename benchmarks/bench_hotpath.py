@@ -8,17 +8,23 @@ engine.  This benchmark measures that on the hub-heavy knowledge-base
 workload (:func:`repro.workloads.generate_kb_workload`): thousands of
 entities stamped from a few dozen structural templates, a handful of
 power-law hubs referencing them, and facet-heavy constraints the compiled
-value screen refuses, so every entity reaches the engine when the cache
-is off.
+value screen refuses, so every entity would reach the engine without the
+cache.
 
-Two arms run with the cache on and off — serial bulk validation and
-incremental revalidation after a wide mutation — and two checks gate the
-timings:
+Two arms compare production against the ``reference=True`` oracle (a fresh
+context per node, no compiled, signature or derivative caches) — serial
+bulk validation, and incremental revalidation after a wide mutation, which
+the reference answers with a full rebuild.  Three checks gate the run:
 
-* verdict identity: the cached and uncached reports must agree on every
+* verdict identity: production and the reference agree on every
   ``(node, label)`` pair, in every arm,
+* a deterministic counter gate on every run, quick ones included: the
+  signature cache answers at least ``--min-hit-rate`` of the serial arm's
+  lookups — by default 0.95 on full runs (the committed
+  ``BENCH_hotpath.json`` shows 0.9595) and 0.69 on quick ones (0.6917 at
+  the quick size) — so the fast path cannot stop firing unnoticed,
 * on full runs, a ≥3× single-core end-to-end speedup (``--min-speedup``)
-  of the cached serial arm over the uncached one.
+  of the production serial arm over the reference.
 
 A small backtracking-engine round rides along so the per-phase profile in
 the JSON artifact exercises every wall counter (``backtrack_time``
@@ -30,8 +36,8 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_hotpath.py --quick     # CI smoke
     PYTHONPATH=src python benchmarks/bench_hotpath.py --json out.json
 
-Exit status: 0 on success, 1 on any verdict mismatch, missed speedup
-threshold (full runs) or missing profile counter.
+Exit status: 0 on success, 1 on any verdict mismatch, missed counter or
+speedup gate (the latter on full runs only) or missing profile counter.
 """
 
 from __future__ import annotations
@@ -63,13 +69,8 @@ def _verdicts(report):
     return {(entry.node, str(entry.label)): entry.conforms for entry in report}
 
 
-def _make_validator(workload, *, cached: bool) -> Validator:
-    return Validator(workload.graph, workload.schema, cache=True,
-                     signature_cache=None if cached else False)
-
-
-def _timed_full(workload, *, cached: bool):
-    validator = _make_validator(workload, cached=cached)
+def _timed_full(workload, *, reference: bool):
+    validator = Validator(workload.graph, workload.schema, reference=reference)
     gc.collect()
     start = time.perf_counter()
     report = validator.validate_graph(labels=_LABELS)
@@ -78,7 +79,7 @@ def _timed_full(workload, *, cached: bool):
 
 def run_full_arm(mode: str, scale: int, hubs: int, seed: int,
                  reps: int = 1) -> dict:
-    """One cached-vs-uncached bulk round; returns timings plus identity.
+    """One production-vs-reference bulk round; returns timings plus identity.
 
     The two arms are sampled as back-to-back *pairs*, ``reps`` times, and
     the reported speedup is the median of the per-pair ratios: shared-host
@@ -87,36 +88,38 @@ def run_full_arm(mode: str, scale: int, hubs: int, seed: int,
     best-of-N loop happened to be running.  A fresh validator (and caches)
     is built per sample.
     """
-    cached_w = generate_kb_workload(num_entities=scale, num_hubs=hubs, seed=seed)
-    uncached_w = generate_kb_workload(num_entities=scale, num_hubs=hubs, seed=seed)
-    validator = cached_report = uncached_report = None
-    cached_s = uncached_s = float("inf")
+    production_w = generate_kb_workload(num_entities=scale, num_hubs=hubs,
+                                        seed=seed)
+    reference_w = generate_kb_workload(num_entities=scale, num_hubs=hubs,
+                                       seed=seed)
+    validator = production_report = reference_report = None
+    production_s = reference_s = float("inf")
     ratios = []
     for _ in range(max(1, reps)):
-        rep_validator, rep_cached, rep_cached_s = _timed_full(
-            cached_w, cached=True)
-        _, rep_uncached, rep_uncached_s = _timed_full(
-            uncached_w, cached=False)
-        ratios.append(rep_uncached_s / rep_cached_s if rep_cached_s
+        rep_validator, rep_production, rep_production_s = _timed_full(
+            production_w, reference=False)
+        _, rep_reference, rep_reference_s = _timed_full(
+            reference_w, reference=True)
+        ratios.append(rep_reference_s / rep_production_s if rep_production_s
                       else float("inf"))
-        cached_s = min(cached_s, rep_cached_s)
-        uncached_s = min(uncached_s, rep_uncached_s)
+        production_s = min(production_s, rep_production_s)
+        reference_s = min(reference_s, rep_reference_s)
         if validator is None:
-            validator, cached_report = rep_validator, rep_cached
-            uncached_report = rep_uncached
-    cached_verdicts = _verdicts(cached_report)
-    stats = collect_stats(validator, cached_report.total_stats())
+            validator, production_report = rep_validator, rep_production
+            reference_report = rep_reference
+    production_verdicts = _verdicts(production_report)
+    stats = collect_stats(validator, production_report.total_stats())
     return {
         "mode": mode,
         "entities": scale,
         "hubs": hubs,
-        "triples": len(cached_w.graph),
-        "pairs": len(cached_verdicts),
-        "cached_s": cached_s,
-        "uncached_s": uncached_s,
+        "triples": len(production_w.graph),
+        "pairs": len(production_verdicts),
+        "production_s": production_s,
+        "reference_s": reference_s,
         "speedup": sorted(ratios)[len(ratios) // 2],
         "ratios": ratios,
-        "identical": cached_verdicts == _verdicts(uncached_report),
+        "identical": production_verdicts == _verdicts(reference_report),
         "signature": stats.signature,
         "profile": stats.profile,
     }
@@ -127,8 +130,8 @@ def _mutate(workload) -> None:
 
     The touched entities migrate to the neighbouring structural template
     (one more ``ex:motto``), whose signature the warm cache has usually
-    already settled — revalidation with the cache on re-derives almost
-    nothing, while the uncached arm re-runs the engine per affected node.
+    already settled — production revalidation re-derives almost nothing,
+    while the reference rebuilds the whole report.
     """
     victims = workload.valid_entities[::5]
     workload.graph.add_all(
@@ -137,35 +140,35 @@ def _mutate(workload) -> None:
 
 
 def run_revalidate_arm(scale: int, hubs: int, seed: int) -> dict:
-    """Mutate a warm baseline; compare cached vs uncached revalidation."""
+    """Mutate a warm baseline; compare production vs reference revalidation.
+
+    The reference keeps no incremental baseline, so its round is a full
+    rebuild — the ground truth the production round must reproduce.
+    """
     rounds = {}
     reports = {}
-    for cached in (True, False):
+    for reference in (False, True):
         workload = generate_kb_workload(num_entities=scale, num_hubs=hubs,
                                         seed=seed)
-        validator = _make_validator(workload, cached=cached)
+        validator = Validator(workload.graph, workload.schema,
+                              reference=reference)
         validator.validate_graph(labels=_LABELS)
         _mutate(workload)
         gc.collect()
         start = time.perf_counter()
         result = validator.revalidate(labels=_LABELS)
-        rounds[cached] = time.perf_counter() - start
-        reports[cached] = _verdicts(result.report)
-        if cached:
+        rounds[reference] = time.perf_counter() - start
+        reports[reference] = _verdicts(result.report)
+        if not reference:
             full_rebuild = bool(result.full_rebuild)
-    # a fresh uncached full run of the mutated graph is the ground truth
-    check = generate_kb_workload(num_entities=scale, num_hubs=hubs, seed=seed)
-    _mutate(check)
-    _, fresh_report, _ = _timed_full(check, cached=False)
-    fresh = _verdicts(fresh_report)
     return {
         "mode": "revalidate",
         "entities": scale,
         "hubs": hubs,
-        "cached_s": rounds[True],
-        "uncached_s": rounds[False],
-        "speedup": rounds[False] / rounds[True] if rounds[True] else float("inf"),
-        "identical": reports[True] == reports[False] == fresh,
+        "production_s": rounds[False],
+        "reference_s": rounds[True],
+        "speedup": rounds[True] / rounds[False] if rounds[False] else float("inf"),
+        "identical": reports[False] == reports[True],
         "full_rebuild": full_rebuild,
     }
 
@@ -191,15 +194,22 @@ def main(argv=None) -> int:
                         help="number of hubs (default: 4 quick, 10 full)")
     parser.add_argument("--seed", type=int, default=11)
     parser.add_argument("--min-speedup", type=float, default=3.0,
-                        help="fail a full run when the cached serial arm is "
-                             "not this much faster end to end (default 3.0)")
+                        help="fail a full run when the production serial arm "
+                             "is not this much faster end to end than the "
+                             "reference (default 3.0)")
+    parser.add_argument("--min-hit-rate", type=float, default=None,
+                        help="fail any run whose serial arm answers less than "
+                             "this share of signature lookups from the cache "
+                             "(default 0.95 full, 0.69 quick)")
     parser.add_argument("--json", metavar="PATH",
                         help="write the result rows as JSON (CI artifact)")
     args = parser.parse_args(argv)
 
     scale = args.scale or (120 if args.quick else 4000)
+    if args.min_hit_rate is None:
+        args.min_hit_rate = 0.69 if args.quick else 0.95
     hubs = args.hubs or (4 if args.quick else 10)
-    # the gated serial arm samples five cached/uncached pairs after a
+    # the gated serial arm samples five production/reference pairs after a
     # discarded warmup round: the very first validation of a process pays
     # import/allocator warmup, and wall time on small shared machines swings
     # enough that a single sample would make the gated ratio a coin toss.
@@ -208,19 +218,19 @@ def main(argv=None) -> int:
         run_full_arm("warmup", 60, 2, args.seed)
 
     ok = True
-    print(f"{'mode':>12} {'pairs':>7} {'uncached':>10} "
-          f"{'cached':>10} {'speedup':>8} {'identical':>9}")
+    print(f"{'mode':>12} {'pairs':>7} {'reference':>10} "
+          f"{'production':>10} {'speedup':>8} {'identical':>9}")
     serial = run_full_arm("serial", scale, hubs, args.seed, reps=reps)
     revalidate = run_revalidate_arm(scale, hubs, args.seed)
     arms = [serial, revalidate]
     for arm in arms:
         print(f"{arm['mode']:>12} {arm.get('pairs', '-'):>7} "
-              f"{arm['uncached_s'] * 1000:>8.1f}ms "
-              f"{arm['cached_s'] * 1000:>8.1f}ms "
+              f"{arm['reference_s'] * 1000:>8.1f}ms "
+              f"{arm['production_s'] * 1000:>8.1f}ms "
               f"{arm['speedup']:>7.2f}x {str(arm['identical']):>9}")
         if not arm["identical"]:
-            print(f"  !! {arm['mode']}: cached verdicts diverge from the "
-                  "uncached baseline", file=sys.stderr)
+            print(f"  !! {arm['mode']}: production verdicts diverge from "
+                  "the reference", file=sys.stderr)
             ok = False
     if revalidate.get("full_rebuild"):
         print("  !! revalidate fell back to a full rebuild", file=sys.stderr)
@@ -242,8 +252,10 @@ def main(argv=None) -> int:
                   "harness lost a phase", file=sys.stderr)
             ok = False
     signature = serial["signature"]
-    if not (signature.get("hits") and signature.get("dedupes")):
-        print("!! the signature cache served no hits on the dedupe workload",
+    if not signature.get("dedupes") \
+            or signature.get("hit_rate", 0.0) < args.min_hit_rate:
+        print(f"!! signature hit rate {signature.get('hit_rate', 0.0):.4f} "
+              f"below the {args.min_hit_rate} gate on the dedupe workload",
               file=sys.stderr)
         ok = False
 
@@ -255,6 +267,7 @@ def main(argv=None) -> int:
             "hubs": hubs,
             "seed": args.seed,
             "min_speedup": args.min_speedup,
+            "min_hit_rate": args.min_hit_rate,
             "gates_checked": gates_checked,
             "arms": arms,
             "profile": profile,

@@ -61,7 +61,7 @@ def run_mutation_round(num_communities: int, people: int, k: int,
     workload = generate_community_workload(
         num_communities=num_communities, people_per_community=people, seed=seed)
     graph, schema = workload.graph, workload.schema
-    validator = Validator(graph, schema, cache=True)
+    validator = Validator(graph, schema)
     gc.collect()
     start = time.perf_counter()
     validator.validate_graph()
@@ -97,7 +97,7 @@ def run_mutation_round(num_communities: int, people: int, k: int,
 
     gc.collect()
     start = time.perf_counter()
-    fresh = Validator(graph, schema, cache=True).validate_graph()
+    fresh = Validator(graph, schema).validate_graph()
     full_s = time.perf_counter() - start
 
     incremental = _verdicts(result.report)

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""B12 — compiled-schema fast paths: prefilter + atom tables vs the plain bulk path.
+"""B12 — compiled-schema fast paths: production vs the ``reference=True`` oracle.
 
 PR 4 adds a :class:`~repro.shex.compiled.CompiledSchema` precomputation
 layer: per-label nullability, first/required-predicate sets, sound
@@ -11,13 +11,19 @@ undecidable-to-match (wrong predicates, violated cardinalities, screened
 value types), so the prefilter settles them without ever touching the
 derivative engine.
 
-Three checks gate every timing:
+Production (compiled schema, signature and derivative caches, shared
+context) is compared with the reference (a fresh context per node and none
+of them).  Four checks gate the run:
 
-* verdict agreement between the compiled and the uncompiled validator on the
+* verdict agreement between production and the reference on the
   sparse-mismatch workload itself (plus its ground truth),
 * verdict agreement on the person and community workloads,
-* on full runs, a ≥2× end-to-end speedup (``--min-speedup``) of the compiled
-  bulk path over ``precompile=False`` on the largest sparse-mismatch size.
+* a deterministic counter gate on every run, quick ones included: the
+  prefilter rejects at least ``--min-prefilter-rejects`` (default 1) pairs
+  at every sparse-mismatch size, so the fast path cannot stop firing
+  unnoticed,
+* on full runs, a ≥2× end-to-end speedup (``--min-speedup``) of production
+  over the reference on the largest sparse-mismatch size.
 
 Usage::
 
@@ -25,8 +31,8 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_precompile.py --quick    # CI smoke
     PYTHONPATH=src python benchmarks/bench_precompile.py --json out.json
 
-Exit status: 0 on success, 1 on any verdict mismatch or (full runs) a missed
-speedup threshold.
+Exit status: 0 on success, 1 on any verdict mismatch, a missed counter gate
+or (full runs) a missed speedup threshold.
 """
 
 from __future__ import annotations
@@ -136,60 +142,59 @@ def _verdicts(report):
 
 
 def run_sparse_size(num_nodes: int, seed: int) -> dict:
-    """Time the compiled vs uncompiled bulk path on one sparse-mismatch size.
+    """Time production vs the reference on one sparse-mismatch size.
 
     Each arm validates its own structurally identical graph (same generator,
     same seed) so neither inherits the other's neighbourhood caches: the
     timings are true end-to-end costs including schema compilation.
     """
     graph, schema, expected = generate_sparse_mismatch(num_nodes, seed)
-    plain_graph, plain_schema, _ = generate_sparse_mismatch(num_nodes, seed)
+    reference_graph, reference_schema, _ = generate_sparse_mismatch(num_nodes, seed)
 
     gc.collect()
     start = time.perf_counter()
-    compiled_report = Validator(graph, schema, cache=True).validate_graph()
-    compiled_s = time.perf_counter() - start
+    production_report = Validator(graph, schema).validate_graph()
+    production_s = time.perf_counter() - start
 
     gc.collect()
     start = time.perf_counter()
-    plain_report = Validator(plain_graph, plain_schema, cache=True,
-                             precompile=False).validate_graph()
-    plain_s = time.perf_counter() - start
+    reference_report = Validator(reference_graph, reference_schema,
+                             reference=True).validate_graph()
+    reference_s = time.perf_counter() - start
 
-    compiled_verdicts = _verdicts(compiled_report)
-    stats = compiled_report.total_stats()
+    production_verdicts = _verdicts(production_report)
+    stats = production_report.total_stats()
     return {
         "nodes": num_nodes,
         "triples": len(graph),
-        "pairs": len(compiled_report),
-        "compiled_s": compiled_s,
-        "plain_s": plain_s,
-        "speedup": plain_s / compiled_s if compiled_s else float("inf"),
+        "pairs": len(production_report),
+        "production_s": production_s,
+        "reference_s": reference_s,
+        "speedup": reference_s / production_s if production_s else float("inf"),
         "prefilter_accepts": stats.prefilter_accepts,
         "prefilter_rejects": stats.prefilter_rejects,
-        "agree": compiled_verdicts == _verdicts(plain_report),
+        "agree": production_verdicts == _verdicts(reference_report),
         "ground_truth_ok": all(
-            compiled_verdicts[key] == value for key, value in expected.items()
+            production_verdicts[key] == value for key, value in expected.items()
         ),
     }
 
 
 def run_agreement(quick: bool) -> list:
-    """Verdict-check compiled vs uncompiled on the standard workloads."""
+    """Verdict-check production vs the reference on the standard workloads."""
     person = generate_person_workload(num_people=30 if quick else 120, seed=7)
     community = generate_community_workload(
         num_communities=4 if quick else 12, seed=7)
     rows = []
     for name, workload in (("person", person), ("community", community)):
-        compiled = Validator(workload.graph, workload.schema,
-                             cache=True).validate_graph()
-        plain = Validator(workload.graph, workload.schema, cache=True,
-                          precompile=False).validate_graph()
-        verdicts = _verdicts(compiled)
+        production = Validator(workload.graph, workload.schema).validate_graph()
+        reference = Validator(workload.graph, workload.schema,
+                              reference=True).validate_graph()
+        verdicts = _verdicts(production)
         rows.append({
             "workload": name,
-            "pairs": len(compiled),
-            "agree": verdicts == _verdicts(plain),
+            "pairs": len(production),
+            "agree": verdicts == _verdicts(reference),
             "ground_truth_ok": all(
                 verdicts[(node, "Person")] == (node in set(workload.valid_nodes))
                 for node in workload.all_nodes
@@ -206,27 +211,36 @@ def main(argv=None) -> int:
                         help="explicit sparse-mismatch sizes (node counts)")
     parser.add_argument("--seed", type=int, default=11)
     parser.add_argument("--min-speedup", type=float, default=2.0,
-                        help="fail a full run below this compiled-vs-plain "
-                             "speedup on the largest size (default 2.0)")
+                        help="fail a full run below this production-vs-"
+                             "reference speedup on the largest size "
+                             "(default 2.0)")
+    parser.add_argument("--min-prefilter-rejects", type=int, default=1,
+                        help="fail any run in which a sparse-mismatch size "
+                             "has fewer prefilter rejects (default 1)")
     parser.add_argument("--json", metavar="PATH",
                         help="write the result rows as JSON (CI artifact)")
     args = parser.parse_args(argv)
 
     sizes = args.nodes or ([400] if args.quick else [1000, 4000])
 
-    print(f"{'nodes':>7} {'triples':>8} {'pairs':>7} {'plain':>9} "
-          f"{'compiled':>9} {'speedup':>8} {'rejected':>9}")
+    print(f"{'nodes':>7} {'triples':>8} {'pairs':>7} {'reference':>9} "
+          f"{'production':>9} {'speedup':>8} {'rejected':>9}")
     ok = True
     sparse_rows = []
     for size in sizes:
         row = run_sparse_size(size, args.seed)
         sparse_rows.append(row)
         print(f"{row['nodes']:>7} {row['triples']:>8} {row['pairs']:>7} "
-              f"{row['plain_s'] * 1000:>7.1f}ms {row['compiled_s'] * 1000:>7.1f}ms "
+              f"{row['reference_s'] * 1000:>7.1f}ms {row['production_s'] * 1000:>7.1f}ms "
               f"{row['speedup']:>7.2f}x {row['prefilter_rejects']:>9}")
         if not row["agree"]:
-            print(f"  !! compiled verdicts disagree with --no-precompile "
+            print(f"  !! production verdicts disagree with the reference "
                   f"at {size} nodes", file=sys.stderr)
+            ok = False
+        if row["prefilter_rejects"] < args.min_prefilter_rejects:
+            print(f"  !! {row['prefilter_rejects']} prefilter rejects at "
+                  f"{size} nodes, below the {args.min_prefilter_rejects} gate",
+                  file=sys.stderr)
             ok = False
         if not row["ground_truth_ok"]:
             print(f"  !! verdicts disagree with ground truth at {size} nodes",
@@ -239,8 +253,8 @@ def main(argv=None) -> int:
         print(f"agreement {row['workload']:>10} "
               f"({row['pairs']} pairs): {status}")
         if status != "ok":
-            print(f"  !! {row['workload']}: compiled and "
-                  "uncompiled verdicts (or ground truth) disagree", file=sys.stderr)
+            print(f"  !! {row['workload']}: production and reference "
+                  "verdicts (or ground truth) disagree", file=sys.stderr)
             ok = False
 
     speedup_checked = False
@@ -258,6 +272,7 @@ def main(argv=None) -> int:
             "benchmark": "precompile",
             "quick": args.quick,
             "min_speedup": args.min_speedup,
+            "min_prefilter_rejects": args.min_prefilter_rejects,
             "speedup_checked": speedup_checked,
             "sparse_mismatch": sparse_rows,
             "agreement": agreement_rows,

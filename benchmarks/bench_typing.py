@@ -163,7 +163,7 @@ def run_workload_replay(people: int, seed: int) -> dict:
     workload = generate_community_workload(
         num_communities=1, people_per_community=people,
         invalid_fraction=0.2, seed=seed)
-    validator = Validator(workload.graph, workload.schema, cache=True)
+    validator = Validator(workload.graph, workload.schema)
     report = validator.validate_graph()
     trace = [(entry.node, entry.label) for entry in report if entry.conforms]
     expected_valid = set(workload.valid_nodes)

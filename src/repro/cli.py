@@ -7,9 +7,9 @@ The CLI makes the library usable without writing Python::
 
     python -m repro validate --data people.ttl --schema person.shex --all-nodes
 
-    # whole-graph fast path: shared context + global derivative cache
+    # the paper's reference semantics: fresh context per node, no caches
     python -m repro validate --data people.ttl --schema person.shex \
-        --all-nodes --bulk
+        --all-nodes --reference
 
     python -m repro check-schema person.shex
     python -m repro check-data people.ttl
@@ -32,13 +32,28 @@ from typing import List, Optional
 
 from .rdf import ColumnarGraph, Graph, ParseError, TripleStore
 from .service.api import ServiceError
-from .shex import Schema, SchemaError, Validator
-from .shex.cache import DerivativeCache
+from .shex import Schema, SchemaError
 from .shex.reporting import format_csv, format_text, report_to_json, summarize
 from .shex.shape_map import parse_shape_map
 from .shex.validator import ValidationReport
 
 __all__ = ["main", "build_parser"]
+
+
+def _at_least(minimum: int, kind=int):
+    """An argparse ``type`` that parses ``kind`` and rejects values below
+    ``minimum`` — a limit is checked once, at parsing, with exit status 2."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {kind.__name__} value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {minimum}, got {text}")
+        return value
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -64,38 +79,24 @@ def build_parser() -> argparse.ArgumentParser:
                           help="matching engine: 'derivatives' (the paper's linear "
                                "algorithm, default), 'backtracking' (the exponential "
                                "inference-rule baseline) or 'sparql' (approximate)")
-    mode = validate.add_mutually_exclusive_group()
-    mode.add_argument("--bulk", action="store_true",
-                      help="fastest whole-graph configuration: on top of the "
-                           "shared validation context (already the default), give "
-                           "the derivative engine a global cross-node derivative "
-                           "cache so structurally identical derivative steps are "
-                           "computed once across all nodes")
-    mode.add_argument("--per-node", action="store_true",
-                      help="validate every node in a fresh context with no "
-                           "cross-node caching (the paper-faithful baseline; "
-                           "slower on graphs with shared or recursive structure)")
-    validate.add_argument("--no-precompile", action="store_true",
-                          help="disable the compiled-schema fast paths "
-                               "(static prefilter + predicate-indexed atom "
-                               "tables); verdicts are identical, this is an "
-                               "escape hatch for measurement and debugging")
+    validate.add_argument("--reference", action="store_true",
+                          help="the paper's reference semantics: a fresh "
+                               "context per node and no compiled-schema, "
+                               "signature or derivative caches.  Verdicts "
+                               "equal the default production run (only "
+                               "failure reasons may be worded differently); "
+                               "it is the oracle the fast paths are checked "
+                               "against, and much slower")
     validate.add_argument("--cache-stats", nargs="?", const="text",
                           choices=["text", "json"], default=None,
                           help="print the unified ServiceStats counters "
                                "(store/journal/prefilter/cache) to stderr after "
                                "validation; '=json' emits the same structure "
-                               "GET /stats serves.  Enables the global "
-                               "derivative cache like --bulk")
-    validate.add_argument("--cache-max-entries", type=int, default=None, metavar="N",
-                          help="bound the global derivative cache to N entries "
-                               "with LRU eviction (default: unbounded)")
-    validate.add_argument("--no-signature-cache", action="store_true",
-                          help="disable the neighbourhood-signature verdict "
-                               "dedupe (on by default in the whole-graph bulk "
-                               "modes); verdicts are identical, this is the "
-                               "measurement baseline for the hot-path "
-                               "benchmark")
+                               "GET /stats serves")
+    validate.add_argument("--cache-max-entries", type=_at_least(1), default=None,
+                          metavar="N",
+                          help="bound the global derivative cache to N >= 1 "
+                               "entries with LRU eviction (default: unbounded)")
     validate.add_argument("--store", choices=["dict", "columnar"], default="dict",
                           help="graph storage backend: 'dict' (hash-indexed, "
                                "default) or 'columnar' (dictionary-encoded "
@@ -122,11 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
     revalidate.add_argument("--shape",
                             help="revalidate against this single shape label "
                                  "(default: every shape)")
-    revalidate.add_argument("--no-precompile", action="store_true",
-                            help="disable the compiled-schema fast paths")
-    revalidate.add_argument("--no-signature-cache", action="store_true",
-                            help="disable the neighbourhood-signature verdict "
-                                 "dedupe for both passes")
     revalidate.add_argument("--delta-only", action="store_true",
                             help="print only the recomputed (delta) entries "
                                  "instead of the full updated report")
@@ -168,29 +164,30 @@ def build_parser() -> argparse.ArgumentParser:
                        default="turtle")
     serve.add_argument("--store", choices=["dict", "columnar"], default="dict",
                        help="storage backend for the preloaded graph")
-    serve.add_argument("--shards", type=int, default=0, metavar="N",
+    serve.add_argument("--shards", type=_at_least(0), default=0, metavar="N",
                        help="hash-partition subjects across N resident "
                             "worker processes, kept warm for the graph's "
                             "lifetime (0/1: serial)")
-    serve.add_argument("--fleet-response-timeout", type=float, default=120.0,
+    serve.add_argument("--fleet-response-timeout", type=_at_least(0, float),
+                       default=120.0,
                        metavar="SECONDS",
                        help="how long the coordinator waits on a resident "
                             "shard worker before declaring it dead "
                             "(fleet-worker-died 503; the next write "
                             "respawns it)")
-    serve.add_argument("--cache-max-entries", type=int, default=None,
+    serve.add_argument("--cache-max-entries", type=_at_least(1), default=None,
                        metavar="N",
-                       help="bound each graph's derivative cache (LRU)")
-    serve.add_argument("--no-precompile", action="store_true",
-                       help="disable the compiled-schema fast paths")
-    serve.add_argument("--connection-timeout", type=float, default=30.0,
-                       metavar="SECONDS",
+                       help="bound each graph's derivative cache to N >= 1 "
+                            "entries (LRU)")
+    serve.add_argument("--connection-timeout", type=_at_least(0, float),
+                       default=30.0, metavar="SECONDS",
                        help="per-connection socket timeout; stalled clients "
                             "are dropped (0: no timeout)")
-    serve.add_argument("--max-connections", type=int, default=64, metavar="N",
+    serve.add_argument("--max-connections", type=_at_least(0), default=64,
+                       metavar="N",
                        help="bound on concurrent connections; past it the "
                             "accept loop queues (0: unbounded)")
-    serve.add_argument("--max-body-bytes", type=int,
+    serve.add_argument("--max-body-bytes", type=_at_least(0),
                        default=64 * 1024 * 1024, metavar="N",
                        help="largest accepted request body; bigger "
                             "declarations get a typed 413 (0: unbounded)")
@@ -281,50 +278,34 @@ def _render_report(report: ValidationReport, output_format: str,
 def _command_validate(args: argparse.Namespace) -> int:
     from .service.session import ValidationSession, collect_stats
 
+    if args.reference and args.cache_max_entries is not None:
+        raise SystemExit("error: --reference runs without a derivative cache; "
+                         "drop --cache-max-entries")
     graph = _load_graph(args.data, args.data_format, args.store)
     schema = _load_schema(args.schema)
-    wants_cache = bool(args.bulk or args.cache_stats
-                       or args.cache_max_entries is not None)
-    session = None
-    if args.per_node:
-        # the paper-faithful fresh-context-per-node baseline keeps the bare
-        # Validator: the session facade is built around the shared context
-        engine_options = {}
-        if wants_cache and args.engine == "derivatives":
-            engine_options["cache"] = DerivativeCache(
-                max_entries=args.cache_max_entries)
-        validator = Validator(graph, schema, engine=_build_engine(args.engine),
-                              shared_context=False,
-                              precompile=not args.no_precompile,
-                              signature_cache=False,
-                              **engine_options)
-    else:
-        session = ValidationSession(
-            graph, schema, engine=_build_engine(args.engine),
-            precompile=not args.no_precompile, use_cache=wants_cache,
-            cache_max_entries=args.cache_max_entries,
-            use_signature_cache=not args.no_signature_cache)
-        validator = session.validator
+    session = ValidationSession(
+        graph, schema, engine=_build_engine(args.engine),
+        reference=args.reference, cache_max_entries=args.cache_max_entries)
 
-    if args.shape_map or args.shape_map_file:
+    shape_map = args.shape_map or args.shape_map_file
+    if shape_map:
         text = args.shape_map or _read_file(args.shape_map_file)
-        shape_map = parse_shape_map(text, graph.namespaces)
-        report = validator.validate_map(shape_map.resolve(graph))
+        report = session.validator.validate_map(
+            parse_shape_map(text, graph.namespaces).resolve(graph))
     elif args.shape:
-        report = session.validate(labels=[args.shape]) if session \
-            else validator.validate_graph(labels=[args.shape])
+        report = session.validate(labels=[args.shape])
     elif args.all_nodes:
-        report = session.validate() if session else validator.validate_graph()
+        report = session.validate()
     else:
         raise SystemExit(
             "error: choose --shape-map/--shape-map-file, --shape or --all-nodes")
 
     sys.stdout.write(_render_report(report, args.output_format, args.include_stats))
     if args.cache_stats:
-        if session is not None and not (args.shape_map or args.shape_map_file):
-            stats = session.stats()
+        if shape_map:
+            stats = collect_stats(session.validator, report.total_stats())
         else:
-            stats = collect_stats(validator, report.total_stats())
+            stats = session.stats()
         _print_service_stats(stats, args.cache_stats)
     return 0 if report.conforms else 1
 
@@ -345,10 +326,7 @@ def _command_revalidate(args: argparse.Namespace) -> int:
     graph = _load_graph(args.data, args.data_format, args.store)
     schema = _load_schema(args.schema)
     labels = [args.shape] if args.shape else None
-    session = ValidationSession(graph, schema,
-                                precompile=not args.no_precompile,
-                                use_cache=False,
-                                use_signature_cache=not args.no_signature_cache)
+    session = ValidationSession(graph, schema)
     session.validate(labels=labels)
 
     additions = _load_graph(args.add, args.data_format) if args.add else ()
@@ -383,15 +361,12 @@ def _command_serve(args: argparse.Namespace) -> int:
     baseline answers verdict queries without fresh runs.  With ``--data``
     the file is preloaded and validated before the socket starts accepting.
     """
-    if args.shards < 0:
-        raise SystemExit("error: --shards must be at least 0")
     from .service.server import serve
     from .service.session import ValidationSession
 
     schema = _load_schema(args.schema)
     server = serve(schema, host=args.host, port=args.port,
                    shards=args.shards,
-                   precompile=not args.no_precompile,
                    cache_max_entries=args.cache_max_entries,
                    connection_timeout=args.connection_timeout or None,
                    max_connections=args.max_connections or None,
@@ -401,7 +376,6 @@ def _command_serve(args: argparse.Namespace) -> int:
         graph = _load_graph(args.data, args.data_format, args.store)
         session = ValidationSession(
             graph, schema, shards=args.shards,
-            precompile=not args.no_precompile,
             cache_max_entries=args.cache_max_entries,
             fleet_response_timeout=args.fleet_response_timeout)
         report = session.validate()

@@ -406,9 +406,9 @@ class ServiceStats:
     ``--cache-stats=json`` prints the JSON.  The groups mirror the
     subsystems: ``store`` (storage backend, with a nested ``dictionary``
     group for columnar stores), ``journal`` (change journal), ``prefilter``
-    (compiled-schema counters, empty when precompilation is off), ``cache``
-    (derivative cache, empty when no global cache is active), ``signature``
-    (neighbourhood-signature verdict cache, empty when dedupe is off),
+    (compiled-schema counters), ``cache`` (derivative cache), ``signature``
+    (neighbourhood-signature verdict cache) — the last three empty for the
+    ``--reference`` run, the cache also for non-derivative engines —
     ``profile`` (per-phase hot-path wall-clock counters from
     :class:`~repro.shex.results.MatchStats`, empty until a run recorded
     any), ``verdicts`` (settled/provisional context counts + maintained
@@ -491,7 +491,7 @@ class ServiceStats:
                          f"schema={prefilter.get('schema', {})}")
         else:
             lines.append("prefilter-stats: disabled "
-                         "(--no-precompile or no schema)")
+                         "(--reference or no schema)")
         if self.cache:
             cache = self.cache
             bound = cache.get("max_entries") or "unbounded"

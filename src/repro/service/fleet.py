@@ -43,12 +43,7 @@ import zlib
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..rdf.graph import Graph
-from ..shex.cache import DerivativeCache
-from ..shex.validator import (
-    IncrementalFallback,
-    Validator,
-    get_engine,
-)
+from ..shex.validator import IncrementalFallback, Validator
 from .api import ServiceError
 from .faults import FaultInjector, FaultPlan
 
@@ -84,7 +79,7 @@ class _ShardReplica:
     def __init__(self, shard_index: int, shards: int, schema, engine_spec,
                  compiled, triples, max_recursion_depth: int,
                  recursion_limit: int, journal_max_entries: int,
-                 use_signature_cache: bool):
+                 cache_max_entries: Optional[int]):
         if recursion_limit > sys.getrecursionlimit():
             sys.setrecursionlimit(recursion_limit)
         self.shard_index = shard_index
@@ -92,18 +87,12 @@ class _ShardReplica:
         self.graph = Graph(journal_max_entries=journal_max_entries)
         with self.graph.batch():
             self.graph.add_all(triples)
-        name, options, cache_bound = engine_spec
-        options = dict(options)
-        if options.get("cache") is True and cache_bound is not None:
-            options["cache"] = DerivativeCache(max_entries=cache_bound)
-        engine = get_engine(name, **options)
+        name, options = engine_spec
         self.validator = Validator(
-            self.graph, schema, engine=engine, shared_context=True,
-            precompile=compiled is not None, compiled=compiled,
+            self.graph, schema, engine=name, compiled=compiled,
             max_recursion_depth=max_recursion_depth,
-            subject_filter=_OwnedBy(shards, shard_index),
-            signature_cache=None if use_signature_cache else False,
-        )
+            cache_max_entries=cache_max_entries,
+            subject_filter=_OwnedBy(shards, shard_index), **options)
         self.rounds = 0
         self.full_runs = 0
 
@@ -253,11 +242,11 @@ def _fleet_worker_main(shard_index: int, shards: int,
             if command == "load":
                 (schema, engine_spec, compiled, triples, labels,
                  max_recursion_depth, recursion_limit,
-                 journal_max_entries, use_signature_cache) = payload
+                 journal_max_entries, cache_max_entries) = payload
                 replica = _ShardReplica(
                     shard_index, shards, schema, engine_spec, compiled,
                     triples, max_recursion_depth, recursion_limit,
-                    journal_max_entries, use_signature_cache)
+                    journal_max_entries, cache_max_entries)
                 _respond(responses, injector, ("ok", replica.run(labels)))
             elif command == "stats":
                 _respond(responses, injector,

@@ -91,14 +91,12 @@ class ValidationService:
 
     def __init__(self, schema: Optional[Schema] = None, *,
                  shards: int = 0,
-                 precompile: bool = True,
                  cache_max_entries: Optional[int] = None,
                  fleet_response_timeout: float = 120.0,
                  fault_plan=None,
                  delta_ledger_size: int = 256):
         self.schema = schema
         self.shards = shards
-        self.precompile = precompile
         self.cache_max_entries = cache_max_entries
         self.fleet_response_timeout = fleet_response_timeout
         self.fault_plan = fault_plan
@@ -111,7 +109,7 @@ class ValidationService:
         """Load a graph, run the initial full validation, register it."""
         session = ValidationSession.from_request(
             request, default_schema=self.schema,
-            default_shards=self.shards, precompile=self.precompile,
+            default_shards=self.shards,
             cache_max_entries=self.cache_max_entries,
             fleet_response_timeout=self.fleet_response_timeout,
             fault_plan=self.fault_plan,
@@ -513,7 +511,6 @@ class ReproServer:
 
 def serve(schema: Optional[Schema] = None, *, host: str = "127.0.0.1",
           port: int = 0, shards: int = 0,
-          precompile: bool = True,
           cache_max_entries: Optional[int] = None,
           connection_timeout: Optional[float] = 30.0,
           max_connections: Optional[int] = 64,
@@ -528,7 +525,7 @@ def serve(schema: Optional[Schema] = None, *, host: str = "127.0.0.1",
     plan is shipped to every resident shard worker (the ``fleet.*`` points).
     """
     service = ValidationService(
-        schema, shards=shards, precompile=precompile,
+        schema, shards=shards,
         cache_max_entries=cache_max_entries,
         fleet_response_timeout=fleet_response_timeout,
         fault_plan=faults.plan if faults is not None else None)

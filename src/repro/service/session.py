@@ -61,8 +61,8 @@ def collect_stats(validator: Validator, totals: MatchStats,
     """Snapshot a validator's subsystem counters into one :class:`ServiceStats`.
 
     The single source of the unified stats structure: sessions build theirs
-    here, and the CLI's non-session paths (``--per-node``) reuse it so
-    ``--cache-stats`` output is one format everywhere.
+    here, and the CLI's shape-map path reuses it so ``--cache-stats`` output
+    is one format everywhere.
     """
     graph = validator.graph
     try:
@@ -95,7 +95,7 @@ def collect_stats(validator: Validator, totals: MatchStats,
     context = getattr(validator, "_context", None)
     # the shared context's cumulative stats include the probe/store work that
     # happens *between* per-entry snapshot windows (signature misses, build
-    # time); the per-entry totals are the fallback for fresh-context modes.
+    # time); the per-entry totals are the fallback for the reference.
     profiled = context.stats if context is not None else totals
     profile = {
         "signature_hits": profiled.signature_hits,
@@ -126,13 +126,14 @@ def collect_stats(validator: Validator, totals: MatchStats,
 class ValidationSession:
     """A warm, lock-serialized validation lifecycle around one graph.
 
-    Parameters mirror the :class:`Validator` knobs a service exposes:
+    The validator runs the one production configuration (see
+    :class:`Validator`); ``cache_max_entries`` bounds its derivative cache.
+    ``reference=True`` swaps in the paper's reference semantics — a fresh
+    context per node and no caches — so its deltas are always full
+    rebuilds (``no-baseline`` unless ``allow_full_rebuild``).
     ``shards > 1`` runs on a resident shard fleet (``0``/``1`` means
-    serial), ``precompile`` the
-    compiled-schema fast paths, ``use_cache``/``cache_max_entries`` the
-    global derivative cache, ``use_signature_cache`` the
-    neighbourhood-signature verdict dedupe (on by default; CLI
-    ``--no-signature-cache``).  The session takes ownership of ``graph``:
+    serial; the fleet rejects ``reference``).  The session takes
+    ownership of ``graph``:
     mutate it only through :meth:`apply_changes`, or the maintained baseline
     goes stale and verdict queries start failing with ``stale-baseline``.
     """
@@ -140,39 +141,27 @@ class ValidationSession:
     def __init__(self, graph: TripleStore, schema: Schema, *,
                  engine: Union[str, object, None] = None,
                  shards: int = 0,
-                 precompile: bool = True,
-                 use_cache: bool = True,
+                 reference: bool = False,
                  cache_max_entries: Optional[int] = None,
-                 use_signature_cache: bool = True,
                  max_recursion_depth: int = 500,
                  fleet_response_timeout: float = 120.0,
                  fault_plan=None,
                  delta_ledger_size: int = 256):
-        engine_options = {}
-        engine_name = engine if isinstance(engine, str) else None
-        if use_cache and engine_name in (None, "derivatives"):
-            from ..shex.cache import DerivativeCache
-
-            engine_options["cache"] = DerivativeCache(
-                max_entries=cache_max_entries)
         self.graph = graph
         self.schema = schema
         self.shards = max(shards, 0)
-        signature_cache = None if use_signature_cache else False
+        options = dict(engine=engine, reference=reference,
+                       cache_max_entries=cache_max_entries,
+                       max_recursion_depth=max_recursion_depth)
         if self.shards > 1:
             from .sharding import ShardedValidator  # loads the fleet stack
 
             self.validator: Validator = ShardedValidator(
-                graph, schema, engine=engine, shards=self.shards,
-                precompile=precompile, signature_cache=signature_cache,
-                max_recursion_depth=max_recursion_depth,
+                graph, schema, shards=self.shards,
                 fleet_response_timeout=fleet_response_timeout,
-                fault_plan=fault_plan, **engine_options)
+                fault_plan=fault_plan, **options)
         else:
-            self.validator = Validator(
-                graph, schema, engine=engine, precompile=precompile,
-                signature_cache=signature_cache,
-                max_recursion_depth=max_recursion_depth, **engine_options)
+            self.validator = Validator(graph, schema, **options)
         self._lock = threading.RLock()
         self._totals = MatchStats()
         self._full_runs = 0
@@ -195,9 +184,7 @@ class ValidationSession:
     def from_request(cls, request: ValidationRequest, *,
                      default_schema: Optional[Schema] = None,
                      default_shards: int = 0,
-                     precompile: bool = True,
                      cache_max_entries: Optional[int] = None,
-                     use_signature_cache: bool = True,
                      fleet_response_timeout: float = 120.0,
                      fault_plan=None,
                      delta_ledger_size: int = 256,
@@ -230,9 +217,8 @@ class ValidationSession:
         shards = request.shards if request.shards is not None else default_shards
         if shards < 0:
             raise ServiceError("bad-request", "shards must be >= 0", 400)
-        return cls(graph, schema, shards=shards, precompile=precompile,
+        return cls(graph, schema, shards=shards,
                    cache_max_entries=cache_max_entries,
-                   use_signature_cache=use_signature_cache,
                    fleet_response_timeout=fleet_response_timeout,
                    fault_plan=fault_plan,
                    delta_ledger_size=delta_ledger_size)

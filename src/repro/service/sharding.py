@@ -76,10 +76,10 @@ class ShardedValidator(Validator):
                                      ValidationReportEntry]]:
         if self.shards <= 1:
             return None
-        if not self.shared_context:
+        if self.reference:
             raise ValueError(
                 "sharded validation shares settled verdicts across shards "
-                "and is incompatible with shared_context=False")
+                "and is incompatible with reference=True")
         if self._worker_engine_spec is None:
             raise ValueError(
                 "sharded validation needs an engine constructible by name "
@@ -117,8 +117,7 @@ class ShardedValidator(Validator):
             bound = self.graph.journal.max_entries
         return (self.schema, self._worker_engine_spec, self.compiled,
                 triples, list(labels), self.max_recursion_depth,
-                sys.getrecursionlimit(), bound,
-                self.signature_cache is not None)
+                sys.getrecursionlimit(), bound, self.cache_max_entries)
 
     def _fleet_load(self, fleet: ShardFleet,
                     labels: Tuple[ShapeLabel, ...]) -> List[tuple]:

@@ -25,41 +25,43 @@ Typical usage::
     validator = Validator(graph, schema)           # derivative engine
     report = validator.validate_graph()
 
-Engine and caching options
---------------------------
+Engines, production and the reference
+-------------------------------------
 
 ``Validator(graph, schema, engine=..., **engine_options)`` accepts:
 
 * ``engine="derivatives"`` (default) — the paper's linear derivative
-  matcher.  Options: ``simplify`` (apply the Section 4 rewrite rules,
-  default True), ``order_by_predicate`` (sort neighbourhoods before
-  consuming them, default True), ``memoize`` (per-neighbourhood
-  ``(expression, triple)`` memo, default True) and ``cache`` — pass ``True``
-  or a :class:`DerivativeCache` to enable the **global cross-node
-  derivative cache**: derivative results are keyed by hash-consed
-  expression structure plus constraint-verdict vectors, so they transfer
-  between nodes, labels and whole validation runs.
+  matcher.  Its options are the Section 4 ablations: ``simplify`` (apply
+  the rewrite rules, default True), ``order_by_predicate`` (sort
+  neighbourhoods before consuming them, default True) and ``memoize``
+  (per-neighbourhood ``(expression, triple)`` memo, default True).
 * ``engine="backtracking"`` — the exponential inference-rule baseline;
   option ``budget`` caps rule applications.
 
-``Validator(..., shared_context=True)`` (the default) threads one
-:class:`ValidationContext` through the bulk operations (``validate_graph``,
-``infer_typing``, ``validate_map``, ``conforming_nodes``) so confirmed and
-refuted ``(node, label)`` verdicts propagate across the whole run; context
-caching is sound under recursion because hypothesis-dependent verdicts stay
-provisional until the hypothesis they rest on settles, and recursion-budget
-failures are never cached.  ``shared_context=False`` restores the
-paper-faithful fresh-context-per-node behaviour; the CLI exposes both as
-``--bulk`` / ``--per-node``.
+Validation has one production configuration, used by every surface (the
+CLI, the service, the shard replicas):
 
-``Validator(..., precompile=True)`` (the default) builds a
-:class:`CompiledSchema` — per-label nullability, first/required-predicate
-sets, cardinality bounds, value screens and predicate-indexed atom tables,
-computed once per schema — and consults its **static prefilter** before any
-matching frame is constructed, so statically decidable ``(node, label)``
-pairs never touch an engine.  Verdicts are identical either way;
-``precompile=False`` (CLI ``--no-precompile``) is the measurement escape
-hatch.
+* one shared :class:`ValidationContext` threads the bulk operations
+  (``validate_graph``, ``infer_typing``, ``validate_map``,
+  ``conforming_nodes``), so confirmed and refuted ``(node, label)``
+  verdicts propagate across the run — sound under recursion because
+  hypothesis-dependent verdicts stay provisional until their hypothesis
+  settles, and recursion-budget failures are never cached;
+* a :class:`CompiledSchema` (per-label nullability, required-predicate
+  sets, cardinality bounds, value screens, predicate-indexed atom tables)
+  whose **static prefilter** settles decidable pairs before any matching
+  frame is built;
+* a :class:`~repro.shex.cache.SignatureCache` that answers a subject whose
+  one-hop neighbourhood signature was already settled;
+* for the derivatives engine, a **global cross-node**
+  :class:`DerivativeCache` keyed by hash-consed expression structure plus
+  constraint-verdict vectors (bounded by ``cache_max_entries``).
+
+``Validator(..., reference=True)`` (CLI ``validate --reference``) is the
+only alternative: the paper's reference semantics, with a fresh context
+per node and none of the compiled, signature or derivative caches.  It
+gives the same verdicts and is the oracle the fast paths are tested
+against.
 
 The SPARQL compiler (:mod:`repro.shex.sparql_gen`) and the SPARQL engine
 behind it load on first use (PEP 562), so a validation run that never asks

@@ -46,9 +46,11 @@ class DerivativeCache:
 
     One instance can be shared by any number of nodes, labels, validation
     runs and even graphs: every entry is keyed purely by expression structure
-    and constraint verdicts, never by a node or a graph.  Attach it to a
-    :class:`~repro.shex.derivatives.DerivativeEngine` via the ``cache``
-    option (or pass ``cache=True`` to let the engine build a private one).
+    and constraint verdicts, never by a node or a graph.  Every production
+    :class:`~repro.shex.validator.Validator` owns one; to share one across
+    validators, attach it to a
+    :class:`~repro.shex.derivatives.DerivativeEngine` via its ``cache``
+    option and pass that engine.
 
     ``max_entries`` bounds the two unbounded tables (derivatives and
     constraint verdicts) for long-running services: when set, the derivative

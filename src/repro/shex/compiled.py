@@ -217,22 +217,21 @@ class CompiledShape:
         # constraints are trivially decidable, none is the wildcard (which
         # can never reject) and no wildcard-predicate arc could absorb the
         # triple instead.
+        # Without a wildcard, and with no stem admitting the predicate, an
+        # arc consumes it exactly when it lists it, so one pass over the
+        # atoms groups the constraints (linear in the shape's width).
         self.screens: Dict[IRI, Tuple[NodeConstraint, ...]] = {}
         if not allows_any:
-            for predicate in self.allowed_exact:
-                constraints: List[NodeConstraint] = []
-                screenable = not any(predicate.value.startswith(stem)
-                                     for stem in self.allowed_stems)
-                if screenable:
-                    for predicate_set, constraint in self.atoms:
-                        if not predicate_set.matches(predicate):
-                            continue
-                        if isinstance(constraint, AnyValue) \
-                                or not _is_screenable(constraint):
-                            screenable = False
-                            break
-                        constraints.append(constraint)
-                if screenable and constraints:
+            consumers: Dict[IRI, List[NodeConstraint]] = {}
+            for predicate_set, constraint in self.atoms:
+                for predicate in predicate_set.predicates:
+                    consumers.setdefault(predicate, []).append(constraint)
+            for predicate, constraints in consumers.items():
+                if not any(predicate.value.startswith(stem)
+                           for stem in self.allowed_stems) \
+                        and all(not isinstance(constraint, AnyValue)
+                                and _is_screenable(constraint)
+                                for constraint in constraints):
                     self.screens[predicate] = tuple(constraints)
 
         # reject decisions are pure functions of (shape, rule, predicate):

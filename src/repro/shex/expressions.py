@@ -34,7 +34,7 @@ a clear because ``__eq__`` falls back to comparing children.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Tuple, Union
+from typing import Callable, Dict, Iterator, Optional, Sequence, Tuple, Union
 
 from ..rdf.terms import IRI, Literal, ObjectTerm
 from .node_constraints import (
@@ -498,20 +498,36 @@ def alternative(left: ShapeExpr, right: ShapeExpr, simplify: bool = True) -> Sha
     return Or(left, right)
 
 
+def balanced(combine: Callable[[ShapeExpr, ShapeExpr], ShapeExpr],
+             exprs: Sequence[ShapeExpr], unit: ShapeExpr) -> ShapeExpr:
+    """Fold ``exprs`` with the associative ``combine`` into a balanced tree.
+
+    Adjacent pairs are combined level by level, so ``n`` operands nest
+    ``⌈log2 n⌉`` deep instead of ``n`` — a shape with thousands of
+    interleaved constraints stays shallow enough for the recursive
+    derivative and compile passes.  Up to three operands the tree equals the
+    left fold (``(a ‖ b) ‖ c``).  ``unit`` is the result for no operands.
+    """
+    level = list(exprs)
+    if not level:
+        return unit
+    while len(level) > 1:
+        paired = [combine(level[i], level[i + 1])
+                  for i in range(0, len(level) - 1, 2)]
+        if len(level) % 2:
+            paired.append(level[-1])
+        level = paired
+    return level[0]
+
+
 def interleave_all(*exprs: ShapeExpr) -> ShapeExpr:
     """Interleave any number of expressions (``ε`` when called with none)."""
-    result: ShapeExpr = EPSILON
-    for expr in exprs:
-        result = interleave(result, expr)
-    return result
+    return balanced(interleave, exprs, EPSILON)
 
 
 def alternative_all(*exprs: ShapeExpr) -> ShapeExpr:
     """Alternate any number of expressions (``∅`` when called with none)."""
-    result: ShapeExpr = EMPTY
-    for expr in exprs:
-        result = alternative(result, expr)
-    return result
+    return balanced(alternative, exprs, EMPTY)
 
 
 def star(expr: ShapeExpr) -> ShapeExpr:
@@ -548,24 +564,12 @@ def repeat(expr: ShapeExpr, minimum: int, maximum: Optional[int]) -> ShapeExpr:
     if minimum < 0:
         raise ValueError("minimum repetition count must be >= 0")
     if maximum is None:
-        return interleave(_exactly(expr, minimum), star(expr))
+        return interleave_all(*[expr] * minimum, star(expr))
     if maximum < minimum:
         raise ValueError("maximum repetition count must be >= minimum")
-    if maximum == 0:
-        return EPSILON
     # between m and n: exactly m copies interleaved with (n - m) optional copies
-    result = _exactly(expr, minimum)
-    for _ in range(maximum - minimum):
-        result = interleave(result, optional(expr))
-    return result
-
-
-def _exactly(expr: ShapeExpr, count: int) -> ShapeExpr:
-    """``E{m,m}``: exactly ``count`` interleaved copies of ``expr``."""
-    result: ShapeExpr = EPSILON
-    for _ in range(count):
-        result = interleave(result, expr)
-    return result
+    return interleave_all(*[expr] * minimum,
+                          *[optional(expr)] * (maximum - minimum))
 
 
 # ----------------------------------------------------------------- introspection

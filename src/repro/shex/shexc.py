@@ -38,6 +38,7 @@ from ..rdf.namespaces import NamespaceManager, XSD
 from ..rdf.ntriples import unescape_string
 from ..rdf.terms import IRI, Literal
 from .expressions import (
+    EMPTY,
     EPSILON,
     And,
     Arc,
@@ -45,8 +46,9 @@ from .expressions import (
     Or,
     ShapeExpr,
     Star,
+    balanced,
     expression_size,
-    interleave,
+    interleave_all,
     optional,
     plus,
     repeat,
@@ -277,24 +279,27 @@ class ShExCParser:
 
     # -- triple expressions ----------------------------------------------------------
     def _parse_one_of(self) -> ShapeExpr:
-        """oneOf: eachOf ('|' eachOf)*"""
-        expr = self._parse_each_of()
+        """oneOf: eachOf ('|' eachOf)*
+
+        The branches (and the members of each ``eachOf``) are combined as a
+        balanced tree: both operators are associative, and a balanced tree
+        keeps thousand-member shapes shallow for the recursive passes.
+        """
+        branches = [self._parse_each_of()]
         while self._peek().kind == "PIPE":
             self._next()
-            right = self._parse_each_of()
-            expr = Or(expr, right)
-        return expr
+            branches.append(self._parse_each_of())
+        return balanced(Or, branches, EMPTY)
 
     def _parse_each_of(self) -> ShapeExpr:
         """eachOf: unary ((',' | ';') unary)*"""
-        expr = self._parse_unary()
+        members = [self._parse_unary()]
         while self._peek().kind in ("COMMA", "SEMICOLON"):
             self._next()
             if self._peek().kind in ("RBRACE", "RPAREN"):
                 break  # trailing separator
-            right = self._parse_unary()
-            expr = interleave(expr, right)
-        return expr
+            members.append(self._parse_unary())
+        return interleave_all(*members)
 
     def _parse_unary(self) -> ShapeExpr:
         token = self._peek()

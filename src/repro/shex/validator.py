@@ -52,7 +52,7 @@ class IncrementalFallback(Exception):
     ``reason`` is a stable machine-readable code: ``"journal-overflow"`` (the
     graph's change journal overflowed, so the change set is unknowable) or
     ``"no-baseline"`` (no usable incremental baseline: first run, label-set
-    change, ``shared_context`` off, or the shared context was invalidated
+    change, ``reference=True``, or the shared context was invalidated
     behind the baseline's back).  Long-lived services set
     ``allow_full_rebuild=False`` so an unbounded full re-run never hides
     inside what looks like a cheap delta; they map this exception to a typed
@@ -187,71 +187,56 @@ class Validator:
         expression-level matching is needed.
     engine:
         ``"derivatives"`` (default), ``"backtracking"`` or an engine object.
-    shared_context:
-        when True (default) the bulk operations — ``validate_map``,
-        ``validate_graph``, ``infer_typing``, ``conforming_nodes`` — thread
-        **one** :class:`ValidationContext` through the whole run (and keep it
-        across runs), so confirmed/failed ``(node, label)`` verdicts
-        propagate instead of being recomputed per node.  Set to False for the
-        paper-faithful fresh-context-per-node behaviour.  Graph mutations
-        are detected automatically: the shared context is rebuilt on the
-        next call when the graph has changed.
+    reference:
+        False (default) runs the one production configuration: the bulk
+        operations — ``validate_map``, ``validate_graph``, ``infer_typing``,
+        ``conforming_nodes`` — thread **one** :class:`ValidationContext`
+        through the whole run (and keep it across runs, rebuilding it when
+        the graph mutates), a :class:`~repro.shex.compiled.CompiledSchema`
+        settles statically decidable pairs and indexes arc atoms, a
+        :class:`~repro.shex.cache.SignatureCache` answers subjects whose
+        neighbourhood signature was already settled, and a named
+        derivatives engine gets a global
+        :class:`~repro.shex.cache.DerivativeCache`.  True runs the paper's
+        reference semantics instead: a fresh context per node and no
+        compiled, signature or derivative caches.  Verdicts are identical;
+        only failure *reasons* may differ (the prefilter and signature
+        cache word them statically).
     max_recursion_depth:
         recursion budget handed to every context this validator creates.
-    precompile:
-        build a :class:`~repro.shex.compiled.CompiledSchema` for the schema
-        (default True) and thread it through every context this validator
-        creates: statically decidable ``(node, label)`` pairs are settled by
-        the prefilter without touching an engine, and the derivative engine
-        dispatches arc atoms through the predicate-indexed atom tables.
-        Verdicts are identical either way; set False (CLI
-        ``--no-precompile``) to measure or to rule the fast paths out.
+    cache_max_entries:
+        LRU bound of the production derivative cache (default: unbounded).
     compiled:
         a ready :class:`~repro.shex.compiled.CompiledSchema` to adopt instead
-        of compiling one (must belong to ``schema``); implies ``precompile``.
-    signature_cache:
-        the neighbourhood-signature verdict memo
-        (:class:`~repro.shex.cache.SignatureCache`) consulted by the bulk
-        paths before any engine runs: a subject whose canonical one-hop
-        signature was already settled against a label is answered without
-        constructing a matching frame.  ``None`` (default) enables a
-        validator-owned cache automatically whenever both ``shared_context``
-        and ``precompile`` are on (signatures need the compiled atom tables);
-        ``True`` forces one (still requires ``precompile``); ``False``
-        disables signature dedupe (CLI ``--no-signature-cache``); a ready
-        :class:`SignatureCache` instance is adopted as-is — the caller then
-        owns its lifecycle and must clear it on schema change.  The
-        validator-owned cache is dropped when ``schema`` is reassigned;
-        graph mutations need no invalidation because signatures embed the
-        neighbourhood structure they describe.
+        of compiling one (must belong to ``schema``).
     engine_options:
-        keyword options forwarded to the engine factory (e.g.
-        ``simplify=False``, ``budget=10_000`` or ``cache=True`` to give the
-        derivative engine a global cross-node derivative cache).
-
-    .. deprecated:: PR 7
-        Constructing a ``Validator`` directly for *service-shaped* use —
-        load once, keep warm, apply deltas, answer point queries — is
-        superseded by :class:`repro.service.ValidationSession`, the facade
-        the CLI, the HTTP server and the python client all share (one
-        request/response contract, typed errors, unified stats).  Every
-        ``Validator(...)`` kwarg keeps working; only the ad-hoc wiring each
-        caller used to repeat around it is deprecated.
+        keyword options forwarded to the engine factory, e.g. the Section 4
+        ablations ``simplify=False`` / ``memoize=False`` or
+        ``budget=10_000`` for the backtracking engine.
     """
 
     def __init__(self, graph: Graph, schema: Optional[Schema] = None,
                  engine: Union[str, object, None] = None,
-                 shared_context: bool = True,
+                 reference: bool = False,
                  max_recursion_depth: int = 500,
-                 precompile: bool = True,
+                 cache_max_entries: Optional[int] = None,
                  compiled: Optional[CompiledSchema] = None,
                  subject_filter: Optional[Callable[[SubjectTerm], bool]] = None,
-                 signature_cache: Union[None, bool, SignatureCache] = None,
                  **engine_options):
+        if "cache" in engine_options:
+            raise TypeError("the Validator owns the derivative cache; bound it "
+                            "with cache_max_entries")
+        if reference and (compiled is not None or cache_max_entries is not None):
+            raise ValueError("reference=True runs without a compiled schema "
+                             "or a derivative cache")
         self.graph = graph
         self.schema = schema
+        self.reference = reference
+        self.cache_max_entries = cache_max_entries
+        self._worker_engine_spec = _make_engine_spec(engine, engine_options)
+        if not reference and engine in (None, "derivatives"):
+            engine_options["cache"] = DerivativeCache(max_entries=cache_max_entries)
         self.engine = get_engine(engine, **engine_options)
-        self.shared_context = shared_context
         self.max_recursion_depth = max_recursion_depth
         #: restricts which subjects appear in bulk reports and the maintained
         #: baseline.  A resident shard worker validates (and maintains) only
@@ -259,23 +244,17 @@ class Validator:
         #: still derived on demand from the full local graph — the filter
         #: governs report coverage, not reachability.
         self.subject_filter = subject_filter
-        self.precompile = precompile or compiled is not None
         self._compiled = compiled
         self._atoms_adopted = False
-        #: neighbourhood-signature verdict dedupe: the caller's option plus
-        #: the resolved validator-owned cache (invalidated on schema change).
-        self._signature_cache_opt = signature_cache
-        self._signature_cache: Optional[SignatureCache] = (
-            signature_cache if isinstance(signature_cache, SignatureCache)
-            else None)
-        self._signature_cache_schema: Optional[Schema] = schema
-        self._worker_engine_spec = _make_engine_spec(engine, engine_options)
+        #: neighbourhood-signature verdict dedupe, rebuilt on schema change.
+        self._signature_cache: Optional[SignatureCache] = None
+        self._signature_cache_schema: Optional[Schema] = None
         self._context: Optional[ValidationContext] = None
         self._context_key: Optional[tuple] = None
         #: incremental-revalidation baseline: the labels, per-pair entries and
-        #: graph generation of the last full ``validate_graph`` run (shared
-        #: context only).  ``revalidate`` consumes the graph's change journal
-        #: against this generation.
+        #: graph generation of the last full ``validate_graph`` run.
+        #: ``revalidate`` consumes the graph's change journal against this
+        #: generation (production only; the reference always rebuilds).
         self._incremental_labels: Optional[Tuple[ShapeLabel, ...]] = None
         self._incremental_entries: Optional[
             Dict[Tuple[ObjectTerm, ShapeLabel], ValidationReportEntry]] = None
@@ -289,14 +268,14 @@ class Validator:
     # -- schema compilation -------------------------------------------------------
     @property
     def compiled(self) -> Optional[CompiledSchema]:
-        """The compiled tables for the current schema (None when disabled).
+        """The compiled tables for the current schema (None for the reference).
 
         Compiled lazily, once per schema object: reassigning ``schema``
         triggers a recompile on the next use.  The engine's global derivative
         cache (when present) adopts the compiled atom tables so the per-label
         atom walk is never repeated.
         """
-        if not self.precompile or self.schema is None:
+        if self.reference or self.schema is None:
             return None
         if self._compiled is None or self._compiled.schema is not self.schema:
             self._compiled = CompiledSchema(self.schema)
@@ -312,20 +291,14 @@ class Validator:
 
     @property
     def signature_cache(self) -> Optional[SignatureCache]:
-        """The resolved signature cache (None when dedupe is disabled).
+        """The validator-owned signature cache (None for the reference).
 
-        Resolution follows the constructor's ``signature_cache`` option: an
-        adopted instance is returned as-is; ``True`` and the auto default
-        build one validator-owned cache per schema object, so reassigning
-        ``schema`` starts from an empty table (signatures are keyed by the
-        compiled schema's atom order and must not cross schemas).
+        One cache per schema object: reassigning ``schema`` starts from an
+        empty table (signatures are keyed by the compiled schema's atom order
+        and must not cross schemas).  Graph mutations need no invalidation
+        because signatures embed the neighbourhood structure they describe.
         """
-        opt = self._signature_cache_opt
-        if opt is False or self.schema is None or not self.precompile:
-            return None
-        if isinstance(opt, SignatureCache):
-            return opt
-        if opt is None and not self.shared_context:
+        if self.reference or self.schema is None:
             return None
         if self._signature_cache is None \
                 or self._signature_cache_schema is not self.schema:
@@ -355,14 +328,14 @@ class Validator:
         return context
 
     def _bulk_context(self) -> Optional[ValidationContext]:
-        """The persistent shared context (None when ``shared_context`` is off).
+        """The persistent shared context (None for the reference).
 
         The context is rebuilt automatically when anything it was derived
         from changed: graph mutations (tracked through
         :attr:`Graph.generation`) or reassignment of ``graph``, ``schema``,
         ``engine`` or ``max_recursion_depth``.
         """
-        if not self.shared_context:
+        if self.reference:
             return None
         # objects are compared by identity (and kept referenced so their ids
         # cannot be recycled); the generation captures in-place graph edits.
@@ -446,8 +419,8 @@ class Validator:
         Tries every combination of the given nodes (default: every subject
         node of the graph) and labels (default: every label of the schema)
         and returns the typing containing the associations that validate.
-        With ``shared_context`` enabled, verdicts established while checking
-        one combination are reused by every later one.
+        Outside the reference, verdicts established while checking one
+        combination are reused by every later one.
         """
         if self.schema is None:
             raise SchemaError("infer_typing requires a schema")
@@ -511,9 +484,11 @@ class Validator:
 
     def _record_incremental_baseline(self, label_list: Sequence[ShapeLabel],
                                      report: ValidationReport) -> None:
-        """Remember a full run so ``revalidate`` can delta-update it."""
-        if not self.shared_context:
-            return
+        """Remember a full run so ``revalidate`` can delta-update it.
+
+        The reference records it too, so :meth:`maintained_entry` serves its
+        verdicts; its ``revalidate`` still always rebuilds.
+        """
         self._incremental_labels = tuple(label_list)
         self._incremental_entries = {
             (entry.node, entry.label): entry for entry in report.entries
@@ -628,7 +603,7 @@ class Validator:
 
         Falls back to a full ``validate_graph`` — flagged via
         ``full_rebuild`` — when no baseline exists, the label set changed,
-        the journal overflowed, ``shared_context`` is off, or the shared
+        the journal overflowed, the validator is the reference, or the shared
         context was rebuilt behind the baseline's back.  Verdicts are
         identical to a fresh full run either way.  With
         ``allow_full_rebuild=False`` the fallback raises
@@ -775,7 +750,7 @@ class Validator:
         after an unseen mutation, say — its verdicts no longer pair with the
         baseline's entries).
         """
-        if not self.shared_context or self._incremental_entries is None \
+        if self.reference or self._incremental_entries is None \
                 or self._incremental_labels != label_list \
                 or self._context is None:
             return False
@@ -937,22 +912,13 @@ def _prefilter_signature_store(context: ValidationContext, cache: SignatureCache
 # -- the worker engine recipe -------------------------------------------------------
 def _make_engine_spec(engine: Union[str, object, None],
                       engine_options: Mapping[str, object]) -> Optional[tuple]:
-    """Build the picklable ``(name, options, cache_bound)`` worker recipe.
+    """Build the picklable ``(name, options)`` worker recipe.
 
-    Worker processes rebuild their engine from this spec instead of receiving
-    the parent's engine object: a shared :class:`DerivativeCache` instance
-    must not cross process boundaries (each worker keeps a private one), so a
-    cache instance is replaced by ``True`` plus its ``max_entries`` bound.
-    Engine *objects* passed to the validator cannot be shipped; the spec is
-    ``None`` then and sharded validation refuses to run.
+    Worker processes rebuild their validator — and with it a private
+    derivative cache — from this spec instead of receiving the parent's
+    engine object.  Engine *objects* passed to the validator cannot be
+    shipped; the spec is ``None`` then and sharded validation refuses to run.
     """
     if engine is not None and not isinstance(engine, str):
         return None
-    name = engine if isinstance(engine, str) else "derivatives"
-    options = dict(engine_options)
-    cache_option = options.get("cache")
-    cache_bound = None
-    if isinstance(cache_option, DerivativeCache):
-        options["cache"] = True
-        cache_bound = cache_option.max_entries
-    return (name, options, cache_bound)
+    return (engine or "derivatives", dict(engine_options))

@@ -146,7 +146,7 @@ class TestTypingAgreement:
         workload = generate_community_workload(
             num_communities=2, people_per_community=4, seed=9)
         graph, schema = workload.graph, workload.schema
-        derivative = Validator(graph, schema, cache=True).validate_graph()
+        derivative = Validator(graph, schema).validate_graph()
         backtracking = Validator(graph, schema, engine="backtracking",
                                  budget=5_000_000).validate_graph()
         assert backtracking.typing.to_dict() == derivative.typing.to_dict()

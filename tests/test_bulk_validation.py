@@ -11,11 +11,11 @@ them fails against the seed implementation):
 * hitting the recursion-depth budget was cached like a semantic failure, so
   a node that merely exhausted the budget stayed non-conforming forever.
 
-The property-style tests check that the shared-context bulk path (with the
-global derivative cache and hash-consed expressions) agrees with the
-fresh-context-per-node baseline, with the backtracking engine, and with the
-workload generators' ground truth — including cyclic graphs and shape
-references to literal objects.
+The property-style tests check that the production bulk path (shared
+context, global derivative cache, hash-consed expressions) agrees with the
+``reference=True`` fresh-context-per-node semantics, with the backtracking
+engine, and with the workload generators' ground truth — including cyclic
+graphs and shape references to literal objects.
 """
 
 import pytest
@@ -130,23 +130,24 @@ class TestHypothesisDependentCaching:
         graph.add(Triple(EX.e, EX.r, EX.o))
         graph.add(Triple(EX.e, EX.s, EX.m))
         expected = None
-        for shared in (False, True):
-            validator = Validator(graph, schema, shared_context=shared)
+        for reference in (True, False):
+            validator = Validator(graph, schema, reference=reference)
             report = validator.validate_graph(["O", "E"])
             verdicts = {(entry.node, str(entry.label)): entry.conforms
                         for entry in report}
             if expected is None:
                 expected = verdicts
-            assert verdicts == expected, f"shared={shared}"
+            assert verdicts == expected, f"reference={reference}"
             assert not verdicts[(EX.e, "E")]
 
-    def test_shared_context_bulk_run_is_order_independent_on_cycles(self):
+    def test_production_bulk_run_is_order_independent_on_cycles(self):
         graph = cycle_with_invalid_member()
-        for shared in (True, False):
-            validator = Validator(graph, person_schema(), shared_context=shared)
+        for reference in (False, True):
+            validator = Validator(graph, person_schema(), reference=reference)
             report = validator.validate_graph()
             verdicts = {entry.node: entry.conforms for entry in report}
-            assert verdicts == {EX.a: False, EX.b: False}, f"shared={shared}"
+            assert verdicts == {EX.a: False, EX.b: False}, \
+                f"reference={reference}"
 
 
 class TestStatsAliasing:
@@ -163,9 +164,9 @@ class TestStatsAliasing:
     def test_total_stats_equals_the_sum_of_entries(self):
         from repro.workloads import paper_example_graph
 
-        for shared in (True, False):
+        for reference in (False, True):
             validator = Validator(paper_example_graph(), person_schema(),
-                                  shared_context=shared)
+                                  reference=reference)
             report = validator.validate_graph()
             totals = report.total_stats()
             assert totals.derivative_steps == sum(
@@ -240,21 +241,23 @@ class TestDerivativeCache:
     def test_cache_is_shared_across_nodes_and_runs(self):
         cache = DerivativeCache()
         workload = generate_person_workload(num_people=15, seed=3)
-        validator = Validator(workload.graph, workload.schema, cache=cache)
+        validator = Validator(workload.graph, workload.schema,
+                              engine=DerivativeEngine(cache=cache))
         validator.validate_graph()
         first_entries = len(cache)
         assert cache.hits > 0
         # a second run over a *different* graph with the same schema reuses
         # the derivative entries outright
         other = generate_person_workload(num_people=15, seed=4)
-        Validator(other.graph, other.schema, cache=cache).validate_graph()
+        Validator(other.graph, other.schema,
+                  engine=DerivativeEngine(cache=cache)).validate_graph()
         assert len(cache) == first_entries
 
     def test_cached_engine_verdicts_match_uncached(self):
         workload = generate_person_workload(num_people=25, seed=5)
-        plain = Validator(workload.graph, workload.schema, shared_context=False)
-        cached = Validator(workload.graph, workload.schema,
-                           shared_context=True, cache=True)
+        plain = Validator(workload.graph, workload.schema, reference=True)
+        cached = Validator(workload.graph, workload.schema)
+        assert cached.engine.cache is not None and plain.engine.cache is None
         plain_verdicts = {(e.node, e.conforms) for e in plain.validate_graph()}
         cached_verdicts = {(e.node, e.conforms) for e in cached.validate_graph()}
         assert plain_verdicts == cached_verdicts
@@ -268,9 +271,8 @@ class TestBulkAgreement:
         workload = generate_person_workload(num_people=20, invalid_fraction=0.3,
                                             seed=seed)
         valid = set(workload.valid_nodes)
-        bulk = Validator(workload.graph, workload.schema,
-                         shared_context=True, cache=True)
-        per_node = Validator(workload.graph, workload.schema, shared_context=False)
+        bulk = Validator(workload.graph, workload.schema)
+        per_node = Validator(workload.graph, workload.schema, reference=True)
         bulk_verdicts = {e.node: e.conforms for e in bulk.validate_graph()}
         per_node_verdicts = {e.node: e.conforms for e in per_node.validate_graph()}
         assert bulk_verdicts == per_node_verdicts
@@ -281,21 +283,18 @@ class TestBulkAgreement:
     def test_derivatives_and_backtracking_agree_on_the_bulk_path(self, seed):
         workload = generate_person_workload(num_people=10, invalid_fraction=0.3,
                                             knows_probability=0.2, seed=seed)
-        derivative = Validator(workload.graph, workload.schema,
-                               shared_context=True, cache=True)
+        derivative = Validator(workload.graph, workload.schema)
         backtracking = Validator(workload.graph, workload.schema,
-                                 engine=BacktrackingEngine(budget=5_000_000),
-                                 shared_context=True)
+                                 engine=BacktrackingEngine(budget=5_000_000))
         d = {e.node: e.conforms for e in derivative.validate_graph()}
         b = {e.node: e.conforms for e in backtracking.validate_graph()}
         assert d == b
 
-    def test_engines_agree_on_cyclic_graphs_via_shared_context(self):
+    def test_engines_agree_on_cyclic_graphs_in_production(self):
         graph, _ = knows_cycle_graph(5)
         for engine in (DerivativeEngine(cache=True),
                        BacktrackingEngine(budget=5_000_000)):
-            validator = Validator(graph, person_schema(), engine=engine,
-                                  shared_context=True)
+            validator = Validator(graph, person_schema(), engine=engine)
             report = validator.validate_graph()
             assert all(entry.conforms for entry in report), engine.name
 
@@ -312,15 +311,14 @@ class TestBulkAgreement:
         graph.add(Triple(EX.item, EX.tag, Literal("sports")))
         for engine in (DerivativeEngine(cache=True),
                        BacktrackingEngine(budget=1_000_000)):
-            validator = Validator(graph, schema, engine=engine, shared_context=True)
+            validator = Validator(graph, schema, engine=engine)
             assert validator.validate_node(EX.item, "Tagged").conforms, engine.name
 
     def test_infer_typing_shared_equals_fresh(self):
         workload = generate_person_workload(num_people=15, seed=7)
-        shared = Validator(workload.graph, workload.schema,
-                           shared_context=True, cache=True).infer_typing()
+        shared = Validator(workload.graph, workload.schema).infer_typing()
         fresh = Validator(workload.graph, workload.schema,
-                          shared_context=False).infer_typing()
+                          reference=True).infer_typing()
         assert shared == fresh
 
 
@@ -343,11 +341,11 @@ class TestGraphNeighbourhoodCache:
         graph.discard(Triple(EX.n, EX.a, Literal(1)))
         assert len(graph.neighbourhood(EX.n)) == 1
 
-    def test_graph_mutation_invalidates_the_shared_context_automatically(self):
+    def test_graph_mutation_invalidates_the_production_context(self):
         graph = Graph()
         graph.add(Triple(EX.solo, FOAF.age, Literal(30)))
         graph.add(Triple(EX.solo, FOAF.name, Literal("Solo")))
-        validator = Validator(graph, person_schema(), shared_context=True)
+        validator = Validator(graph, person_schema())
         assert validator.validate_graph().entry_for(EX.solo).conforms
         graph.add(Triple(EX.solo, FOAF.age, Literal(31)))  # now two ages → invalid
         assert not validator.validate_graph().entry_for(EX.solo).conforms
@@ -355,12 +353,12 @@ class TestGraphNeighbourhoodCache:
         validator.reset_context()
         assert not validator.validate_graph().entry_for(EX.solo).conforms
 
-    def test_schema_reassignment_invalidates_the_shared_context(self):
+    def test_schema_reassignment_invalidates_the_production_context(self):
         graph = Graph()
         graph.add(Triple(EX.n, EX.p, Literal(1)))
         lenient = Schema({"S": star(arc(EX.p))}, start="S")
         strict = Schema({"S": arc(EX.q)}, start="S")
-        validator = Validator(graph, lenient, shared_context=True)
+        validator = Validator(graph, lenient)
         assert validator.validate_graph().entry_for(EX.n).conforms
         validator.schema = strict
         assert not validator.validate_graph().entry_for(EX.n).conforms

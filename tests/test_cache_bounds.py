@@ -28,10 +28,10 @@ class TestBoundedCache:
 
     def test_derivative_table_stays_within_the_bound(self):
         workload = generate_person_workload(num_people=30, seed=1)
-        cache = DerivativeCache(max_entries=4)
-        validator = Validator(workload.graph, workload.schema, cache=cache)
+        validator = Validator(workload.graph, workload.schema,
+                              cache_max_entries=4)
         validator.validate_graph()
-        stats = cache.stats()
+        stats = validator.engine.cache.stats()
         assert stats["derivatives"] <= 4
         assert stats["constraint_verdicts"] <= 4
         assert stats["expressions"] <= 4  # the atom table honours the bound too
@@ -39,10 +39,8 @@ class TestBoundedCache:
 
     def test_eviction_never_changes_verdicts(self):
         workload = generate_person_workload(num_people=25, seed=2)
-        unbounded = Validator(workload.graph, workload.schema,
-                              cache=DerivativeCache())
-        tiny = Validator(workload.graph, workload.schema,
-                         cache=DerivativeCache(max_entries=2))
+        unbounded = Validator(workload.graph, workload.schema)
+        tiny = Validator(workload.graph, workload.schema, cache_max_entries=2)
         assert verdicts(tiny.validate_graph()) == verdicts(unbounded.validate_graph())
 
     def test_lru_recency_protects_hot_entries(self):
@@ -74,15 +72,14 @@ class TestBoundedCache:
         assert len(cache) == 0
 
     def test_bounded_cache_travels_to_shard_workers(self):
-        # an instance with a bound is rebuilt per worker with the same bound
+        # each worker rebuilds its validator with the coordinator's bound
         from repro.service import ShardedValidator
 
         workload = generate_person_workload(num_people=12, seed=3)
-        cache = DerivativeCache(max_entries=64)
-        serial = Validator(workload.graph, workload.schema, cache=DerivativeCache())
+        serial = Validator(workload.graph, workload.schema)
         sharded = ShardedValidator(workload.graph, workload.schema, shards=2,
-                                   cache=cache)
-        assert sharded._worker_engine_spec[2] == 64
+                                   cache_max_entries=64)
+        assert sharded._load_payload(("Person",), [], 0)[-1] == 64
         try:
             assert verdicts(sharded.validate_graph()) == \
                 verdicts(serial.validate_graph())

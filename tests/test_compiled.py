@@ -228,11 +228,11 @@ class TestCompiledSchema:
 # -------------------------------------------------------------------- validator wiring
 class TestValidatorIntegration:
     def test_verdicts_agree_with_no_precompile(self):
+        # the reference builds no compiled schema
         workload = generate_community_workload(num_communities=4, seed=9)
-        fast = Validator(workload.graph, workload.schema,
-                         cache=True).validate_graph()
-        slow = Validator(workload.graph, workload.schema, cache=True,
-                         precompile=False).validate_graph()
+        fast = Validator(workload.graph, workload.schema).validate_graph()
+        slow = Validator(workload.graph, workload.schema,
+                         reference=True).validate_graph()
         assert ({(e.node, str(e.label)): e.conforms for e in fast}
                 == {(e.node, str(e.label)): e.conforms for e in slow})
 
@@ -248,8 +248,9 @@ class TestValidatorIntegration:
             assert entry.reason
 
     def test_precompile_false_never_prefilters(self):
+        # the reference is the one configuration without a compiled schema
         workload = generate_person_workload(num_people=20, seed=2)
-        validator = Validator(workload.graph, workload.schema, precompile=False)
+        validator = Validator(workload.graph, workload.schema, reference=True)
         assert validator.compiled is None
         report = validator.validate_graph()
         totals = report.total_stats()
@@ -275,14 +276,13 @@ class TestValidatorIntegration:
     def test_ready_made_compiled_schema_is_adopted(self):
         workload = generate_person_workload(num_people=10, seed=6)
         ready = CompiledSchema(workload.schema)
-        cache = DerivativeCache()
-        validator = Validator(workload.graph, workload.schema,
-                              cache=cache, compiled=ready)
+        validator = Validator(workload.graph, workload.schema, compiled=ready)
         assert validator.compiled is ready
         # the engine's derivative cache adopted the precomputed atom tables
         expr = workload.schema.expression("Person")
-        assert cache.atoms_for(expr) is ready.shape("Person").atoms
-        plain = Validator(workload.graph, workload.schema, precompile=False)
+        assert validator.engine.cache.atoms_for(expr) \
+            is ready.shape("Person").atoms
+        plain = Validator(workload.graph, workload.schema, reference=True)
         assert ({(e.node, e.conforms) for e in validator.validate_graph()}
                 == {(e.node, e.conforms) for e in plain.validate_graph()})
 
@@ -290,12 +290,13 @@ class TestValidatorIntegration:
         workload = generate_person_workload(num_people=25, seed=4)
         fast = Validator(workload.graph, workload.schema).infer_typing()
         slow = Validator(workload.graph, workload.schema,
-                         precompile=False).infer_typing()
+                         reference=True).infer_typing()
         assert fast.to_dict() == slow.to_dict()
 
 
 class TestCliEscapeHatch:
     def test_no_precompile_flag_runs_and_agrees(self, tmp_path, capsys):
+        # ``--reference`` is the flag that runs without the compiled schema
         from repro.cli import main
         from repro.workloads import PAPER_EXAMPLE_TURTLE, PERSON_SCHEMA_SHEXC
 
@@ -307,7 +308,7 @@ class TestCliEscapeHatch:
                 "--all-nodes", "--format", "csv"]
         code_fast = main(base)
         fast_out = capsys.readouterr().out
-        code_slow = main(base + ["--no-precompile"])
+        code_slow = main(base + ["--reference"])
         slow_out = capsys.readouterr().out
         assert code_fast == code_slow == 1  # mary does not conform
         # verdicts agree; failure *reasons* may legitimately differ (the

@@ -477,10 +477,9 @@ class TestRevalidate:
         result = validator.revalidate()  # same labels, resolved by default
         assert not result.full_rebuild
 
-    def test_without_shared_context_degenerates_to_full(self):
+    def test_reference_revalidate_degenerates_to_full(self):
         workload = generate_person_workload(num_people=5, seed=4)
-        validator = Validator(workload.graph, workload.schema,
-                              shared_context=False)
+        validator = Validator(workload.graph, workload.schema, reference=True)
         validator.validate_graph()
         result = validator.revalidate()
         assert result.full_rebuild

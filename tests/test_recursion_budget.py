@@ -44,8 +44,13 @@ def default_recursion_limit():
         sys.setrecursionlimit(max(saved, sys.getrecursionlimit()))
 
 
-def hop_frame_counts(schema_text: str, nodes: int):
-    """Stack-depth deltas between successive ``check_reference`` calls."""
+def hop_frame_counts(schema_text: str, nodes: int, reference: bool = True):
+    """Stack-depth deltas between successive ``check_reference`` calls.
+
+    The reference engine resolves each ``@<S>`` from inside the expression
+    walk, the worst case the budget is sized for; production's cached
+    derivative loop resolves references before it walks.
+    """
     depths = []
     original = ValidationContext.check_reference
 
@@ -61,7 +66,8 @@ def hop_frame_counts(schema_text: str, nodes: int):
     graph = Graph.parse(chain_turtle(nodes))
     ValidationContext.check_reference = spy
     try:
-        Validator(graph, schema).validate_node(IRI("http://example.org/n0"), "S")
+        Validator(graph, schema, reference=reference).validate_node(
+            IRI("http://example.org/n0"), "S")
     finally:
         ValidationContext.check_reference = original
     return schema, [after - before for before, after in zip(depths, depths[1:])]
@@ -74,6 +80,9 @@ class TestFramesPerHop:
         walk = expression_depth(schema.expression("S"))
         # + 1: the spy's own frame sits on the stack once per hop
         assert set(deltas) == {FRAMES_PER_HOP + walk + 1}
+        _, production = hop_frame_counts(CHAIN_SCHEMA, 20, reference=False)
+        assert len(production) == 19
+        assert max(production) <= FRAMES_PER_HOP + walk + 1
 
     def test_deeper_shapes_stay_within_the_sized_walk(self):
         text = ("PREFIX ex: <http://example.org/>\n"

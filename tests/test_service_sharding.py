@@ -154,31 +154,22 @@ class TestByteIdentity:
                 session.close()
 
 
-class TestSignatureCacheOption:
-    def test_disabled_cache_reaches_coordinator_and_replicas(self):
+class TestReplicaConfiguration:
+    def test_replicas_run_the_production_caches(self):
+        # replicas get no mode switches: they always run the production
+        # configuration, so the repeated neighbourhood shapes of the person
+        # workload hit the replicas' signature caches
         workload = generate_person_workload(num_people=30, seed=2)
-        sessions = {
-            enabled: ValidationSession(workload.graph.copy(), workload.schema,
-                                       shards=2, use_signature_cache=enabled)
-            for enabled in (True, False)
-        }
+        session = ValidationSession(workload.graph.copy(), workload.schema,
+                                    shards=2)
         try:
-            hits = {}
-            for enabled, session in sessions.items():
-                session.validate()
-                workers = session.stats().fleet["workers"]
-                assert len(workers) == 2
-                hits[enabled] = sum(worker["signature_hits"]
-                                    for worker in workers)
-            assert sessions[False].validator.signature_cache is None
-            assert hits[False] == 0
-            # the workload repeats neighbourhood shapes, so the check above
-            # is not vacuous: with the cache on, the replicas do hit it
-            assert sessions[True].validator.signature_cache is not None
-            assert hits[True] > 0
+            session.validate()
+            workers = session.stats().fleet["workers"]
+            assert len(workers) == 2
+            assert sum(worker["signature_hits"] for worker in workers) > 0
+            assert session.validator.signature_cache is not None
         finally:
-            for session in sessions.values():
-                session.close()
+            session.close()
 
 
 class TestShardedDeltaMachinery:
@@ -281,10 +272,9 @@ class TestShardedMerge:
         workload = generate_community_workload(
             num_communities=3, people_per_community=6, seed=7)
         graph, schema = workload.graph, workload.schema
-        serial = Validator(graph, schema, cache=True).validate_graph()
-        _, sharded = sharded_report(graph, schema, cache=True)
-        per_node = Validator(graph, schema,
-                             shared_context=False).validate_graph()
+        serial = Validator(graph, schema).validate_graph()
+        _, sharded = sharded_report(graph, schema)
+        per_node = Validator(graph, schema, reference=True).validate_graph()
         assert verdicts(sharded) == verdicts(serial)
         # value semantics: equal typings with equal hashes
         assert serial.typing == sharded.typing == per_node.typing
@@ -296,8 +286,7 @@ class TestShardedMerge:
 
     def test_settled_verdicts_merge_into_coordinator_context(self):
         workload = generate_person_workload(num_people=10, seed=6)
-        validator, _ = sharded_report(workload.graph, workload.schema,
-                                      cache=True)
+        validator, _ = sharded_report(workload.graph, workload.schema)
         confirmed, failed = validator._bulk_context().settled_verdicts()
         label = ShapeLabel("Person")
         for node in workload.valid_nodes:
@@ -331,7 +320,7 @@ class TestShardedMerge:
     def test_backtracking_engine_agrees(self):
         workload = generate_community_workload(
             num_communities=3, people_per_community=4, seed=4)
-        derivative = Validator(workload.graph, workload.schema, cache=True)
+        derivative = Validator(workload.graph, workload.schema)
         _, backtracking = sharded_report(workload.graph, workload.schema,
                                          engine="backtracking",
                                          budget=5_000_000)
@@ -340,8 +329,8 @@ class TestShardedMerge:
 
     def test_per_node_mode_is_rejected(self):
         validator = ShardedValidator(paper_example_graph(), person_schema(),
-                                     shards=2, shared_context=False)
-        with pytest.raises(ValueError, match="shared"):
+                                     shards=2, reference=True)
+        with pytest.raises(ValueError, match="reference=True"):
             validator.validate_graph()
 
     def test_engine_objects_are_rejected(self):

@@ -1,9 +1,10 @@
-"""Property-based tests: signature-deduped verdicts equal non-deduped ones.
+"""Property-based tests: signature-deduped verdicts equal the reference's.
 
 The neighbourhood-signature cache may only serve a verdict for a subject
 whose signature is *closed* — a pure function of graph and schema — so for
-any random (schema, graph) pair, bulk validation with the cache on must
-produce exactly the verdicts of a run with the cache off.  The schemas
+any random (schema, graph) pair, production bulk validation (signature
+cache on) must produce exactly the verdicts of a ``reference=True`` run,
+which has no signature, compiled or derivative cache.  The schemas
 drawn here include shape references (self- and mutually-recursive), the
 graphs include self-loops and cross-references, and the property is checked
 on the serial path and on incremental revalidation after a random mutation.
@@ -86,8 +87,7 @@ def _verdicts(report):
 
 
 def _run(graph, schema, *, cached: bool):
-    validator = Validator(graph, schema,
-                          signature_cache=None if cached else False)
+    validator = Validator(graph, schema, reference=not cached)
     return validator, validator.validate_graph()
 
 

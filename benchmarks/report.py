@@ -2,7 +2,7 @@
 """Aggregate the committed ``BENCH_*.json`` artifacts into one markdown table.
 
 Every performance PR commits the JSON its gate benchmark produced
-(``BENCH_columnar.json``, ``BENCH_hotpath.json``, …).  This script renders
+(``BENCH_hotpath.json``, ``BENCH_service.json``, …).  This script renders
 those heterogeneous artifacts into a single perf-trajectory table so the
 repository's headline numbers — and whether each gate passed — live in one
 place::
@@ -63,20 +63,6 @@ def _headline_generic(data: Dict[str, Any], limit: int = 5) -> List[str]:
     return picked
 
 
-def _headline_columnar(data: Dict[str, Any]) -> List[str]:
-    memory = data.get("memory", {})
-    scan = data.get("scan", {})
-    rounds = data.get("verdict_rounds", [])
-    return [
-        f"memory ratio {_fmt(memory.get('memory_ratio', 0.0))}x "
-        f"(gate ≥{_fmt(data.get('min_memory_ratio', 0.0))}x)",
-        f"scan speedup {_fmt(scan.get('scan_speedup', 0.0))}x "
-        f"(gate ≥{_fmt(data.get('min_scan_speedup', 0.0))}x)",
-        f"{len(rounds)} verdict rounds, agree="
-        + _fmt(all(round.get('agree') for round in rounds)),
-    ]
-
-
 def _headline_service(data: Dict[str, Any]) -> List[str]:
     mixed = data.get("mixed_traffic", {})
     warm = data.get("warm_vs_cold", {})
@@ -112,7 +98,6 @@ def _headline_hotpath(data: Dict[str, Any]) -> List[str]:
 
 
 _EXTRACTORS = {
-    "columnar": _headline_columnar,
     "service": _headline_service,
     "fleet": _headline_fleet,
     "hotpath": _headline_hotpath,

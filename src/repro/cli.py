@@ -30,7 +30,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from .rdf import ColumnarGraph, Graph, ParseError, TripleStore
+from .rdf import Graph, ParseError
 from .service.api import ServiceError
 from .shex import Schema, SchemaError
 from .shex.reporting import format_csv, format_text, report_to_json, summarize
@@ -97,11 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
                           metavar="N",
                           help="bound the global derivative cache to N >= 1 "
                                "entries with LRU eviction (default: unbounded)")
-    validate.add_argument("--store", choices=["dict", "columnar"], default="dict",
-                          help="graph storage backend: 'dict' (hash-indexed, "
-                               "default) or 'columnar' (dictionary-encoded "
-                               "sorted int-id indexes with streaming ingest; "
-                               "verdicts are identical)")
     validate.add_argument("--format", choices=["text", "json", "csv", "summary"],
                           default="text", dest="output_format")
     validate.add_argument("--include-stats", action="store_true",
@@ -131,8 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="print the unified ServiceStats counters and "
                                  "revalidation stats to stderr ('=json' for "
                                  "the machine-readable structure)")
-    revalidate.add_argument("--store", choices=["dict", "columnar"], default="dict",
-                            help="graph storage backend (see 'validate --store')")
     revalidate.add_argument("--format", choices=["text", "json", "csv", "summary"],
                             default="text", dest="output_format")
     revalidate.add_argument("--include-stats", action="store_true",
@@ -162,8 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
                                       "the first graph (validated at startup)")
     serve.add_argument("--data-format", choices=["turtle", "ntriples"],
                        default="turtle")
-    serve.add_argument("--store", choices=["dict", "columnar"], default="dict",
-                       help="storage backend for the preloaded graph")
     serve.add_argument("--shards", type=_at_least(0), default=0, metavar="N",
                        help="hash-partition subjects across N resident "
                             "worker processes, kept warm for the graph's "
@@ -221,19 +212,7 @@ def _read_file(path: str) -> str:
         raise SystemExit(f"error: cannot read {path}: {error}")
 
 
-def _load_graph(path: str, data_format: str, store: str = "dict") -> TripleStore:
-    if store == "columnar":
-        if data_format == "ntriples":
-            # Stream line-by-line so the decoded triple list never has to be
-            # held in memory alongside the encoded segments.
-            graph = ColumnarGraph()
-            try:
-                with Path(path).open(encoding="utf-8") as lines:
-                    graph.ingest_ntriples(lines)
-            except OSError as error:
-                raise SystemExit(f"error: cannot read {path}: {error}")
-            return graph
-        return ColumnarGraph.parse(_read_file(path), format=data_format)
+def _load_graph(path: str, data_format: str) -> Graph:
     return Graph.parse(_read_file(path), format=data_format)
 
 
@@ -281,7 +260,7 @@ def _command_validate(args: argparse.Namespace) -> int:
     if args.reference and args.cache_max_entries is not None:
         raise SystemExit("error: --reference runs without a derivative cache; "
                          "drop --cache-max-entries")
-    graph = _load_graph(args.data, args.data_format, args.store)
+    graph = _load_graph(args.data, args.data_format)
     schema = _load_schema(args.schema)
     session = ValidationSession(
         graph, schema, engine=_build_engine(args.engine),
@@ -323,7 +302,7 @@ def _command_revalidate(args: argparse.Namespace) -> int:
                          "(--add and/or --remove)")
     from .service.session import ValidationSession
 
-    graph = _load_graph(args.data, args.data_format, args.store)
+    graph = _load_graph(args.data, args.data_format)
     schema = _load_schema(args.schema)
     labels = [args.shape] if args.shape else None
     session = ValidationSession(graph, schema)
@@ -373,7 +352,7 @@ def _command_serve(args: argparse.Namespace) -> int:
                    max_body_bytes=args.max_body_bytes or None,
                    fleet_response_timeout=args.fleet_response_timeout)
     if args.data:
-        graph = _load_graph(args.data, args.data_format, args.store)
+        graph = _load_graph(args.data, args.data_format)
         session = ValidationSession(
             graph, schema, shards=args.shards,
             cache_max_entries=args.cache_max_entries,

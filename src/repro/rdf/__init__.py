@@ -26,14 +26,11 @@ from .errors import (
     ParseError,
     RDFError,
 )
-from .columnar import ColumnarGraph
-from .dictionary import TermDictionary
 from .graph import (
     ChangeJournal,
     Graph,
     NeighbourhoodView,
     OrderedTriples,
-    TripleStore,
     decomposition_count,
     decompositions,
 )
@@ -71,8 +68,7 @@ __all__ = [
     "Term", "IRI", "BNode", "Literal", "Triple", "SubjectTerm", "ObjectTerm",
     "is_subject_term", "is_predicate_term", "is_object_term",
     # graph / storage layer
-    "Graph", "TripleStore", "ColumnarGraph", "TermDictionary",
-    "ChangeJournal", "NeighbourhoodView",
+    "Graph", "ChangeJournal", "NeighbourhoodView",
     "OrderedTriples", "decompositions", "decomposition_count",
     # namespaces
     "Namespace", "NamespaceManager",

@@ -30,7 +30,6 @@ __all__ = [
     "Graph",
     "NeighbourhoodView",
     "OrderedTriples",
-    "TripleStore",
     "decompositions",
     "decomposition_count",
 ]
@@ -127,352 +126,21 @@ class OrderedTriples(tuple):
     __slots__ = ()
 
 
-class TripleStore:
-    """Shared behaviour of the triple stores — the *store contract*.
-
-    :class:`Graph` (hash indexes of term objects) and
-    :class:`~repro.rdf.columnar.ColumnarGraph` (dictionary-encoded sorted
-    int-array segments) both derive from this class.  A concrete store
-    implements the primitives — ``add``, ``discard``, ``clear``,
-    ``triples``, ``nodes``, ``degree``, ``neighbourhood`` /
-    ``neighbourhood_ordered`` and the set protocol (``__len__`` /
-    ``__iter__`` / ``__contains__``) — and inherits everything the
-    validation layers actually call: the batch/journal machinery, pattern
-    query helpers and the graph algebra of the paper.  Because
-    the derived behaviour is shared code over identical primitives,
-    validation verdicts are store-independent by construction.
-
-    The mutation bookkeeping lives here too: stores invalidate through
-    :meth:`_invalidate_key`, which pops the per-subject neighbourhood
-    caches, bumps the generation and journals the key.  The *key type* is
-    the store's choice — term objects for the dict store, dense subject ids
-    for the columnar store — and :meth:`_decode_journal_keys` translates
-    journal answers back to terms at the :meth:`changes_since` boundary.
-    """
-
-    #: short name reported by :meth:`store_stats` and the CLI ``--store`` flag.
-    store_name = "abstract"
-
-    def __init__(self, namespaces: Optional[NamespaceManager] = None,
-                 journal_max_entries: int = DEFAULT_JOURNAL_BOUND):
-        #: per-subject neighbourhood caches (``Σgₙ`` as a frozenset and as a
-        #: predicate-sorted tuple); invalidated per subject on mutation.  The
-        #: engines ask for the same neighbourhood once per ``(node, label)``
-        #: pair, so bulk validation hits these constantly.  Keyed by whatever
-        #: the concrete store invalidates with (terms or ids).
-        self._neigh_sets: Dict[object, FrozenSet[Triple]] = {}
-        self._neigh_ordered: Dict[object, Tuple[Triple, ...]] = {}
-        #: mutation counter; bumps on every effective add/discard/clear so
-        #: derived state (e.g. a shared ValidationContext) can notice change.
-        self._generation = 0
-        #: bounded per-subject dirty log (see :class:`ChangeJournal`).
-        self._journal = ChangeJournal(max_entries=journal_max_entries)
-        #: batch nesting depth; > 0 coalesces invalidations (see ``batch``).
-        self._batch_depth = 0
-        #: journal keys dirtied inside the current outermost batch.
-        self._batch_dirty: Set[object] = set()
-        self.namespaces = namespaces if namespaces is not None else NamespaceManager(
-            bind_defaults=True
-        )
-
-    # ------------------------------------------------------- store primitives
-    def add(self, triple: Triple) -> "TripleStore":  # pragma: no cover
-        raise NotImplementedError
-
-    def discard(self, triple: Triple) -> "TripleStore":  # pragma: no cover
-        raise NotImplementedError
-
-    def triples(self, subject: Optional[SubjectTerm] = None,
-                predicate: Optional[IRI] = None,
-                obj: Optional[ObjectTerm] = None
-                ) -> Iterator[Triple]:  # pragma: no cover
-        raise NotImplementedError
-
-    # --------------------------------------------------- mutation bookkeeping
-    def _invalidate_key(self, key: object) -> None:
-        # the cache pop is unconditional so reads *inside* a batch still see
-        # current triples; only the generation bump and the journal record
-        # are coalesced to the end of the batch.
-        self._neigh_sets.pop(key, None)
-        self._neigh_ordered.pop(key, None)
-        # the generation counts every effective mutation, batch or not: an
-        # integer bump is nearly free, and anything derived from the graph
-        # (shared contexts, maintained baselines) stays stale-detectable even
-        # mid-batch.
-        self._generation += 1
-        if self._batch_depth:
-            self._batch_dirty.add(key)
-        else:
-            self._journal.record(key, self._generation)
-
-    @property
-    def generation(self) -> int:
-        """Monotonic mutation counter (changes whenever the triples change)."""
-        return self._generation
-
-    # ------------------------------------------------------------ change journal
-    @property
-    def journal(self) -> ChangeJournal:
-        """The store's bounded :class:`ChangeJournal`."""
-        return self._journal
-
-    def _decode_journal_keys(self, keys: FrozenSet) -> FrozenSet[SubjectTerm]:
-        """Translate journal keys back to subject terms (identity by default)."""
-        return keys
-
-    def changes_since(self, generation: int) -> Optional[FrozenSet[SubjectTerm]]:
-        """Subjects whose neighbourhoods may have changed after ``generation``.
-
-        Returns ``None`` when the journal cannot answer (it overflowed or was
-        truncated since ``generation``, or ``generation`` predates it): the
-        caller must assume everything changed.  Asking from inside a batch is
-        an error — the batch's mutations have not been journalled yet, so any
-        answer would under-report.
-        """
-        if self._batch_depth:
-            raise GraphError("changes_since inside an open batch would "
-                             "under-report; close the batch first")
-        keys = self._journal.changes_since(generation)
-        if keys is None:
-            return None
-        return self._decode_journal_keys(keys)
-
-    def begin_batch(self) -> None:
-        """Enter batch mode: coalesce journal records until ``end_batch``.
-
-        Nestable; only the outermost pair takes effect.  While a batch is
-        open, triple reads see every mutation immediately (per-subject
-        neighbourhood caches are still invalidated eagerly, and the
-        generation still counts every effective mutation — derived state
-        stays stale-detectable mid-batch), but the journal
-        receives one record per touched *subject* instead of one per triple,
-        all stamped with the batch's final generation.  A batch that changes
-        nothing (empty, or a fully idempotent replay) leaves the generation
-        untouched, so derived state stays valid.
-        """
-        self._batch_depth += 1
-
-    def end_batch(self) -> None:
-        """Leave batch mode, journalling the coalesced per-subject changes."""
-        if self._batch_depth == 0:
-            raise GraphError("end_batch without a matching begin_batch")
-        self._batch_depth -= 1
-        if self._batch_depth == 0 and self._batch_dirty:
-            # stamping with the final generation over-approximates soundly:
-            # a consumer that derived state mid-batch sees every batch
-            # subject as changed, including those mutated before its read.
-            for key in self._batch_dirty:
-                self._journal.record(key, self._generation)
-            self._batch_dirty.clear()
-
-    @contextmanager
-    def batch(self):
-        """Context manager around ``begin_batch`` / ``end_batch``::
-
-            with graph.batch():
-                for triple in bulk:
-                    graph.add(triple)
-        """
-        self.begin_batch()
-        try:
-            yield self
-        finally:
-            self.end_batch()
-
-    # ------------------------------------------------------- bulk modification
-    def add_triple(self, subject: SubjectTerm, predicate: IRI,
-                   obj: ObjectTerm) -> "TripleStore":
-        """Convenience wrapper building the :class:`Triple` for the caller."""
-        return self.add(Triple(subject, predicate, obj))
-
-    def update(self, triples: Iterable[Triple]) -> "TripleStore":
-        """Add every triple from ``triples``.  Returns ``self``."""
-        return self.add_all(triples)
-
-    def add_all(self, triples: Iterable[Triple]) -> "TripleStore":
-        """Add every triple inside one batch (one journal record per touched
-        subject).  Returns ``self``."""
-        # materialise first: the natural call sites hand in live generators
-        # over this very graph (``graph.add_all(other.triples(...))`` where
-        # ``other is graph``), which would otherwise mutate the indexes
-        # they are iterating.
-        with self.batch():
-            for triple in list(triples):
-                self.add(triple)
-        return self
-
-    def remove_all(self, triples: Iterable[Triple]) -> "TripleStore":
-        """Discard every triple inside one batch.  Returns ``self``.
-
-        Absent triples are ignored (``discard`` semantics), so a removal
-        batch can be replayed idempotently.  The iterable is materialised
-        first, so ``graph.remove_all(graph.triples(subject=s))`` — deleting
-        a subject through a live query over the same graph — is safe.
-        """
-        with self.batch():
-            for triple in list(triples):
-                self.discard(triple)
-        return self
-
-    def remove(self, triple: Triple) -> "TripleStore":
-        """Remove ``triple``; raise :class:`GraphError` if absent."""
-        if triple not in self:
-            raise GraphError(f"triple not in graph: {triple}")
-        return self.discard(triple)
-
-    # ------------------------------------------------------------ set protocol
-    def __bool__(self) -> bool:
-        return len(self) > 0
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, TripleStore):
-            return self.to_set() == other.to_set()
-        if isinstance(other, (set, frozenset)):
-            return self.to_set() == other
-        return NotImplemented
-
-    def __hash__(self):  # pragma: no cover - mutable container
-        raise TypeError(f"{type(self).__name__} is mutable and unhashable; "
-                        f"use frozenset(graph)")
-
-    # ------------------------------------------------------------ query helpers
-    def subjects(self, predicate: Optional[IRI] = None,
-                 obj: Optional[ObjectTerm] = None) -> Iterator[SubjectTerm]:
-        """Iterate over distinct subjects of triples matching the pattern."""
-        seen: Set[SubjectTerm] = set()
-        for triple in self.triples(None, predicate, obj):
-            if triple.subject not in seen:
-                seen.add(triple.subject)
-                yield triple.subject
-
-    def predicates(self, subject: Optional[SubjectTerm] = None,
-                   obj: Optional[ObjectTerm] = None) -> Iterator[IRI]:
-        """Iterate over distinct predicates of triples matching the pattern."""
-        seen: Set[IRI] = set()
-        for triple in self.triples(subject, None, obj):
-            if triple.predicate not in seen:
-                seen.add(triple.predicate)
-                yield triple.predicate
-
-    def objects(self, subject: Optional[SubjectTerm] = None,
-                predicate: Optional[IRI] = None) -> Iterator[ObjectTerm]:
-        """Iterate over distinct objects of triples matching the pattern."""
-        seen: Set[ObjectTerm] = set()
-        for triple in self.triples(subject, predicate, None):
-            if triple.object not in seen:
-                seen.add(triple.object)
-                yield triple.object
-
-    def value(self, subject: SubjectTerm, predicate: IRI) -> Optional[ObjectTerm]:
-        """Return one object for ``(subject, predicate)`` or ``None``."""
-        for obj in self.objects(subject, predicate):
-            return obj
-        return None
-
-    def all_nodes(self) -> Iterator[ObjectTerm]:
-        """Iterate over every distinct node (subjects and objects)."""
-        seen: Set[ObjectTerm] = set()
-        for triple in self:
-            for term in (triple.subject, triple.object):
-                if term not in seen:
-                    seen.add(term)
-                    yield term
-
-    # ------------------------------------------------------ paper-level algebra
-    def neighbourhood_any(self, node: SubjectTerm) -> Iterable[Triple]:
-        """``Σgₙ`` in whatever representation is cheapest to produce.
-
-        For the dict store that is the unsorted frozenset (no predicate
-        sort); the columnar store returns its ordered tuples instead.  Order-insensitive consumers — the
-        compiled-schema prefilter above all — should use this accessor.
-        """
-        return self.neighbourhood(node)
-
-    def signature_pairs(self, node: SubjectTerm) -> Optional[tuple]:
-        """Id-native raw material for a neighbourhood signature, or ``None``.
-
-        The columnar store overrides this with ``(subject_id, sorted
-        (predicate_id, object_id) pairs)`` straight from its int indexes;
-        term-object stores answer ``None`` and signature construction falls
-        back to :meth:`neighbourhood_any` term pairs.  Either path yields the
-        same canonical signature *classes* — only the memo keys differ.
-        """
-        return None
-
-    def neighbourhood_view(self, node: SubjectTerm) -> "NeighbourhoodView":
-        """Return a :class:`NeighbourhoodView` over ``Σgₙ``."""
-        return NeighbourhoodView(node, self.neighbourhood(node))
-
-    def union(self, other: "TripleStore") -> "TripleStore":
-        """Return a new graph ``self ⊕ other`` (blank-node identity preserved).
-
-        The result uses the receiver's store kind.
-        """
-        result = type(self)(namespaces=self.namespaces.copy())
-        result.update(self)
-        result.update(other)
-        for prefix, base in other.namespaces.prefixes():
-            if prefix not in result.namespaces:
-                result.namespaces.bind(prefix, base)
-        return result
-
-    def __or__(self, other: "TripleStore") -> "TripleStore":
-        return self.union(other)
-
-    def __add__(self, other: "TripleStore") -> "TripleStore":
-        return self.union(other)
-
-    def copy(self) -> "TripleStore":
-        """Return an independent copy of the graph (same store kind)."""
-        return type(self)(self, namespaces=self.namespaces.copy())
-
-    def to_set(self) -> FrozenSet[Triple]:
-        """Return the triples as an immutable frozenset."""
-        return frozenset(self)
-
-    def sorted_triples(self) -> List[Triple]:
-        """Return triples in a deterministic (term-ordered) list."""
-        return sorted(self, key=Triple.sort_key)
-
-    # ------------------------------------------------------------ observability
-    def store_stats(self) -> Dict[str, object]:
-        """Store-level counters surfaced by ``--cache-stats``."""
-        return {
-            "store": self.store_name,
-            "triples": len(self),
-            "cached_neighbourhoods":
-                len(self._neigh_sets) + len(self._neigh_ordered),
-        }
-
-    # ------------------------------------------------------------ serialisation
-    def serialize(self, format: str = "turtle") -> str:
-        """Serialise the graph (formats: ``turtle``, ``ntriples``)."""
-        if format in ("turtle", "ttl"):
-            from .turtle import serialize_turtle
-
-            return serialize_turtle(self)
-        if format in ("ntriples", "nt"):
-            from .ntriples import serialize_ntriples
-
-            return serialize_ntriples(self)
-        raise GraphError(f"unknown serialisation format: {format!r}")
-
-
-class Graph(TripleStore):
+class Graph:
     """A set of RDF triples with pattern-matching indexes.
 
     The class behaves like a set of :class:`~repro.rdf.terms.Triple` (supports
     ``in``, ``len``, iteration) and adds RDF-specific operations: triple
     pattern queries, namespace management, node neighbourhoods and union.
-    """
 
-    store_name = "dict"
+    Every effective mutation pops the subject's cached neighbourhoods, bumps
+    :attr:`generation` and records the subject in the bounded change
+    journal; :meth:`batch` coalesces the journal records of a bulk edit.
+    """
 
     def __init__(self, triples: Optional[Iterable[Triple]] = None,
                  namespaces: Optional[NamespaceManager] = None,
                  journal_max_entries: int = DEFAULT_JOURNAL_BOUND):
-        super().__init__(namespaces=namespaces,
-                         journal_max_entries=journal_max_entries)
         self._triples: Set[Triple] = set()
         self._spo: Dict[SubjectTerm, Dict[IRI, Set[ObjectTerm]]] = defaultdict(
             lambda: defaultdict(set)
@@ -482,6 +150,24 @@ class Graph(TripleStore):
         )
         self._osp: Dict[ObjectTerm, Dict[SubjectTerm, Set[IRI]]] = defaultdict(
             lambda: defaultdict(set)
+        )
+        #: per-subject neighbourhood caches (``Σgₙ`` as a frozenset and as a
+        #: predicate-sorted tuple); invalidated per subject on mutation.  The
+        #: engines ask for the same neighbourhood once per ``(node, label)``
+        #: pair, so bulk validation hits these constantly.
+        self._neigh_sets: Dict[SubjectTerm, FrozenSet[Triple]] = {}
+        self._neigh_ordered: Dict[SubjectTerm, Tuple[Triple, ...]] = {}
+        #: mutation counter; bumps on every effective add/discard/clear so
+        #: derived state (e.g. a shared ValidationContext) can notice change.
+        self._generation = 0
+        #: bounded per-subject dirty log (see :class:`ChangeJournal`).
+        self._journal = ChangeJournal(max_entries=journal_max_entries)
+        #: batch nesting depth; > 0 coalesces invalidations (see ``batch``).
+        self._batch_depth = 0
+        #: subjects dirtied inside the current outermost batch.
+        self._batch_dirty: Set[SubjectTerm] = set()
+        self.namespaces = namespaces if namespaces is not None else NamespaceManager(
+            bind_defaults=True
         )
         if triples is not None:
             self.add_all(triples)
@@ -566,7 +252,127 @@ class Graph(TripleStore):
         self._batch_dirty.clear()
 
     def _invalidate_neighbourhood(self, subject: SubjectTerm) -> None:
-        self._invalidate_key(subject)
+        # the cache pop is unconditional so reads *inside* a batch still see
+        # current triples; only the journal record is coalesced to the end
+        # of the batch.
+        self._neigh_sets.pop(subject, None)
+        self._neigh_ordered.pop(subject, None)
+        # the generation counts every effective mutation, batch or not: an
+        # integer bump is nearly free, and anything derived from the graph
+        # (shared contexts, maintained baselines) stays stale-detectable even
+        # mid-batch.
+        self._generation += 1
+        if self._batch_depth:
+            self._batch_dirty.add(subject)
+        else:
+            self._journal.record(subject, self._generation)
+
+    def remove(self, triple: Triple) -> "Graph":
+        """Remove ``triple``; raise :class:`GraphError` if absent."""
+        if triple not in self._triples:
+            raise GraphError(f"triple not in graph: {triple}")
+        return self.discard(triple)
+
+    def add_triple(self, subject: SubjectTerm, predicate: IRI,
+                   obj: ObjectTerm) -> "Graph":
+        """Convenience wrapper building the :class:`Triple` for the caller."""
+        return self.add(Triple(subject, predicate, obj))
+
+    def update(self, triples: Iterable[Triple]) -> "Graph":
+        """Add every triple from ``triples``.  Returns ``self``."""
+        return self.add_all(triples)
+
+    def add_all(self, triples: Iterable[Triple]) -> "Graph":
+        """Add every triple inside one batch (one journal record per touched
+        subject).  Returns ``self``."""
+        # materialise first: the natural call sites hand in live generators
+        # over this very graph (``graph.add_all(other.triples(...))`` where
+        # ``other is graph``), which would otherwise mutate the indexes
+        # they are iterating.
+        with self.batch():
+            for triple in list(triples):
+                self.add(triple)
+        return self
+
+    def remove_all(self, triples: Iterable[Triple]) -> "Graph":
+        """Discard every triple inside one batch.  Returns ``self``.
+
+        Absent triples are ignored (``discard`` semantics), so a removal
+        batch can be replayed idempotently.  The iterable is materialised
+        first, so ``graph.remove_all(graph.triples(subject=s))`` — deleting
+        a subject through a live query over the same graph — is safe.
+        """
+        with self.batch():
+            for triple in list(triples):
+                self.discard(triple)
+        return self
+
+    # ------------------------------------------------------------ change journal
+    @property
+    def generation(self) -> int:
+        """Monotonic mutation counter (changes whenever the triples change)."""
+        return self._generation
+
+    @property
+    def journal(self) -> ChangeJournal:
+        """The graph's bounded :class:`ChangeJournal`."""
+        return self._journal
+
+    def changes_since(self, generation: int) -> Optional[FrozenSet[SubjectTerm]]:
+        """Subjects whose neighbourhoods may have changed after ``generation``.
+
+        Returns ``None`` when the journal cannot answer (it overflowed or was
+        truncated since ``generation``, or ``generation`` predates it): the
+        caller must assume everything changed.  Asking from inside a batch is
+        an error — the batch's mutations have not been journalled yet, so any
+        answer would under-report.
+        """
+        if self._batch_depth:
+            raise GraphError("changes_since inside an open batch would "
+                             "under-report; close the batch first")
+        return self._journal.changes_since(generation)
+
+    def begin_batch(self) -> None:
+        """Enter batch mode: coalesce journal records until ``end_batch``.
+
+        Nestable; only the outermost pair takes effect.  While a batch is
+        open, triple reads see every mutation immediately (per-subject
+        neighbourhood caches are still invalidated eagerly, and the
+        generation still counts every effective mutation — derived state
+        stays stale-detectable mid-batch), but the journal
+        receives one record per touched *subject* instead of one per triple,
+        all stamped with the batch's final generation.  A batch that changes
+        nothing (empty, or a fully idempotent replay) leaves the generation
+        untouched, so derived state stays valid.
+        """
+        self._batch_depth += 1
+
+    def end_batch(self) -> None:
+        """Leave batch mode, journalling the coalesced per-subject changes."""
+        if self._batch_depth == 0:
+            raise GraphError("end_batch without a matching begin_batch")
+        self._batch_depth -= 1
+        if self._batch_depth == 0 and self._batch_dirty:
+            # stamping with the final generation over-approximates soundly:
+            # a consumer that derived state mid-batch sees every batch
+            # subject as changed, including those mutated before its read.
+            for subject in self._batch_dirty:
+                self._journal.record(subject, self._generation)
+            self._batch_dirty.clear()
+
+    @contextmanager
+    def batch(self):
+        """Context manager around ``begin_batch`` / ``end_batch``::
+
+            with graph.batch():
+                for triple in bulk:
+                    graph.add(triple)
+        """
+        self.begin_batch()
+        try:
+            yield self
+        finally:
+            self.end_batch()
 
     # ---------------------------------------------------------------- querying
     def triples(
@@ -654,6 +460,48 @@ class Graph(TripleStore):
         by_pred = self._spo.get(node)
         return by_pred if by_pred is not None else {}
 
+    def subjects(self, predicate: Optional[IRI] = None,
+                 obj: Optional[ObjectTerm] = None) -> Iterator[SubjectTerm]:
+        """Iterate over distinct subjects of triples matching the pattern."""
+        seen: Set[SubjectTerm] = set()
+        for triple in self.triples(None, predicate, obj):
+            if triple.subject not in seen:
+                seen.add(triple.subject)
+                yield triple.subject
+
+    def predicates(self, subject: Optional[SubjectTerm] = None,
+                   obj: Optional[ObjectTerm] = None) -> Iterator[IRI]:
+        """Iterate over distinct predicates of triples matching the pattern."""
+        seen: Set[IRI] = set()
+        for triple in self.triples(subject, None, obj):
+            if triple.predicate not in seen:
+                seen.add(triple.predicate)
+                yield triple.predicate
+
+    def objects(self, subject: Optional[SubjectTerm] = None,
+                predicate: Optional[IRI] = None) -> Iterator[ObjectTerm]:
+        """Iterate over distinct objects of triples matching the pattern."""
+        seen: Set[ObjectTerm] = set()
+        for triple in self.triples(subject, predicate, None):
+            if triple.object not in seen:
+                seen.add(triple.object)
+                yield triple.object
+
+    def value(self, subject: SubjectTerm, predicate: IRI) -> Optional[ObjectTerm]:
+        """Return one object for ``(subject, predicate)`` or ``None``."""
+        for obj in self.objects(subject, predicate):
+            return obj
+        return None
+
+    def all_nodes(self) -> Iterator[ObjectTerm]:
+        """Iterate over every distinct node (subjects and objects)."""
+        seen: Set[ObjectTerm] = set()
+        for triple in self:
+            for term in (triple.subject, triple.object):
+                if term not in seen:
+                    seen.add(term)
+                    yield term
+
     # ------------------------------------------------------ paper-level algebra
     def neighbourhood(self, node: SubjectTerm) -> FrozenSet[Triple]:
         """Return ``Σgₙ``: the set of triples whose subject is ``node``.
@@ -689,11 +537,60 @@ class Graph(TripleStore):
         self._neigh_ordered[node] = result
         return result
 
+    def neighbourhood_view(self, node: SubjectTerm) -> "NeighbourhoodView":
+        """Return a :class:`NeighbourhoodView` over ``Σgₙ``."""
+        return NeighbourhoodView(node, self.neighbourhood(node))
+
+    def union(self, other: "Graph") -> "Graph":
+        """Return a new graph ``self ⊕ other`` (blank-node identity preserved)."""
+        result = Graph(namespaces=self.namespaces.copy())
+        result.update(self)
+        result.update(other)
+        for prefix, base in other.namespaces.prefixes():
+            if prefix not in result.namespaces:
+                result.namespaces.bind(prefix, base)
+        return result
+
+    def __or__(self, other: "Graph") -> "Graph":
+        return self.union(other)
+
+    def __add__(self, other: "Graph") -> "Graph":
+        return self.union(other)
+
+    def copy(self) -> "Graph":
+        """Return an independent copy of the graph."""
+        return Graph(self, namespaces=self.namespaces.copy())
+
     def to_set(self) -> FrozenSet[Triple]:
         """Return the triples as an immutable frozenset."""
         return frozenset(self._triples)
 
+    def sorted_triples(self) -> List[Triple]:
+        """Return triples in a deterministic (term-ordered) list."""
+        return sorted(self._triples, key=Triple.sort_key)
+
+    # ------------------------------------------------------------ observability
+    def store_stats(self) -> Dict[str, object]:
+        """Store-level counters surfaced by ``--cache-stats``."""
+        return {
+            "triples": len(self._triples),
+            "cached_neighbourhoods":
+                len(self._neigh_sets) + len(self._neigh_ordered),
+        }
+
     # ------------------------------------------------------------ serialisation
+    def serialize(self, format: str = "turtle") -> str:
+        """Serialise the graph (formats: ``turtle``, ``ntriples``)."""
+        if format in ("turtle", "ttl"):
+            from .turtle import serialize_turtle
+
+            return serialize_turtle(self)
+        if format in ("ntriples", "nt"):
+            from .ntriples import serialize_ntriples
+
+            return serialize_ntriples(self)
+        raise GraphError(f"unknown serialisation format: {format!r}")
+
     @classmethod
     def parse(cls, data: str, format: str = "turtle",
               base: Optional[str] = None) -> "Graph":

@@ -7,9 +7,9 @@ the building block of the Turtle serialiser's escaping rules.
 Ingest matches each line once against a whole-line regex built from the
 per-token patterns below.  A line it rejects is re-parsed token by token
 (:func:`_parse_line_tokens`) only to raise the precise :class:`ParseError`.
-A dict-store parse also keeps a term table keyed by raw token, so each
-distinct IRI, blank node or literal is built and validated once and every
-triple that uses it shares the same object.
+The parse keeps a term table keyed by raw token, so each distinct IRI,
+blank node or literal is built and validated once and every triple that
+uses it shares the same object.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .terms import BNode, IRI, Literal, ObjectTerm, SubjectTerm, Term, Triple
 __all__ = [
     "parse_ntriples",
     "iter_ntriples",
-    "iter_ntriples_lines",
     "split_ntriples_lines",
     "parse_term",
     "serialize_ntriples",
@@ -205,16 +204,13 @@ def parse_term(text: str) -> ObjectTerm:
     return term
 
 
-def _iter_triples(lines: Iterable[str],
-                  terms: Optional[Dict[str, Term]]) -> Iterator[Triple]:
+def _iter_triples(lines: Iterable[str]) -> Iterator[Triple]:
     """The ingest loop: one regex match and three term-table probes a line.
 
-    ``terms`` maps raw tokens (``<iri>``, ``_:label``, ``"lexical"@lang``
-    …) to the terms built from them; ``None`` keeps no table beyond the
-    current line.
+    The table maps raw tokens (``<iri>``, ``_:label``, ``"lexical"@lang``
+    …) to the terms built from them, for the lifetime of the parse.
     """
-    forget = terms is None
-    table: Dict[str, Term] = {} if terms is None else terms
+    table: Dict[str, Term] = {}
     get = table.get
     match_line = _TRIPLE_RE.match
     new = tuple.__new__
@@ -226,8 +222,6 @@ def _iter_triples(lines: Iterable[str],
                 continue
             yield _parse_line_tokens(line, lineno)
             continue
-        if forget:
-            table.clear()
         s_token, p_token, o_token = match.group(1, 4, 6)
         subject = get(s_token)
         if subject is None:
@@ -265,25 +259,13 @@ def split_ntriples_lines(data: str) -> List[str]:
     return data.split("\n")
 
 
-def iter_ntriples_lines(lines: Iterable[str]) -> Iterator[Triple]:
-    """Yield triples from an iterable of N-Triples lines, one at a time.
-
-    This is the streaming entry point: ``lines`` can be an open file handle
-    or any other lazy line source, and only the line currently being parsed
-    is held in memory — no term table outlives its line.  The columnar
-    store's segment-bounded ingest path feeds on this, encoding each yielded
-    triple into integer ids and letting the term objects go.
-    """
-    return _iter_triples(lines, None)
-
-
 def iter_ntriples(data: str) -> Iterator[Triple]:
     """Yield triples from N-Triples text, skipping comments and blank lines.
 
     The whole text is resident already, so the parse keeps a term table for
     its lifetime: triples that repeat a term share one term object.
     """
-    return _iter_triples(split_ntriples_lines(data), {})
+    return _iter_triples(split_ntriples_lines(data))
 
 
 def parse_ntriples(data: str) -> Graph:

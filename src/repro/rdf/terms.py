@@ -352,11 +352,10 @@ class Triple(tuple):
     the vocabulary constraints of Section 2 of the paper.
 
     The class is a ``tuple`` subclass, not a dataclass: the storage layer
-    hashes triples constantly (the dict store's indexes and neighbourhood
-    frozensets) and the columnar store materialises them in bulk on every
-    scan, so construction, hashing and equality all running at C speed is a
-    measurable win.  Field access stays attribute-style (``triple.subject``)
-    through ``itemgetter`` properties.
+    hashes triples constantly (the graph's indexes and neighbourhood
+    frozensets), so construction, hashing and equality all running at C
+    speed is a measurable win.  Field access stays attribute-style
+    (``triple.subject``) through ``itemgetter`` properties.
     """
 
     __slots__ = ()
@@ -433,16 +432,3 @@ class Triple(tuple):
             predicate if predicate is not None else self[1],
             object if object is not None else self[2],
         )
-
-
-def unchecked_triple(subject: SubjectTerm, predicate: IRI,
-                     obj: ObjectTerm) -> Triple:
-    """Build a :class:`Triple` from positions already known to be valid.
-
-    The dictionary-encoded store rebuilds triples from ids whose per-kind
-    ranges (see :mod:`repro.rdf.dictionary`) already guarantee the
-    vocabulary constraints of Section 2, so the constructor's ``isinstance``
-    checks are pure overhead on its scan paths.  Only use this with
-    positions that went through validation once before.
-    """
-    return tuple.__new__(Triple, (subject, predicate, obj))

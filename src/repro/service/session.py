@@ -29,8 +29,7 @@ import threading
 from collections import OrderedDict
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from ..rdf import ColumnarGraph, Graph, ParseError, TripleStore
-from ..rdf.errors import GraphError
+from ..rdf import Graph, ParseError
 from ..rdf.ntriples import iter_ntriples, parse_term
 from ..rdf.terms import ObjectTerm, Triple
 from ..shex.results import MatchStats
@@ -65,11 +64,8 @@ def collect_stats(validator: Validator, totals: MatchStats,
     is one format everywhere.
     """
     graph = validator.graph
-    try:
-        store = dict(graph.store_stats())
-    except GraphError:  # pragma: no cover - defensive
-        store = {}
-    journal = dict(graph.journal.stats()) if hasattr(graph, "journal") else {}
+    store = dict(graph.store_stats())
+    journal = dict(graph.journal.stats())
     compiled = validator.compiled
     if compiled is None:
         prefilter = {}
@@ -115,7 +111,7 @@ def collect_stats(validator: Validator, totals: MatchStats,
     fleet_stats = getattr(validator, "fleet_stats", None)
     fleet = fleet_stats() if callable(fleet_stats) else {}
     return ServiceStats(
-        generation=getattr(graph, "generation", 0),
+        generation=graph.generation,
         store=store, journal=journal, prefilter=prefilter,
         cache=cache, signature=signature, profile=profile,
         verdicts=verdicts,
@@ -138,7 +134,7 @@ class ValidationSession:
     goes stale and verdict queries start failing with ``stale-baseline``.
     """
 
-    def __init__(self, graph: TripleStore, schema: Schema, *,
+    def __init__(self, graph: Graph, schema: Schema, *,
                  engine: Union[str, object, None] = None,
                  shards: int = 0,
                  reference: bool = False,
@@ -192,7 +188,8 @@ class ValidationSession:
         """Build a session from a :class:`ValidationRequest` payload.
 
         Parse failures become typed errors: ``schema-error`` for the ShExC
-        text, ``parse-error`` for the RDF payload — the codes the server
+        text, ``parse-error`` for the RDF payload, ``bad-request`` for a
+        ``labels`` entry the schema does not define — the codes the server
         returns as HTTP 400.
         """
         if request.schema:
@@ -206,12 +203,16 @@ class ValidationSession:
             raise ServiceError("schema-error",
                                "no schema in the request and the server has "
                                "no preloaded schema", 400)
+        for label in request.labels or ():
+            # an unknown or empty name is the client's mistake: reject it
+            # before the graph is parsed or any shard worker starts
+            try:
+                schema.expression(label)
+            except (SchemaError, ValueError) as error:
+                raise ServiceError("bad-request", f"labels: {error}",
+                                   400) from error
         try:
-            if request.store == "columnar":
-                graph: TripleStore = ColumnarGraph.parse(
-                    request.data, format=request.data_format)
-            else:
-                graph = Graph.parse(request.data, format=request.data_format)
+            graph = Graph.parse(request.data, format=request.data_format)
         except ParseError as error:
             raise ServiceError("parse-error", str(error), 400) from error
         shards = request.shards if request.shards is not None else default_shards

@@ -58,10 +58,8 @@ from .typing import ShapeLabel
 __all__ = [
     "CompiledShape",
     "CompiledSchema",
-    "LazyNeighbourhood",
     "PrefilterDecision",
     "predicate_counts",
-    "store_counts",
 ]
 
 
@@ -101,42 +99,6 @@ def predicate_counts(triples: Iterable[Triple]) -> Counter:
     for triple in triples:
         counts[triple.predicate] += 1
     return counts
-
-
-class LazyNeighbourhood:
-    """An iterable ``Σgₙ`` proxy that defers the scan until iterated.
-
-    :meth:`CompiledShape.prefilter` only touches its ``triples`` argument in
-    the value-screen loop; every count-only decision (nullability, first /
-    allowed / required predicates, cardinality bounds) reads the counts
-    mapping alone.  When predicate counts come straight from the store
-    (:func:`store_counts`), handing the prefilter this proxy means most
-    decisions never materialise a single neighbourhood triple.  Stores cache
-    the underlying scan, so repeated iteration costs one lookup.
-    """
-
-    __slots__ = ("_fetch", "_node")
-
-    def __init__(self, fetch, node):
-        self._fetch = fetch
-        self._node = node
-
-    def __iter__(self):
-        return iter(self._fetch(self._node))
-
-
-def store_counts(graph, node) -> Mapping[IRI, int]:
-    """Per-predicate out-edge counts of ``node``, via the store's fast path.
-
-    Both triple stores expose ``predicate_counts`` (the dict store reads its
-    SPO index, the columnar store counts id pairs); foreign graph objects
-    fall back to counting materialised triples.
-    """
-    counter = getattr(graph, "predicate_counts", None)
-    if counter is not None:
-        return counter(node)
-    fetch = getattr(graph, "neighbourhood_any", graph.neighbourhood)
-    return predicate_counts(fetch(node))
 
 
 def _is_screenable(constraint: NodeConstraint) -> bool:

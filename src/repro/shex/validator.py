@@ -309,10 +309,9 @@ class Validator:
     def store_stats(self) -> Dict[str, object]:
         """Storage-layer counters of the validated graph.
 
-        A passthrough to :meth:`TripleStore.store_stats`, so callers holding
-        only the validator (services, the CLI) can report backend counters —
-        dictionary size, segment counts, index bytes, ids decoded at report
-        time — without reaching into the graph.
+        A passthrough to :meth:`Graph.store_stats`, so callers holding
+        only the validator (services, the CLI) can report the triple and
+        cached-neighbourhood counts without reaching into the graph.
         """
         return self.graph.store_stats()
 

@@ -31,9 +31,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from ..rdf.columnar import ColumnarGraph
-from ..rdf.errors import GraphError
-from ..rdf.graph import Graph, TripleStore
+from ..rdf.graph import Graph
 from ..rdf.namespaces import EX, XSD
 from ..rdf.terms import IRI, Literal, Triple
 from ..shex.schema import Schema
@@ -79,14 +77,6 @@ def kb_schema() -> Schema:
     return parse_shexc(KB_SCHEMA_SHEXC)
 
 
-def _make_graph(store: str) -> TripleStore:
-    if store == "dict":
-        return Graph()
-    if store == "columnar":
-        return ColumnarGraph()
-    raise GraphError(f"unknown store {store!r}: expected 'dict' or 'columnar'")
-
-
 #: structural templates: (label, founded, motto, alias, tag) arc counts.
 #: Literal values vary per entity but are drawn from small pools (real KBs
 #: reuse codes, years and category tags heavily), and every valid value
@@ -116,7 +106,7 @@ _ENTITY_VIOLATIONS = ["short_label", "negative_population", "bad_code",
 class KBWorkload:
     """A generated knowledge-base graph together with its ground truth."""
 
-    graph: TripleStore
+    graph: Graph
     schema: Schema
     #: entity nodes that must conform to ``<Entity>``.
     valid_entities: List[IRI] = field(default_factory=list)
@@ -157,7 +147,7 @@ class _ValuePools:
                         for _ in range(32)]
 
 
-def _emit_entity(graph: TripleStore, rng: random.Random, pools: _ValuePools,
+def _emit_entity(graph: Graph, rng: random.Random, pools: _ValuePools,
                  entity: IRI, template: tuple, violation: Optional[str]) -> None:
     """Emit one entity's triples from ``template`` (plus any violation)."""
     labels, founded, mottos, aliases, tags = template
@@ -196,7 +186,6 @@ def generate_kb_workload(
     hub_invalid_fraction: float = 0.25,
     notes_per_hub: int = 3,
     seed: int = 0,
-    store: str = "dict",
 ) -> KBWorkload:
     """Generate a hub-heavy KB graph with a known share of violations.
 
@@ -215,7 +204,7 @@ def generate_kb_workload(
         raise ValueError("need at least one entity and a non-negative hub count")
     rng = random.Random(seed)
     pools = _ValuePools(rng)
-    graph = _make_graph(store)
+    graph = Graph()
     graph.namespaces.bind("", EX.base)
     workload = KBWorkload(graph=graph, schema=kb_schema())
 

@@ -116,6 +116,14 @@ class TestValidateCommand:
         assert "max_entries=2" in captured.err
         assert "2/3 conform" in captured.out  # verdicts unchanged under eviction
 
+    def test_store_stats_are_printed_with_cache_stats(self, data_file,
+                                                      schema_file, capsys):
+        main(["validate", "--data", data_file, "--schema", schema_file,
+              "--all-nodes", "--cache-stats", "--format", "summary"])
+        err = capsys.readouterr().err
+        assert "store-stats: triples=8 cached_neighbourhoods=" in err
+        assert "dictionary-stats:" not in err
+
     def test_journal_stats_are_printed_with_cache_stats(self, data_file,
                                                         schema_file, capsys):
         exit_code = main(["validate", "--data", data_file, "--schema", schema_file,

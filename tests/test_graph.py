@@ -14,6 +14,8 @@ from repro.rdf import (
 )
 from repro.rdf.errors import GraphError
 from repro.rdf.graph import NeighbourhoodView
+from repro.shex import Validator
+from repro.workloads import paper_example_graph, person_schema
 
 
 def triple(suffix_s: str, suffix_p: str, obj) -> Triple:
@@ -198,6 +200,15 @@ class TestPaperAlgebra:
     def test_neighbourhood_of_unknown_node_is_empty(self):
         assert Graph().neighbourhood(EX.nobody) == frozenset()
 
+    def test_unknown_node_has_no_out_edges_in_any_view(self):
+        graph = Graph([Triple(EX.n, EX.a, Literal(1))])
+        ghost = EX.nobody
+        assert list(graph.neighbourhood_ordered(ghost)) == []
+        assert graph.degree(ghost) == 0
+        assert graph.predicate_counts(ghost) == {}
+        assert graph.predicate_objects(ghost) == {}
+        assert list(graph.triples(subject=ghost)) == []
+
     def test_example_3_decomposition(self):
         """Example 3: a 3-triple graph has exactly 2³ = 8 decompositions."""
         triples = frozenset({
@@ -264,3 +275,22 @@ class TestSerialisationDispatch:
             Graph().serialize("rdfxml")
         with pytest.raises(GraphError):
             Graph.parse("", format="rdfxml")
+
+
+class TestStoreStats:
+    def test_counts_triples_and_cached_neighbourhoods(self):
+        graph = Graph([Triple(EX.s, FOAF.name, Literal("Ada")),
+                       Triple(EX.t, FOAF.name, Literal("Bo"))])
+        assert graph.store_stats() == {"triples": 2, "cached_neighbourhoods": 0}
+        graph.neighbourhood(EX.s)
+        graph.neighbourhood_ordered(EX.s)
+        assert graph.store_stats()["cached_neighbourhoods"] == 2
+        graph.add(Triple(EX.s, FOAF.name, Literal("Ada L.")))
+        assert graph.store_stats() == {"triples": 3, "cached_neighbourhoods": 0}
+
+    def test_validator_passes_the_graph_counters_through(self):
+        graph = paper_example_graph()
+        validator = Validator(graph, person_schema())
+        validator.validate_graph()
+        assert validator.store_stats() == graph.store_stats()
+        assert validator.store_stats()["triples"] == len(graph)

@@ -109,6 +109,14 @@ class TestGraphJournalIntegration:
         graph.clear()
         assert graph.changes_since(start) is None
 
+    def test_journal_overflow_answers_none(self):
+        graph = Graph(journal_max_entries=2)
+        start = graph.generation
+        for index in range(8):
+            graph.add(Triple(EX[f"s{index}"], EX.p, Literal(index)))
+        assert graph.changes_since(start) is None
+        assert graph.journal.stats()["overflows"] >= 1
+
     def test_batch_coalesces_journal_records(self):
         graph = Graph()
         start = graph.generation

@@ -5,13 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.rdf import BNode, EX, Graph, Literal, Triple, XSD, parse_turtle
-from repro.rdf.columnar import ColumnarGraph
 from repro.rdf.errors import ParseError
 from repro.rdf.ntriples import (
     _parse_line_tokens,
     escape_string,
     iter_ntriples,
-    iter_ntriples_lines,
     parse_ntriples,
     serialize_ntriples,
     split_ntriples_lines,
@@ -174,7 +172,6 @@ class TestLineSplitting:
                        Triple(EX.s, EX.q, Literal("z"))])
         text = serialize_ntriples(graph)
         assert parse_ntriples(text) == graph
-        assert ColumnarGraph.parse(text, format="ntriples") == graph
 
     @pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"], ids=repr)
     def test_every_ntriples_eol_ends_a_line(self, eol):
@@ -229,22 +226,6 @@ class TestTermSharing:
                   for t in parse_ntriples(text)}
         assert (by_key[("<http://a>", "<http://p>")].subject
                 is by_key[("<http://a>", "<http://q>")].subject)
-
-    def test_streaming_path_shares_nothing_across_lines(self):
-        lines = ['<http://a> <http://p> "x" .', '<http://a> <http://p> "y" .']
-        first, second = iter_ntriples_lines(lines)
-        assert first.subject == second.subject
-        assert first.subject is not second.subject
-        assert first.predicate is not second.predicate
-
-    def test_streaming_ingest_stays_bounded(self):
-        lines = [f'<http://example.org/s{i % 7}> <http://example.org/p> '
-                 f'"v{i % 3}"@en .' for i in range(100)]
-        graph = ColumnarGraph(segment_size=16)
-        assert graph.ingest_ntriples(iter(lines)) == 21
-        stats = graph.store_stats()
-        assert stats["dictionary"]["decoded_terms"] == 0
-        assert stats["peak_tail_rows"] <= 16
 
 
 # -- differential test: one-match ingest vs the per-token reference ---------
@@ -342,15 +323,13 @@ class TestDifferentialParser:
     def test_one_match_ingest_agrees_with_the_per_token_reference(self, text):
         expected = _outcome(lambda: _reference(text))
         assert _outcome(lambda: list(iter_ntriples(text))) == expected
-        assert _outcome(lambda: list(iter_ntriples_lines(
-            split_ntriples_lines(text)))) == expected
 
     @settings(max_examples=100, deadline=None)
     @given(text=documents())
-    def test_dict_and_columnar_parses_agree(self, text):
-        outcome = _outcome(lambda: parse_ntriples(text))
-        columnar = _outcome(lambda: ColumnarGraph.parse(text, format="ntriples"))
-        if outcome[0] == "ok":
-            assert columnar[0] == "ok" and columnar[1] == outcome[1]
+    def test_graph_parse_agrees_with_the_per_token_reference(self, text):
+        expected = _outcome(lambda: _reference(text))
+        parsed = _outcome(lambda: Graph.parse(text, format="ntriples"))
+        if expected[0] == "ok":
+            assert parsed == ("ok", set(expected[1]))
         else:
-            assert columnar == outcome
+            assert parsed == expected

@@ -40,7 +40,6 @@ validation_requests = st.builds(
     data=text,
     data_format=st.sampled_from(["turtle", "ntriples"]),
     schema=text,
-    store=st.sampled_from(["dict", "columnar"]),
     labels=labels,
     shards=opt_int,
 )
@@ -213,10 +212,13 @@ class TestRejection:
         with pytest.raises(ServiceError):
             ValidationRequest.from_json({"version": API_VERSION, "labels": [1]})
 
-    def test_unknown_store_is_rejected_at_construction(self):
-        with pytest.raises(ServiceError) as exc:
-            ValidationRequest(store="sqlite")
-        assert exc.value.code == "bad-request"
+    def test_removed_store_field_is_ignored_like_any_unknown_key(self):
+        for store in ("dict", "sqlite"):
+            request = ValidationRequest.from_json(
+                {"version": API_VERSION, "data": "<urn:a> <urn:p> 1 .",
+                 "store": store})
+            assert request == ValidationRequest(data="<urn:a> <urn:p> 1 .")
+            assert "store" not in request.to_json()
 
     def test_unknown_data_format_is_rejected(self):
         with pytest.raises(ServiceError):
@@ -247,9 +249,7 @@ class TestServiceStatsFormat:
     def _stats(self):
         return ServiceStats(
             generation=7,
-            store={"store": "columnar", "triples": 10, "segments": 2,
-                   "index_bytes": 640,
-                   "dictionary": {"decoded_terms": 5, "iris": 8}},
+            store={"triples": 10, "cached_neighbourhoods": 2},
             journal={"tracked_subjects": 3, "records": 4, "overflows": 0,
                      "max_entries": 1024},
             prefilter={"accepts": 1, "rejects": 2, "reference_checks": 3,
@@ -262,9 +262,8 @@ class TestServiceStatsFormat:
 
     def test_line_prefixes_and_keys(self):
         rendered = self._stats().format_text()
-        assert "store-stats: store=columnar" in rendered
-        assert "segments=2" in rendered and "index_bytes=640" in rendered
-        assert "dictionary-stats: decoded_terms=5" in rendered
+        assert "store-stats: triples=10 cached_neighbourhoods=2" in rendered
+        assert "dictionary-stats:" not in rendered
         assert "journal-stats: tracked_subjects=3" in rendered
         assert "prefilter-stats: accepts=1 rejects=2" in rendered
         assert "cache-stats: hits=5 misses=7 evictions=0" in rendered

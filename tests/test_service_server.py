@@ -18,6 +18,7 @@ from repro.service import (
     VerdictCache,
     serve,
 )
+from repro.service.api import API_VERSION
 from repro.shex import Validator
 from repro.workloads import (
     PAPER_EXAMPLE_TURTLE,
@@ -166,6 +167,20 @@ class TestWireErrors:
             client.load_graph(ValidationRequest(data="", schema="<S> { " + body + " }"))
         assert (exc.value.code, exc.value.http_status) == ("schema-error", 400)
         assert "expression nodes" in str(exc.value)
+
+    @pytest.mark.parametrize("labels", [["Nope"], [""]])
+    def test_bad_labels_are_a_typed_400_not_a_500(self, server, labels):
+        body = json.dumps({"version": API_VERSION,
+                           "data": PAPER_EXAMPLE_TURTLE, "labels": labels})
+        status, payload = self._raw(server, "POST", "/graphs", body=body)
+        assert (status, payload["error"]) == (400, "bad-request")
+        assert "labels" in payload["message"]
+
+    def test_body_with_the_removed_store_field_still_loads(self, server):
+        body = json.dumps({"version": API_VERSION, "store": "dict",
+                           "data": PAPER_EXAMPLE_TURTLE})
+        status, payload = self._raw(server, "POST", "/graphs", body=body)
+        assert status == 201 and payload["triples"] == 8
 
     def test_verdict_not_found_is_404(self, client):
         graph_id = load_paper_graph(client)["graph_id"]

@@ -20,7 +20,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.rdf import EX, XSD, Literal, Triple
-from repro.rdf.columnar import ColumnarGraph
 from repro.rdf.graph import Graph
 from repro.shex import Validator, arc, datatype, shape_ref, value_set
 from repro.shex.expressions import ShapeExpr, And, Or, Star
@@ -74,12 +73,8 @@ def triples() -> st.SearchStrategy[Triple]:
                      st.sampled_from(PREDICATES), st.sampled_from(OBJECTS))
 
 
-def graphs(store=Graph) -> st.SearchStrategy:
-    def build(drawn):
-        graph = store()
-        graph.add_all(drawn)
-        return graph
-    return st.sets(triples(), min_size=1, max_size=12).map(build)
+def graphs() -> st.SearchStrategy[Graph]:
+    return st.sets(triples(), min_size=1, max_size=12).map(Graph)
 
 
 def _verdicts(report):
@@ -95,13 +90,6 @@ class TestSignatureDedupeIdentity:
     @settings(max_examples=120, deadline=None)
     @given(schema=schemas(), graph=graphs())
     def test_serial_verdicts_identical(self, schema, graph):
-        _, cached = _run(graph, schema, cached=True)
-        _, uncached = _run(graph, schema, cached=False)
-        assert _verdicts(cached) == _verdicts(uncached)
-
-    @settings(max_examples=60, deadline=None)
-    @given(schema=schemas(), graph=graphs(store=ColumnarGraph))
-    def test_columnar_id_native_verdicts_identical(self, schema, graph):
         _, cached = _run(graph, schema, cached=True)
         _, uncached = _run(graph, schema, cached=False)
         assert _verdicts(cached) == _verdicts(uncached)

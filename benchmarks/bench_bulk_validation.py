@@ -75,8 +75,7 @@ def run_size(num_people: int, seed: int, check_backtracking: bool) -> dict:
     baseline_verdicts = _verdicts(baseline_report)
     bulk_verdicts = _verdicts(bulk_report)
     agree = baseline_verdicts == bulk_verdicts
-    # the typings must agree too, not just the per-entry verdicts: this is
-    # what pins the HAMT-backed ShapeTyping to the reference
+    # the typings must agree too, not just the per-entry verdicts
     typing_agree = (baseline_report.typing.to_dict()
                     == bulk_report.typing.to_dict())
     ground_truth_ok = all(

@@ -138,7 +138,6 @@ from .reporting import (
     report_to_json,
     summarize,
 )
-from .hamt import HamtMap
 from .results import MatchResult, MatchStats, ValidationReportEntry
 from .schema import Schema, SchemaError, ValidationContext
 from .shape_map import FixedEntry, QueryEntry, ShapeMap, parse_shape_map
@@ -174,7 +173,7 @@ __all__ = [
     # schema layer
     "Schema", "SchemaError", "ValidationContext",
     "CompiledSchema", "CompiledShape", "PrefilterDecision",
-    "ShapeLabel", "ShapeTyping", "HamtMap",
+    "ShapeLabel", "ShapeTyping",
     "MatchResult", "MatchStats", "ValidationReportEntry",
     "Validator", "ValidationReport", "RevalidationResult", "get_engine", "ENGINES",
     # syntaxes

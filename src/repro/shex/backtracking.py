@@ -44,7 +44,6 @@ from .expressions import (
 from .node_constraints import ShapeRef
 from .results import MatchResult, MatchStats
 from .schema import ValidationContext
-from .typing import typing_of
 
 __all__ = ["BacktrackingEngine", "BacktrackingBudgetExceeded", "matches_backtracking"]
 
@@ -99,11 +98,10 @@ class BacktrackingEngine:
             matched = self._search(expr, triples, context, stats)
         finally:
             target.backtrack_time += perf_counter() - start
-        typing = typing_of(context)
         if matched:
-            return MatchResult(True, typing, stats)
+            return MatchResult(True, stats)
         return MatchResult(
-            False, typing, stats,
+            False, stats,
             reason=f"no derivation tree found for {len(triples)} triples",
         )
 

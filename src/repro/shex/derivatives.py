@@ -49,7 +49,6 @@ from .expressions import (
 from .node_constraints import ShapeRef
 from .results import MatchResult, MatchStats
 from .schema import ValidationContext
-from .typing import typing_of
 
 __all__ = [
     "nullable",
@@ -299,17 +298,14 @@ class DerivativeEngine:
                 current = derivative(current, triple, context, self.simplify, stats)
             stats.observe_expression_size(expression_size(current))
             if isinstance(current, Empty):
-                # typing_of reads the context's *current* typing: derivative
-                # steps may have confirmed pairs while consuming triples
                 return MatchResult(
-                    False, typing_of(context), stats,
+                    False, stats,
                     reason=f"no continuation after consuming {triple.n3()}",
                 )
-        typing = typing_of(context)
         if nullable(current):
-            return MatchResult(True, typing, stats)
+            return MatchResult(True, stats)
         return MatchResult(
-            False, typing, stats,
+            False, stats,
             reason="remaining expression is not nullable "
                    f"(missing required arcs): {current.to_str()}",
         )
@@ -410,16 +406,15 @@ class DerivativeEngine:
                 target.dispatch_time += perf_counter() - start - cache_clock
                 target.cache_time += cache_clock
                 return MatchResult(
-                    False, typing_of(context), stats,
+                    False, stats,
                     reason=f"no continuation after consuming {triple.n3()}",
                 )
         target.dispatch_time += perf_counter() - start - cache_clock
         target.cache_time += cache_clock
-        typing = typing_of(context)
         if nullable(current):
-            return MatchResult(True, typing, stats)
+            return MatchResult(True, stats)
         return MatchResult(
-            False, typing, stats,
+            False, stats,
             reason="remaining expression is not nullable "
                    f"(missing required arcs): {current.to_str()}",
         )

@@ -1,18 +1,16 @@
 """Result and statistics objects shared by the matching engines.
 
 Both the derivative engine and the backtracking engine report their outcome
-through :class:`MatchResult`, which carries the boolean verdict, the shape
-typing ``τ`` built along the way (Section 8) and a :class:`MatchStats` record
-used by the benchmarks to explain *why* one engine is faster than the other
-(derivative steps vs. decompositions explored, peak expression size, …).
+through :class:`MatchResult`, which carries the boolean verdict and a
+:class:`MatchStats` record used by the benchmarks to explain *why* one engine
+is faster than the other (derivative steps vs. decompositions explored, peak
+expression size, …).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Optional
-
-from .typing import ShapeTyping
 
 __all__ = ["MatchStats", "MatchResult", "ValidationReportEntry"]
 
@@ -179,7 +177,6 @@ class MatchResult:
     """The outcome of matching one neighbourhood against one expression."""
 
     matched: bool
-    typing: ShapeTyping = field(default_factory=ShapeTyping.empty)
     stats: MatchStats = field(default_factory=MatchStats)
     #: human-readable explanation of a failure (empty on success).
     reason: str = ""
@@ -193,17 +190,15 @@ class MatchResult:
         return self.matched
 
     @classmethod
-    def success(cls, typing: Optional[ShapeTyping] = None,
-                stats: Optional[MatchStats] = None) -> "MatchResult":
+    def success(cls, stats: Optional[MatchStats] = None) -> "MatchResult":
         """Build a successful result."""
-        return cls(True, typing or ShapeTyping.empty(), stats or MatchStats())
+        return cls(True, stats or MatchStats())
 
     @classmethod
     def failure(cls, reason: str = "", stats: Optional[MatchStats] = None,
                 limit_exceeded: bool = False) -> "MatchResult":
         """Build a failed result with an optional explanation."""
-        return cls(False, ShapeTyping.empty(), stats or MatchStats(), reason,
-                   limit_exceeded)
+        return cls(False, stats or MatchStats(), reason, limit_exceeded)
 
 
 @dataclass

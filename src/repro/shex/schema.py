@@ -304,8 +304,9 @@ class ValidationContext:
         self._matcher = matcher
         #: hypothesis → depth of the frame that assumed it.
         self._hypotheses: Dict[Tuple[ObjectTerm, ShapeLabel], int] = {}
-        self._confirmed = ShapeTyping.empty()
-        #: refuted verdicts, keyed by node (retraction pops whole nodes).
+        #: confirmed and refuted verdicts, keyed by node (retraction pops
+        #: whole nodes).
+        self._confirmed: Dict[ObjectTerm, Set[ShapeLabel]] = {}
         self._failed: Dict[ObjectTerm, Set[ShapeLabel]] = {}
         #: provisionally-validated pair → depths of the active frames whose
         #: hypotheses it rests on (never empty, never containing the poison).
@@ -363,8 +364,12 @@ class ValidationContext:
     # -- typing bookkeeping -----------------------------------------------------
     @property
     def typing(self) -> ShapeTyping:
-        """The typing confirmed so far (``Γ.typing`` in the paper)."""
-        return self._confirmed
+        """The typing confirmed so far (``Γ.typing`` in the paper).
+
+        Freezes the context's verdicts into a new :class:`ShapeTyping` on
+        every access: O(n) in the confirmed pairs.
+        """
+        return ShapeTyping(self._confirmed)
 
     def assume(self, node: ObjectTerm, label: ShapeLabel) -> None:
         """Add the hypothesis ``node → label`` (the ``Γ{n → l}`` operation)."""
@@ -390,7 +395,7 @@ class ValidationContext:
 
     def confirm(self, node: ObjectTerm, label: ShapeLabel) -> None:
         """Record ``node → label`` as definitely established."""
-        self._confirmed = self._confirmed.add(node, label)
+        self._confirmed.setdefault(node, set()).add(label)
 
     def record_failure(self, node: ObjectTerm, label: ShapeLabel) -> None:
         """Record that ``node`` definitely does not have shape ``label``."""
@@ -398,7 +403,8 @@ class ValidationContext:
 
     def is_confirmed(self, node: ObjectTerm, label: ShapeLabel) -> bool:
         """True if ``node → label`` has already been established."""
-        return self._confirmed.has(node, label)
+        labels = self._confirmed.get(node)
+        return labels is not None and label in labels
 
     def is_failed(self, node: ObjectTerm, label: ShapeLabel) -> bool:
         """True if ``node → label`` has already been refuted."""
@@ -436,15 +442,12 @@ class ValidationContext:
         if not node_set:
             return 0
         dropped = 0
-        confirmed = self._confirmed
-        for node in node_set:
-            labels = confirmed.labels_for(node)
-            if labels:
-                dropped += len(labels)
-        self._confirmed = confirmed.without_nodes(node_set)
         # every store below is node-keyed, so retraction costs O(closure) —
         # never a scan of everything the context has settled.
         for node in node_set:
+            confirmed_labels = self._confirmed.pop(node, None)
+            if confirmed_labels:
+                dropped += len(confirmed_labels)
             failed_labels = self._failed.pop(node, None)
             if failed_labels:
                 dropped += len(failed_labels)
@@ -473,7 +476,7 @@ class ValidationContext:
         validation is in progress or after an aborted run).
         """
         return {
-            "confirmed": sum(len(labels) for _, labels in self._confirmed.items()),
+            "confirmed": sum(len(labels) for labels in self._confirmed.values()),
             "failed": sum(len(labels) for labels in self._failed.values()),
             "provisional": len(self._provisional),
         }
@@ -496,12 +499,8 @@ class ValidationContext:
         :meth:`settled_verdicts` on the exporting side excludes them by
         construction.
         """
-        confirmed_typing = self._confirmed
         for node, label in confirmed:
-            # persistent adds: O(log n) each with full structural sharing,
-            # instead of materialising an intermediate typing and merging
-            confirmed_typing = confirmed_typing.add(node, label)
-        self._confirmed = confirmed_typing
+            self._confirmed.setdefault(node, set()).add(label)
         for node, label in failed:
             self._failed.setdefault(node, set()).add(label)
 
@@ -743,19 +742,19 @@ class ValidationContext:
         label = label if isinstance(label, ShapeLabel) else ShapeLabel(label)
         self.stats.reference_checks += 1
         if self.is_confirmed(node, label):
-            return MatchResult.success(ShapeTyping.single(node, label))
+            return MatchResult.success()
         if self.is_failed(node, label):
             return MatchResult.failure(f"{node.n3()} already failed shape {label}")
         if self.is_assumed(node, label):
             # coinductive hypothesis: assume the reference holds
-            return MatchResult.success(ShapeTyping.single(node, label))
+            return MatchResult.success()
         provisional_deps = self._provisional.get((node, label))
         if provisional_deps is not None:
             # already validated in this run, conditional on in-progress
             # hypotheses: reuse the verdict and inherit every dependency.
             if self._frames:
                 self._frames[-1].deps.update(provisional_deps)
-            return MatchResult.success(ShapeTyping.single(node, label))
+            return MatchResult.success()
         if self._depth >= self.max_recursion_depth:
             # budget exhaustion is not a semantic verdict: poison the
             # enclosing frames so nothing derived from it gets cached.
@@ -773,7 +772,7 @@ class ValidationContext:
         decision = self.prefilter_check(node, label)
         if decision is not None:
             if decision.matched:
-                return MatchResult.success(ShapeTyping.single(node, label))
+                return MatchResult.success()
             return MatchResult.failure(
                 f"{node.n3()} does not match shape {label}: {decision.reason}"
             )
@@ -809,13 +808,11 @@ class ValidationContext:
             # propagate the dependencies (and any budget poison) outwards.
             self._frames[-1].deps.update(outer_deps)
         if result.matched:
-            typing = result.typing.add(node, label)
             if definitive:
                 self.confirm(node, label)
                 # this frame's hypothesis just proved out: resolve everything
                 # that was conditional on it.
-                for pending in self._settle_success(frame.depth, set()):
-                    typing = typing.add(*pending)
+                self._settle_success(frame.depth, set())
             else:
                 self._settle_success(frame.depth, outer_deps)
                 if _BUDGET_POISON not in outer_deps:
@@ -824,7 +821,7 @@ class ValidationContext:
                     self._park_provisional((node, label), set(outer_deps))
                 # else: poisoned by the budget — return the verdict but
                 # cache nothing.
-            return MatchResult(True, typing, result.stats)
+            return MatchResult(True, result.stats)
         # failure: provisional successes that assumed this frame's
         # hypothesis rested on an assumption that did not prove out.
         self._settle_failure(frame.depth)
@@ -855,20 +852,17 @@ class ValidationContext:
                 if not bucket:
                     del self._provisional_by_depth[dep]
 
-    def _settle_success(self, depth: int,
-                        replacement: Set[int]) -> List[Tuple[ObjectTerm, ShapeLabel]]:
+    def _settle_success(self, depth: int, replacement: Set[int]) -> None:
         """The frame at ``depth`` settled successfully: rewrite dependents.
 
         Every provisional entry depending on ``depth`` now depends on
         whatever that frame itself depended on (``replacement``).  Entries
-        left with no dependencies are promoted to the confirmed cache and
-        returned.  Only the frame's dependents are touched, through the
-        inverse index.
+        left with no dependencies are promoted to the confirmed cache.  Only
+        the frame's dependents are touched, through the inverse index.
         """
-        promoted: List[Tuple[ObjectTerm, ShapeLabel]] = []
         dependents = self._provisional_by_depth.pop(depth, None)
         if not dependents:
-            return promoted
+            return
         poisoned = _BUDGET_POISON in replacement
         for pair in dependents:
             deps = self._provisional.get(pair)
@@ -887,8 +881,6 @@ class ValidationContext:
             if not deps:
                 del self._provisional[pair]
                 self.confirm(*pair)
-                promoted.append(pair)
-        return promoted
 
     def _settle_failure(self, depth: int) -> None:
         """The frame at ``depth`` failed (or vanished): drop its dependents."""

@@ -49,7 +49,6 @@ from .node_constraints import (
 )
 from .results import MatchResult, MatchStats
 from .schema import ValidationContext
-from .typing import ShapeTyping
 
 __all__ = [
     "SparqlCompilationError",
@@ -457,7 +456,7 @@ class SparqlEngine:
             from .derivatives import nullable
 
             matched = nullable(expr)
-            return MatchResult(matched, ShapeTyping.empty(), stats,
+            return MatchResult(matched, stats,
                                "" if matched else "empty neighbourhood not accepted")
         focus = next(iter(triples)).subject
         scratch = Graph(triples)
@@ -467,11 +466,11 @@ class SparqlEngine:
                 approximate_references=self.approximate_references,
             )
         except SparqlCompilationError as error:
-            return MatchResult(False, ShapeTyping.empty(), stats,
+            return MatchResult(False, stats,
                                f"not SPARQL-compilable: {error}")
         stats.arc_checks += len(triples)
         matched = sparql_ask(scratch, query)
-        return MatchResult(matched, ShapeTyping.empty(), stats,
+        return MatchResult(matched, stats,
                            "" if matched else "SPARQL ASK returned false")
 
     __call__ = match_neighbourhood

@@ -9,24 +9,23 @@ operations, reproduced here:
 * ``τ1 ⊎ τ2`` (combining two typings).
 
 Typings are immutable value objects; adding or combining returns a new
-typing, which keeps backtracking branches independent of each other.  They
-are backed by a persistent HAMT (:mod:`repro.shex.hamt`), so ``add`` is
-O(log n) with full structural sharing — confirming the ``k`` members of one
-recursive component is O(k log k) instead of the O(k²) a copied dict costs —
-and ``combine`` skips subtries the two typings share.  ``hash`` is computed
-once and cached (typings are hashed on hot paths), and equality, repr and
-iteration order are value-based: independent of the order in which
-associations were added.
+typing, so a published typing never changes under its reader.  They are
+backed by a plain dict of frozensets and copy it on write, so ``add``,
+``combine`` and ``without_nodes`` are O(n).  A validation run does not pay
+that per confirmation: the context accretes its verdicts into a mutable
+dict, and reports freeze the result once through
+:meth:`ShapeTyping.from_pairs`.  ``hash`` is computed once and cached, and
+equality, repr and ``to_dict`` are value-based: independent of the order in
+which associations were added.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Iterator, Mapping, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, Mapping, Set, Tuple
 
 from ..rdf.terms import ObjectTerm
-from .hamt import HamtMap
 
-__all__ = ["ShapeLabel", "ShapeTyping", "typing_of"]
+__all__ = ["ShapeLabel", "ShapeTyping"]
 
 
 class ShapeLabel:
@@ -75,25 +74,16 @@ def _as_label(label: "ShapeLabel | str") -> ShapeLabel:
     return label if isinstance(label, ShapeLabel) else ShapeLabel(label)
 
 
-def _union_labels(left: FrozenSet[ShapeLabel],
-                  right: FrozenSet[ShapeLabel]) -> FrozenSet[ShapeLabel]:
-    """The per-node value merge of ``⊎``; returns an *operand itself* (not a
-    fresh equal set) whenever one side covers the other, so the HAMT merge
-    can keep that side's nodes shared in either direction."""
-    if left is right or right.issubset(left):
-        return left
-    if left.issubset(right):
-        return right
-    return left | right
 
 
-def _rebuild_typing(items: tuple) -> "ShapeTyping":
-    """Unpickling entry point (the HAMT regrows under the local hash seed)."""
-    typing = _EMPTY_TYPING
-    mapping = typing._map
-    for node, labels in items:
-        mapping = mapping.assoc(node, labels)
-    return ShapeTyping._from_map(mapping)
+def _wrap(mapping: Dict[ObjectTerm, FrozenSet[ShapeLabel]]) -> "ShapeTyping":
+    """Wrap a freshly built dict the caller hands over (no copy, no checks)."""
+    if not mapping:
+        return _EMPTY_TYPING
+    typing = object.__new__(ShapeTyping)
+    object.__setattr__(typing, "_map", mapping)
+    object.__setattr__(typing, "_hash", None)
+    return typing
 
 
 class ShapeTyping:
@@ -102,12 +92,18 @@ class ShapeTyping:
     __slots__ = ("_map", "_hash")
 
     def __init__(self, assignments: Mapping[ObjectTerm, Iterable[ShapeLabel]] | None = None):
-        mapping = HamtMap.empty()
+        mapping: Dict[ObjectTerm, FrozenSet[ShapeLabel]] = {}
         if assignments:
             for node, labels in assignments.items():
+                if isinstance(labels, (str, ShapeLabel)):
+                    # a bare string would otherwise be split into one
+                    # label per character
+                    raise TypeError(
+                        f"the labels of {node.n3()} must be a collection of "
+                        f"labels, not the single label {labels!r}")
                 label_set = frozenset(_as_label(label) for label in labels)
                 if label_set:
-                    mapping = mapping.assoc(node, label_set)
+                    mapping[node] = label_set
         object.__setattr__(self, "_map", mapping)
         object.__setattr__(self, "_hash", None)
 
@@ -116,16 +112,6 @@ class ShapeTyping:
 
     # -- constructors -----------------------------------------------------
     @classmethod
-    def _from_map(cls, mapping: HamtMap) -> "ShapeTyping":
-        """Wrap an already-built HAMT (internal fast path)."""
-        if not mapping:
-            return _EMPTY_TYPING
-        typing = object.__new__(cls)
-        object.__setattr__(typing, "_map", mapping)
-        object.__setattr__(typing, "_hash", None)
-        return typing
-
-    @classmethod
     def empty(cls) -> "ShapeTyping":
         """The empty typing `` ``."""
         return _EMPTY_TYPING
@@ -133,49 +119,47 @@ class ShapeTyping:
     @classmethod
     def single(cls, node: ObjectTerm, label: "ShapeLabel | str") -> "ShapeTyping":
         """The typing containing exactly ``node → label``."""
-        return cls._from_map(
-            HamtMap.empty().assoc(node, frozenset((_as_label(label),)))
-        )
+        return _wrap({node: frozenset((_as_label(label),))})
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[Tuple[ObjectTerm, "ShapeLabel | str"]]
                    ) -> "ShapeTyping":
-        """Build a typing from ``(node, label)`` pairs in one accretion pass."""
-        typing = _EMPTY_TYPING
+        """Build a typing from ``(node, label)`` pairs in one pass."""
+        building: Dict[ObjectTerm, Set[ShapeLabel]] = {}
         for node, label in pairs:
-            typing = typing.add(node, label)
-        return typing
+            building.setdefault(node, set()).add(_as_label(label))
+        return _wrap({node: frozenset(labels)
+                      for node, labels in building.items()})
 
     # -- paper operations ---------------------------------------------------
     def add(self, node: ObjectTerm, label: "ShapeLabel | str") -> "ShapeTyping":
         """``n → s : τ`` — return a typing extended with one association.
 
-        O(log n): only the nodes on ``node``'s hash path are rebuilt; the
-        rest of the trie is shared with this typing.  Adding an association
-        already present returns ``self``.
+        Copies the mapping (O(n)); adding an association already present
+        returns ``self``.
         """
         label = _as_label(label)
-        mapping = self._map.upsert(node, frozenset((label,)), _union_labels)
-        if mapping is self._map:
+        labels = self._map.get(node)
+        if labels is not None and label in labels:
             return self
-        return ShapeTyping._from_map(mapping)
+        mapping = dict(self._map)
+        mapping[node] = labels | {label} if labels else frozenset((label,))
+        return _wrap(mapping)
 
     def combine(self, other: "ShapeTyping") -> "ShapeTyping":
-        """``τ1 ⊎ τ2`` — the union of two typings.
-
-        Subtries the two typings share (typical when one was derived from
-        the other by ``add``) are skipped, not re-merged.
-        """
+        """``τ1 ⊎ τ2`` — the union of two typings."""
         if other is self or not other._map:
             return self
         if not self._map:
             return other
-        merged = self._map.merge(other._map, _union_labels)
-        if merged is self._map:
-            return self
-        if merged is other._map:
-            return other
-        return ShapeTyping._from_map(merged)
+        mapping = dict(self._map)
+        for node, labels in other._map.items():
+            mine = mapping.get(node)
+            if mine is None:
+                mapping[node] = labels
+            elif not labels <= mine:
+                mapping[node] = mine | labels
+        return _wrap(mapping)
 
     def __or__(self, other: "ShapeTyping") -> "ShapeTyping":
         return self.combine(other)
@@ -183,25 +167,21 @@ class ShapeTyping:
     def without_nodes(self, nodes: Iterable[ObjectTerm]) -> "ShapeTyping":
         """Return a typing with every association of ``nodes`` removed.
 
-        The retraction half of incremental revalidation: dropping a node
-        costs one O(log n) persistent ``dissoc`` (everything off the hash
-        path stays shared), and removing a node that has no associations is
-        a no-op, so retracting an affected closure is linear in its size —
-        never in the size of the typing.  Returns ``self`` when nothing
-        changes.
+        The retraction half of incremental revalidation.  Returns ``self``
+        when none of ``nodes`` has an association, else a copy (O(n)).
         """
-        mapping = self._map
-        for node in nodes:
-            mapping = mapping.dissoc(node)
-        if mapping is self._map:
+        present = [node for node in nodes if node in self._map]
+        if not present:
             return self
-        return ShapeTyping._from_map(mapping)
+        mapping = dict(self._map)
+        for node in present:
+            mapping.pop(node, None)
+        return _wrap(mapping)
 
     # -- queries ---------------------------------------------------------------
     def labels_for(self, node: ObjectTerm) -> FrozenSet[ShapeLabel]:
         """Return the labels assigned to ``node`` (empty set if none)."""
-        labels = self._map.get(node)
-        return labels if labels is not None else frozenset()
+        return self._map.get(node, frozenset())
 
     def has(self, node: ObjectTerm, label: "ShapeLabel | str") -> bool:
         """True if ``node → label`` is part of this typing."""
@@ -214,7 +194,7 @@ class ShapeTyping:
 
     def items(self) -> Iterator[Tuple[ObjectTerm, FrozenSet[ShapeLabel]]]:
         """Iterate over ``(node, labels)`` pairs."""
-        return self._map.items()
+        return iter(self._map.items())
 
     def __len__(self) -> int:
         return len(self._map)
@@ -231,19 +211,17 @@ class ShapeTyping:
         return other._map == self._map
 
     def __hash__(self) -> int:
-        # typings are hashed on hot paths; the underlying HAMT caches an
-        # order-independent content hash per node, so this is O(n) once and
-        # O(1) on every later call.
+        # O(n) on the first call, cached for every later one
         cached = self._hash
         if cached is None:
-            cached = hash(("ShapeTyping", self._map))
+            cached = hash(("ShapeTyping", frozenset(self._map.items())))
             object.__setattr__(self, "_hash", cached)
         return cached
 
     def __reduce__(self):
-        # the HAMT layout is keyed to this process's hash seed; ship the
-        # items and regrow on the receiving side (see hamt.py)
-        return (_rebuild_typing, (tuple(self._map.items()),))
+        # the immutability guard breaks slot-based pickling; rebuild through
+        # the constructor (sharded validation ships typings across processes)
+        return (ShapeTyping, (self._map,))
 
     def __repr__(self) -> str:
         parts = []
@@ -256,24 +234,14 @@ class ShapeTyping:
     def to_dict(self) -> Dict[str, list]:
         """Return a JSON-friendly representation (node n3 → sorted label names).
 
-        Nodes are emitted in ``sort_key`` order so the serialisation is
-        deterministic across runs (HAMT iteration order depends on the
-        per-process hash seed).
+        Nodes are emitted in ``sort_key`` order so the serialisation does not
+        depend on the order in which associations were added.
         """
         return {
             node.n3(): sorted(str(label) for label in labels)
             for node, labels in sorted(self._map.items(),
                                        key=lambda item: item[0].sort_key())
         }
-
-
-def typing_of(context) -> ShapeTyping:
-    """The confirmed typing of ``context``, or the empty typing without one.
-
-    Shared by the matching engines, which accept ``context=None`` for bare
-    expression-level matching.
-    """
-    return context.typing if context is not None else _EMPTY_TYPING
 
 
 _EMPTY_TYPING = ShapeTyping()

@@ -597,8 +597,8 @@ class Validator:
         the shared context drops exactly those nodes' settled verdicts
         (:meth:`ValidationContext.retract_nodes`), and only the affected
         subjects are re-run — through the serial bulk loop unless
-        :meth:`_schedule` takes the restricted round.  Everything else (verdicts, HAMT typing entries,
-        report entries) is reused as-is.
+        :meth:`_schedule` takes the restricted round.  Everything else
+        (verdicts, typing entries, report entries) is reused as-is.
 
         Falls back to a full ``validate_graph`` — flagged via
         ``full_rebuild`` — when no baseline exists, the label set changed,
@@ -715,8 +715,8 @@ class Validator:
             (entry.node, entry.label) for entry in delta_entries if entry.conforms
         )
         # the full report's typing is maintained incrementally too: drop the
-        # affected nodes' associations (persistent dissoc), fold the delta's
-        # back in — O(affected log n), never O(report).
+        # affected nodes' associations and fold the delta's back in — two
+        # dict copies, never a re-derivation from the report's entries.
         typing = self._incremental_typing.without_nodes(affected)
         typing = typing.combine(delta.typing)
         self._incremental_typing = typing

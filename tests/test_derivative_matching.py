@@ -3,7 +3,7 @@
 import pytest
 
 from repro.rdf import EX, Literal, Triple
-from repro.shex import DerivativeEngine, ShapeTyping, arc, interleave, plus, value_set
+from repro.shex import DerivativeEngine, arc, interleave, plus, value_set
 from repro.workloads import (
     balanced_alternation_case,
     cardinality_case,
@@ -115,11 +115,6 @@ class TestFailureReporting:
         case = star_case(3)
         result = DerivativeEngine().match_neighbourhood(case.expression, case.triples)
         assert result.matched and result.reason == ""
-
-    def test_result_typing_defaults_to_empty_without_context(self):
-        case = star_case(3)
-        result = DerivativeEngine().match_neighbourhood(case.expression, case.triples)
-        assert result.typing == ShapeTyping.empty()
 
 
 class TestWorkloadCases:

@@ -1,9 +1,9 @@
 """Incremental revalidation: journal, batching, retraction, revalidate.
 
 The subsystem spans every layer — the graph's bounded change journal and
-batch coalescing, the HAMT's persistent ``dissoc``, the reverse
-reference-reachability closure, the context's retraction protocol and the
-validator's ``revalidate`` — so this module tests each layer in isolation
+batch coalescing, the reverse reference-reachability closure, the context's
+retraction protocol and the validator's ``revalidate`` — so this module
+tests each layer in isolation
 and then the end-to-end contract: *revalidate verdicts equal a fresh full
 run* on every mutation pattern.
 """
@@ -22,10 +22,9 @@ from repro.rdf import (
     Triple,
 )
 from repro.shex import Validator
-from repro.shex.hamt import HamtMap
 from repro.shex.partition import ReferenceIndex, affected_nodes
 from repro.shex.schema import SchemaError
-from repro.shex.typing import ShapeLabel, ShapeTyping
+from repro.shex.typing import ShapeLabel
 from repro.workloads import (
     generate_community_workload,
     generate_person_workload,
@@ -216,49 +215,6 @@ class TestGraphJournalIntegration:
         assert len(graph) == 1
 
 
-# ----------------------------------------------------------------- HAMT dissoc
-class TestHamtDissoc:
-    def test_dissoc_removes_and_shares(self):
-        mapping = HamtMap.from_items((EX[f"n{i}"], i) for i in range(100))
-        smaller = mapping.dissoc(EX.n42)
-        assert len(smaller) == 99
-        assert EX.n42 not in smaller
-        assert EX.n41 in smaller
-        assert len(mapping) == 100  # persistent: the original is untouched
-
-    def test_dissoc_absent_key_returns_self(self):
-        mapping = HamtMap.from_items([(EX.a, 1)])
-        assert mapping.dissoc(EX.b) is mapping
-        assert HamtMap.empty().dissoc(EX.a) is HamtMap.empty()
-
-    def test_dissoc_restores_canonical_shape(self):
-        # removing a key yields a map equal (and equal-hash) to one that
-        # never contained it — the shape is canonical for the key set
-        keys = [EX[f"n{i}"] for i in range(64)]
-        full = HamtMap.from_items((key, 0) for key in keys)
-        for victim in keys[::7]:
-            removed = full.dissoc(victim)
-            rebuilt = HamtMap.from_items(
-                (key, 0) for key in keys if key is not victim)
-            assert removed == rebuilt
-            assert hash(removed) == hash(rebuilt)
-
-    def test_dissoc_to_empty(self):
-        mapping = HamtMap.from_items([(EX.a, 1)])
-        assert mapping.dissoc(EX.a) is HamtMap.empty()
-
-    def test_typing_without_nodes(self):
-        label = ShapeLabel("S")
-        typing = ShapeTyping.from_pairs(
-            (EX[f"n{i}"], label) for i in range(20))
-        pruned = typing.without_nodes([EX.n3, EX.n7, EX.missing])
-        assert len(pruned) == 18
-        assert not pruned.has(EX.n3, label)
-        assert pruned.has(EX.n4, label)
-        assert typing.without_nodes([]) is typing
-        assert typing.without_nodes([EX.absent]) is typing
-
-
 # ------------------------------------------------------------ affected closure
 class TestAffectedNodes:
     def test_reverse_index_exposes_referrer_labels(self):
@@ -345,9 +301,10 @@ class TestRetractNodes:
         validator = Validator(workload.graph, workload.schema)
         validator.validate_graph()
         context = validator._bulk_context()
-        before = context.typing
+        before, counts = context.typing, context.settled_counts()
         assert context.retract_nodes([]) == 0
-        assert context.typing is before
+        assert context.typing == before
+        assert context.settled_counts() == counts
 
     def test_retract_during_validation_raises(self):
         from repro.shex.schema import ValidationContext

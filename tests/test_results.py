@@ -2,7 +2,7 @@
 
 
 from repro.rdf import EX
-from repro.shex import MatchResult, MatchStats, ShapeLabel, ShapeTyping
+from repro.shex import MatchResult, MatchStats, ShapeLabel
 from repro.shex.results import ValidationReportEntry
 
 
@@ -45,11 +45,6 @@ class TestMatchResult:
         assert success and success.matched
         assert not failure and not failure.matched
         assert failure.reason == "something went wrong"
-
-    def test_success_carries_typing(self):
-        typing = ShapeTyping.single(EX.n, "S")
-        result = MatchResult.success(typing)
-        assert result.typing.has(EX.n, "S")
 
     def test_bool_conversion(self):
         assert bool(MatchResult(True)) is True

@@ -118,7 +118,7 @@ class TestValidationContext:
         context = self.make_context(graph, recursive_schema)
         result = context.check_reference(EX.n1, "p")
         assert result.matched
-        assert result.typing.has(EX.n1, "p")
+        assert context.typing.has(EX.n1, "p")
         assert context.is_confirmed(EX.n1, ShapeLabel("p"))
 
     def test_check_reference_failure_is_cached(self, recursive_schema):
@@ -142,8 +142,8 @@ class TestValidationContext:
         context = self.make_context(graph, recursive_schema)
         result = context.check_reference(EX.n1, "p")
         assert result.matched
-        assert result.typing.has(EX.n1, "p")
-        assert result.typing.has(EX.n2, "p")
+        assert context.typing.has(EX.n1, "p")
+        assert context.typing.has(EX.n2, "p")
 
     def test_broken_referenced_node_breaks_the_referrer(self, recursive_schema):
         graph = Graph()
@@ -164,8 +164,8 @@ class TestValidationContext:
         context = self.make_context(graph, schema)
         result = context.check_reference(EX.alice, "Person")
         assert result.matched
-        assert result.typing.has(EX.alice, "Person")
-        assert result.typing.has(EX.bob, "Person")
+        assert context.typing.has(EX.alice, "Person")
+        assert context.typing.has(EX.bob, "Person")
 
     def test_self_reference_terminates(self):
         schema = person_schema()

@@ -1,5 +1,7 @@
 """Tests for shape labels and shape typings (the τ objects of Section 8)."""
 
+import pickle
+
 import pytest
 
 from repro.rdf import EX
@@ -102,6 +104,12 @@ class TestShapeTyping:
         typing = ShapeTyping({EX.john: []})
         assert len(typing) == 0
 
+    @pytest.mark.parametrize("label", ["Person", ShapeLabel("Person")])
+    def test_constructor_rejects_a_bare_label(self, label):
+        # a bare string would be split into one label per character
+        with pytest.raises(TypeError, match="example.org/john"):
+            ShapeTyping({EX.john: label})
+
     def test_is_immutable(self):
         typing = ShapeTyping.single(EX.john, "Person")
         with pytest.raises(AttributeError):
@@ -117,24 +125,20 @@ class TestShapeTyping:
         typing = ShapeTyping.single(EX.john, "Person")
         assert typing.add(EX.john, "Person") is typing
 
-    def test_combine_shares_structure_with_derived_typings(self):
+    def test_combine_with_a_derived_typing_is_the_superset(self):
         base = ShapeTyping.empty()
         for i in range(50):
             base = base.add(EX[f"p{i}"], "Person")
         derived = base.add(EX.extra, "Person")
-        # combining a typing with one derived from it returns the superset
-        # itself: the shared subtries are recognised, not re-merged
-        assert base.combine(derived) is derived
-        assert derived.combine(base) is derived
+        assert base.combine(derived) == derived
+        assert derived.combine(base) == derived
 
     def test_combine_returns_an_independent_covering_typing(self):
-        # same contents but no shared history (e.g. the superset crossed a
-        # process boundary): coverage is still recognised by value
         small = ShapeTyping.from_pairs([(EX.a, "S")])
         big = ShapeTyping.from_pairs(
             [(EX.a, "S"), (EX.a, "T"), (EX.b, "S")])
-        assert small.combine(big) is big
-        assert big.combine(small) is big
+        assert small.combine(big) == big
+        assert big.combine(small) == big
 
     def test_hash_is_cached(self):
         typing = ShapeTyping.single(EX.john, "Person").add(EX.bob, "Person")
@@ -152,6 +156,42 @@ class TestShapeTyping:
             {ShapeLabel("Person"), ShapeLabel("Employee")}
         assert typing.labels_for(EX.bob) == {ShapeLabel("Person")}
         assert ShapeTyping.from_pairs([]) is ShapeTyping.empty()
+
+    def test_without_nodes(self):
+        label = ShapeLabel("S")
+        typing = ShapeTyping.from_pairs(
+            (EX[f"n{i}"], label) for i in range(20))
+        pruned = typing.without_nodes([EX.n3, EX.n7, EX.missing])
+        assert len(pruned) == 18
+        assert not pruned.has(EX.n3, label)
+        assert pruned.has(EX.n4, label)
+        assert len(typing) == 20  # the original is untouched
+        assert pruned == ShapeTyping.from_pairs(
+            (EX[f"n{i}"], label) for i in range(20) if i not in (3, 7))
+        assert typing.without_nodes([]) is typing
+        assert typing.without_nodes([EX.absent]) is typing
+        assert typing.without_nodes(typing.nodes()) is ShapeTyping.empty()
+
+    def test_pickle_round_trip(self):
+        typing = ShapeTyping.empty()
+        for i in range(300):
+            typing = typing.add(EX[f"person{i}"], "Person")
+            if i % 3 == 0:
+                typing = typing.add(EX[f"person{i}"], "Employee")
+        clone = pickle.loads(pickle.dumps(typing))
+        assert clone == typing
+        assert hash(clone) == hash(typing)
+        assert clone.to_dict() == typing.to_dict()
+        assert clone.labels_for(EX.person0) == \
+            {ShapeLabel("Person"), ShapeLabel("Employee")}
+
+    def test_pickled_typing_stays_usable(self):
+        typing = ShapeTyping.single(EX.john, "Person")
+        clone = pickle.loads(pickle.dumps(typing))
+        extended = clone.add(EX.bob, "Person")
+        assert extended.has(EX.john, "Person")
+        assert extended.has(EX.bob, "Person")
+        assert clone == typing  # adding copied, it did not mutate the clone
 
     def test_to_dict_is_sorted_by_node(self):
         typing = ShapeTyping.from_pairs(

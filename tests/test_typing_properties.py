@@ -1,13 +1,16 @@
 """Property-based tests for the typing algebra of Section 8.
 
-Randomised sequences of ``add``/``combine`` are interpreted twice: once over
-the HAMT-backed :class:`ShapeTyping` and once over a plain dict-of-sets
-reference model, then compared.  On top of the model agreement, the paper's
-algebra laws are asserted directly — ``⊎`` is associative, commutative and
-idempotent, ``empty`` is its identity, ``add`` is order-independent — and
+Randomised sequences of ``add``/``combine``/``from_pairs``/``without_nodes``
+are interpreted twice: once over :class:`ShapeTyping` and once over a plain
+dict-of-sets reference model, then compared.  On top of the model agreement,
+the paper's algebra laws are asserted directly — ``⊎`` is associative,
+commutative and idempotent, ``empty`` is its identity, ``add`` is
+order-independent — and
 ``hash``/``eq`` must be consistent with the reference's value equality
 regardless of how a typing was constructed (these are the merge-operator
-laws the soundness of bulk confirmation rests on).
+laws the soundness of bulk confirmation rests on).  The validation context's
+own mutable verdict store is driven through random confirm / fail / retract /
+seed sequences against the same kind of model.
 """
 
 from __future__ import annotations
@@ -17,11 +20,12 @@ from typing import Dict, FrozenSet, List, Set, Tuple
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.rdf import EX
+from repro.rdf import EX, Graph
 from repro.rdf.terms import IRI
-from repro.shex import ShapeLabel, ShapeTyping
+from repro.shex import DerivativeEngine, ShapeLabel, ShapeTyping, ValidationContext
+from repro.workloads import person_schema
 
-#: small pools force overlap, shared subtries and per-node label unions
+#: small pools force overlap and per-node label unions
 _NODES = [EX[f"node{i}"] for i in range(8)]
 _LABELS = [ShapeLabel(name) for name in ("S0", "S1", "S2", "S3", "S4")]
 
@@ -47,6 +51,10 @@ def model_of(trace: List[Tuple[IRI, ShapeLabel]]) -> Dict[IRI, Set[ShapeLabel]]:
 
 def contents(typing: ShapeTyping) -> Dict[IRI, FrozenSet[ShapeLabel]]:
     return dict(typing.items())
+
+
+def frozen(model: Dict[IRI, Set[ShapeLabel]]) -> Dict[IRI, FrozenSet[ShapeLabel]]:
+    return {node: frozenset(labels) for node, labels in model.items() if labels}
 
 
 class TestAddAgainstTheReferenceModel:
@@ -83,6 +91,30 @@ class TestAddAgainstTheReferenceModel:
         typing = build(trace).add(*extra)
         again = typing.add(*extra)
         assert again is typing
+
+    @given(trace=traces)
+    def test_from_pairs_matches_the_dict_model(self, trace):
+        typing = ShapeTyping.from_pairs(trace)
+        assert contents(typing) == frozen(model_of(trace))
+        assert typing == build(trace)
+        assert hash(typing) == hash(build(trace))
+
+
+class TestWithoutNodesAgainstTheReferenceModel:
+    @given(trace=traces, dropped=st.lists(st.sampled_from(_NODES), max_size=6))
+    def test_without_nodes_matches_the_dict_model(self, trace, dropped):
+        typing = build(trace)
+        pruned = typing.without_nodes(dropped)
+        model = model_of(trace)
+        for node in dropped:
+            model.pop(node, None)
+        assert contents(pruned) == frozen(model)
+        assert pruned == ShapeTyping(model)
+        assert hash(pruned) == hash(ShapeTyping(model))
+        # the original is untouched, and nothing to drop returns it as is
+        assert contents(typing) == frozen(model_of(trace))
+        if not any(node in typing for node in dropped):
+            assert pruned is typing
 
 
 class TestCombineLaws:
@@ -158,3 +190,62 @@ class TestHashEqConsistency:
         first = hash(typing)
         assert typing._hash is not None
         assert hash(typing) == first
+
+
+# ------------------------------------------------- the context's verdict store
+#: one mutation of a validation context's settled verdicts
+context_ops = st.one_of(
+    st.tuples(st.just("confirm"), pairs),
+    st.tuples(st.just("fail"), pairs),
+    st.tuples(st.just("retract"), st.lists(st.sampled_from(_NODES), max_size=4)),
+    st.tuples(st.just("seed"), st.tuples(st.lists(pairs, max_size=4),
+                                         st.lists(pairs, max_size=4))),
+)
+
+
+def _sorted_pairs(model: Dict[IRI, Set[ShapeLabel]]) -> tuple:
+    return tuple((node, label)
+                 for node in sorted(model, key=lambda term: term.sort_key())
+                 for label in sorted(model[node]))
+
+
+class TestContextVerdictStore:
+    @given(ops=st.lists(context_ops, max_size=30))
+    def test_context_matches_the_dict_model(self, ops):
+        context = ValidationContext(Graph(), person_schema(),
+                                    DerivativeEngine().match_neighbourhood)
+        confirmed: Dict[IRI, Set[ShapeLabel]] = {}
+        failed: Dict[IRI, Set[ShapeLabel]] = {}
+        for op, arg in ops:
+            if op == "confirm":
+                context.confirm(*arg)
+                confirmed.setdefault(arg[0], set()).add(arg[1])
+            elif op == "fail":
+                context.record_failure(*arg)
+                failed.setdefault(arg[0], set()).add(arg[1])
+            elif op == "retract":
+                expected = sum(len(confirmed.pop(node, ())) + len(failed.pop(node, ()))
+                               for node in set(arg))
+                assert context.retract_nodes(arg) == expected
+            else:
+                seeded_confirmed, seeded_failed = arg
+                context.seed_settled(seeded_confirmed, seeded_failed)
+                for node, label in seeded_confirmed:
+                    confirmed.setdefault(node, set()).add(label)
+                for node, label in seeded_failed:
+                    failed.setdefault(node, set()).add(label)
+            for node in _NODES:
+                for label in _LABELS:
+                    assert context.is_confirmed(node, label) == \
+                        (label in confirmed.get(node, ()))
+                    assert context.is_failed(node, label) == \
+                        (label in failed.get(node, ()))
+            assert context.typing == ShapeTyping(confirmed)
+            assert contents(context.typing) == frozen(confirmed)
+            assert context.settled_counts() == {
+                "confirmed": sum(map(len, confirmed.values())),
+                "failed": sum(map(len, failed.values())),
+                "provisional": 0,
+            }
+            assert context.settled_verdicts() == (_sorted_pairs(confirmed),
+                                                  _sorted_pairs(failed))

@@ -49,10 +49,13 @@ CLI, the service, the shard replicas):
   settles, and recursion-budget failures are never cached;
 * a :class:`CompiledSchema` (per-label nullability, required-predicate
   sets, cardinality bounds, value screens, predicate-indexed atom tables)
-  whose **static prefilter** settles decidable pairs before any matching
-  frame is built;
-* a :class:`~repro.shex.cache.SignatureCache` that answers a subject whose
-  one-hop neighbourhood signature was already settled;
+  whose **static prefilter** settles decidable pairs inside
+  ``ValidationContext.check_reference``, its one call site, before any
+  matching frame is built;
+* a :class:`~repro.shex.cache.SignatureCache` that answers a
+  reference-free subject whose one-hop neighbourhood signature was already
+  settled — every bulk pair is probed there first, then goes through
+  ``check_reference``;
 * for the derivatives engine, a **global cross-node**
   :class:`DerivativeCache` keyed by hash-consed expression structure plus
   constraint-verdict vectors (bounded by ``cache_max_entries``).

@@ -201,16 +201,15 @@ class SignatureCache:
 
     * only *settled* verdicts are stored (no hypothesis-bound provisional
       outcomes, no budget-poisoned results), and
-    * only signature-*closed* subjects participate — subjects whose verdict
-      is a pure function of the one-hop signature because every shape
-      reference any candidate atom could apply to one of their objects is
-      statically decided by the compiled prefilter (and no object is the
-      subject itself).  Ineligible subjects get no signature at all
-      (:meth:`ValidationContext.node_signature` returns ``None``).
+    * only signature-*closed* subjects participate — subjects no
+      shape-reference atom can consume a triple of, whose verdict is
+      therefore a pure function of their own arcs' context-free constraint
+      bits.  Subjects with a reference-consumable triple get no signature
+      at all (:meth:`ValidationContext.node_signature` returns ``None``).
 
     Entries are keyed by signature structure only, so one instance may serve
-    any number of nodes and validation runs over the same (graph generation,
-    schema) pair; callers drop it wholesale when the graph mutates.  When
+    any number of nodes, validation runs and graph generations over the same
+    schema: a mutated node simply produces a different signature.  When
     ``max_entries`` is set the table evicts least-recently-used entries,
     mirroring :class:`DerivativeCache`.
     """

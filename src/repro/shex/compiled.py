@@ -287,7 +287,10 @@ class CompiledSchema:
     Build one per :class:`~repro.shex.schema.Schema` (the
     :class:`~repro.shex.validator.Validator` does this by default) and thread
     it through validation contexts; resident shard workers receive it pickled
-    instead of recompiling.
+    instead of recompiling.  A context reads three things from it: the
+    per-label prefilter (only from ``check_reference``), the candidate atom
+    index (the derivative engine's dispatch) and the ordered signature atoms
+    (neighbourhood signatures, which never consult the prefilter).
     """
 
     def __init__(self, schema: Schema):
@@ -318,7 +321,7 @@ class CompiledSchema:
         #: memoised candidate sets per concrete predicate seen in the data.
         self._candidates: Dict[IRI, FrozenSet[ArcAtom]] = {}
         #: memoised *ordered* candidate tuples per predicate (signature path).
-        self._signature_atoms: Dict[IRI, Tuple] = {}
+        self._signature_atoms: Dict[IRI, Tuple[ArcAtom, ...]] = {}
 
     # -- accessors -------------------------------------------------------------
     def shape(self, label: ShapeLabel | str) -> CompiledShape:
@@ -362,33 +365,23 @@ class CompiledSchema:
         _memo_insert(self._candidates, predicate, result)
         return result
 
-    def signature_atoms(self, predicate: IRI
-                        ) -> Tuple[Tuple[ArcAtom, object], ...]:
-        """:meth:`candidate_atoms` in a *deterministic* order, with ref labels.
+    def signature_atoms(self, predicate: IRI) -> Tuple[ArcAtom, ...]:
+        """:meth:`candidate_atoms` in a *deterministic* order.
 
         Neighbourhood signatures record one verdict bit per candidate atom, so
         the bit order must be identical every time a signature is built — a
         ``frozenset`` iterates in hash-table order, which can differ between
         processes and even between rebuilds after memo eviction.  This
         accessor sorts the atoms by their (stable) textual form once per
-        predicate and pairs each with the referenced shape label (``None``
-        for plain constraints), pre-answering the ``isinstance(constraint,
-        ShapeRef)`` test the signature loop would otherwise repeat per triple.
+        predicate.
         """
         cached = self._signature_atoms.get(predicate)
         if cached is not None:
             return cached
-        ordered = sorted(
+        result = tuple(sorted(
             self.candidate_atoms(predicate),
             key=lambda atom: (atom[0].describe(), atom[1].describe(), repr(atom)),
-        )
-        def _ref_label(constraint) -> Optional[ShapeLabel]:
-            if not isinstance(constraint, ShapeRef):
-                return None
-            label = constraint.label
-            return label if isinstance(label, ShapeLabel) else ShapeLabel(str(label))
-
-        result = tuple((atom, _ref_label(atom[1])) for atom in ordered)
+        ))
         _memo_insert(self._signature_atoms, predicate, result)
         return result
 
@@ -398,16 +391,6 @@ class CompiledSchema:
                   ) -> Optional[PrefilterDecision]:
         """Statically decide ``triples`` against ``label``, or ``None``."""
         return self.shape(label).prefilter(triples, counts)
-
-    def decides(self, label: ShapeLabel, triples: Iterable[Triple],
-                counts: Optional[Mapping[IRI, int]] = None) -> bool:
-        """True when the prefilter settles ``(label, neighbourhood)`` outright.
-
-        Used by the reference-graph partitioner: a reference whose target is
-        statically decidable resolves locally in any worker, without
-        recursion, so it needs no cross-component scheduling edge.
-        """
-        return self.prefilter(label, triples, counts) is not None
 
     def stats(self) -> Dict[str, int]:
         """Summary counters (for benchmarks and the CLI)."""

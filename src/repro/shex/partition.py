@@ -9,7 +9,7 @@ mutation, only the nodes that can reach a changed subject along those
 *reference edges* can change verdict.  This module computes that set:
 
 * :class:`ReferenceIndex` — which predicates can trigger which ``@label``
-  references (the schema-level analysis, in both directions),
+  references (the schema-level analysis),
 * :func:`affected_nodes` — the reverse-reachability closure of a dirty
   subject set, the nodes an incremental round must re-run.
 """
@@ -20,10 +20,9 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from ..rdf.graph import Graph
 from ..rdf.terms import IRI, Literal, ObjectTerm, SubjectTerm
-from .compiled import CompiledSchema
 from .expressions import Arc, iter_subexpressions
 from .node_constraints import PredicateSet, ShapeRef
-from .schema import LazyNeighbourhood, Schema
+from .schema import Schema
 from .typing import ShapeLabel
 
 __all__ = ["ReferenceIndex", "affected_nodes"]
@@ -51,31 +50,14 @@ class ReferenceIndex:
         self._general: List[Tuple[PredicateSet, ShapeLabel]] = []
         #: memo for :meth:`labels_for` over the general pairs.
         self._memo: Dict[IRI, FrozenSet[ShapeLabel]] = {}
-        #: the reverse index: exact predicate → labels of the shapes whose
-        #: expressions *contain* a reference arc with that predicate.
-        self._referrers_exact: Dict[IRI, Set[ShapeLabel]] = {}
-        #: (predicate set, referrer label) pairs for stems / wildcards.
-        self._referrers_general: List[Tuple[PredicateSet, ShapeLabel]] = []
-        #: memo for :meth:`referrer_labels_for`.
-        self._referrers_memo: Dict[IRI, FrozenSet[ShapeLabel]] = {}
         seen: Set[Tuple[PredicateSet, ShapeLabel]] = set()
-        seen_referrers: Set[Tuple[PredicateSet, ShapeLabel]] = set()
-        for owner, expr in schema.items():
+        for _, expr in schema.items():
             for sub in iter_subexpressions(expr):
                 if not (isinstance(sub, Arc) and isinstance(sub.object, ShapeRef)):
                     continue
                 label = _as_label(sub.object.label)
                 predicate_set = sub.predicate
                 pair = (predicate_set, label)
-                referrer_pair = (predicate_set, owner)
-                if referrer_pair not in seen_referrers:
-                    seen_referrers.add(referrer_pair)
-                    if predicate_set.any_predicate or predicate_set.stem is not None:
-                        self._referrers_general.append(referrer_pair)
-                    else:
-                        for predicate in predicate_set.predicates:
-                            self._referrers_exact.setdefault(
-                                predicate, set()).add(owner)
                 if pair in seen:
                     continue
                 seen.add(pair)
@@ -106,11 +88,9 @@ class ReferenceIndex:
     def demands(self, predicate: IRI) -> bool:
         """True when a triple with this predicate can trigger any reference.
 
-        Cheap pre-screen for the signature hot path: reference-free
-        predicates (the vast majority in hub-heavy KB data) skip the
-        per-atom reference bookkeeping entirely.  Exact entries answer in
-        one dict probe; stems/wildcards fall back to the memoised
-        :meth:`labels_for`.
+        The edge test of :func:`affected_nodes`: a triple ``⟨n, p, m⟩`` can
+        make ``n``'s verdict depend on ``m`` only when this holds for ``p``.  Exact entries answer in one dict probe; stems/wildcards fall
+        back to the memoised :meth:`labels_for`.
         """
         if predicate in self._exact:
             return True
@@ -118,35 +98,12 @@ class ReferenceIndex:
             return False
         return bool(self.labels_for(predicate))
 
-    def referrer_labels_for(self, predicate: IRI) -> FrozenSet[ShapeLabel]:
-        """Labels of shapes that can *follow* a triple with this predicate.
-
-        The reverse of :meth:`labels_for`: ``labels_for`` answers "what may a
-        reference demand of the triple's **object**", this answers "which
-        shapes, checked against the triple's **subject**, contain a reference
-        arc the triple can trigger".  Non-empty exactly when ``labels_for``
-        is (both derive from the same ``vp → @label`` arcs); incremental
-        revalidation uses it to walk reference edges backwards from a
-        mutated subject.
-        """
-        cached = self._referrers_memo.get(predicate)
-        if cached is not None:
-            return cached
-        labels: Set[ShapeLabel] = set(self._referrers_exact.get(predicate, ()))
-        for predicate_set, owner in self._referrers_general:
-            if predicate_set.matches(predicate):
-                labels.add(owner)
-        result = frozenset(labels)
-        self._referrers_memo[predicate] = result
-        return result
-
 
 def affected_nodes(
     graph: Graph,
     schema: Schema,
     dirty_subjects: Iterable[SubjectTerm],
     index: Optional[ReferenceIndex] = None,
-    compiled: Optional[CompiledSchema] = None,
 ) -> FrozenSet[ObjectTerm]:
     """The reverse-reachability closure of a dirty set along reference edges.
 
@@ -162,14 +119,6 @@ def affected_nodes(
     had its source dirtied by the removal, so by induction along the old
     reference path every stale referrer is either dirty itself or reaches a
     dirty node along surviving edges.
-
-    With a :class:`~repro.shex.compiled.CompiledSchema`, propagation *stops*
-    at a non-dirty node whose demanded labels the prefilter decides
-    statically: those verdicts are functions of the node's own (unchanged)
-    neighbourhood, so its referrers consume identical facts.  Valid only
-    when revalidation runs with the same compiled schema.  Dirty nodes always propagate: their
-    neighbourhood changed, so even a statically-decided verdict may differ
-    from what referrers consumed before.
     """
     index = index if index is not None else ReferenceIndex(schema)
     dirty = set(dirty_subjects)
@@ -181,30 +130,8 @@ def affected_nodes(
         node = frontier.pop()
         if isinstance(node, Literal):
             continue
-        referrers: Set[SubjectTerm] = set()
-        demanded: Set[ShapeLabel] = set()
         for subject, predicate, _ in graph.triples(obj=node):
-            # the reverse index gates the backward walk: the edge matters
-            # only if some shape checked against the *subject* contains a
-            # reference arc this predicate can trigger …
-            if not index.referrer_labels_for(predicate):
-                continue
-            referrers.add(subject)
-            # … while the forward index supplies the labels the edge can
-            # demand of the *object* (the static-decidability check below).
-            demanded.update(index.labels_for(predicate))
-        if not referrers:
-            continue
-        if compiled is not None and node not in dirty:
-            counts = graph.predicate_counts(node)
-            if all(
-                label in compiled and compiled.decides(
-                    label, LazyNeighbourhood(graph.neighbourhood, node), counts)
-                for label in demanded
-            ):
-                continue
-        for referrer in referrers:
-            if referrer not in affected:
-                affected.add(referrer)
-                frontier.append(referrer)
+            if subject not in affected and index.demands(predicate):
+                affected.add(subject)
+                frontier.append(subject)
     return frozenset(affected)

@@ -37,7 +37,20 @@ from typing import (
 
 from ..rdf.graph import Graph
 from ..rdf.terms import IRI, Literal, ObjectTerm, Triple
-from .expressions import ShapeExpr, expression_depth, referenced_labels
+from .expressions import (
+    Arc,
+    ShapeExpr,
+    expression_depth,
+    iter_subexpressions,
+    referenced_labels,
+)
+from .node_constraints import (
+    ConstraintAnd,
+    ConstraintNot,
+    ConstraintOr,
+    NodeConstraint,
+    ShapeRef,
+)
 from .results import MatchResult, MatchStats
 from .typing import ShapeLabel, ShapeTyping
 
@@ -92,14 +105,32 @@ class Schema:
         self._check_references()
 
     def _check_references(self) -> None:
-        """Every ``@label`` reference must point at a defined shape."""
+        """Every ``@label`` reference must be an arc's whole object constraint
+        and point at a defined shape.
+
+        Both engines resolve a reference only where it is an arc's object
+        (``vp → @label``); nested in a constraint combinator (``NOT @<S>``,
+        ``@<S> OR xsd:string``) it would reach ``ShapeRef.matches``, which
+        cannot decide it.
+        """
         for label, expr in self._shapes.items():
-            for referenced in referenced_labels(expr):
-                referenced = (referenced if isinstance(referenced, ShapeLabel)
-                              else ShapeLabel(str(referenced)))
-                if referenced not in self._shapes:
+            for sub in iter_subexpressions(expr):
+                if not isinstance(sub, Arc):
+                    continue
+                constraint = sub.object
+                if isinstance(constraint, ShapeRef):
+                    referenced = constraint.label
+                    referenced = (referenced if isinstance(referenced, ShapeLabel)
+                                  else ShapeLabel(str(referenced)))
+                    if referenced not in self._shapes:
+                        raise SchemaError(
+                            f"shape {label} references undefined shape {referenced}"
+                        )
+                elif _nests_shape_ref(constraint):
                     raise SchemaError(
-                        f"shape {label} references undefined shape {referenced}"
+                        f"shape {label} nests a shape reference inside the "
+                        f"constraint {constraint.describe()}; a reference must "
+                        "be an arc's whole object constraint"
                     )
 
     # -- accessors -------------------------------------------------------------
@@ -186,6 +217,17 @@ class Schema:
         return serialize_shexc(self)
 
 
+def _nests_shape_ref(constraint: NodeConstraint) -> bool:
+    """True when a constraint combinator has a :class:`ShapeRef` operand."""
+    if isinstance(constraint, ShapeRef):
+        return True
+    if isinstance(constraint, ConstraintNot):
+        return _nests_shape_ref(constraint.operand)
+    if isinstance(constraint, (ConstraintAnd, ConstraintOr)):
+        return any(_nests_shape_ref(operand) for operand in constraint.operands)
+    return False
+
+
 def _reserve_recursion_limit(frames: int) -> int:
     """Raise the interpreter's recursion limit to fit ``frames`` more frames.
 
@@ -229,8 +271,8 @@ class LazyNeighbourhood:
         return iter(self._fetch(self._node))
 
 
-#: sentinel for object-class memo misses — ``None`` is a valid memoised class
-#: (signature-open object), so ``dict.get`` needs a distinct default.
+#: sentinel for object-class memo misses — ``None`` is a valid memoised entry
+#: (a reference predicate), so ``dict.get`` needs a distinct default.
 _NO_CLASS = object()
 
 
@@ -278,6 +320,11 @@ class ValidationContext:
     dependencies, and any outcome forced by the recursion-depth budget, are
     never cached at all.
 
+    :meth:`check_reference` is where every pair is decided, in the order
+    settled verdicts → compiled-schema prefilter (:meth:`prefilter_check`,
+    only called from there) → matcher.  :meth:`node_signature` keys the bulk
+    loop's signature cache and never consults the prefilter.
+
     The actual neighbourhood matching is delegated to the ``matcher``
     callable so the derivative and backtracking engines can share this class.
     """
@@ -285,8 +332,7 @@ class ValidationContext:
     def __init__(self, graph: Graph, schema: Optional[Schema],
                  matcher: NeighbourhoodMatcher,
                  max_recursion_depth: int = 500,
-                 compiled: Optional[object] = None,
-                 reference_index: Optional[object] = None):
+                 compiled: Optional[object] = None):
         self.graph = graph
         self.schema = schema
         #: optional :class:`~repro.shex.compiled.CompiledSchema` enabling the
@@ -297,9 +343,11 @@ class ValidationContext:
         #: label the node is checked against (only populated when compiled).
         self._pred_counts: Dict[ObjectTerm, Mapping] = {}
         #: pairs the prefilter already found undecidable (keyed by node so
-        #: retraction pops per node): the bulk loops prefilter a pair before
-        #: ``validate_node`` and ``check_reference`` would otherwise re-run
-        #: the same scans on the way to the engine.
+        #: retraction pops per node).  ``check_reference`` re-enters a pair
+        #: whose engine outcome was not settled — a failure resting on an
+        #: enclosing hypothesis, a dropped provisional success, a budget
+        #: cut-off — and this memo spares that re-entry the prefilter's
+        #: count and value scans.
         self._prefilter_unknown: Dict[ObjectTerm, Set[ShapeLabel]] = {}
         self._matcher = matcher
         #: hypothesis → depth of the frame that assumed it.
@@ -342,12 +390,6 @@ class ValidationContext:
         engine = getattr(matcher, "__self__", None)
         self._ordered_neighbourhoods = bool(
             getattr(engine, "wants_ordered_neighbourhoods", False))
-        #: schema-level reference index (duck-typed
-        #: :class:`~repro.shex.partition.ReferenceIndex`); signature
-        #: construction uses it to skip the self-reference eligibility tests
-        #: outright for reference-free schemas.  Optional — without it the
-        #: per-atom reference labels from ``signature_atoms`` decide alone.
-        self.reference_index = reference_index
         #: neighbourhood-signature verdict cache attached by the bulk
         #: validator (:class:`~repro.shex.cache.SignatureCache`); ``None``
         #: disables the signature fast path.
@@ -355,11 +397,10 @@ class ValidationContext:
         #: node → canonical signature memo.  Presence-keyed, because ``None``
         #: (signature-open, engine must run) is a valid memoised answer.
         self._signatures: Dict[ObjectTerm, Optional[tuple]] = {}
-        #: object-class memo: predicate → object → ``(has_refs, verdict
-        #: bits)``, or ``None`` when a reference bit is not statically
-        #: decidable.
-        self._object_classes: Dict[IRI, Dict[ObjectTerm,
-                                             Optional[Tuple[bool, tuple]]]] = {}
+        #: object-class memo: predicate → object → constraint verdict bits,
+        #: or predicate → ``None`` when a shape-reference atom can consume
+        #: the predicate's triples (their subjects are signature-open).
+        self._object_classes: Dict[IRI, Optional[Dict[ObjectTerm, tuple]]] = {}
 
     # -- typing bookkeeping -----------------------------------------------------
     @property
@@ -451,19 +492,20 @@ class ValidationContext:
             failed_labels = self._failed.pop(node, None)
             if failed_labels:
                 dropped += len(failed_labels)
-            # per-node caches: predicate counts and prefilter misses are
-            # pure functions of the node's (changed) neighbourhood.
+            # per-node caches: predicate counts, prefilter misses and the
+            # signature are pure functions of the node's own (changed) arcs.
+            # (The SignatureCache itself survives: its entries are keyed by
+            # the signature structure, which mutated nodes no longer produce.)
             self._pred_counts.pop(node, None)
             self._prefilter_unknown.pop(node, None)
+            self._signatures.pop(node, None)
         # provisional state never survives a completed run; clear defensively
         # so a retraction after an aborted run cannot resurrect stale entries.
         self._provisional.clear()
         self._provisional_by_depth.clear()
-        # signatures embed prefilter bits about *object* neighbourhoods, so a
-        # node-keyed invalidation would under-report; drop them wholesale.
-        # (The SignatureCache itself survives: its entries are keyed by the
-        # signature structure, which mutated nodes no longer produce.)
-        self._signatures.clear()
+        # object classes never go stale (constraint bits are context-free),
+        # but clearing them here is what bounds the memo on a long-lived
+        # session that keeps meeting new objects.
         self._object_classes.clear()
         return dropped
 
@@ -576,8 +618,7 @@ class ValidationContext:
         Returns the :class:`~repro.shex.compiled.PrefilterDecision` (and
         confirms / records the failure — prefilter verdicts are definitive,
         they never rest on a hypothesis) or ``None`` when the engine must
-        run.  The bulk paths call this before building any matching frame;
-        :meth:`check_reference` calls it for recursive references.
+        run.  :meth:`check_reference` is its only caller.
         """
         compiled = self.compiled
         if compiled is None:
@@ -598,92 +639,24 @@ class ValidationContext:
         self.stats.prefilter_time += perf_counter() - start
         return decision
 
-    def prefilter_node(self, node: ObjectTerm,
-                       labels: Iterable[ShapeLabel]) -> Dict[ShapeLabel, object]:
-        """Prefilter ``node`` against many labels in one pass.
-
-        The bulk paths validate every label of a node back to back; fetching
-        the neighbourhood and its predicate counts once per node (instead of
-        once per pair) makes the static fast lane almost free.  Returns the
-        decided labels only; verdicts are recorded exactly as in
-        :meth:`prefilter_check`.
-        """
-        compiled = self.compiled
-        if compiled is None:
-            return {}
-        start = perf_counter()
-        neighbourhood, counts = self._prefilter_inputs(node)
-        decisions: Dict[ShapeLabel, object] = {}
-        unknown = self._prefilter_unknown.get(node)
-        for label in labels:
-            # skip pairs already scanned (unknown) or settled through an
-            # earlier reference — the engine path answers those from its
-            # verdict caches, and re-deciding here would double-count the
-            # prefilter statistics
-            if (unknown is not None and label in unknown) \
-                    or self.is_confirmed(node, label) \
-                    or self.is_failed(node, label):
-                continue
-            shape = compiled.shape_or_none(label)
-            if shape is None:
-                continue
-            decision = shape.prefilter(neighbourhood, counts)
-            if decision is None:
-                # remember the miss: check_reference will not re-scan
-                if unknown is None:
-                    unknown = self._prefilter_unknown.setdefault(node, set())
-                unknown.add(label)
-                continue
-            self._record_decision(node, label, decision)
-            decisions[label] = decision
-        self.stats.prefilter_time += perf_counter() - start
-        return decisions
-
     # -- neighbourhood signatures --------------------------------------------------
-    def _object_class(self, obj: ObjectTerm,
-                      atoms) -> Optional[Tuple[bool, tuple]]:
-        """Fold ``obj`` into its verdict-equivalence class under a predicate.
-
-        ``atoms`` is the predicate's deterministic
-        :meth:`~repro.shex.compiled.CompiledSchema.signature_atoms` tuple.
-        Returns ``(has_reference_atoms, verdict bits)`` — one bit per
-        candidate atom, in atom order — or ``None`` when some reference bit
-        is not statically decided by the prefilter (the triple is then
-        signature-open).  Every bit is a pure function of graph + schema:
-        constraint verdicts are context-free by definition, and reference
-        bits are prefilter decisions, which are definitive and agree with
-        the engine's ``check_reference`` on settled pairs.  Two triples with
-        equal bits therefore drive the derivative engine identically.
-        """
-        has_refs = False
-        bits = []
-        for atom, ref_label in atoms:
-            if ref_label is None:
-                bits.append(atom[1].matches(obj))
-            else:
-                has_refs = True
-                decision = self.prefilter_check(obj, ref_label)
-                if decision is None:
-                    return None
-                bits.append(decision.matched)
-        return has_refs, tuple(bits)
-
     def node_signature(self, node: ObjectTerm) -> Optional[tuple]:
         """The canonical neighbourhood signature of ``node``, or ``None``.
 
         The signature is the sorted multiset of ``(predicate IRI string,
-        object-class bits)`` pairs over ``Σgₙ``.  Because the object class fixes the verdict bit of every
-        candidate atom a triple can touch, the engine's verdict for ``(node,
-        label)`` is a pure function of the signature, for **any** label:
-        equal signatures replay identical derivative chains, and the final
-        nullability test is triple-order-independent.
+        object-class bits)`` pairs over ``Σgₙ``, where an object's class is
+        one context-free constraint verdict bit per candidate atom of the
+        predicate.  Because the class fixes the verdict bit of every atom a
+        triple can touch, the engine's verdict for ``(node, label)`` is a
+        pure function of the signature, for **any** label: equal signatures
+        replay identical derivative chains, and the final nullability test
+        is triple-order-independent.
 
-        ``None`` marks a signature-*open* node — some object's reference bit
-        is not statically decided, or a reference-demanding predicate loops
-        back to the node itself (where the coinductive hypothesis could
-        diverge from the prefilter bit).  Open nodes always go through the
-        engine, which preserves the PR 1 recursion semantics untouched.
-        Memoised per node; dropped wholesale on retraction.
+        ``None`` marks a signature-*open* node: some shape-reference atom
+        can consume one of its triples, so its verdict may rest on another
+        node's verdict or on a coinductive hypothesis.  Open nodes always go
+        through :meth:`check_reference`.  A signature depends only on the
+        node's own arcs; memoised per node and popped on retraction.
         """
         compiled = self.compiled
         if compiled is None:
@@ -699,32 +672,31 @@ class ValidationContext:
                          compiled) -> Optional[tuple]:
         signature_atoms = compiled.signature_atoms
         classes = self._object_classes
-        index = self.reference_index
-        # reference-free schemas cannot have self-reference loops, so the
-        # per-triple eligibility tests vanish outright.
-        check_refs = index is None or index.has_references
         items: List[tuple] = []
         # one atom-table fetch per predicate group, per-object class memo,
         # no Triple materialisation, and items keyed by the predicate's IRI
         # string so the final sort and the cache-key hash run on C-speed
         # values.
         for predicate, objects in self.graph.predicate_objects(node).items():
-            sub = classes.get(predicate)
+            sub = classes.get(predicate, _NO_CLASS)
+            if sub is _NO_CLASS:
+                atoms = signature_atoms(predicate)
+                sub = classes[predicate] = None if any(
+                    isinstance(constraint, ShapeRef)
+                    for _, constraint in atoms) else {}
             if sub is None:
-                sub = classes[predicate] = {}
-            atoms = None
+                return None
+            constraints = None
             pkey = predicate.value
             for obj in objects:
-                cls = sub.get(obj, _NO_CLASS)
-                if cls is _NO_CLASS:
-                    if atoms is None:
-                        atoms = signature_atoms(predicate)
-                    cls = sub[obj] = self._object_class(obj, atoms)
-                if cls is None:
-                    return None
-                if check_refs and cls[0] and obj == node:
-                    return None
-                items.append((pkey, cls[1]))
+                bits = sub.get(obj)
+                if bits is None:
+                    if constraints is None:
+                        constraints = [constraint for _, constraint
+                                       in signature_atoms(predicate)]
+                    bits = sub[obj] = tuple(constraint.matches(obj)
+                                            for constraint in constraints)
+                items.append((pkey, bits))
         items.sort()
         return tuple(items)
 

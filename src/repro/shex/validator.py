@@ -191,11 +191,13 @@ class Validator:
         False (default) runs the one production configuration: the bulk
         operations — ``validate_map``, ``validate_graph``, ``infer_typing``,
         ``conforming_nodes`` — thread **one** :class:`ValidationContext`
-        through the whole run (and keep it across runs, rebuilding it when
-        the graph mutates), a :class:`~repro.shex.compiled.CompiledSchema`
-        settles statically decidable pairs and indexes arc atoms, a
-        :class:`~repro.shex.cache.SignatureCache` answers subjects whose
-        neighbourhood signature was already settled, and a named
+        through one pair loop (and keep it across runs, rebuilding it when
+        the graph mutates); each pair is probed against a
+        :class:`~repro.shex.cache.SignatureCache` (reference-free subjects
+        whose neighbourhood signature was already settled) before it goes
+        through ``check_reference``, where a
+        :class:`~repro.shex.compiled.CompiledSchema` settles statically
+        decidable pairs (it also indexes arc atoms), and a named
         derivatives engine gets a global
         :class:`~repro.shex.cache.DerivativeCache`.  True runs the paper's
         reference semantics instead: a fresh context per node and no
@@ -317,12 +319,10 @@ class Validator:
 
     # -- contexts ---------------------------------------------------------------
     def _new_context(self) -> ValidationContext:
-        index = self._schema_reference_index() if self.schema is not None else None
         context = ValidationContext(self.graph, self.schema,
                                     self.engine.match_neighbourhood,
                                     max_recursion_depth=self.max_recursion_depth,
-                                    compiled=self.compiled,
-                                    reference_index=index)
+                                    compiled=self.compiled)
         context.signature_cache = self.signature_cache
         return context
 
@@ -399,15 +399,13 @@ class Validator:
     def validate_map(self, shape_map: Mapping[SubjectTerm, Union[ShapeLabel, str]]
                      ) -> ValidationReport:
         """Validate every ``node → label`` association of a shape map."""
-        context = self._bulk_context()
-        report = ValidationReport()
-        conforming: List[Tuple[ObjectTerm, ShapeLabel]] = []
-        for node, label in shape_map.items():
-            entry = self.validate_node(node, label, context=context)
-            report.entries.append(entry)
-            if entry.conforms:
-                conforming.append((node, self._resolve_label(label)))
-        report.typing = ShapeTyping.from_pairs(conforming)
+        report = ValidationReport(entries=self._validate_pairs(
+            self._bulk_context(),
+            [(node, self._resolve_label(label))
+             for node, label in shape_map.items()]))
+        report.typing = ShapeTyping.from_pairs(
+            (entry.node, entry.label) for entry in report.entries if entry.conforms
+        )
         return report
 
     def infer_typing(self, nodes: Optional[Iterable[SubjectTerm]] = None,
@@ -428,22 +426,19 @@ class Validator:
         )
         label_list = [self._resolve_label(label) for label in labels] if labels \
             else list(self.schema.labels())
-        context = self._bulk_context()
+        entries = self._validate_pairs_serial(self._bulk_context(), label_list,
+                                              node_list)
         return ShapeTyping.from_pairs(
-            (node, label)
-            for node in node_list
-            for label in label_list
-            if self.validate_node(node, label, context=context).conforms
+            (entry.node, entry.label) for entry in entries if entry.conforms
         )
 
     def conforming_nodes(self, label: Union[ShapeLabel, str, None] = None
                          ) -> List[SubjectTerm]:
         """Return the subject nodes that conform to ``label`` (Example 2)."""
         label = self._resolve_label(label)
-        context = self._bulk_context()
         nodes = sorted(self.graph.nodes(), key=lambda term: term.sort_key())
-        return [node for node in nodes
-                if self.validate_node(node, label, context=context).conforms]
+        return [entry.node for entry in self._validate_pairs_serial(
+            self._bulk_context(), [label], nodes) if entry.conforms]
 
     def validate_graph(self, labels: Optional[Sequence[Union[ShapeLabel, str]]] = None
                        ) -> ValidationReport:
@@ -495,51 +490,39 @@ class Validator:
         self._incremental_typing = report.typing
         self._incremental_generation = getattr(self.graph, "generation", None)
 
+    def _validate_pairs(self, context: Optional[ValidationContext],
+                        pairs: Iterable[Tuple[ObjectTerm, ShapeLabel]],
+                        ) -> List[ValidationReportEntry]:
+        """Validate ``(node, label)`` pairs in order: the one bulk pair loop.
+
+        Each pair is probed against the signature cache first — the cached
+        verdict is a pure function of the canonical neighbourhood signature
+        for *any* label, so a repeated structure is answered in one
+        dictionary hit before any matching frame is constructed.  The rest
+        goes through :meth:`validate_node` (``check_reference``: settled
+        verdicts, then the compiled-schema prefilter, then the engine), and
+        its settled verdict is stored back for every later lookalike.
+        Without a context (the reference) every pair gets a fresh one.
+        """
+        cache = context.signature_cache if context is not None else None
+        entries: List[ValidationReportEntry] = []
+        for node, label in pairs:
+            entry = (_signature_probe(context, cache, node, label)
+                     if cache is not None else None)
+            if entry is None:
+                entry = self.validate_node(node, label, context=context)
+                if cache is not None:
+                    _signature_store(context, cache, node, label, entry)
+            entries.append(entry)
+        return entries
+
     def _validate_pairs_serial(self, context: Optional[ValidationContext],
                                label_list: Sequence[ShapeLabel],
                                subjects: Sequence[SubjectTerm],
                                ) -> List[ValidationReportEntry]:
-        """Validate ``subjects × label_list`` in order, signature first.
-
-        Each ``(node, label)`` pair is probed against the signature cache
-        first — the cached verdict is a pure function of the canonical
-        neighbourhood signature for *any* label, so a repeated structure is
-        answered in one dictionary hit before any prefilter scan or matching
-        frame is constructed.  The labels the cache cannot answer go to the
-        compiled-schema prefilter, whose decisions are themselves recorded
-        under the signature (they are signature-pure too); only the
-        remainder goes through :meth:`validate_node` and the engine — whose
-        settled verdict is stored back for every later lookalike subject.
-        """
-        use_prefilter = context is not None and context.compiled is not None
-        cache = context.signature_cache if context is not None else None
-        entries: List[ValidationReportEntry] = []
-        for node in subjects:
-            answered: Dict[ShapeLabel, ValidationReportEntry] = {}
-            if cache is not None:
-                for label in label_list:
-                    hit = _signature_probe(context, cache, node, label)
-                    if hit is not None:
-                        answered[label] = hit
-            pending = [label for label in label_list
-                       if label not in answered] if answered else label_list
-            decisions = (context.prefilter_node(node, pending)
-                         if pending and use_prefilter else None)
-            for label in label_list:
-                entry = answered.get(label)
-                if entry is None:
-                    decision = decisions.get(label) if decisions else None
-                    if decision is not None:
-                        entry = _decided_entry(node, label, decision)
-                        if cache is not None:
-                            _prefilter_signature_store(context, cache, node,
-                                                       label, decision)
-                    else:
-                        entry = self.validate_node(node, label, context=context)
-                        if cache is not None:
-                            _signature_store(context, cache, node, label, entry)
-                entries.append(entry)
-        return entries
+        """Validate ``subjects × label_list`` in order (node-major)."""
+        return self._validate_pairs(
+            context, [(node, label) for node in subjects for label in label_list])
 
     def _owns(self, node: SubjectTerm) -> bool:
         """Whether bulk reports cover ``node`` (True without a filter)."""
@@ -649,8 +632,7 @@ class Validator:
         from .partition import affected_nodes
 
         affected = affected_nodes(self.graph, self.schema, dirty,
-                                  index=self._schema_reference_index(),
-                                  compiled=self.compiled)
+                                  index=self._schema_reference_index())
         context = self._context
         retracted = context.retract_nodes(affected)
         # the retained context is now consistent with the mutated graph:
@@ -793,32 +775,6 @@ class Validator:
         return ShapeLabel(label)
 
 
-# -- the bulk prefilter fast lane ---------------------------------------------------
-def _decided_entry(node: ObjectTerm, label: ShapeLabel,
-                   decision) -> ValidationReportEntry:
-    """Build a report entry for a prefilter-decided ``(node, label)`` pair.
-
-    The fast lane of the bulk paths: when the compiled-schema prefilter
-    settles a pair, it never reaches
-    :meth:`ValidationContext.check_reference` — no matching frame, no
-    hypothesis bookkeeping, no per-entry statistics snapshotting.  The
-    verdict itself was already recorded in the context by
-    ``prefilter_node`` / ``prefilter_check``.
-    """
-    if decision.matched:
-        return ValidationReportEntry(
-            node=node, label=label, conforms=True,
-            stats=MatchStats(prefilter_accepts=1),
-        )
-    # the entry carries the node and label already; reusing the memoised
-    # reason string verbatim keeps the reject lane allocation-light
-    return ValidationReportEntry(
-        node=node, label=label, conforms=False,
-        reason=decision.reason,
-        stats=MatchStats(prefilter_rejects=1),
-    )
-
-
 # -- the signature dedupe lane ------------------------------------------------------
 def _signature_probe(context: ValidationContext, cache: SignatureCache,
                      node: ObjectTerm, label: ShapeLabel
@@ -881,30 +837,6 @@ def _signature_store(context: ValidationContext, cache: SignatureCache,
         "neighbourhood signature matches a structure that does not "
         f"satisfy {label}")
     cache.store(signature, label, entry.conforms, reason)
-    stats.signature_dedupes += 1
-
-
-def _prefilter_signature_store(context: ValidationContext, cache: SignatureCache,
-                               node: ObjectTerm, label: ShapeLabel,
-                               decision) -> None:
-    """Record a prefilter-decided verdict under the subject's signature.
-
-    Sound for the same reason the engine-path store is: everything the
-    prefilter consults — the predicate multiset and the screenable
-    constraint verdicts of each object — is a pure function of the
-    canonical neighbourhood signature, so equal signatures always replay
-    the same decision.  Storing it lets later lookalike subjects skip the
-    prefilter scan too, not just the engine run.  The prefilter's reason
-    strings name predicates, never the node, so serving them verbatim to a
-    lookalike stays accurate.
-    """
-    stats = context.stats
-    start = perf_counter()
-    signature = context.node_signature(node)
-    stats.signature_time += perf_counter() - start
-    if signature is None:
-        return
-    cache.store(signature, label, decision.matched, decision.reason)
     stats.signature_dedupes += 1
 
 

@@ -27,6 +27,7 @@ from repro.shex import (
     DerivativeEngine,
     Schema,
     ShapeLabel,
+    ShapeTyping,
     ValidationContext,
     Validator,
     arc,
@@ -320,6 +321,53 @@ class TestBulkAgreement:
         fresh = Validator(workload.graph, workload.schema,
                           reference=True).infer_typing()
         assert shared == fresh
+
+
+class TestBulkOperationsShareThePairLoop:
+    """``validate_map``, ``infer_typing`` and ``conforming_nodes`` run the
+    same signature-first pair loop as ``validate_graph``."""
+
+    SCHEMA = """
+    PREFIX foaf: <http://xmlns.com/foaf/0.1/>
+    PREFIX xsd:  <http://www.w3.org/2001/XMLSchema#>
+    <Person> { foaf:age xsd:integer , foaf:name xsd:string + , foaf:knows IRI * }
+    <Named> { foaf:name xsd:string + }
+    """
+
+    def _setup(self):
+        workload = generate_person_workload(num_people=30, seed=4)
+        schema = Schema.from_shexc(self.SCHEMA)
+        truth = Validator(workload.graph, schema).validate_graph()
+        verdicts = {(entry.node, entry.label): entry.conforms for entry in truth}
+        return workload.graph, schema, verdicts
+
+    def test_validate_map(self):
+        graph, schema, verdicts = self._setup()
+        validator = Validator(graph, schema)
+        report = validator.validate_map({node: PERSON for node, label in verdicts
+                                         if label == PERSON})
+        assert {(entry.node, entry.label): entry.conforms for entry in report} \
+            == {pair: conforms for pair, conforms in verdicts.items()
+                if pair[1] == PERSON}
+        assert report.typing == ShapeTyping.from_pairs(
+            pair for pair, ok in verdicts.items() if ok and pair[1] == PERSON)
+        assert report.total_stats().signature_hits > 0
+
+    def test_infer_typing(self):
+        graph, schema, verdicts = self._setup()
+        validator = Validator(graph, schema)
+        typing = validator.infer_typing()
+        assert typing == ShapeTyping.from_pairs(
+            pair for pair, ok in verdicts.items() if ok)
+        assert validator._bulk_context().stats.signature_hits > 0
+
+    def test_conforming_nodes(self):
+        graph, schema, verdicts = self._setup()
+        validator = Validator(graph, schema)
+        nodes = validator.conforming_nodes("Person")
+        assert set(nodes) == {node for (node, label), ok in verdicts.items()
+                              if ok and label == PERSON}
+        assert validator._bulk_context().stats.signature_hits > 0
 
 
 class TestGraphNeighbourhoodCache:

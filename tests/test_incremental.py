@@ -217,10 +217,13 @@ class TestGraphJournalIntegration:
 
 # ------------------------------------------------------------ affected closure
 class TestAffectedNodes:
-    def test_reverse_index_exposes_referrer_labels(self):
+    def test_reference_index_marks_reference_predicates(self):
         index = ReferenceIndex(person_schema())
-        assert index.referrer_labels_for(FOAF.knows) == {ShapeLabel("Person")}
-        assert index.referrer_labels_for(FOAF.age) == frozenset()
+        assert index.has_references
+        assert index.demands(FOAF.knows)
+        assert index.labels_for(FOAF.knows) == {ShapeLabel("Person")}
+        assert not index.demands(FOAF.age)
+        assert index.labels_for(FOAF.age) == frozenset()
 
     def test_dirty_only_without_references(self):
         schema = person_schema()
@@ -251,9 +254,7 @@ class TestAffectedNodes:
         assert member in closure
         assert all(str(node.value).startswith(community) for node in closure)
 
-    def test_compiled_pruning_stops_at_statically_decided_targets(self):
-        from repro.shex.compiled import CompiledSchema
-
+    def test_closure_includes_referrers_of_statically_decidable_targets(self):
         schema = person_schema()
         graph = Graph()
         with graph.batch():
@@ -267,18 +268,13 @@ class TestAffectedNodes:
             graph.add(Triple(EX.target, FOAF.knows, EX.third))
             graph.add(Triple(EX.third, FOAF.age, Literal(30)))
             graph.add(Triple(EX.third, FOAF.name, Literal("t")))
-        compiled = CompiledSchema(schema)
-        # third dirty: the walk reaches target; target's demanded labels are
-        # statically decided and target itself is clean, so propagation stops
-        pruned = affected_nodes(graph, schema, {EX.third}, compiled=compiled)
-        assert pruned == {EX.third, EX.target}
-        # without the compiled schema the referrer is (soundly) included
-        unpruned = affected_nodes(graph, schema, {EX.third})
-        assert unpruned == {EX.third, EX.target, EX.referrer}
-        # a *dirty* statically-decided node always propagates
-        dirty_target = affected_nodes(graph, schema, {EX.target},
-                                      compiled=compiled)
-        assert EX.referrer in dirty_target
+        # the walk never stops early: every referrer along the reference
+        # edges is in the closure, decidable target or not
+        assert affected_nodes(graph, schema, {EX.third}) \
+            == {EX.third, EX.target, EX.referrer}
+        # a dirty node always propagates to its referrers
+        assert affected_nodes(graph, schema, {EX.target}) \
+            == {EX.target, EX.referrer}
 
 
 # ------------------------------------------------------------------ retraction

@@ -18,6 +18,7 @@ from repro.shex.cache import SignatureCache
 from repro.workloads import (
     PERSON_SCHEMA_SHEXC,
     generate_community_workload,
+    generate_kb_workload,
     generate_person_workload,
 )
 
@@ -62,7 +63,9 @@ class TestWhatTheReferenceIs:
         assert stats.prefilter == stats.signature == stats.cache == {}
 
     def test_production_builds_every_cache_and_uses_them(self, constructions):
-        workload = generate_community_workload(num_communities=3, seed=5)
+        # kb entities are reference-free, so the signature cache serves them;
+        # hubs reference entities, so the prefilter and engine run too
+        workload = generate_kb_workload(num_entities=60, num_hubs=3, seed=5)
         validator = Validator(workload.graph, workload.schema)
         report = validator.validate_graph()
         assert constructions == {"CompiledSchema": 1, "SignatureCache": 1,
@@ -100,6 +103,20 @@ class TestReferenceAgreesWithProduction:
         reference = Validator(workload.graph, workload.schema, reference=True)
         assert verdicts(production.validate_graph()) \
             == verdicts(reference.validate_graph())
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_kb_hub_references(self, seed):
+        # hubs reference many entities; entities are reference-free, so the
+        # signature cache answers them while hubs go through check_reference
+        workload = generate_kb_workload(num_entities=80, num_hubs=4, seed=seed)
+        production = Validator(workload.graph, workload.schema)
+        reference = Validator(workload.graph, workload.schema, reference=True)
+        production_report = production.validate_graph()
+        assert [(entry.node, entry.label, entry.conforms)
+                for entry in production_report] \
+            == [(entry.node, entry.label, entry.conforms)
+                for entry in reference.validate_graph()]
+        assert production_report.total_stats().signature_hits > 0
 
     def test_reference_session_serves_verdicts_and_rebuilds_on_delta(self):
         workload = generate_person_workload(num_people=12, seed=3)

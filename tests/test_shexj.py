@@ -19,6 +19,7 @@ from repro.shex import (
     NodeKindConstraint,
     PredicateSet,
     Schema,
+    SchemaError,
     ShapeRef,
     Validator,
     arc,
@@ -137,3 +138,48 @@ class TestSchemaRoundTrip:
     def test_non_schema_dict_rejected(self):
         with pytest.raises(ValueError):
             schema_from_dict({"type": "NotASchema"})
+
+
+class TestNestedShapeReferences:
+    """A ``ShapeRef`` inside a constraint combinator is rejected up front.
+
+    Only an arc's whole object constraint can be a reference; nested in
+    ``NOT``/``OR``/``AND`` it used to reach ``ShapeRef.matches`` at
+    validation time and crash with a bare ``TypeError``.
+    """
+
+    REF = {"type": "ShapeRef", "reference": "Person"}
+    COMBINATORS = {
+        "ConstraintNot": {"type": "ConstraintNot", "operand": REF},
+        "ConstraintOr": {"type": "ConstraintOr", "operands": [
+            REF, {"type": "Datatype", "datatype": str(XSD.string)}]},
+        "ConstraintAnd": {"type": "ConstraintAnd", "operands": [
+            {"type": "NodeKind", "kind": "iri"},
+            {"type": "ConstraintNot", "operand": REF}]},
+    }
+
+    @staticmethod
+    def _schema_dict(constraint):
+        knows = {"type": "Arc", "predicate": {"predicates": [str(FOAF.knows)]},
+                 "object": constraint}
+        return {"type": "Schema", "start": "Person",
+                "shapes": {"Person": {"type": "Star", "expression": knows}}}
+
+    @pytest.mark.parametrize("kind", sorted(COMBINATORS))
+    def test_shexj_combinator_around_a_reference_is_a_schema_error(self, kind):
+        with pytest.raises(SchemaError, match="shape Person nests a shape reference"):
+            schema_from_dict(self._schema_dict(self.COMBINATORS[kind]))
+
+    def test_python_api_is_rejected_too(self):
+        nested = ConstraintOr([ShapeRef(ShapeLabel("Person")), IRIStem("http://")])
+        with pytest.raises(SchemaError, match="Person"):
+            Schema.single("Person", star(Arc(PredicateSet([FOAF.knows]), nested)))
+
+    def test_undefined_label_inside_a_combinator_is_reported(self):
+        nested = ConstraintNot(ShapeRef(ShapeLabel("Nowhere")))
+        with pytest.raises(SchemaError):
+            Schema.single("Person", star(Arc(PredicateSet([FOAF.knows]), nested)))
+
+    def test_top_level_references_are_still_accepted(self):
+        schema = schema_from_dict(self._schema_dict(self.REF))
+        assert schema.dependencies("Person") == {ShapeLabel("Person")}

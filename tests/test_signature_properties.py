@@ -158,8 +158,7 @@ class TestStatsSnapshotIndependence:
         graph = self._twin_graph()
         # break both twins identically on a *faceted* constraint: the value
         # screen refuses facets, so the failure is decided by the engine and
-        # the failing verdict is deduped too (a prefilter rejection would
-        # short-circuit before the signature probe).
+        # the failing verdict is deduped too.
         schema = Schema({"S": And(
             arc(PredicateSet.single(EX.p), datatype(XSD.integer)),
             arc(PredicateSet.single(EX.q), datatype(XSD.string, min_length=1)))})
@@ -175,6 +174,52 @@ class TestStatsSnapshotIndependence:
         assert not verdicts[(EX.c, label)] and not verdicts[(EX.d, label)]
         stats = validator.signature_cache.stats()
         assert stats["hits"] >= 2 and stats["dedupes"] >= 2
+
+
+class TestSignatureRule:
+    """Which subjects get a signature, and how long it is kept.
+
+    A subject is signature-open exactly when a shape-reference atom can
+    consume one of its triples; a signature is a function of the subject's
+    own arcs, so retraction drops only the retracted nodes' signatures.
+    """
+
+    def _schema(self):
+        return Schema({"S": And(
+            arc(PredicateSet.single(EX.p), datatype(XSD.integer)),
+            Star(arc(PredicateSet.single(EX.r), shape_ref("S"))))})
+
+    def _graph(self):
+        graph = Graph()
+        for node in (EX.closed, EX.twin, EX.refers, EX.loops, EX.literal_ref):
+            graph.add(Triple(node, EX.p, Literal(1)))
+        graph.add(Triple(EX.refers, EX.r, EX.closed))
+        graph.add(Triple(EX.loops, EX.r, EX.loops))
+        # the reference atom can consume the triple even though a literal
+        # never conforms: the predicate alone makes the subject open
+        graph.add(Triple(EX.literal_ref, EX.r, Literal("x")))
+        return graph
+
+    def test_reference_consumable_triples_open_the_subject(self):
+        validator = Validator(self._graph(), self._schema())
+        context = validator._bulk_context()
+        assert context.node_signature(EX.refers) is None
+        assert context.node_signature(EX.loops) is None
+        assert context.node_signature(EX.literal_ref) is None
+        closed = context.node_signature(EX.closed)
+        assert closed == ((EX.p.value, (True,)),)
+        assert context.node_signature(EX.twin) == closed
+
+    def test_retraction_drops_only_the_retracted_signatures(self):
+        validator = Validator(self._graph(), self._schema())
+        validator.validate_graph()
+        context = validator._bulk_context()
+        memo = context._signatures
+        assert {EX.closed, EX.twin, EX.refers} <= set(memo)
+        context.retract_nodes({EX.closed})
+        assert EX.closed not in memo
+        assert EX.twin in memo and EX.refers in memo
+        assert context.node_signature(EX.closed) == memo[EX.twin]
 
 
 if __name__ == "__main__":

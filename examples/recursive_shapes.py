@@ -5,7 +5,8 @@ Shape Expression Schemas may reference themselves (``foaf:knows @<Person>*``),
 so validation needs the typing context ``Γ`` of Section 8.  This script
 validates chains, cycles and trees of people, shows the inferred shape typing
 and demonstrates that cyclic data terminates thanks to the coinductive
-hypothesis handling.
+reading of the typing rules (production computes their greatest fixpoint;
+``reference=True`` descends under hypotheses).
 
 Run with::
 

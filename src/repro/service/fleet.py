@@ -37,7 +37,6 @@ from __future__ import annotations
 import multiprocessing
 import os
 import queue
-import sys
 import time
 import zlib
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -77,10 +76,8 @@ class _ShardReplica:
     """Worker-side state: the shard-local graph, journal and validator."""
 
     def __init__(self, shard_index: int, shards: int, schema, engine_spec,
-                 compiled, triples, recursion_limit: int, journal_max_entries: int,
+                 compiled, triples, journal_max_entries: int,
                  cache_max_entries: Optional[int]):
-        if recursion_limit > sys.getrecursionlimit():
-            sys.setrecursionlimit(recursion_limit)
         self.shard_index = shard_index
         self.shards = shards
         self.graph = Graph(journal_max_entries=journal_max_entries)
@@ -239,12 +236,10 @@ def _fleet_worker_main(shard_index: int, shards: int,
                 break
             if command == "load":
                 (schema, engine_spec, compiled, triples, labels,
-                 recursion_limit, journal_max_entries,
-                 cache_max_entries) = payload
+                 journal_max_entries, cache_max_entries) = payload
                 replica = _ShardReplica(
                     shard_index, shards, schema, engine_spec, compiled,
-                    triples, recursion_limit, journal_max_entries,
-                    cache_max_entries)
+                    triples, journal_max_entries, cache_max_entries)
                 _respond(responses, injector, ("ok", replica.run(labels)))
             elif command == "stats":
                 _respond(responses, injector,

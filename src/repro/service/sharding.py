@@ -24,7 +24,6 @@ of a *settled* verdict is idempotent.
 
 from __future__ import annotations
 
-import sys
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..rdf.terms import ObjectTerm
@@ -116,8 +115,7 @@ class ShardedValidator(Validator):
         if bound is None:
             bound = self.graph.journal.max_entries
         return (self.schema, self._worker_engine_spec, self.compiled,
-                triples, list(labels), sys.getrecursionlimit(), bound,
-                self.cache_max_entries)
+                triples, list(labels), bound, self.cache_max_entries)
 
     def _fleet_load(self, fleet: ShardFleet,
                     labels: Tuple[ShapeLabel, ...]) -> List[tuple]:

@@ -43,28 +43,27 @@ CLI, the service, the shard replicas):
 
 * one shared :class:`ValidationContext` threads the bulk operations
   (``validate_graph``, ``infer_typing``, ``validate_map``,
-  ``conforming_nodes``), so confirmed and refuted ``(node, label)``
-  verdicts propagate across the run — sound under recursion because
-  hypothesis-dependent verdicts stay provisional until their hypothesis
-  settles, and recursion-budget failures are never cached;
+  ``conforming_nodes``) and solves the typing as the greatest fixpoint of
+  one-step matching: a reference is answered from the current typing and
+  never recursed into, a pair that fails re-queues only the pairs that
+  read it, and every verdict a solve writes is final;
+* a :class:`~repro.shex.cache.SignatureCache` keyed by each subject's
+  typed neighbourhood signature (constraint bits plus reference bits read
+  from the typing), so recursive subjects get hits too;
 * a :class:`CompiledSchema` (per-label nullability, required-predicate
   sets, cardinality bounds, value screens, predicate-indexed atom tables)
-  whose **static prefilter** settles decidable pairs inside
-  ``ValidationContext.check_reference``, its one call site, before any
-  matching frame is built;
-* a :class:`~repro.shex.cache.SignatureCache` that answers a
-  reference-free subject whose one-hop neighbourhood signature was already
-  settled — every bulk pair is probed there first, then goes through
-  ``check_reference``;
+  whose **static prefilter** decides a pair on a signature-cache miss,
+  before the engine runs;
 * for the derivatives engine, a **global cross-node**
   :class:`DerivativeCache` keyed by hash-consed expression structure plus
   constraint-verdict vectors (bounded by ``cache_max_entries``).
 
 ``Validator(..., reference=True)`` (CLI ``validate --reference``) is the
-only alternative: the paper's reference semantics, with a fresh context
-per node and none of the compiled, signature or derivative caches.  It
-gives the same verdicts and is the oracle the fast paths are tested
-against.
+only alternative: the paper's reference semantics — a fresh context per
+node, the recursive descent under coinductive hypotheses bounded by
+``MAX_RECURSION_DEPTH`` hops, and none of the compiled, signature or
+derivative caches.  It gives the same verdicts within its budget and is
+the oracle the fast paths are tested against.
 
 The SPARQL compiler (:mod:`repro.shex.sparql_gen`) and the SPARQL engine
 behind it load on first use (PEP 562), so a validation run that never asks

@@ -18,9 +18,10 @@ cache key ``(expression, verdict-vector)`` hashes in O(1).
 
 Shape references (``@label``) stay sound because the verdict for a reference
 atom is obtained through :meth:`ValidationContext.check_reference` *before*
-the cache is consulted: the reference resolution (and its bookkeeping in the
-typing context) happens per triple exactly as in the uncached engine — only
-the purely structural ``verdicts → derivative`` mapping is reused.
+the cache is consulted: the reference is answered (from the typing in
+production, by the recursive descent otherwise) per triple exactly as
+in the uncached engine — only the purely structural ``verdicts → derivative``
+mapping is reused.
 
 The cache also memoises plain constraint verdicts per ``(constraint,
 object)`` pair, which collapses the repeated datatype / value-set checks the
@@ -186,32 +187,32 @@ class DerivativeCache:
 
 
 class SignatureCache:
-    """Bounded ``(neighbourhood signature, shape label) → verdict`` memo.
+    """Bounded ``(typed neighbourhood signature, shape label) → verdict`` memo.
 
-    The dominant redundancy of hub-heavy KB graphs lives one level *above*
-    the derivative cache: whole subjects share byte-identical neighbourhood
-    structure, so even a perfectly cached derivative chain is replayed once
-    per node.  This cache short-circuits the entire engine run for a subject
-    whose canonical *neighbourhood signature* — a sorted multiset of
+    The dominant redundancy of whole-graph validation lives one level
+    *above* the derivative cache: whole subjects share identical
+    neighbourhood structure, so even a perfectly cached derivative chain is
+    replayed once per node.  This cache short-circuits the entire engine run
+    for a pair whose canonical *typed signature* — a sorted multiset of
     ``(predicate, object-class)`` pairs, see
-    :meth:`ValidationContext.node_signature` — was already validated against
-    the same shape label.
+    :meth:`ValidationContext.node_signature` — was already matched against
+    the same shape label.  An object's class holds one bit per candidate
+    atom: the constraint verdict for a value atom, and for a ``@label``
+    atom the object's bit in the typing the match read.
 
-    Soundness rests on two gates enforced by the caller, never by the cache:
-
-    * only *settled* verdicts are stored (no hypothesis-bound provisional
-      outcomes, no budget-poisoned results), and
-    * only signature-*closed* subjects participate — subjects no
-      shape-reference atom can consume a triple of, whose verdict is
-      therefore a pure function of their own arcs' context-free constraint
-      bits.  Subjects with a reference-consumable triple get no signature
-      at all (:meth:`ValidationContext.node_signature` returns ``None``).
+    Soundness: one-step matching of a pair — the engine's verdict under a
+    typing, and the prefilter's, which never reads the typing — is a pure
+    function of the signature and the label, because the bits fix the
+    verdict of every atom a triple can touch.  So every verdict the
+    production fixpoint computes may be stored (the greatest-fixpoint solve
+    keys each match by the signature it read), recursive subjects included,
+    and the stored reason names no node.
 
     Entries are keyed by signature structure only, so one instance may serve
     any number of nodes, validation runs and graph generations over the same
-    schema: a mutated node simply produces a different signature.  When
-    ``max_entries`` is set the table evicts least-recently-used entries,
-    mirroring :class:`DerivativeCache`.
+    schema: a mutated node, or a changed typing, simply produces a different
+    signature.  When ``max_entries`` is set the table evicts
+    least-recently-used entries, mirroring :class:`DerivativeCache`.
     """
 
     def __init__(self, max_entries: Optional[int] = None) -> None:

@@ -21,12 +21,13 @@ of the schema alone, computed **once per schema** instead of once per node:
   in O(1) instead of re-testing every predicate set.
 
 Soundness of each fast path is argued in ``docs/architecture.md`` ("Schema
-compilation").  Two properties keep the prefilter compatible with the PR 1
-recursion semantics: decisions depend only on the neighbourhood's predicate
-multiset, trivially-screened objects and the schema — never on the typing
-context — so every prefilter verdict is **definitive** (safe to cache, safe
-to share across processes), and shape-reference arcs are never screened, so
-hypothesis-dependent outcomes always fall through to the full engine.
+compilation").  Two properties keep the prefilter compatible with the
+greatest-fixpoint typing: decisions depend only on the neighbourhood's
+predicate multiset, trivially-screened objects and the schema — never on the
+typing — so every prefilter verdict is **definitive** (safe to cache under a
+typed signature, safe to share across processes), and shape-reference arcs
+are never screened, so typing-dependent outcomes always fall through to the
+full engine.
 
 A :class:`CompiledSchema` is picklable: resident shard workers receive the
 coordinator's compiled tables once per process instead of recompiling them.
@@ -288,9 +289,10 @@ class CompiledSchema:
     :class:`~repro.shex.validator.Validator` does this by default) and thread
     it through validation contexts; resident shard workers receive it pickled
     instead of recompiling.  A context reads three things from it: the
-    per-label prefilter (only from ``check_reference``), the candidate atom
-    index (the derivative engine's dispatch) and the ordered signature atoms
-    (neighbourhood signatures, which never consult the prefilter).
+    per-label prefilter (only from the signature lane, on a signature-cache
+    miss), the candidate atom index (the derivative engine's dispatch) and
+    the ordered signature atoms (typed neighbourhood signatures, which never
+    consult the prefilter).
     """
 
     def __init__(self, schema: Schema):

@@ -9,7 +9,8 @@ expression size, …).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import attrgetter, sub
 from typing import Optional
 
 __all__ = ["MatchStats", "MatchResult", "ValidationReportEntry"]
@@ -100,55 +101,32 @@ class MatchStats:
 
     def copy(self) -> "MatchStats":
         """Return an independent snapshot of the counters."""
-        return MatchStats(
-            derivative_steps=self.derivative_steps,
-            decompositions=self.decompositions,
-            rule_applications=self.rule_applications,
-            arc_checks=self.arc_checks,
-            reference_checks=self.reference_checks,
-            prefilter_accepts=self.prefilter_accepts,
-            prefilter_rejects=self.prefilter_rejects,
-            signature_hits=self.signature_hits,
-            signature_misses=self.signature_misses,
-            signature_dedupes=self.signature_dedupes,
-            signature_time=self.signature_time,
-            prefilter_time=self.prefilter_time,
-            dispatch_time=self.dispatch_time,
-            backtrack_time=self.backtrack_time,
-            cache_time=self.cache_time,
-            max_expression_size=self.max_expression_size,
-        )
+        return MatchStats(*_counters(self))
 
     def combined(self, other: "MatchStats") -> "MatchStats":
         """Pure variant of :meth:`merge`: return a new accumulated record."""
         return self.copy().merge(other)
 
-    def delta_since(self, before: "MatchStats") -> "MatchStats":
-        """Return the work done since the ``before`` snapshot was taken.
+    def snapshot(self) -> tuple:
+        """The counters as a tuple, for :meth:`delta_since`."""
+        return _counters(self)
+
+    def delta_since(self, before: tuple) -> "MatchStats":
+        """Return the work done since the ``before`` :meth:`snapshot` was taken.
 
         Counters are subtracted; ``max_expression_size`` is a high-water mark
-        and carries over unchanged.  Used by the shared-context bulk path to
+        and carries over unchanged.  Used by ``Validator.validate_node`` to
         attribute per-entry statistics without aliasing the accumulated
         context record.
         """
-        return MatchStats(
-            derivative_steps=self.derivative_steps - before.derivative_steps,
-            decompositions=self.decompositions - before.decompositions,
-            rule_applications=self.rule_applications - before.rule_applications,
-            arc_checks=self.arc_checks - before.arc_checks,
-            reference_checks=self.reference_checks - before.reference_checks,
-            prefilter_accepts=self.prefilter_accepts - before.prefilter_accepts,
-            prefilter_rejects=self.prefilter_rejects - before.prefilter_rejects,
-            signature_hits=self.signature_hits - before.signature_hits,
-            signature_misses=self.signature_misses - before.signature_misses,
-            signature_dedupes=self.signature_dedupes - before.signature_dedupes,
-            signature_time=self.signature_time - before.signature_time,
-            prefilter_time=self.prefilter_time - before.prefilter_time,
-            dispatch_time=self.dispatch_time - before.dispatch_time,
-            backtrack_time=self.backtrack_time - before.backtrack_time,
-            cache_time=self.cache_time - before.cache_time,
-            max_expression_size=self.max_expression_size,
-        )
+        values = list(map(sub, _counters(self), before))
+        # a maintained report keeps one record per pair: share the zero
+        # rather than keep a fresh float per untouched timer
+        for index in _TIMERS:
+            values[index] = values[index] or 0.0
+        delta = MatchStats(*values)
+        delta.max_expression_size = self.max_expression_size
+        return delta
 
     def as_dict(self) -> dict:
         """Return the counters as a plain dictionary (for benchmark tables)."""
@@ -170,6 +148,13 @@ class MatchStats:
             "cache_time": self.cache_time,
             "max_expression_size": self.max_expression_size,
         }
+
+
+#: every counter of a :class:`MatchStats`, in field order, in one C call.
+_counters = attrgetter(*(counter.name for counter in fields(MatchStats)))
+#: field positions of the wall-clock counters (floats).
+_TIMERS = tuple(index for index, counter in enumerate(fields(MatchStats))
+                if counter.type == "float")
 
 
 @dataclass

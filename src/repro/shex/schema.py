@@ -12,9 +12,10 @@ This module provides:
 
 * :class:`Schema` — the ``(Λ, δ)`` pair with convenience constructors,
 * :class:`ValidationContext` — the ``Γ`` object shared by both engines; it
-  holds the graph, the schema, the hypothesis set and a pluggable
-  ``neighbourhood matcher`` so the same recursion logic drives the
-  derivative engine, the backtracking engine and any future engine.
+  holds the graph, the schema, the verdicts and a pluggable ``neighbourhood
+  matcher``.  Production solves the typing as a greatest fixpoint with a
+  worklist; the reference keeps the recursive ``MatchShape`` descent under
+  hypotheses.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from .node_constraints import (
     ShapeRef,
 )
 from .results import MatchResult, MatchStats
-from .typing import ShapeLabel, ShapeTyping
+from .typing import ShapeLabel, ShapeTyping, _as_label
 
 __all__ = ["Schema", "SchemaError", "ValidationContext", "NeighbourhoodMatcher",
            "LazyNeighbourhood", "FRAMES_PER_HOP", "MAX_RECURSION_DEPTH"]
@@ -75,6 +76,9 @@ MAX_RECURSION_DEPTH = 500
 STACK_HEADROOM = 256
 
 _RECURSION_LIMIT_LOCK = threading.Lock()
+
+#: a ``(node, label)`` pair of the typing.
+_Pair = Tuple[ObjectTerm, ShapeLabel]
 
 
 class SchemaError(Exception):
@@ -276,15 +280,19 @@ class LazyNeighbourhood:
         return iter(self._fetch(self._node))
 
 
-#: sentinel for object-class memo misses — ``None`` is a valid memoised entry
-#: (a reference predicate), so ``dict.get`` needs a distinct default.
-_NO_CLASS = object()
-
-
 #: sentinel dependency depth marking an outcome forced by the recursion-depth
 #: budget; it never resolves (no frame ever settles at this depth), so the
 #: poison propagates to every enclosing frame and nothing gets cached.
 _BUDGET_POISON = -1
+
+def _no_bit(obj: ObjectTerm) -> bool:
+    """Placeholder test of a ``@label`` atom: its bit is read from the typing."""
+    return False
+
+
+#: the answers of a production read: the matcher only looks at the bit.
+_HOLDS = MatchResult(True)
+_FAILS = MatchResult(False)
 
 
 class _Frame:
@@ -309,26 +317,34 @@ class _Frame:
 class ValidationContext:
     """The typing context ``Γ`` threaded through a validation run.
 
-    The context records the *hypotheses*: the ``(node, label)`` pairs whose
+    A context runs in one of two ways, chosen by ``compiled``.
+
+    **Production** (a :class:`~repro.shex.compiled.CompiledSchema` given,
+    as every :class:`~repro.shex.validator.Validator` outside the reference
+    does): the typing is the greatest fixpoint of one-step matching, which
+    is what the coinductive typing rules of Section 8 define for schemas
+    without shape negation.  :meth:`check_reference` never recurses.  A
+    reference met inside a match reads the current status of the pair and
+    records the read (:meth:`_status`).  A call from outside a match demands
+    the pair and runs a worklist solve to its end (:meth:`_solve`).  Each pair
+    of a solve is decided by the signature lane (:meth:`_decide`: typed
+    signature → signature cache → prefilter → matcher).  After a solve every
+    verdict it reached is final, so the confirmed and failed stores only
+    ever hold settled verdicts, and stack depth does not grow with
+    reference chains.
+
+    **Reference** (no compiled schema): the paper's recursive algorithm.  The
+    context records the *hypotheses*: the ``(node, label)`` pairs whose
     validation is currently in progress.  When an arc references a label and
     the object node is already hypothesised for that label, the reference is
     assumed to hold, which is exactly the coinductive reading of the
     ``MatchShape`` rule and guarantees termination on cyclic data
-    (``:alice foaf:knows :bob . :bob foaf:knows :alice .``).
-
-    Verdicts are cached so shared sub-structures are validated once — and so
-    a single context can be reused for a whole-graph bulk run.  Caching is
-    *sound*: a verdict derived while the subtree consulted an in-progress
-    hypothesis from an **enclosing** frame is provisional (the hypothesis may
-    yet be refuted) and is only promoted to the cache once the frame that
-    owns the hypothesis settles successfully; failures with such
-    dependencies, and any outcome forced by the recursion-depth budget, are
-    never cached at all.
-
-    :meth:`check_reference` is where every pair is decided, in the order
-    settled verdicts → compiled-schema prefilter (:meth:`prefilter_check`,
-    only called from there) → matcher.  :meth:`node_signature` keys the bulk
-    loop's signature cache and never consults the prefilter.
+    (``:alice foaf:knows :bob . :bob foaf:knows :alice .``).  Verdicts are
+    cached soundly: a verdict derived while the subtree consulted an
+    in-progress hypothesis from an **enclosing** frame is provisional and is
+    only promoted once the frame that owns the hypothesis settles
+    successfully; failures with such dependencies, and any outcome forced by
+    the ``max_recursion_depth`` budget, are never cached at all.
 
     The actual neighbourhood matching is delegated to the ``matcher``
     callable so the derivative and backtracking engines can share this class.
@@ -340,19 +356,18 @@ class ValidationContext:
                  compiled: Optional[object] = None):
         self.graph = graph
         self.schema = schema
-        #: optional :class:`~repro.shex.compiled.CompiledSchema` enabling the
-        #: static prefilter and the engine's predicate-indexed atom dispatch.
-        #: Kept untyped to avoid a circular import; ``None`` disables both.
+        #: optional :class:`~repro.shex.compiled.CompiledSchema`: selects the
+        #: production fixpoint and supplies its signature atoms, the static
+        #: prefilter and the engine's predicate-indexed atom dispatch.  Kept
+        #: untyped to avoid a circular import; ``None`` runs the reference.
         self.compiled = compiled
         #: per-node predicate multisets, computed once and shared by every
         #: label the node is checked against (only populated when compiled).
         self._pred_counts: Dict[ObjectTerm, Mapping] = {}
         #: pairs the prefilter already found undecidable (keyed by node so
-        #: retraction pops per node).  ``check_reference`` re-enters a pair
-        #: whose engine outcome was not settled — a failure resting on an
-        #: enclosing hypothesis, a dropped provisional success, a budget
-        #: cut-off — and this memo spares that re-entry the prefilter's
-        #: count and value scans.
+        #: retraction pops per node).  A solve re-matches a pair whose reads
+        #: fell, under a new typed signature, and this memo spares the
+        #: prefilter's count and value scans then.
         self._prefilter_unknown: Dict[ObjectTerm, Set[ShapeLabel]] = {}
         self._matcher = matcher
         #: hypothesis → depth of the frame that assumed it.
@@ -395,17 +410,22 @@ class ValidationContext:
         engine = getattr(matcher, "__self__", None)
         self._ordered_neighbourhoods = bool(
             getattr(engine, "wants_ordered_neighbourhoods", False))
-        #: neighbourhood-signature verdict cache attached by the bulk
-        #: validator (:class:`~repro.shex.cache.SignatureCache`); ``None``
-        #: disables the signature fast path.
+        #: neighbourhood-signature verdict cache attached by the validator
+        #: (:class:`~repro.shex.cache.SignatureCache`); ``None`` stores nothing.
         self.signature_cache = None
-        #: node → canonical signature memo.  Presence-keyed, because ``None``
-        #: (signature-open, engine must run) is a valid memoised answer.
-        self._signatures: Dict[ObjectTerm, Optional[tuple]] = {}
-        #: object-class memo: predicate → object → constraint verdict bits,
-        #: or predicate → ``None`` when a shape-reference atom can consume
-        #: the predicate's triples (their subjects are signature-open).
-        self._object_classes: Dict[IRI, Optional[Dict[ObjectTerm, tuple]]] = {}
+        #: node → typing-free part of its signature (:meth:`node_signature`).
+        self._signatures: Dict[ObjectTerm, Tuple[tuple, tuple]] = {}
+        #: object-class memo: predicate → (object → candidate-atom bits, the
+        #: ``(bit index, label)`` of each ``@label`` atom among them, one
+        #: bit test per atom).
+        self._object_classes: Dict[IRI, Tuple[Dict[ObjectTerm, tuple], tuple, tuple]] = {}
+        #: the greatest-fixpoint solve of a production context: the pair being
+        #: matched (``None`` outside a match), the status of every unsettled
+        #: demanded pair, the pairs still to match, and who read which pair.
+        self._reader: Optional[_Pair] = None
+        self._pending: Dict[_Pair, bool] = {}
+        self._queue: List[_Pair] = []
+        self._readers: Dict[_Pair, Dict[_Pair, None]] = {}
 
     # -- typing bookkeeping -----------------------------------------------------
     @property
@@ -468,18 +488,20 @@ class ValidationContext:
         those nodes before re-running them.
 
         Soundness mirrors the settled-verdict merge rule in reverse: the
-        confirmed/failed stores only ever hold **settled** verdicts
-        (provisional, hypothesis-dependent outcomes are parked separately and
-        budget-poisoned outcomes are never recorded at all), so retraction
-        only removes definitive facts — and every retained fact is still
-        valid, because a verdict whose derivation could have consulted an
-        affected node is itself inside the closure by construction.
+        confirmed/failed stores only ever hold **settled** verdicts (a
+        production solve writes its pairs only once they are final; in the
+        reference, provisional outcomes are parked separately and
+        budget-poisoned ones are never recorded), so retraction only removes
+        definitive facts — and every retained fact is still valid, because a
+        verdict whose derivation could have read an affected node is itself
+        inside the closure by construction.  The retained verdicts are then
+        the fixed part of the typing the re-run solves against.
 
-        Must not be called while a validation is in progress (frames active);
-        raises :class:`SchemaError` then.  Returns the number of settled
-        verdicts dropped.
+        Must not be called while a validation is in progress (frames active
+        or a solve running); raises :class:`SchemaError` then.  Returns the
+        number of settled verdicts dropped.
         """
-        if self._frames or self._hypotheses:
+        if self._frames or self._hypotheses or self._pending:
             raise SchemaError(
                 "retract_nodes while a validation is in progress would drop "
                 "state active frames rely on"
@@ -538,13 +560,13 @@ class ValidationContext:
 
         This is the only way verdicts may cross context (and process)
         boundaries during sharded validation, and it is sound precisely
-        because only *definitive* verdicts are accepted: confirmed pairs were
-        established with no outstanding hypothesis, refuted pairs failed on
-        their own neighbourhood, and both are order-independent facts about
-        the graph.  Provisional verdicts (conditional on in-progress
-        hypotheses) and budget-poisoned outcomes must never be passed here —
-        :meth:`settled_verdicts` on the exporting side excludes them by
-        construction.
+        because only *definitive* verdicts are accepted: every verdict a
+        production solve writes is a greatest-fixpoint value, an
+        order-independent fact about the graph.  Seeded verdicts are read as
+        fixed by later solves.  In the reference, provisional verdicts
+        (conditional on in-progress hypotheses) and budget-poisoned outcomes
+        must never be passed here — :meth:`settled_verdicts` on the exporting
+        side excludes them by construction.
         """
         for node, label in confirmed:
             self._confirmed.setdefault(node, set()).add(label)
@@ -607,27 +629,15 @@ class ValidationContext:
             counts = self._pred_counts[node] = self.graph.predicate_counts(node)
         return LazyNeighbourhood(self.graph.neighbourhood, node), counts
 
-    def _record_decision(self, node: ObjectTerm, label: ShapeLabel,
-                         decision) -> None:
-        """Record a prefilter verdict — definitive, never hypothesis-bound."""
-        if decision.matched:
-            self.stats.prefilter_accepts += 1
-            self.confirm(node, label)
-        else:
-            self.stats.prefilter_rejects += 1
-            self.record_failure(node, label)
-
     def prefilter_check(self, node: ObjectTerm, label: ShapeLabel):
-        """Try to decide ``(node, label)`` statically; record any verdict.
+        """Try to decide ``(node, label)`` statically.
 
-        Returns the :class:`~repro.shex.compiled.PrefilterDecision` (and
-        confirms / records the failure — prefilter verdicts are definitive,
-        they never rest on a hypothesis) or ``None`` when the engine must
-        run.  :meth:`check_reference` is its only caller.
+        Returns the :class:`~repro.shex.compiled.PrefilterDecision` or
+        ``None`` when the engine must run.  Decisions never read the typing,
+        so they are definitive.  The signature lane of :meth:`_decide` is its
+        only caller.
         """
         compiled = self.compiled
-        if compiled is None:
-            return None
         unknown = self._prefilter_unknown.get(node)
         if unknown is not None and label in unknown:
             return None
@@ -639,85 +649,110 @@ class ValidationContext:
         decision = shape.prefilter(neighbourhood, counts)
         if decision is None:
             self._prefilter_unknown.setdefault(node, set()).add(label)
+        elif decision.matched:
+            self.stats.prefilter_accepts += 1
         else:
-            self._record_decision(node, label, decision)
+            self.stats.prefilter_rejects += 1
         self.stats.prefilter_time += perf_counter() - start
         return decision
 
     # -- neighbourhood signatures --------------------------------------------------
-    def node_signature(self, node: ObjectTerm) -> Optional[tuple]:
-        """The canonical neighbourhood signature of ``node``, or ``None``.
+    def node_signature(self, node: ObjectTerm) -> tuple:
+        """The typed neighbourhood signature of ``node`` under the current typing.
 
-        The signature is the sorted multiset of ``(predicate IRI string,
-        object-class bits)`` pairs over ``Σgₙ``, where an object's class is
-        one context-free constraint verdict bit per candidate atom of the
-        predicate.  Because the class fixes the verdict bit of every atom a
-        triple can touch, the engine's verdict for ``(node, label)`` is a
-        pure function of the signature, for **any** label: equal signatures
-        replay identical derivative chains, and the final nullability test
-        is triple-order-independent.
-
-        ``None`` marks a signature-*open* node: some shape-reference atom
-        can consume one of its triples, so its verdict may rest on another
-        node's verdict or on a coinductive hypothesis.  Open nodes always go
-        through :meth:`check_reference`.  A signature depends only on the
-        node's own arcs; memoised per node and popped on retraction.
+        The sorted multiset of ``(predicate IRI string, object-class bits)``
+        pairs over ``Σgₙ``, with one bit per candidate atom of the predicate:
+        the context-free constraint verdict for a value atom, the current
+        typing bit of ``(object, label)`` for a ``@label`` atom (a read, see
+        :meth:`_status`).  Because the bits fix the verdict of every atom a
+        triple can touch, one-step matching of ``(node, label)`` is a pure
+        function of the signature for **any** label: equal signatures replay
+        identical derivative chains, and the final nullability test is
+        triple-order-independent.  The typing-free part is memoised per node
+        and popped on retraction, so a subject no reference atom can consume
+        a triple of is answered from the memo alone.
         """
-        compiled = self.compiled
-        if compiled is None:
-            return None
-        memo = self._signatures
-        if node in memo:
-            return memo[node]
-        signature = self._build_signature(node, compiled)
-        memo[node] = signature
-        return signature
+        memo = self._signatures.get(node)
+        if memo is None:
+            memo = self._signatures[node] = self._build_signature(node)
+        closed, opened = memo
+        if not opened:
+            return closed
+        items = list(closed)
+        for pkey, obj, bits, refs in opened:
+            typed = list(bits)
+            for index, label in refs:
+                typed[index] = self._status(obj, label)
+            items.append((pkey, tuple(typed)))
+        items.sort()
+        return tuple(items)
 
-    def _build_signature(self, node: ObjectTerm,
-                         compiled) -> Optional[tuple]:
-        signature_atoms = compiled.signature_atoms
+    def _build_signature(self, node: ObjectTerm) -> Tuple[tuple, tuple]:
+        """``(closed items, open items)``: the typing-free part of a signature."""
+        signature_atoms = self.compiled.signature_atoms
         classes = self._object_classes
-        items: List[tuple] = []
+        closed: List[tuple] = []
+        opened: List[tuple] = []
         # one atom-table fetch per predicate group, per-object class memo,
         # no Triple materialisation, and items keyed by the predicate's IRI
         # string so the final sort and the cache-key hash run on C-speed
         # values.
         for predicate, objects in self.graph.predicate_objects(node).items():
-            sub = classes.get(predicate, _NO_CLASS)
-            if sub is _NO_CLASS:
-                atoms = signature_atoms(predicate)
-                sub = classes[predicate] = None if any(
-                    isinstance(constraint, ShapeRef)
-                    for _, constraint in atoms) else {}
+            sub = classes.get(predicate)
             if sub is None:
-                return None
-            constraints = None
+                atoms = [constraint for _, constraint in signature_atoms(predicate)]
+                sub = classes[predicate] = ({}, tuple(
+                    (index, _as_label(constraint.label))
+                    for index, constraint in enumerate(atoms)
+                    if isinstance(constraint, ShapeRef)), tuple(
+                    _no_bit if isinstance(constraint, ShapeRef) else constraint.matches
+                    for constraint in atoms))
+            table, refs, tests = sub
             pkey = predicate.value
             for obj in objects:
-                bits = sub.get(obj)
+                bits = table.get(obj)
                 if bits is None:
-                    if constraints is None:
-                        constraints = [constraint for _, constraint
-                                       in signature_atoms(predicate)]
-                    bits = sub[obj] = tuple(constraint.matches(obj)
-                                            for constraint in constraints)
-                items.append((pkey, bits))
-        items.sort()
-        return tuple(items)
+                    bits = table[obj] = tuple(test(obj) for test in tests)
+                if refs:
+                    opened.append((pkey, obj, bits, refs))
+                else:
+                    closed.append((pkey, bits))
+        closed.sort()
+        return tuple(closed), tuple(opened)
 
     # -- the MatchShape rule -----------------------------------------------------
     def check_reference(self, node: ObjectTerm, label: ShapeLabel | str) -> MatchResult:
         """Validate ``node`` against the shape named ``label``.
 
-        Implements the ``MatchShape`` / ``Arcref`` rules: extend the context
-        with the hypothesis, match ``δ(label)`` against the node's
-        neighbourhood, and cache the verdict (when it is definitive — see the
-        class docstring) so shared sub-structures are validated once.
+        With a compiled schema (production) the pair is answered from the
+        typing and never recursed into: inside a match the call is a read
+        (:meth:`_status`); outside one the pair is demanded and the
+        greatest fixpoint is solved (:meth:`_solve`) before the verdict is
+        returned.  Without one (the reference) it implements the
+        ``MatchShape`` / ``Arcref`` rules: extend the context with the
+        hypothesis, match ``δ(label)`` against the node's neighbourhood, and
+        cache the verdict (when it is definitive — see the class docstring)
+        so shared sub-structures are validated once.
         """
         if self.schema is None:
             raise SchemaError("shape references need a schema-aware validation context")
         label = label if isinstance(label, ShapeLabel) else ShapeLabel(label)
         self.stats.reference_checks += 1
+        if self.compiled is not None:
+            if self._reader is not None:
+                return _HOLDS if self._status(node, label) else _FAILS
+            pair, verdict = (node, label), None
+            if self.is_confirmed(node, label):
+                return MatchResult.success()
+            if not self.is_failed(node, label):
+                holds, verdict = self._solve(pair)
+                if holds:
+                    return MatchResult.success()
+            if verdict is None or self._signatures[node][1]:
+                # explain under the final typing: the first verdict of a
+                # subject with reference bits may rest on statuses that fell
+                verdict = self._decide(pair)
+            return MatchResult.failure(verdict[1])
         if self.is_confirmed(node, label):
             return MatchResult.success()
         if self.is_failed(node, label):
@@ -742,17 +777,6 @@ class ValidationContext:
                 f"while validating {node.n3()} against {label}",
                 limit_exceeded=True,
             )
-        # the static fast path: decide the pair from the compiled tables
-        # alone, before any matching frame is constructed.  Prefilter
-        # decisions never consult hypotheses, so they are definitive —
-        # cacheable and shareable — even in the middle of a recursion.
-        decision = self.prefilter_check(node, label)
-        if decision is not None:
-            if decision.matched:
-                return MatchResult.success()
-            return MatchResult.failure(
-                f"{node.n3()} does not match shape {label}: {decision.reason}"
-            )
         expr = self.schema.expression(label)
         neighbourhood = self._neighbourhood_of(node)
         self._depth += 1
@@ -775,6 +799,7 @@ class ValidationContext:
             self.retract(node, label)
             self._frames.pop()
             self._depth -= 1
+        self.stats.merge(result.stats)
         # the depths of enclosing hypotheses the verdict rests on; consulting
         # this frame's own hypothesis is fine (the coinductive knot being
         # tied) and is resolved right here.
@@ -810,6 +835,108 @@ class ValidationContext:
             result.stats,
             limit_exceeded=limit_hit,
         )
+
+    # -- the greatest fixpoint (production) ------------------------------------------
+    def _status(self, node: ObjectTerm, label: ShapeLabel) -> bool:
+        """Read the typing bit of ``(node, label)``; never recurses.
+
+        Settled pairs answer from the verdict store.  Inside a match an
+        unsettled pair answers its current status — an unseen pair is
+        demanded: it starts true and is queued — and the read is recorded
+        against the pair being matched.  Outside one (a signature asked for
+        directly) the pair is solved first.
+        """
+        labels = self._confirmed.get(node)
+        if labels is not None and label in labels:
+            return True
+        labels = self._failed.get(node)
+        if labels is not None and label in labels:
+            return False
+        pair = (node, label)
+        if self._reader is None:
+            return self._solve(pair)[0]
+        status = self._pending.get(pair)
+        if status is None:
+            status = self._pending[pair] = True
+            self._queue.append(pair)
+        if status:
+            self._readers.setdefault(pair, {})[self._reader] = None
+        return status
+
+    def _solve(self, pair: _Pair) -> Tuple[bool, Tuple[bool, str]]:
+        """Refine the typing from ``pair`` down to the greatest fixpoint.
+
+        Each popped pair is matched once by :meth:`_decide`, its references
+        read from the current typing.  A pair whose match fails turns false
+        and re-queues exactly the pairs that read it.  Statuses only fall,
+        and one-step matching is monotone in the reference bits (no operator
+        of the language is a complement), so the loop ends at the greatest
+        fixpoint; pairs settled before the solve stay fixed.  Every pair of
+        the solve is then final and goes to the verdict store.  Returns the
+        final status of ``pair`` and its first verdict: it is matched first,
+        so nothing has read it yet and its own fall re-queues nobody.
+        """
+        pending, queue, readers = self._pending, self._queue, self._readers
+        try:
+            first = self._decide(pair)
+            if not pending:
+                # it read no unsettled pair: its verdict is final already
+                (self._confirmed if first[0] else self._failed).setdefault(
+                    pair[0], set()).add(pair[1])
+                return first[0], first
+            root, pending[pair] = pair, first[0]
+            while queue:
+                pair = queue.pop()
+                if pending[pair] and not self._decide(pair)[0]:
+                    pending[pair] = False
+                    queue.extend(readers.pop(pair, ()))
+            confirmed, failed = self._confirmed, self._failed
+            for (node, label), holds in pending.items():
+                (confirmed if holds else failed).setdefault(node, set()).add(label)
+            return pending[root], first
+        finally:
+            pending.clear()
+            queue.clear()
+            readers.clear()
+
+    def _decide(self, pair: _Pair) -> Tuple[bool, str]:
+        """One-step matching of ``pair`` under the current typing.
+
+        The signature lane: the typed signature (:meth:`node_signature`),
+        the signature cache, then on a miss the prefilter and the matcher.
+        The ``(conforms, reason)`` verdict is stored under the typed
+        signature, so its reason names no node: every pair with that
+        signature shares the one string.
+        """
+        node, label = pair
+        outer, self._reader = self._reader, pair
+        try:
+            stats, cache = self.stats, self.signature_cache
+            start = perf_counter()
+            signature = self.node_signature(node)
+            cached = cache.lookup(signature, label) if cache is not None else None
+            stats.signature_time += perf_counter() - start
+            if cached is not None:
+                stats.signature_hits += 1
+                return cached
+            stats.signature_misses += 1
+            decision = self.prefilter_check(node, label)
+            if decision is not None:
+                verdict = (decision.matched, decision.reason)
+            else:
+                result = self._matcher(self.schema.expression(label),
+                                       self._neighbourhood_of(node), self)
+                stats.merge(result.stats)
+                matched = result.matched
+                verdict = (matched, "" if matched else (
+                    "neighbourhood signature matches a structure that does "
+                    f"not satisfy {label}"))
+            if cache is not None:
+                cache.store(signature, label, *verdict)
+                stats.signature_dedupes += 1
+            return verdict
+        finally:
+            self._reader = outer
 
     # -- provisional-entry settlement --------------------------------------------
     def _park_provisional(self, pair: Tuple[ObjectTerm, ShapeLabel],

@@ -35,12 +35,13 @@ class ShapeLabel:
     equals the label produced by the ShExC parser for ``<Person>``.
     """
 
-    __slots__ = ("name",)
+    __slots__ = ("name", "_hash")
 
     def __init__(self, name: str):
         if not isinstance(name, str) or not name:
             raise ValueError("a shape label needs a non-empty name")
         object.__setattr__(self, "name", name)
+        object.__setattr__(self, "_hash", hash(("ShapeLabel", name)))
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("ShapeLabel is immutable")
@@ -56,7 +57,7 @@ class ShapeLabel:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(("ShapeLabel", self.name))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"ShapeLabel({self.name!r})"

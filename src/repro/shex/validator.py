@@ -17,7 +17,6 @@ surrounding code stays identical.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from time import perf_counter
 from typing import (
     Callable,
     Dict,
@@ -200,18 +199,19 @@ class Validator:
         operations — ``validate_map``, ``validate_graph``, ``infer_typing``,
         ``conforming_nodes`` — thread **one** :class:`ValidationContext`
         through one pair loop (and keep it across runs, rebuilding it when
-        the graph mutates); each pair is probed against a
-        :class:`~repro.shex.cache.SignatureCache` (reference-free subjects
-        whose neighbourhood signature was already settled) before it goes
-        through ``check_reference``, where a
-        :class:`~repro.shex.compiled.CompiledSchema` settles statically
-        decidable pairs (it also indexes arc atoms), and a named
-        derivatives engine gets a global
-        :class:`~repro.shex.cache.DerivativeCache`.  True runs the paper's
-        reference semantics instead: a fresh context per node and no
-        compiled, signature or derivative caches.  Verdicts are identical;
-        only failure *reasons* may differ (the prefilter and signature
-        cache word them statically).
+        the graph mutates).  Given a
+        :class:`~repro.shex.compiled.CompiledSchema`, the context solves
+        the typing as a greatest fixpoint without recursing; each pair it
+        matches goes typed signature → :class:`~repro.shex.cache.SignatureCache`
+        → the compiled prefilter → the engine, and a named derivatives
+        engine gets a global :class:`~repro.shex.cache.DerivativeCache`.
+        True runs the paper's reference semantics instead: a fresh context
+        per node, the recursive descent under hypotheses bounded by
+        :data:`~repro.shex.schema.MAX_RECURSION_DEPTH` hops, and no
+        compiled, signature or derivative caches.  Verdicts are identical
+        (except past the budget, where the reference answers
+        ``limit_exceeded``); only failure *reasons* may differ (the
+        prefilter and signature cache word them statically).
     cache_max_entries:
         LRU bound of the production derivative and signature caches
         (default: unbounded).
@@ -222,9 +222,6 @@ class Validator:
         keyword options forwarded to the engine factory, e.g. the Section 4
         ablations ``simplify=False`` / ``memoize=False`` or
         ``budget=10_000`` for the backtracking engine.
-
-    Every context this validator creates gets the recursion budget
-    :data:`~repro.shex.schema.MAX_RECURSION_DEPTH`.
     """
 
     def __init__(self, graph: Graph, schema: Optional[Schema] = None,
@@ -314,8 +311,8 @@ class Validator:
         """The validator-owned signature cache (None for the reference).
 
         Bounded by ``cache_max_entries``.  Graph mutations need no
-        invalidation because signatures embed the neighbourhood structure
-        they describe.
+        invalidation because typed signatures embed the neighbourhood
+        structure and the typing bits they describe.
         """
         return self._signature_cache
 
@@ -367,14 +364,15 @@ class Validator:
         A fresh context is used unless ``context`` is given (the bulk
         operations pass their shared context here).  The entry's stats are an
         independent snapshot of the work done *for this entry* — never an
-        alias of the (possibly shared) context record.
+        alias of the (possibly shared) context record, which accumulates
+        every matcher's counters too.
         """
         label = self._resolve_label(label)
         if context is None:
             context = self._new_context()
-        before = context.stats.copy()
+        before = context.stats.snapshot()
         result = context.check_reference(node, label)
-        entry_stats = context.stats.delta_since(before).merge(result.stats)
+        entry_stats = context.stats.delta_since(before)
         return ValidationReportEntry(
             node=node, label=label, conforms=result.matched,
             reason=result.reason, stats=entry_stats,
@@ -463,26 +461,15 @@ class Validator:
                         ) -> List[ValidationReportEntry]:
         """Validate ``(node, label)`` pairs in order: the one bulk pair loop.
 
-        Each pair is probed against the signature cache first — the cached
-        verdict is a pure function of the canonical neighbourhood signature
-        for *any* label, so a repeated structure is answered in one
-        dictionary hit before any matching frame is constructed.  The rest
-        goes through :meth:`validate_node` (``check_reference``: settled
-        verdicts, then the compiled-schema prefilter, then the engine), and
-        its settled verdict is stored back for every later lookalike.
-        Without a context (the reference) every pair gets a fresh one.
+        Each pair goes through :meth:`validate_node`: in production the
+        shared context answers it from the typing, solving the greatest
+        fixpoint from it when it is not settled yet (every pair a solve
+        reaches is decided by the signature lane: typed signature, signature
+        cache, prefilter, engine).  Without a context (the reference) every
+        pair gets a fresh one.
         """
-        cache = context.signature_cache if context is not None else None
-        entries: List[ValidationReportEntry] = []
-        for node, label in pairs:
-            entry = (_signature_probe(context, cache, node, label)
-                     if cache is not None else None)
-            if entry is None:
-                entry = self.validate_node(node, label, context=context)
-                if cache is not None:
-                    _signature_store(context, cache, node, label, entry)
-            entries.append(entry)
-        return entries
+        return [self.validate_node(node, label, context=context)
+                for node, label in pairs]
 
     def _validate_pairs_serial(self, context: Optional[ValidationContext],
                                label_list: Sequence[ShapeLabel],
@@ -561,7 +548,8 @@ class Validator:
         reference-reachability (:func:`repro.shex.partition.affected_nodes`),
         the shared context drops exactly those nodes' settled verdicts
         (:meth:`ValidationContext.retract_nodes`), and only the affected
-        subjects are re-run — through the serial bulk loop unless
+        subjects are re-run — re-solved against the retained verdicts, which
+        the fixpoint reads as fixed — through the serial bulk loop unless
         :meth:`_schedule` takes the restricted round.  The affected pairs of
         the entry table are replaced; every other entry is reused as-is.
         No work here grows with the whole graph except the ``conforms``
@@ -705,71 +693,6 @@ class Validator:
         if isinstance(label, ShapeLabel):
             return label
         return ShapeLabel(label)
-
-
-# -- the signature dedupe lane ------------------------------------------------------
-def _signature_probe(context: ValidationContext, cache: SignatureCache,
-                     node: ObjectTerm, label: ShapeLabel
-                     ) -> Optional[ValidationReportEntry]:
-    """Answer ``(node, label)`` from the signature cache, if possible.
-
-    Returns ``None`` when the pair is already settled in the context (the
-    settled lane of ``check_reference`` is cheaper and keeps its own reason
-    strings), the subject is signature-open (``node_signature`` returned
-    ``None``), or the signature has no cached verdict yet.  On a hit the
-    verdict is recorded in the context — exactly what a full engine run
-    would have settled — so later references to ``node`` reuse it.
-    """
-    if context.is_confirmed(node, label) or context.is_failed(node, label):
-        return None
-    stats = context.stats
-    start = perf_counter()
-    signature = context.node_signature(node)
-    cached = cache.lookup(signature, label) if signature is not None else None
-    stats.signature_time += perf_counter() - start
-    if signature is None:
-        return None
-    if cached is None:
-        stats.signature_misses += 1
-        return None
-    conforms, reason = cached
-    stats.signature_hits += 1
-    if conforms:
-        context.confirm(node, label)
-    else:
-        context.record_failure(node, label)
-    return ValidationReportEntry(node=node, label=label, conforms=conforms,
-                                 reason=reason,
-                                 stats=MatchStats(signature_hits=1))
-
-
-def _signature_store(context: ValidationContext, cache: SignatureCache,
-                     node: ObjectTerm, label: ShapeLabel,
-                     entry: ValidationReportEntry) -> None:
-    """Record an engine-settled verdict under the subject's signature.
-
-    Only *settled* outcomes are stored: budget-limited entries and verdicts
-    the context did not settle (still provisional behind a hypothesis) never
-    enter the cache — the two soundness gates of :class:`SignatureCache`.
-    """
-    if entry.limit_exceeded:
-        return
-    if entry.conforms:
-        if not context.is_confirmed(node, label):
-            return
-    elif not context.is_failed(node, label):
-        return
-    stats = context.stats
-    start = perf_counter()
-    signature = context.node_signature(node)
-    stats.signature_time += perf_counter() - start
-    if signature is None:
-        return
-    reason = "" if entry.conforms else (
-        "neighbourhood signature matches a structure that does not "
-        f"satisfy {label}")
-    cache.store(signature, label, entry.conforms, reason)
-    stats.signature_dedupes += 1
 
 
 # -- the worker engine recipe -------------------------------------------------------

@@ -216,8 +216,10 @@ class TestDepthBudget:
         assert not result.limit_exceeded
 
     def test_validator_surfaces_the_flag(self):
+        # the budget bounds the reference's descent; production never
+        # recurses (tests/test_recursion_budget.py)
         graph, head = knows_chain_graph(MAX_RECURSION_DEPTH + 10)
-        validator = Validator(graph, person_schema())
+        validator = Validator(graph, person_schema(), reference=True)
         entry = validator.validate_node(head, "Person")
         assert not entry.conforms
         assert entry.limit_exceeded

@@ -1,13 +1,18 @@
-"""The reference-hop budget, not the interpreter's stack, bounds a chain.
+"""Reference chains: the hop budget bounds the reference, production never recurses.
 
 ``<S> { ex:p @<S> ? }`` over a chain of ``n`` nodes nests one matching
-frame per node.  A :class:`ValidationContext` whose descent gets deep
-raises the interpreter's recursion limit to fit the rest of its
-``max_recursion_depth`` budget, at ``FRAMES_PER_HOP`` plus the expression
-walk per hop.  So a chain of up to ``max_recursion_depth`` nodes gets a verdict and a
-longer one gets a ``limit_exceeded`` failure — never a ``RecursionError``,
-whether the run starts from the library, the CLI or a ``repro serve``
-handler thread.  Each test starts from the interpreter's default limit.
+frame per node in the reference (``Validator(reference=True)``).  A
+:class:`ValidationContext` whose descent gets deep raises the
+interpreter's recursion limit to fit the rest of its ``max_recursion_depth``
+budget, at ``FRAMES_PER_HOP`` plus the expression walk per hop.  So a
+reference chain of up to ``max_recursion_depth`` nodes gets a verdict and a
+longer one gets a ``limit_exceeded`` failure — never a ``RecursionError``.
+
+Production answers each reference from the typing and solves the greatest
+fixpoint with a worklist, so its stack depth does not grow with the chain:
+any chain gets a verdict, from the library, the CLI or a ``repro serve``
+handler thread, and the recursion limit is never raised.  Each test starts
+from the interpreter's default limit.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import sys
 import pytest
 
 from repro.cli import main
-from repro.rdf import Graph, IRI
+from repro.rdf import Graph, IRI, Triple
 from repro.service import ServiceClient, ValidationRequest, serve
 from repro.shex import Validator, expression_depth, parse_shexc
 from repro.shex.schema import (
@@ -46,32 +51,43 @@ def default_recursion_limit():
         sys.setrecursionlimit(max(saved, sys.getrecursionlimit()))
 
 
-def hop_frame_counts(schema_text: str, nodes: int, reference: bool = True):
-    """Stack-depth deltas between successive ``check_reference`` calls.
+def check_depths(schema_text: str, nodes: int, reference: bool = True,
+                 spied=("check_reference",)):
+    """Stack depths at every call of the ``spied`` context methods.
 
     The reference engine resolves each ``@<S>`` from inside the expression
-    walk, the worst case the budget is sized for; production's cached
-    derivative loop resolves references before it walks.
+    walk, the worst case the budget is sized for.  Production reads the
+    typing (``_status``) and calls ``check_reference`` only from a match.
     """
     depths = []
-    original = ValidationContext.check_reference
+    originals = {name: getattr(ValidationContext, name) for name in spied}
 
-    def spy(self, node, label):
-        frame, depth = sys._getframe(), 0
-        while frame is not None:
-            depth += 1
-            frame = frame.f_back
-        depths.append(depth)
-        return original(self, node, label)
+    def spy(original):
+        def spying(self, node, label):
+            frame, depth = sys._getframe(), 0
+            while frame is not None:
+                depth += 1
+                frame = frame.f_back
+            depths.append(depth)
+            return original(self, node, label)
+        return spying
 
     schema = parse_shexc(schema_text)
     graph = Graph.parse(chain_turtle(nodes))
-    ValidationContext.check_reference = spy
+    for name, original in originals.items():
+        setattr(ValidationContext, name, spy(original))
     try:
         Validator(graph, schema, reference=reference).validate_node(
             IRI("http://example.org/n0"), "S")
     finally:
-        ValidationContext.check_reference = original
+        for name, original in originals.items():
+            setattr(ValidationContext, name, original)
+    return schema, depths
+
+
+def hop_frame_counts(schema_text: str, nodes: int):
+    """Stack-depth deltas between successive reference ``check_reference`` calls."""
+    schema, depths = check_depths(schema_text, nodes)
     return schema, [after - before for before, after in zip(depths, depths[1:])]
 
 
@@ -82,9 +98,6 @@ class TestFramesPerHop:
         walk = expression_depth(schema.expression("S"))
         # + 1: the spy's own frame sits on the stack once per hop
         assert set(deltas) == {FRAMES_PER_HOP + walk + 1}
-        _, production = hop_frame_counts(CHAIN_SCHEMA, 20, reference=False)
-        assert len(production) == 19
-        assert max(production) <= FRAMES_PER_HOP + walk + 1
 
     def test_deeper_shapes_stay_within_the_sized_walk(self):
         text = ("PREFIX ex: <http://example.org/>\n"
@@ -94,18 +107,58 @@ class TestFramesPerHop:
         assert deltas
         assert max(deltas) <= FRAMES_PER_HOP + 2 * schema.max_expression_depth() + 1
 
+    def test_production_stack_depth_does_not_grow_with_hops(self):
+        deepest = {}
+        for nodes in (20, 2000):
+            _, depths = check_depths(CHAIN_SCHEMA, nodes, reference=False,
+                                     spied=("check_reference", "_status"))
+            # every hop is read from the typing once
+            assert len(depths) >= nodes - 1
+            deepest[nodes] = max(depths)
+        assert deepest[2000] == deepest[20]
+
+
+def long_chain(nodes: int) -> Graph:
+    """``chain_turtle(nodes)`` built triple by triple (parsing is the slow part)."""
+    graph = Graph()
+    p = IRI("http://example.org/p")
+    chain = [IRI(f"http://example.org/n{i}") for i in range(nodes)]
+    with graph.batch():
+        for subject, obj in zip(chain, chain[1:]):
+            graph.add(Triple(subject, p, obj))
+    return graph
+
+
+class TestProductionChains:
+    def test_a_100000_hop_chain_conforms_without_raising_the_limit(self):
+        limit = sys.getrecursionlimit()
+        report = Validator(long_chain(100_000),
+                           parse_shexc(CHAIN_SCHEMA)).validate_graph()
+        assert len(report) == 99_999
+        assert report.conforms
+        assert not any(entry.limit_exceeded for entry in report.entries)
+        assert sys.getrecursionlimit() == limit
+
+    def test_validate_node_past_the_budget(self):
+        node = IRI("http://example.org/n0")
+        validator = Validator(long_chain(BUDGET + 1), parse_shexc(CHAIN_SCHEMA))
+        entry = validator.validate_node(node, "S")
+        assert entry.conforms and not entry.limit_exceeded
+
 
 class TestChainAtTheBudget:
     @pytest.mark.parametrize("nodes", [BUDGET - 1, BUDGET])
     def test_chains_within_the_budget_get_verdicts(self, nodes):
         report = Validator(Graph.parse(chain_turtle(nodes)),
-                           parse_shexc(CHAIN_SCHEMA)).validate_graph()
+                           parse_shexc(CHAIN_SCHEMA),
+                           reference=True).validate_graph()
         assert report.conforms
         assert not any(entry.limit_exceeded for entry in report.entries)
 
     def test_one_node_past_the_budget_is_limit_exceeded(self):
         report = Validator(Graph.parse(chain_turtle(BUDGET + 1)),
-                           parse_shexc(CHAIN_SCHEMA)).validate_graph()
+                           parse_shexc(CHAIN_SCHEMA),
+                           reference=True).validate_graph()
         head = [entry for entry in report.entries if entry.node.n3() == HEAD]
         assert len(head) == 1
         assert not head[0].conforms and head[0].limit_exceeded
@@ -113,9 +166,11 @@ class TestChainAtTheBudget:
     def test_validate_node_at_the_budget(self):
         schema = parse_shexc(CHAIN_SCHEMA)
         node = IRI("http://example.org/n0")
-        within = Validator(Graph.parse(chain_turtle(BUDGET)), schema)
+        within = Validator(Graph.parse(chain_turtle(BUDGET)), schema,
+                           reference=True)
         assert within.validate_node(node, "S").conforms
-        past = Validator(Graph.parse(chain_turtle(BUDGET + 1)), schema)
+        past = Validator(Graph.parse(chain_turtle(BUDGET + 1)), schema,
+                         reference=True)
         result = past.validate_node(node, "S")
         assert not result.conforms and result.limit_exceeded
 
@@ -133,6 +188,8 @@ class TestChainAtTheBudget:
 
 class TestChainOverHttp:
     def test_serve_handler_thread_answers_at_and_past_the_budget(self):
+        # production: the handler thread gets a verdict on both sides of the
+        # reference's budget
         with serve(parse_shexc(CHAIN_SCHEMA)) as server:
             server.start_background()
             client = ServiceClient(server.host, server.port)
@@ -140,4 +197,4 @@ class TestChainOverHttp:
             for nodes in (BUDGET, BUDGET + 1):
                 loaded = client.load_graph(ValidationRequest(data=chain_turtle(nodes)))
                 verdicts[nodes] = client.verdict(loaded["graph_id"], HEAD, "S").conforms
-        assert verdicts == {BUDGET: True, BUDGET + 1: False}
+        assert verdicts == {BUDGET: True, BUDGET + 1: True}

@@ -1,7 +1,7 @@
 """Tests for the hash-sharded scheduler: deterministic partitioning, verdict
 identity with the serial path, byte-identical wire responses across serial
 and ``--shards`` server modes, and the settled-verdict merge protocol under
-recursion (cycles, hypothesis-dependent verdicts, budget-exceeded pairs)."""
+recursion (cycles, cross-shard rings, chains past the reference's budget)."""
 
 from __future__ import annotations
 
@@ -294,9 +294,10 @@ class TestShardedMerge:
         for node in workload.invalid_nodes:
             assert (node, label) in failed
 
-    def test_budget_exceeded_pairs_never_merge(self):
-        # a knows chain longer than the recursion budget: the head pairs
-        # exceed it, and such verdicts must stay out of every settled table
+    def test_long_chains_merge_across_shards(self):
+        # a knows chain longer than the reference's recursion budget:
+        # production solves it without recursing, every verdict is final,
+        # and the shards' settled tables merge into the serial verdicts
         length = MAX_RECURSION_DEPTH + 12
         graph = Graph()
         with graph.batch():
@@ -310,14 +311,31 @@ class TestShardedMerge:
         schema = person_schema()
         serial = Validator(graph, schema).validate_graph()
         validator, sharded = sharded_report(graph, schema)
-        limited = {(entry.node, entry.label)
-                   for entry in sharded if entry.limit_exceeded}
-        assert limited
-        assert limited == {(entry.node, entry.label)
-                           for entry in serial if entry.limit_exceeded}
         assert verdicts(sharded) == verdicts(serial)
+        assert sharded.conforms and len(sharded) == length
+        assert not any(entry.limit_exceeded for entry in sharded)
         confirmed, failed = validator._bulk_context().settled_verdicts()
-        assert not limited & (set(confirmed) | set(failed))
+        assert {(entry.node, entry.label) for entry in sharded} <= set(confirmed)
+        assert failed == ()
+
+        # community rings, then one delta round that repairs two people
+        # and breaks a third (and with it the ring members who know them)
+        serial_wl, sharded_wl = community(), community()
+        delta = fix_delta(serial_wl)
+        serial_session = ValidationSession(serial_wl.graph, serial_wl.schema)
+        sharded_session = ValidationSession(sharded_wl.graph,
+                                            sharded_wl.schema, shards=2)
+        try:
+            assert verdicts(sharded_session.validate()) == \
+                verdicts(serial_session.validate())
+            serial_session.apply_delta(DeltaRequest(add=delta))
+            sharded_session.apply_delta(DeltaRequest(add=delta))
+            for node in serial_wl.all_nodes:
+                lhs = serial_session.verdict(node)
+                rhs = sharded_session.verdict(node)
+                assert lhs.conforms == rhs.conforms, node
+        finally:
+            sharded_session.close()
 
     def test_backtracking_engine_agrees(self):
         workload = generate_community_workload(

@@ -1,9 +1,10 @@
 """Property-based tests: signature-deduped verdicts equal the reference's.
 
-The neighbourhood-signature cache may only serve a verdict for a subject
-whose signature is *closed* — a pure function of graph and schema — so for
-any random (schema, graph) pair, production bulk validation (signature
-cache on) must produce exactly the verdicts of a ``reference=True`` run,
+The neighbourhood-signature cache serves a verdict for every subject whose
+typed signature — constraint bits plus reference bits read from the
+current typing — was already matched, so for any random (schema, graph)
+pair, production bulk validation (signature cache on) must produce exactly
+the verdicts of a ``reference=True`` run,
 which has no signature, compiled or derivative cache.  The schemas
 drawn here include shape references (self- and mutually-recursive), the
 graphs include self-loops and cross-references, and the property is checked
@@ -177,11 +178,13 @@ class TestStatsSnapshotIndependence:
 
 
 class TestSignatureRule:
-    """Which subjects get a signature, and how long it is kept.
+    """What a signature holds, and how long it is kept.
 
-    A subject is signature-open exactly when a shape-reference atom can
-    consume one of its triples; a signature is a function of the subject's
-    own arcs, so retraction drops only the retracted nodes' signatures.
+    A ``@label`` atom's bit is the object's typing bit for ``label``, read
+    from the context's typing; every other bit is a context-free
+    constraint verdict.  The typing-free part is a function of the
+    subject's own arcs, so retraction drops only the retracted nodes'
+    signatures.
     """
 
     def _schema(self):
@@ -195,20 +198,36 @@ class TestSignatureRule:
             graph.add(Triple(node, EX.p, Literal(1)))
         graph.add(Triple(EX.refers, EX.r, EX.closed))
         graph.add(Triple(EX.loops, EX.r, EX.loops))
-        # the reference atom can consume the triple even though a literal
-        # never conforms: the predicate alone makes the subject open
+        # the reference atom can consume the triple, so it gets a typing
+        # bit: a literal never conforms to S
         graph.add(Triple(EX.literal_ref, EX.r, Literal("x")))
         return graph
 
-    def test_reference_consumable_triples_open_the_subject(self):
+    def test_reference_bits_are_read_from_the_typing(self):
         validator = Validator(self._graph(), self._schema())
+        report = validator.validate_graph()
         context = validator._bulk_context()
-        assert context.node_signature(EX.refers) is None
-        assert context.node_signature(EX.loops) is None
-        assert context.node_signature(EX.literal_ref) is None
         closed = context.node_signature(EX.closed)
         assert closed == ((EX.p.value, (True,)),)
         assert context.node_signature(EX.twin) == closed
+        assert context.node_signature(EX.refers) == \
+            ((EX.p.value, (True,)), (EX.r.value, (True,)))
+        # the self-loop's bit is its own greatest-fixpoint verdict
+        assert context.node_signature(EX.loops) == \
+            context.node_signature(EX.refers)
+        assert context.node_signature(EX.literal_ref) == \
+            ((EX.p.value, (True,)), (EX.r.value, (False,)))
+        verdicts = _verdicts(report)
+        label = ShapeLabel("S")
+        assert verdicts[(EX.refers, label)] and verdicts[(EX.loops, label)]
+        assert not verdicts[(EX.literal_ref, label)]
+        # equal typed signatures share one cached verdict
+        assert validator.signature_cache.stats()["hits"] >= 2
+        # asked for before any run, a signature solves the pairs it reads
+        fresh = Validator(self._graph(), self._schema())._bulk_context()
+        assert fresh.node_signature(EX.refers) == \
+            context.node_signature(EX.refers)
+        assert fresh.is_confirmed(EX.closed, label)
 
     def test_retraction_drops_only_the_retracted_signatures(self):
         validator = Validator(self._graph(), self._schema())
@@ -219,7 +238,8 @@ class TestSignatureRule:
         context.retract_nodes({EX.closed})
         assert EX.closed not in memo
         assert EX.twin in memo and EX.refers in memo
-        assert context.node_signature(EX.closed) == memo[EX.twin]
+        assert context.node_signature(EX.closed) == \
+            context.node_signature(EX.twin)
 
 
 if __name__ == "__main__":

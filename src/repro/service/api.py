@@ -405,8 +405,8 @@ class ServiceStats:
     ``--reference`` run, the cache also for non-derivative engines —
     ``profile`` (per-phase hot-path wall-clock counters from
     :class:`~repro.shex.results.MatchStats`, empty until a run recorded
-    any), ``verdicts`` (settled/provisional context counts + maintained
-    baseline size), ``session`` (request counters of the owning session)
+    any), ``verdicts`` (settled confirmed/failed context counts +
+    maintained baseline size), ``session`` (request counters of the owning session)
     and ``fleet`` (resident shard fleet health: worker liveness, respawns,
     per-shard replica counters — empty for unsharded sessions).
     """

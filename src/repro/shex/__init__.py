@@ -41,8 +41,8 @@ Engines, production and the reference
 Validation has one production configuration, used by every surface (the
 CLI, the service, the shard replicas):
 
-* one shared :class:`ValidationContext` threads the bulk operations
-  (``validate_graph``, ``infer_typing``, ``validate_map``,
+* one shared :class:`~repro.shex.schema.FixpointContext` threads the
+  bulk operations (``validate_graph``, ``infer_typing``, ``validate_map``,
   ``conforming_nodes``) and solves the typing as the greatest fixpoint of
   one-step matching: a reference is answered from the current typing and
   never recursed into, a pair that fails re-queues only the pairs that
@@ -59,15 +59,16 @@ CLI, the service, the shard replicas):
   constraint-verdict vectors (bounded by ``cache_max_entries``).
 
 ``Validator(..., reference=True)`` (CLI ``validate --reference``) is the
-only alternative: the paper's reference semantics — a fresh context per
-node, the recursive descent under coinductive hypotheses bounded by
-``MAX_RECURSION_DEPTH`` hops, and none of the compiled, signature or
-derivative caches.  It gives the same verdicts within its budget and is
-the oracle the fast paths are tested against.
+only alternative: the paper's reference semantics — a fresh
+:class:`~repro.shex.reference.ReferenceContext` per node, the recursive
+descent under coinductive hypotheses bounded by
+``repro.shex.reference.MAX_RECURSION_DEPTH`` hops, and none of the
+compiled, signature or derivative caches.  It gives the same verdicts
+within its budget and is the oracle the fast paths are tested against.
 
 The SPARQL compiler (:mod:`repro.shex.sparql_gen`) and the SPARQL engine
-behind it load on first use (PEP 562), so a validation run that never asks
-for them does not import :mod:`repro.sparql`.
+behind it load on first use (PEP 562), and the reference validator imports
+:mod:`repro.shex.reference` itself, so a production run never loads them.
 """
 
 import importlib as _importlib

@@ -20,8 +20,9 @@ statistics counters so the benchmarks can report how many decompositions were
 explored.
 
 Figure 4 extends the rules with shape typings; the ``Arcref`` rule is handled
-by delegating to :meth:`ValidationContext.check_reference`, exactly as in the
-derivative engine, so recursion behaves identically in both engines.
+by delegating to the context's ``check_reference``, exactly as in the
+derivative engine, so recursion behaves identically in both engines (see
+:mod:`repro.shex.schema` and :mod:`repro.shex.reference`).
 """
 
 from __future__ import annotations

@@ -17,11 +17,12 @@ Because expressions are hash-consed (:mod:`repro.shex.expressions`), the
 cache key ``(expression, verdict-vector)`` hashes in O(1).
 
 Shape references (``@label``) stay sound because the verdict for a reference
-atom is obtained through :meth:`ValidationContext.check_reference` *before*
-the cache is consulted: the reference is answered (from the typing in
-production, by the recursive descent otherwise) per triple exactly as
-in the uncached engine — only the purely structural ``verdicts → derivative``
-mapping is reused.
+atom is obtained through the context's ``check_reference`` *before* the
+cache is consulted: the reference is answered (from the typing by a
+:class:`~repro.shex.schema.FixpointContext` in production, by the recursive
+descent of a :class:`~repro.shex.reference.ReferenceContext`) per triple
+exactly as in the uncached engine — only the purely structural
+``verdicts → derivative`` mapping is reused.
 
 The cache also memoises plain constraint verdicts per ``(constraint,
 object)`` pair, which collapses the repeated datatype / value-set checks the
@@ -195,7 +196,7 @@ class SignatureCache:
     replayed once per node.  This cache short-circuits the entire engine run
     for a pair whose canonical *typed signature* — a sorted multiset of
     ``(predicate, object-class)`` pairs, see
-    :meth:`ValidationContext.node_signature` — was already matched against
+    :meth:`FixpointContext.node_signature` — was already matched against
     the same shape label.  An object's class holds one bit per candidate
     atom: the constraint verdict for a value atom, and for a ``@label``
     atom the object's bit in the typing the match read.

@@ -201,12 +201,6 @@ class CompiledShape:
         # memoising them makes the steady-state reject path allocation-free.
         self._rejects: Dict[Tuple[str, Optional[IRI]], PrefilterDecision] = {}
 
-    def allows_predicate(self, predicate: IRI) -> bool:
-        """True when some arc of this shape admits ``predicate``."""
-        if self.allows_any or predicate in self.allowed_exact:
-            return True
-        return any(predicate.value.startswith(stem) for stem in self.allowed_stems)
-
     def _reject(self, rule: str,
                 predicate: Optional[IRI] = None) -> PrefilterDecision:
         """The memoised reject decision for ``(rule, predicate)``.

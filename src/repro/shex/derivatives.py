@@ -271,9 +271,9 @@ class DerivativeEngine:
                             context: Optional[ValidationContext] = None) -> MatchResult:
         """Match a node neighbourhood ``Σgₙ`` against ``expr``.
 
-        This is the engine entry point used by the validator and by
-        :class:`~repro.shex.schema.ValidationContext` for recursive shape
-        references.
+        The engine entry point of the typing contexts: once per pair of a
+        :class:`~repro.shex.schema.FixpointContext` solve, and once per hop
+        of a :class:`~repro.shex.reference.ReferenceContext` descent.
         """
         stats = MatchStats()
         stats.observe_expression_size(expression_size(expr))

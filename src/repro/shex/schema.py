@@ -11,17 +11,17 @@ Example 14) terminate.
 This module provides:
 
 * :class:`Schema` — the ``(Λ, δ)`` pair with convenience constructors,
-* :class:`ValidationContext` — the ``Γ`` object shared by both engines; it
-  holds the graph, the schema, the verdicts and a pluggable ``neighbourhood
-  matcher``.  Production solves the typing as a greatest fixpoint with a
-  worklist; the reference keeps the recursive ``MatchShape`` descent under
-  hypotheses.
+* :class:`ValidationContext` — the ``Γ`` object shared by both engines: the
+  graph, the schema, the settled verdicts and a pluggable ``neighbourhood
+  matcher``;
+* :class:`FixpointContext` — production: it solves the typing as a greatest
+  fixpoint with a worklist.  The paper's recursive ``MatchShape`` descent
+  under hypotheses is :class:`repro.shex.reference.ReferenceContext`, which
+  only the reference validator loads.
 """
 
 from __future__ import annotations
 
-import sys
-import threading
 from time import perf_counter
 from typing import (
     Callable,
@@ -55,27 +55,8 @@ from .node_constraints import (
 from .results import MatchResult, MatchStats
 from .typing import ShapeLabel, ShapeTyping, _as_label
 
-__all__ = ["Schema", "SchemaError", "ValidationContext", "NeighbourhoodMatcher",
-           "LazyNeighbourhood", "FRAMES_PER_HOP", "MAX_RECURSION_DEPTH"]
-
-#: Python frames the derivative engine spends on one ``@label`` reference hop
-#: besides the walk down the referencing expression: ``check_reference`` →
-#: ``match_neighbourhood`` → ``derivative`` → atom dispatch → ``_derive_arc``.
-#: Pinned by ``tests/test_recursion_budget.py``.
-FRAMES_PER_HOP = 5
-
-#: reference hops one descent may take before its pairs get
-#: ``limit_exceeded``: the budget of every context a ``Validator`` (and so
-#: every session, shard worker and CLI run) creates.
-MAX_RECURSION_DEPTH = 500
-
-#: frames kept free below the deepest reference chain, for the caller's own
-#: stack (CLI, HTTP handler thread) and the node-constraint checks at a leaf.
-#: A descent also checks the recursion limit once it has used about this
-#: many frames, so shallow runs never touch the limit.
-STACK_HEADROOM = 256
-
-_RECURSION_LIMIT_LOCK = threading.Lock()
+__all__ = ["Schema", "SchemaError", "ValidationContext", "FixpointContext",
+           "NeighbourhoodMatcher", "LazyNeighbourhood"]
 
 #: a ``(node, label)`` pair of the typing.
 _Pair = Tuple[ObjectTerm, ShapeLabel]
@@ -237,23 +218,6 @@ def _nests_shape_ref(constraint: NodeConstraint) -> bool:
     return False
 
 
-def _reserve_recursion_limit(frames: int) -> int:
-    """Raise the interpreter's recursion limit to fit ``frames`` more frames.
-
-    Returns the limit that fits them.  The limit is process-wide and only
-    ever raised, under a lock, so concurrent sessions on server threads
-    cannot lower each other's.
-    """
-    frame, depth = sys._getframe(), 0
-    while frame is not None:
-        depth += 1
-        frame = frame.f_back
-    with _RECURSION_LIMIT_LOCK:
-        if depth + frames > sys.getrecursionlimit():
-            sys.setrecursionlimit(depth + frames)
-    return depth + frames
-
-
 #: shared empty neighbourhood (literals, node-free subjects) — one instance.
 _EMPTY_NEIGHBOURHOOD: FrozenSet[Triple] = frozenset()
 
@@ -280,11 +244,6 @@ class LazyNeighbourhood:
         return iter(self._fetch(self._node))
 
 
-#: sentinel dependency depth marking an outcome forced by the recursion-depth
-#: budget; it never resolves (no frame ever settles at this depth), so the
-#: poison propagates to every enclosing frame and nothing gets cached.
-_BUDGET_POISON = -1
-
 def _no_bit(obj: ObjectTerm) -> bool:
     """Placeholder test of a ``@label`` atom: its bit is read from the typing."""
     return False
@@ -295,114 +254,28 @@ _HOLDS = MatchResult(True)
 _FAILS = MatchResult(False)
 
 
-class _Frame:
-    """Bookkeeping for one in-progress ``check_reference`` activation.
-
-    ``deps`` holds the depths of every in-progress hypothesis this frame's
-    outcome consulted (possibly including its own depth — the coinductive
-    knot — and ``_BUDGET_POISON`` when the recursion budget fired in its
-    subtree).  A frame whose deps contain nothing but its own depth is
-    *definitive*; anything else is conditional on enclosing frames.
-    """
-
-    __slots__ = ("node", "label", "depth", "deps")
-
-    def __init__(self, node: ObjectTerm, label: ShapeLabel, depth: int):
-        self.node = node
-        self.label = label
-        self.depth = depth
-        self.deps: Set[int] = set()
-
-
 class ValidationContext:
     """The typing context ``Γ`` threaded through a validation run.
 
-    A context runs in one of two ways, chosen by ``compiled``.
-
-    **Production** (a :class:`~repro.shex.compiled.CompiledSchema` given,
-    as every :class:`~repro.shex.validator.Validator` outside the reference
-    does): the typing is the greatest fixpoint of one-step matching, which
-    is what the coinductive typing rules of Section 8 define for schemas
-    without shape negation.  :meth:`check_reference` never recurses.  A
-    reference met inside a match reads the current status of the pair and
-    records the read (:meth:`_status`).  A call from outside a match demands
-    the pair and runs a worklist solve to its end (:meth:`_solve`).  Each pair
-    of a solve is decided by the signature lane (:meth:`_decide`: typed
-    signature → signature cache → prefilter → matcher).  After a solve every
-    verdict it reached is final, so the confirmed and failed stores only
-    ever hold settled verdicts, and stack depth does not grow with
-    reference chains.
-
-    **Reference** (no compiled schema): the paper's recursive algorithm.  The
-    context records the *hypotheses*: the ``(node, label)`` pairs whose
-    validation is currently in progress.  When an arc references a label and
-    the object node is already hypothesised for that label, the reference is
-    assumed to hold, which is exactly the coinductive reading of the
-    ``MatchShape`` rule and guarantees termination on cyclic data
-    (``:alice foaf:knows :bob . :bob foaf:knows :alice .``).  Verdicts are
-    cached soundly: a verdict derived while the subtree consulted an
-    in-progress hypothesis from an **enclosing** frame is provisional and is
-    only promoted once the frame that owns the hypothesis settles
-    successfully; failures with such dependencies, and any outcome forced by
-    the ``max_recursion_depth`` budget, are never cached at all.
-
-    The actual neighbourhood matching is delegated to the ``matcher``
-    callable so the derivative and backtracking engines can share this class.
+    The state both ways of computing the typing share: the graph, the
+    schema, the statistics, the settled verdict stores and the
+    neighbourhood fetch of the ``matcher`` (so the derivative and
+    backtracking engines can share every context).  The engines call
+    :meth:`check_reference`, which the subclasses implement:
+    :class:`FixpointContext` in production and
+    :class:`repro.shex.reference.ReferenceContext` for the reference.
     """
 
     def __init__(self, graph: Graph, schema: Optional[Schema],
-                 matcher: NeighbourhoodMatcher,
-                 max_recursion_depth: int = MAX_RECURSION_DEPTH,
-                 compiled: Optional[object] = None):
+                 matcher: NeighbourhoodMatcher):
         self.graph = graph
         self.schema = schema
-        #: optional :class:`~repro.shex.compiled.CompiledSchema`: selects the
-        #: production fixpoint and supplies its signature atoms, the static
-        #: prefilter and the engine's predicate-indexed atom dispatch.  Kept
-        #: untyped to avoid a circular import; ``None`` runs the reference.
-        self.compiled = compiled
-        #: per-node predicate multisets, computed once and shared by every
-        #: label the node is checked against (only populated when compiled).
-        self._pred_counts: Dict[ObjectTerm, Mapping] = {}
-        #: pairs the prefilter already found undecidable (keyed by node so
-        #: retraction pops per node).  A solve re-matches a pair whose reads
-        #: fell, under a new typed signature, and this memo spares the
-        #: prefilter's count and value scans then.
-        self._prefilter_unknown: Dict[ObjectTerm, Set[ShapeLabel]] = {}
         self._matcher = matcher
-        #: hypothesis → depth of the frame that assumed it.
-        self._hypotheses: Dict[Tuple[ObjectTerm, ShapeLabel], int] = {}
         #: confirmed and refuted verdicts, keyed by node (retraction pops
-        #: whole nodes).
+        #: whole nodes).  Only settled verdicts are ever written here.
         self._confirmed: Dict[ObjectTerm, Set[ShapeLabel]] = {}
         self._failed: Dict[ObjectTerm, Set[ShapeLabel]] = {}
-        #: provisionally-validated pair → depths of the active frames whose
-        #: hypotheses it rests on (never empty, never containing the poison).
-        #: Consultable like a cache *within* the run (the consumer inherits
-        #: the dependency set); every time a frame settles, entries that
-        #: depended on it are rewritten (success), confirmed (success and no
-        #: dependencies left) or dropped (failure).
-        self._provisional: Dict[Tuple[ObjectTerm, ShapeLabel], Set[int]] = {}
-        #: inverse index: frame depth → pairs depending on it, so settling a
-        #: frame touches only its dependents instead of scanning every entry.
-        self._provisional_by_depth: Dict[int, Set[Tuple[ObjectTerm, ShapeLabel]]] = {}
         self.stats = MatchStats()
-        self.max_recursion_depth = max_recursion_depth
-        # The hop budget, not the interpreter, must stop a reference chain.
-        # A hop costs FRAMES_PER_HOP plus the walk down the current
-        # derivative; derivatives of ``E*`` and ``E1 ‖ E2`` add a level over
-        # the schema's own expressions, so the walk is taken as twice the
-        # deepest one.  The budget is reserved when a descent has used about
-        # STACK_HEADROOM frames (at the first frame for very deep shapes), so
-        # runs whose references stay shallow never raise the limit.
-        self._frames_per_hop = 0
-        self._reserve_at = -1
-        self._needed_limit = sys.maxsize  # unknown until the first reservation
-        if schema is not None:
-            self._frames_per_hop = FRAMES_PER_HOP + 2 * schema.max_expression_depth()
-            self._reserve_at = max(1, STACK_HEADROOM // self._frames_per_hop)
-        self._depth = 0
-        self._frames: List[_Frame] = []
         # hand engines that consume triples in predicate order the graph's
         # cached pre-sorted neighbourhoods; engines that don't (backtracking,
         # SPARQL, derivative engine with order_by_predicate=False) keep
@@ -410,22 +283,10 @@ class ValidationContext:
         engine = getattr(matcher, "__self__", None)
         self._ordered_neighbourhoods = bool(
             getattr(engine, "wants_ordered_neighbourhoods", False))
-        #: neighbourhood-signature verdict cache attached by the validator
-        #: (:class:`~repro.shex.cache.SignatureCache`); ``None`` stores nothing.
-        self.signature_cache = None
-        #: node → typing-free part of its signature (:meth:`node_signature`).
-        self._signatures: Dict[ObjectTerm, Tuple[tuple, tuple]] = {}
-        #: object-class memo: predicate → (object → candidate-atom bits, the
-        #: ``(bit index, label)`` of each ``@label`` atom among them, one
-        #: bit test per atom).
-        self._object_classes: Dict[IRI, Tuple[Dict[ObjectTerm, tuple], tuple, tuple]] = {}
-        #: the greatest-fixpoint solve of a production context: the pair being
-        #: matched (``None`` outside a match), the status of every unsettled
-        #: demanded pair, the pairs still to match, and who read which pair.
-        self._reader: Optional[_Pair] = None
-        self._pending: Dict[_Pair, bool] = {}
-        self._queue: List[_Pair] = []
-        self._readers: Dict[_Pair, Dict[_Pair, None]] = {}
+
+    def check_reference(self, node: ObjectTerm, label: ShapeLabel | str) -> MatchResult:
+        """Validate ``node`` against the shape named ``label`` (the ``MatchShape`` rule)."""
+        raise NotImplementedError
 
     # -- typing bookkeeping -----------------------------------------------------
     @property
@@ -436,28 +297,6 @@ class ValidationContext:
         every access: O(n) in the confirmed pairs.
         """
         return ShapeTyping(self._confirmed)
-
-    def assume(self, node: ObjectTerm, label: ShapeLabel) -> None:
-        """Add the hypothesis ``node → label`` (the ``Γ{n → l}`` operation)."""
-        self._hypotheses.setdefault((node, label), self._depth)
-
-    def retract(self, node: ObjectTerm, label: ShapeLabel) -> None:
-        """Drop a hypothesis after its validation finished."""
-        self._hypotheses.pop((node, label), None)
-
-    def is_assumed(self, node: ObjectTerm, label: ShapeLabel) -> bool:
-        """True if ``node → label`` is currently hypothesised.
-
-        Consulting a hypothesis is recorded as a dependency of the innermost
-        in-progress frame: its verdict now rests on an assumption that may
-        later be retracted, so it must not be cached as definitive.
-        """
-        depth = self._hypotheses.get((node, label))
-        if depth is None:
-            return False
-        if self._frames:
-            self._frames[-1].deps.add(depth)
-        return True
 
     def confirm(self, node: ObjectTerm, label: ShapeLabel) -> None:
         """Record ``node → label`` as definitely established."""
@@ -477,85 +316,18 @@ class ValidationContext:
         labels = self._failed.get(node)
         return labels is not None and label in labels
 
-    # -- the retraction protocol --------------------------------------------------
-    def retract_nodes(self, nodes: Iterable[ObjectTerm]) -> int:
-        """Drop every verdict (and per-node cache) about ``nodes``.
-
-        The context half of incremental revalidation: after graph mutations,
-        the caller computes the affected closure (the dirty subjects plus
-        everything that can reach them along reference edges —
-        :func:`repro.shex.partition.affected_nodes`) and retracts exactly
-        those nodes before re-running them.
-
-        Soundness mirrors the settled-verdict merge rule in reverse: the
-        confirmed/failed stores only ever hold **settled** verdicts (a
-        production solve writes its pairs only once they are final; in the
-        reference, provisional outcomes are parked separately and
-        budget-poisoned ones are never recorded), so retraction only removes
-        definitive facts — and every retained fact is still valid, because a
-        verdict whose derivation could have read an affected node is itself
-        inside the closure by construction.  The retained verdicts are then
-        the fixed part of the typing the re-run solves against.
-
-        Must not be called while a validation is in progress (frames active
-        or a solve running); raises :class:`SchemaError` then.  Returns the
-        number of settled verdicts dropped.
-        """
-        if self._frames or self._hypotheses or self._pending:
-            raise SchemaError(
-                "retract_nodes while a validation is in progress would drop "
-                "state active frames rely on"
-            )
-        node_set = set(nodes)
-        if not node_set:
-            return 0
-        dropped = 0
-        # every store below is node-keyed, so retraction costs O(closure) —
-        # never a scan of everything the context has settled.
-        for node in node_set:
-            confirmed_labels = self._confirmed.pop(node, None)
-            if confirmed_labels:
-                dropped += len(confirmed_labels)
-            failed_labels = self._failed.pop(node, None)
-            if failed_labels:
-                dropped += len(failed_labels)
-            # per-node caches: predicate counts, prefilter misses and the
-            # signature are pure functions of the node's own (changed) arcs.
-            # (The SignatureCache itself survives: its entries are keyed by
-            # the signature structure, which mutated nodes no longer produce.)
-            self._pred_counts.pop(node, None)
-            self._prefilter_unknown.pop(node, None)
-            self._signatures.pop(node, None)
-        # provisional state never survives a completed run; clear defensively
-        # so a retraction after an aborted run cannot resurrect stale entries.
-        self._provisional.clear()
-        self._provisional_by_depth.clear()
-        # object classes never go stale (constraint bits are context-free),
-        # but clearing them here is what bounds the memo on a long-lived
-        # session that keeps meeting new objects.
-        self._object_classes.clear()
-        return dropped
-
     def settled_counts(self) -> Dict[str, int]:
         """Counts of the settled verdicts this context holds.
 
         A session hook for the service layer's ``ServiceStats``: the size of
         the warm verdict state a long-lived server keeps between requests.
-        Provisional entries are counted separately (non-zero only while a
-        validation is in progress or after an aborted run).
         """
-        return {
-            "confirmed": sum(len(labels) for labels in self._confirmed.values()),
-            "failed": sum(len(labels) for labels in self._failed.values()),
-            "provisional": len(self._provisional),
-        }
+        return {"confirmed": sum(map(len, self._confirmed.values())),
+                "failed": sum(map(len, self._failed.values()))}
 
     # -- the cross-context merge protocol -----------------------------------------
-    def seed_settled(
-        self,
-        confirmed: Iterable[Tuple[ObjectTerm, ShapeLabel]] = (),
-        failed: Iterable[Tuple[ObjectTerm, ShapeLabel]] = (),
-    ) -> None:
+    def seed_settled(self, confirmed: Iterable[_Pair] = (),
+                     failed: Iterable[_Pair] = ()) -> None:
         """Import **settled** verdicts established by another context.
 
         This is the only way verdicts may cross context (and process)
@@ -563,22 +335,16 @@ class ValidationContext:
         because only *definitive* verdicts are accepted: every verdict a
         production solve writes is a greatest-fixpoint value, an
         order-independent fact about the graph.  Seeded verdicts are read as
-        fixed by later solves.  In the reference, provisional verdicts
-        (conditional on in-progress hypotheses) and budget-poisoned outcomes
-        must never be passed here — :meth:`settled_verdicts` on the exporting
-        side excludes them by construction.
+        fixed by later solves.  :meth:`settled_verdicts` on the exporting
+        side never includes the reference's provisional or budget-poisoned
+        outcomes.
         """
         for node, label in confirmed:
             self._confirmed.setdefault(node, set()).add(label)
         for node, label in failed:
             self._failed.setdefault(node, set()).add(label)
 
-    def settled_verdicts(
-        self,
-    ) -> Tuple[
-        Tuple[Tuple[ObjectTerm, ShapeLabel], ...],
-        Tuple[Tuple[ObjectTerm, ShapeLabel], ...],
-    ]:
+    def settled_verdicts(self) -> Tuple[Tuple[_Pair, ...], Tuple[_Pair, ...]]:
         """Export the settled ``(confirmed, failed)`` pairs of this context.
 
         The counterpart of :meth:`seed_settled`: returns exactly the verdicts
@@ -586,23 +352,13 @@ class ValidationContext:
         conditional on an active hypothesis) and anything forced by the
         recursion budget are not part of either set.
         """
-        confirmed = tuple(
-            (node, label)
-            for node, labels in sorted(
-                self._confirmed.items(), key=lambda item: item[0].sort_key()
-            )
-            for label in sorted(labels)
-        )
-        failed = tuple(
-            (node, label)
-            for node, labels in sorted(
-                self._failed.items(), key=lambda item: item[0].sort_key()
-            )
-            for label in sorted(labels)
-        )
-        return confirmed, failed
+        def pairs(store):
+            return tuple((node, label) for node, labels in sorted(
+                store.items(), key=lambda item: item[0].sort_key())
+                for label in sorted(labels))
 
-    # -- the compiled-schema fast path ---------------------------------------------
+        return pairs(self._confirmed), pairs(self._failed)
+
     def _neighbourhood_of(self, node: ObjectTerm):
         """``Σgₙ`` as the active engine wants it (literals have none)."""
         if isinstance(node, Literal):
@@ -613,6 +369,103 @@ class ValidationContext:
             return self.graph.neighbourhood_ordered(node)
         return self.graph.neighbourhood(node)
 
+
+class FixpointContext(ValidationContext):
+    """The production context: the typing as a greatest fixpoint.
+
+    The typing is the greatest fixpoint of one-step matching, which is what
+    the coinductive typing rules of Section 8 define for schemas without
+    shape negation.  :meth:`check_reference` never recurses.  A reference
+    met inside a match reads the current status of the pair and records the
+    read (:meth:`_status`).  A call from outside a match demands the pair
+    and runs a worklist solve to its end (:meth:`_solve`).  Each pair of a
+    solve is decided by the signature lane (:meth:`_decide`: typed
+    signature → signature cache → prefilter → matcher).  After a solve every
+    verdict it reached is final, so the confirmed and failed stores only
+    ever hold settled verdicts, and stack depth does not grow with
+    reference chains.
+
+    ``compiled`` (a :class:`~repro.shex.compiled.CompiledSchema`, untyped
+    to avoid a circular import) supplies the schema, the signature atoms,
+    the prefilter and the engine's atom dispatch; ``signature_cache`` (a
+    :class:`~repro.shex.cache.SignatureCache`, or ``None``) holds the
+    verdicts of typed signatures.
+    """
+
+    def __init__(self, graph: Graph, compiled, matcher: NeighbourhoodMatcher,
+                 signature_cache=None):
+        super().__init__(graph, compiled.schema, matcher)
+        self.compiled = compiled
+        self.signature_cache = signature_cache
+        #: per-node predicate multisets, computed once and shared by every
+        #: label the node is checked against.
+        self._pred_counts: Dict[ObjectTerm, Mapping] = {}
+        #: pairs the prefilter already found undecidable (keyed by node so
+        #: retraction pops per node).  A solve re-matches a pair whose reads
+        #: fell, under a new typed signature, and this memo spares the
+        #: prefilter's count and value scans then.
+        self._prefilter_unknown: Dict[ObjectTerm, Set[ShapeLabel]] = {}
+        #: node → typing-free part of its signature (:meth:`node_signature`).
+        self._signatures: Dict[ObjectTerm, Tuple[tuple, tuple]] = {}
+        #: object-class memo: predicate → (object → candidate-atom bits, the
+        #: ``(bit index, label)`` of each ``@label`` atom among them, one
+        #: bit test per atom).
+        self._object_classes: Dict[IRI, Tuple[Dict[ObjectTerm, tuple], tuple, tuple]] = {}
+        #: the greatest-fixpoint solve: the pair being matched (``None``
+        #: outside a match), the status of every unsettled demanded pair,
+        #: the pairs still to match, and who read which pair.
+        self._reader: Optional[_Pair] = None
+        self._pending: Dict[_Pair, bool] = {}
+        self._queue: List[_Pair] = []
+        self._readers: Dict[_Pair, Dict[_Pair, None]] = {}
+
+    # -- the retraction protocol --------------------------------------------------
+    def retract_nodes(self, nodes: Iterable[ObjectTerm]) -> int:
+        """Drop every verdict (and per-node cache) about ``nodes``.
+
+        The context half of incremental revalidation: after graph mutations,
+        the caller computes the affected closure (the dirty subjects plus
+        everything that can reach them along reference edges —
+        :func:`repro.shex.partition.affected_nodes`) and retracts exactly
+        those nodes before re-running them.
+
+        Soundness mirrors the settled-verdict merge rule in reverse: a solve
+        writes its pairs to the confirmed and failed stores only once they
+        are final, so retraction only removes definitive facts — and every
+        retained fact is still valid, because a verdict whose derivation
+        could have read an affected node is itself inside the closure by
+        construction.  The retained verdicts are then the fixed part of the
+        typing the re-run solves against.
+
+        Must not be called while a solve is running (from inside a match);
+        raises :class:`SchemaError` then.  Returns the number of settled
+        verdicts dropped.
+        """
+        if self._reader is not None:
+            raise SchemaError("retract_nodes while a solve is running would "
+                              "drop verdicts it relies on")
+        node_set = set(nodes)
+        if not node_set:
+            return 0
+        dropped = 0
+        # every store below is node-keyed, so retraction costs O(closure) —
+        # never a scan of everything the context has settled.
+        for node in node_set:
+            dropped += len(self._confirmed.pop(node, ())) + len(self._failed.pop(node, ()))
+            # per-node caches: predicate counts, prefilter misses and the
+            # signature are pure functions of the node's own (changed) arcs.
+            # (The SignatureCache itself survives: its entries are keyed by
+            # the signature structure, which mutated nodes no longer produce.)
+            self._pred_counts.pop(node, None)
+            self._prefilter_unknown.pop(node, None)
+            self._signatures.pop(node, None)
+        # object classes never go stale (constraint bits are context-free),
+        # but clearing them here is what bounds the memo on a long-lived
+        # session that keeps meeting new objects.
+        self._object_classes.clear()
+        return dropped
+
+    # -- the compiled-schema fast path ---------------------------------------------
     def _prefilter_inputs(self, node: ObjectTerm):
         """``(neighbourhood, predicate counts)`` for the prefilter, cached.
 
@@ -637,11 +490,10 @@ class ValidationContext:
         so they are definitive.  The signature lane of :meth:`_decide` is its
         only caller.
         """
-        compiled = self.compiled
         unknown = self._prefilter_unknown.get(node)
         if unknown is not None and label in unknown:
             return None
-        shape = compiled.shape_or_none(label)
+        shape = self.compiled.shape_or_none(label)
         if shape is None:
             return None
         start = perf_counter()
@@ -720,123 +572,32 @@ class ValidationContext:
         closed.sort()
         return tuple(closed), tuple(opened)
 
-    # -- the MatchShape rule -----------------------------------------------------
+    # -- the greatest fixpoint -----------------------------------------------------
     def check_reference(self, node: ObjectTerm, label: ShapeLabel | str) -> MatchResult:
         """Validate ``node`` against the shape named ``label``.
 
-        With a compiled schema (production) the pair is answered from the
-        typing and never recursed into: inside a match the call is a read
-        (:meth:`_status`); outside one the pair is demanded and the
-        greatest fixpoint is solved (:meth:`_solve`) before the verdict is
-        returned.  Without one (the reference) it implements the
-        ``MatchShape`` / ``Arcref`` rules: extend the context with the
-        hypothesis, match ``δ(label)`` against the node's neighbourhood, and
-        cache the verdict (when it is definitive — see the class docstring)
-        so shared sub-structures are validated once.
+        The pair is answered from the typing and never recursed into: inside
+        a match the call is a read (:meth:`_status`); outside one the pair is
+        demanded and the greatest fixpoint is solved (:meth:`_solve`) before
+        the verdict is returned.
         """
-        if self.schema is None:
-            raise SchemaError("shape references need a schema-aware validation context")
         label = label if isinstance(label, ShapeLabel) else ShapeLabel(label)
         self.stats.reference_checks += 1
-        if self.compiled is not None:
-            if self._reader is not None:
-                return _HOLDS if self._status(node, label) else _FAILS
-            pair, verdict = (node, label), None
-            if self.is_confirmed(node, label):
-                return MatchResult.success()
-            if not self.is_failed(node, label):
-                holds, verdict = self._solve(pair)
-                if holds:
-                    return MatchResult.success()
-            if verdict is None or self._signatures[node][1]:
-                # explain under the final typing: the first verdict of a
-                # subject with reference bits may rest on statuses that fell
-                verdict = self._decide(pair)
-            return MatchResult.failure(verdict[1])
+        if self._reader is not None:
+            return _HOLDS if self._status(node, label) else _FAILS
+        pair, verdict = (node, label), None
         if self.is_confirmed(node, label):
             return MatchResult.success()
-        if self.is_failed(node, label):
-            return MatchResult.failure(f"{node.n3()} already failed shape {label}")
-        if self.is_assumed(node, label):
-            # coinductive hypothesis: assume the reference holds
-            return MatchResult.success()
-        provisional_deps = self._provisional.get((node, label))
-        if provisional_deps is not None:
-            # already validated in this run, conditional on in-progress
-            # hypotheses: reuse the verdict and inherit every dependency.
-            if self._frames:
-                self._frames[-1].deps.update(provisional_deps)
-            return MatchResult.success()
-        if self._depth >= self.max_recursion_depth:
-            # budget exhaustion is not a semantic verdict: poison the
-            # enclosing frames so nothing derived from it gets cached.
-            if self._frames:
-                self._frames[-1].deps.add(_BUDGET_POISON)
-            return MatchResult.failure(
-                f"recursion depth limit ({self.max_recursion_depth}) exceeded "
-                f"while validating {node.n3()} against {label}",
-                limit_exceeded=True,
-            )
-        expr = self.schema.expression(label)
-        neighbourhood = self._neighbourhood_of(node)
-        self._depth += 1
-        if self._depth == self._reserve_at \
-                and sys.getrecursionlimit() < self._needed_limit:
-            self._needed_limit = _reserve_recursion_limit(
-                (self.max_recursion_depth - self._depth + 1) * self._frames_per_hop
-                + STACK_HEADROOM)
-        frame = _Frame(node, label, self._depth)
-        self._frames.append(frame)
-        self.assume(node, label)
-        try:
-            result = self._matcher(expr, neighbourhood, self)
-        except BaseException:
-            # e.g. a backtracking budget exception: the frame disappears
-            # without settling, so everything conditional on it is dropped.
-            self._settle_failure(frame.depth)
-            raise
-        finally:
-            self.retract(node, label)
-            self._frames.pop()
-            self._depth -= 1
-        self.stats.merge(result.stats)
-        # the depths of enclosing hypotheses the verdict rests on; consulting
-        # this frame's own hypothesis is fine (the coinductive knot being
-        # tied) and is resolved right here.
-        outer_deps = frame.deps - {frame.depth}
-        definitive = not outer_deps
-        if outer_deps and self._frames:
-            # the verdict leans on assumptions owned by enclosing frames —
-            # propagate the dependencies (and any budget poison) outwards.
-            self._frames[-1].deps.update(outer_deps)
-        if result.matched:
-            if definitive:
-                self.confirm(node, label)
-                # this frame's hypothesis just proved out: resolve everything
-                # that was conditional on it.
-                self._settle_success(frame.depth, set())
-            else:
-                self._settle_success(frame.depth, outer_deps)
-                if _BUDGET_POISON not in outer_deps:
-                    # provisional: reusable within the run, conditional on
-                    # every enclosing hypothesis it consulted.
-                    self._park_provisional((node, label), set(outer_deps))
-                # else: poisoned by the budget — return the verdict but
-                # cache nothing.
-            return MatchResult(True, result.stats)
-        # failure: provisional successes that assumed this frame's
-        # hypothesis rested on an assumption that did not prove out.
-        self._settle_failure(frame.depth)
-        if definitive:
-            self.record_failure(node, label)
-        limit_hit = _BUDGET_POISON in outer_deps or result.limit_exceeded
-        return MatchResult.failure(
-            f"{node.n3()} does not match shape {label}: {result.reason}",
-            result.stats,
-            limit_exceeded=limit_hit,
-        )
+        if not self.is_failed(node, label):
+            holds, verdict = self._solve(pair)
+            if holds:
+                return MatchResult.success()
+        if verdict is None or self._signatures[node][1]:
+            # explain under the final typing: the first verdict of a
+            # subject with reference bits may rest on statuses that fell
+            verdict = self._decide(pair)
+        return MatchResult.failure(verdict[1])
 
-    # -- the greatest fixpoint (production) ------------------------------------------
     def _status(self, node: ObjectTerm, label: ShapeLabel) -> bool:
         """Read the typing bit of ``(node, label)``; never recurses.
 
@@ -937,63 +698,3 @@ class ValidationContext:
             return verdict
         finally:
             self._reader = outer
-
-    # -- provisional-entry settlement --------------------------------------------
-    def _park_provisional(self, pair: Tuple[ObjectTerm, ShapeLabel],
-                          deps: Set[int]) -> None:
-        """Record ``pair`` as provisionally valid, conditional on ``deps``."""
-        self._provisional[pair] = deps
-        for dep in deps:
-            self._provisional_by_depth.setdefault(dep, set()).add(pair)
-
-    def _unlink_provisional(self, pair: Tuple[ObjectTerm, ShapeLabel],
-                            deps: Set[int]) -> None:
-        """Remove ``pair`` from the inverse index for every depth in ``deps``."""
-        for dep in deps:
-            bucket = self._provisional_by_depth.get(dep)
-            if bucket is not None:
-                bucket.discard(pair)
-                if not bucket:
-                    del self._provisional_by_depth[dep]
-
-    def _settle_success(self, depth: int, replacement: Set[int]) -> None:
-        """The frame at ``depth`` settled successfully: rewrite dependents.
-
-        Every provisional entry depending on ``depth`` now depends on
-        whatever that frame itself depended on (``replacement``).  Entries
-        left with no dependencies are promoted to the confirmed cache.  Only
-        the frame's dependents are touched, through the inverse index.
-        """
-        dependents = self._provisional_by_depth.pop(depth, None)
-        if not dependents:
-            return
-        poisoned = _BUDGET_POISON in replacement
-        for pair in dependents:
-            deps = self._provisional.get(pair)
-            if deps is None:
-                continue
-            deps.discard(depth)
-            if poisoned:
-                # poison never resolves; the entry can no longer settle.
-                del self._provisional[pair]
-                self._unlink_provisional(pair, deps)
-                continue
-            for dep in replacement:
-                if dep not in deps:
-                    deps.add(dep)
-                    self._provisional_by_depth.setdefault(dep, set()).add(pair)
-            if not deps:
-                del self._provisional[pair]
-                self.confirm(*pair)
-
-    def _settle_failure(self, depth: int) -> None:
-        """The frame at ``depth`` failed (or vanished): drop its dependents."""
-        dependents = self._provisional_by_depth.pop(depth, None)
-        if not dependents:
-            return
-        for pair in dependents:
-            deps = self._provisional.pop(pair, None)
-            if deps is None:
-                continue
-            deps.discard(depth)
-            self._unlink_provisional(pair, deps)

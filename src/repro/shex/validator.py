@@ -38,7 +38,7 @@ from .compiled import CompiledSchema
 from .derivatives import DerivativeEngine
 from .expressions import ShapeExpr
 from .results import MatchResult, MatchStats, ValidationReportEntry
-from .schema import Schema, SchemaError, ValidationContext
+from .schema import FixpointContext, Schema, SchemaError, ValidationContext
 from .typing import ShapeLabel, ShapeTyping
 
 __all__ = ["Validator", "ValidationReport", "RevalidationResult",
@@ -197,17 +197,18 @@ class Validator:
     reference:
         False (default) runs the one production configuration: the bulk
         operations — ``validate_map``, ``validate_graph``, ``infer_typing``,
-        ``conforming_nodes`` — thread **one** :class:`ValidationContext`
-        through one pair loop (and keep it across runs, rebuilding it when
-        the graph mutates).  Given a
-        :class:`~repro.shex.compiled.CompiledSchema`, the context solves
-        the typing as a greatest fixpoint without recursing; each pair it
-        matches goes typed signature → :class:`~repro.shex.cache.SignatureCache`
-        → the compiled prefilter → the engine, and a named derivatives
-        engine gets a global :class:`~repro.shex.cache.DerivativeCache`.
-        True runs the paper's reference semantics instead: a fresh context
-        per node, the recursive descent under hypotheses bounded by
-        :data:`~repro.shex.schema.MAX_RECURSION_DEPTH` hops, and no
+        ``conforming_nodes`` — thread **one**
+        :class:`~repro.shex.schema.FixpointContext` through one pair loop
+        (and keep it across runs, rebuilding it when the graph mutates).  It
+        solves the typing as a greatest fixpoint without recursing; each
+        pair it matches goes typed signature →
+        :class:`~repro.shex.cache.SignatureCache` → the compiled prefilter →
+        the engine, and a named derivatives engine gets a global
+        :class:`~repro.shex.cache.DerivativeCache`.  True runs the paper's
+        reference semantics instead: a fresh
+        :class:`~repro.shex.reference.ReferenceContext` per node, the
+        recursive descent under hypotheses bounded by
+        :data:`~repro.shex.reference.MAX_RECURSION_DEPTH` hops, and no
         compiled, signature or derivative caches.  Verdicts are identical
         (except past the budget, where the reference answers
         ``limit_exceeded``); only failure *reasons* may differ (the
@@ -266,7 +267,7 @@ class Validator:
             self._signature_cache = SignatureCache(max_entries=cache_max_entries)
         #: the persistent shared context and the graph generation it
         #: describes; a graph mutation makes it stale.
-        self._context: Optional[ValidationContext] = None
+        self._context: Optional[FixpointContext] = None
         self._context_generation: Optional[int] = None
         #: the run state: the labels, per-pair entries and graph generation
         #: of the maintained baseline.  The entry table is the only record
@@ -327,13 +328,16 @@ class Validator:
 
     # -- contexts ---------------------------------------------------------------
     def _new_context(self) -> ValidationContext:
-        context = ValidationContext(self.graph, self.schema,
-                                    self.engine.match_neighbourhood,
-                                    compiled=self.compiled)
-        context.signature_cache = self.signature_cache
-        return context
+        if self.schema is None:
+            raise SchemaError("shape references need a schema-aware validation context")
+        matcher = self.engine.match_neighbourhood
+        if self.reference:
+            from .reference import ReferenceContext
 
-    def _bulk_context(self) -> Optional[ValidationContext]:
+            return ReferenceContext(self.graph, self.schema, matcher)
+        return FixpointContext(self.graph, self.compiled, matcher, self.signature_cache)
+
+    def _bulk_context(self) -> Optional[FixpointContext]:
         """The persistent shared context (None for the reference).
 
         Rebuilt when the graph mutated since it was built (tracked through
@@ -547,7 +551,7 @@ class Validator:
         baseline: the dirty subjects are closed under reverse
         reference-reachability (:func:`repro.shex.partition.affected_nodes`),
         the shared context drops exactly those nodes' settled verdicts
-        (:meth:`ValidationContext.retract_nodes`), and only the affected
+        (:meth:`FixpointContext.retract_nodes`), and only the affected
         subjects are re-run — re-solved against the retained verdicts, which
         the fixpoint reads as fixed — through the serial bulk loop unless
         :meth:`_schedule` takes the restricted round.  The affected pairs of
@@ -678,8 +682,7 @@ class Validator:
         the context since — a ``validate_node`` after an unseen mutation,
         say — its verdicts no longer pair with the baseline's entries).
         """
-        return (not self.reference
-                and self._incremental_entries is not None
+        return (self._incremental_entries is not None
                 and self._incremental_labels == label_list
                 and self._context is not None
                 and self._context_generation == self._incremental_generation)

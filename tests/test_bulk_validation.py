@@ -28,7 +28,6 @@ from repro.shex import (
     Schema,
     ShapeLabel,
     ShapeTyping,
-    ValidationContext,
     Validator,
     arc,
     datatype,
@@ -36,7 +35,7 @@ from repro.shex import (
     star,
 )
 from repro.rdf.namespaces import XSD
-from repro.shex.schema import MAX_RECURSION_DEPTH
+from repro.shex.reference import MAX_RECURSION_DEPTH, ReferenceContext
 from repro.workloads import (
     generate_person_workload,
     knows_chain_graph,
@@ -47,9 +46,9 @@ from repro.workloads import (
 PERSON = ShapeLabel("Person")
 
 
-def make_context(graph, schema, **kwargs) -> ValidationContext:
+def make_context(graph, schema, **kwargs) -> ReferenceContext:
     engine = DerivativeEngine()
-    return ValidationContext(graph, schema, engine.match_neighbourhood, **kwargs)
+    return ReferenceContext(graph, schema, engine.match_neighbourhood, **kwargs)
 
 
 def cycle_with_invalid_member() -> Graph:
@@ -419,15 +418,13 @@ class TestGraphNeighbourhoodCache:
             .entry_for(EX.n).conforms
 
     def test_unordered_engine_is_not_handed_presorted_neighbourhoods(self):
-        from repro.shex import ValidationContext
-
         graph = Graph()
         graph.add(Triple(EX.n, EX.p, Literal(1)))
         ordered = DerivativeEngine(order_by_predicate=True)
         unordered = DerivativeEngine(order_by_predicate=False)
-        ctx_ordered = ValidationContext(graph, person_schema(),
-                                        ordered.match_neighbourhood)
-        ctx_unordered = ValidationContext(graph, person_schema(),
-                                          unordered.match_neighbourhood)
+        ctx_ordered = ReferenceContext(graph, person_schema(),
+                                       ordered.match_neighbourhood)
+        ctx_unordered = ReferenceContext(graph, person_schema(),
+                                         unordered.match_neighbourhood)
         assert ctx_ordered._ordered_neighbourhoods
         assert not ctx_unordered._ordered_neighbourhoods

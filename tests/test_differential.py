@@ -18,6 +18,11 @@ reference cycles, self-loops, blank nodes and literal objects.  Pairs the
 reference marks ``limit_exceeded`` are compared on that flag only (the
 reference gave up; production never does).  Each case runs under a
 deadline.
+
+A second generator builds chains and rings of 6–12 nodes linked by
+``ex:p`` under a self-referencing shape, with deltas that touch the middle
+of the chain.  An edit there flips the verdicts of referrers two or more
+hops upstream, which is what a retraction closure cut short would miss.
 """
 
 from __future__ import annotations
@@ -106,6 +111,41 @@ def deltas():
         min_size=1, max_size=4)
 
 
+@st.composite
+def chains(draw):
+    """``(schema, graph, rounds)``: a chain or ring under ``<L0>``, edited in the middle.
+
+    ``<L0>`` needs exactly one integer ``ex:q`` and references ``<L0>``
+    through ``ex:p``, so a node conforms only while every node it reaches
+    does.  Each delta adds or removes a node's ``ex:q`` value, a bad string
+    value, or its ``ex:p`` link, on nodes at least two hops from the head.
+    """
+    size = draw(st.integers(6, 12))
+    nodes = [EX[f"n{index}"] for index in range(size)]
+    links = list(zip(nodes, nodes[1:]))
+    if draw(st.booleans()):
+        links.append((nodes[-1], nodes[0]))
+    p_card = draw(st.sampled_from([optional, star]))
+    schema = Schema({"L0": interleave(p_card(arc(EX.p, shape_ref("L0"))),
+                                      arc(EX.q, datatype(XSD.integer)))})
+    graph = Graph([Triple(subject, EX.p, obj) for subject, obj in links])
+    broken = draw(st.sets(st.sampled_from(nodes), max_size=2))
+    for node in nodes:
+        if node not in broken:
+            graph.add(Triple(node, EX.q, Literal(1)))
+    middle = nodes[2:]
+    edits = st.one_of(
+        st.builds(lambda node: Triple(node, EX.q, Literal(1)), st.sampled_from(middle)),
+        st.builds(lambda node: Triple(node, EX.q, Literal("s")), st.sampled_from(middle)),
+        st.sampled_from([Triple(subject, EX.p, obj) for subject, obj in links
+                         if subject in middle]),
+    )
+    rounds = draw(st.lists(st.lists(st.tuples(st.booleans(), edits),
+                                    min_size=1, max_size=2),
+                           min_size=1, max_size=4))
+    return schema, graph, rounds
+
+
 def verdicts(report):
     """``(node, label) → conforms``; the reference's budget cut-offs become ``None``."""
     return {(entry.node, str(entry.label)):
@@ -135,18 +175,32 @@ class TestProductionAgreesWithTheReference:
     @given(schemas(), graphs(), deltas())
     def test_revalidate_after_every_delta_equals_a_fresh_run(
             self, schema, graph, rounds):
-        validator = Validator(graph, schema)
-        validator.validate_graph()
-        for changes in rounds:
-            for add, triple in changes:
-                if add:
-                    graph.add(triple)
-                else:
-                    graph.discard(triple)
-            validator.revalidate()
-            maintained = verdicts(validator.maintained_report())
-            snapshot = graph.copy()
-            assert maintained == verdicts(
-                Validator(snapshot, schema).validate_graph())
-            agree(maintained, verdicts(
-                Validator(snapshot, schema, reference=True).validate_graph()))
+        revalidate_rounds(schema, graph, rounds)
+
+    @settings(max_examples=60, deadline=DEADLINE)
+    @given(chains())
+    def test_revalidate_mid_chain_edits_equals_a_fresh_run(self, case):
+        revalidate_rounds(*case)
+
+
+def revalidate_rounds(schema, graph, rounds):
+    """Apply each round of ``(add, triple)`` edits, revalidating after each.
+
+    The maintained report must equal a fresh production run and agree with
+    a fresh reference run on the edited graph.
+    """
+    validator = Validator(graph, schema)
+    validator.validate_graph()
+    for changes in rounds:
+        for add, triple in changes:
+            if add:
+                graph.add(triple)
+            else:
+                graph.discard(triple)
+        validator.revalidate()
+        maintained = verdicts(validator.maintained_report())
+        snapshot = graph.copy()
+        assert maintained == verdicts(
+            Validator(snapshot, schema).validate_graph())
+        agree(maintained, verdicts(
+            Validator(snapshot, schema, reference=True).validate_graph()))

@@ -4,7 +4,8 @@ The optional stacks — the HTTP client and server, the multiprocessing shard
 fleet, the SPARQL engine and the ShEx → SPARQL compiler — load on first
 use, so a ``repro validate`` or a plain ``repro serve`` never pays for
 them, and neither run imports anything outside the standard library and
-``repro``.  Both runs happen in a fresh interpreter and report the modules
+``repro``.  The reference context (:mod:`repro.shex.reference`) is loaded
+only by ``repro validate --reference``.  Both runs happen in a fresh interpreter and report the modules
 they added to ``sys.modules``; nothing here measures time.
 """
 
@@ -48,6 +49,7 @@ NEVER_LOADED = (
     "repro.service.client",
     "repro.service.fleet",
     "repro.service.sharding",
+    "repro.shex.reference",
 )
 
 # Runs the CLI in-process and prints the names of the modules loaded since
@@ -116,6 +118,15 @@ def test_validate_loads_no_optional_stack(tmp_path):
     banned = NEVER_LOADED + ("http.server", "http.client", "repro.service.server")
     assert loaded(modules, banned) == []
     assert third_party(modules) == []
+
+
+def test_validate_reference_loads_the_reference_context(tmp_path):
+    completed, modules = run_cli(
+        ["validate", "--data", "people.ttl", "--schema", "person.shex",
+         "--all-nodes", "--format", "csv", "--reference"], tmp_path)
+    assert completed.returncode == 1  # ex:mary has no name
+    assert "repro.shex.reference" in modules
+    assert loaded(modules, NEVER_LOADED) == ["repro.shex.reference"]
 
 
 def test_serve_without_shards_loads_no_fleet_or_sparql(tmp_path):

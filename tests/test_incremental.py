@@ -303,15 +303,24 @@ class TestRetractNodes:
         assert context.settled_counts() == counts
 
     def test_retract_during_validation_raises(self):
-        from repro.shex.schema import ValidationContext
+        from repro.shex.schema import FixpointContext
 
         workload = generate_person_workload(num_people=5, seed=2)
         validator = Validator(workload.graph, workload.schema)
         context = validator._bulk_context()
-        context.assume(EX.someone, ShapeLabel("Person"))
-        with pytest.raises(SchemaError):
-            context.retract_nodes([EX.someone])
-        assert isinstance(context, ValidationContext)
+        assert isinstance(context, FixpointContext)
+        matcher, refused = context._matcher, []
+
+        def retracting_matcher(expr, triples, ctx):
+            # a matcher runs inside a solve: retraction must be refused
+            with pytest.raises(SchemaError):
+                ctx.retract_nodes([EX.someone])
+            refused.append(expr)
+            return matcher(expr, triples, ctx)
+
+        context._matcher = retracting_matcher
+        validator.validate_graph()
+        assert refused
 
 
 # ------------------------------------------------------------------ revalidate

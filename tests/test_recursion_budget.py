@@ -2,7 +2,7 @@
 
 ``<S> { ex:p @<S> ? }`` over a chain of ``n`` nodes nests one matching
 frame per node in the reference (``Validator(reference=True)``).  A
-:class:`ValidationContext` whose descent gets deep raises the
+:class:`ReferenceContext` whose descent gets deep raises the
 interpreter's recursion limit to fit the rest of its ``max_recursion_depth``
 budget, at ``FRAMES_PER_HOP`` plus the expression walk per hop.  So a
 reference chain of up to ``max_recursion_depth`` nodes gets a verdict and a
@@ -25,11 +25,13 @@ from repro.cli import main
 from repro.rdf import Graph, IRI, Triple
 from repro.service import ServiceClient, ValidationRequest, serve
 from repro.shex import Validator, expression_depth, parse_shexc
-from repro.shex.schema import (
+from repro.shex.reference import (
     FRAMES_PER_HOP,
     MAX_RECURSION_DEPTH as BUDGET,
-    ValidationContext,
+    ReferenceContext,
 )
+from repro.shex.schema import FixpointContext
+
 CHAIN_SCHEMA = "PREFIX ex: <http://example.org/>\n<S> { ex:p @<S> ? }\n"
 HEAD = "<http://example.org/n0>"
 
@@ -60,7 +62,8 @@ def check_depths(schema_text: str, nodes: int, reference: bool = True,
     typing (``_status``) and calls ``check_reference`` only from a match.
     """
     depths = []
-    originals = {name: getattr(ValidationContext, name) for name in spied}
+    spied_class = ReferenceContext if reference else FixpointContext
+    originals = {name: getattr(spied_class, name) for name in spied}
 
     def spy(original):
         def spying(self, node, label):
@@ -75,13 +78,13 @@ def check_depths(schema_text: str, nodes: int, reference: bool = True,
     schema = parse_shexc(schema_text)
     graph = Graph.parse(chain_turtle(nodes))
     for name, original in originals.items():
-        setattr(ValidationContext, name, spy(original))
+        setattr(spied_class, name, spy(original))
     try:
         Validator(graph, schema, reference=reference).validate_node(
             IRI("http://example.org/n0"), "S")
     finally:
         for name, original in originals.items():
-            setattr(ValidationContext, name, original)
+            setattr(spied_class, name, original)
     return schema, depths
 
 

@@ -13,8 +13,18 @@ import pytest
 
 from repro.cli import main
 from repro.service import DeltaRequest, ServiceError, ValidationSession
-from repro.shex import CompiledSchema, DerivativeCache, Validator
+from repro.rdf import EX, FOAF, Graph, Literal, Triple
+from repro.shex import (
+    CompiledSchema,
+    DerivativeCache,
+    DerivativeEngine,
+    ShapeLabel,
+    Validator,
+    parse_shexc,
+)
 from repro.shex.cache import SignatureCache
+from repro.shex.reference import ReferenceContext
+from repro.shex.schema import FixpointContext
 from repro.workloads import (
     PERSON_SCHEMA_SHEXC,
     generate_community_workload,
@@ -91,6 +101,54 @@ class TestWhatTheReferenceIs:
         bounded = Validator(workload.graph, workload.schema,
                             cache_max_entries=7)
         assert bounded.engine.cache.max_entries == 7
+
+
+class TestTheTwoContexts:
+    """Production and the reference each carry only their own algorithm's state."""
+
+    KNOWS_SHEX = ("PREFIX foaf: <http://xmlns.com/foaf/0.1/>\n"
+                  "PREFIX xsd: <http://www.w3.org/2001/XMLSchema#>\n"
+                  "<Person> { foaf:age xsd:integer , foaf:knows @<Person> * }\n")
+
+    def test_each_context_has_only_its_own_state(self):
+        workload = generate_person_workload(num_people=6, seed=1)
+        production = Validator(workload.graph, workload.schema)
+        production.validate_graph()
+        fixpoint = production._bulk_context()
+        assert type(fixpoint) is FixpointContext
+        for name in ("_hypotheses", "_frames", "_provisional",
+                     "_provisional_by_depth", "_depth", "max_recursion_depth"):
+            assert not hasattr(fixpoint, name), name
+        reference = Validator(workload.graph, workload.schema,
+                              reference=True)._new_context()
+        assert type(reference) is ReferenceContext
+        for name in ("_signatures", "_prefilter_unknown", "_pending",
+                     "signature_cache"):
+            assert not hasattr(reference, name), name
+
+    def test_provisional_reuse_matches_each_node_of_a_knows_clique_once(self):
+        # every member of a complete 8-node knows graph rests on the
+        # hypotheses of the frames above it; parked provisional verdicts let
+        # the descent reuse them, so each node is matched exactly once
+        # (without parking the same check makes 13,700 matcher calls)
+        people = [EX[f"p{index}"] for index in range(8)]
+        graph = Graph()
+        for person in people:
+            graph.add(Triple(person, FOAF.age, Literal(30)))
+            for friend in people:
+                if friend != person:
+                    graph.add(Triple(person, FOAF.knows, friend))
+        engine, calls = DerivativeEngine(), []
+
+        def counting(expr, triples, context):
+            calls.append(expr)
+            return engine.match_neighbourhood(expr, triples, context)
+
+        context = ReferenceContext(graph, parse_shexc(self.KNOWS_SHEX), counting)
+        assert context.check_reference(people[0], "Person").matched
+        assert len(calls) == 8
+        label = ShapeLabel("Person")
+        assert all(context.is_confirmed(person, label) for person in people)
 
 
 class TestReferenceAgreesWithProduction:

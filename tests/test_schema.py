@@ -11,13 +11,13 @@ from repro.shex import (
     SchemaError,
     ShapeLabel,
     ShapeRef,
-    ValidationContext,
     arc,
     interleave,
     plus,
     star,
     value_set,
 )
+from repro.shex.reference import ReferenceContext
 from repro.workloads import person_schema
 
 
@@ -107,9 +107,9 @@ class TestSchemaIntrospection:
 
 
 class TestValidationContext:
-    def make_context(self, graph: Graph, schema: Schema) -> ValidationContext:
+    def make_context(self, graph: Graph, schema: Schema) -> ReferenceContext:
         engine = DerivativeEngine()
-        return ValidationContext(graph, schema, engine.match_neighbourhood)
+        return ReferenceContext(graph, schema, engine.match_neighbourhood)
 
     def test_check_reference_success(self, recursive_schema):
         graph = Graph()
@@ -187,7 +187,7 @@ class TestValidationContext:
         assert not context.check_reference(Literal("leaf"), "NeedsArc").matched
 
     def test_requires_schema(self):
-        context = ValidationContext(Graph(), None, DerivativeEngine().match_neighbourhood)
+        context = ReferenceContext(Graph(), None, DerivativeEngine().match_neighbourhood)
         with pytest.raises(SchemaError):
             context.check_reference(EX.n, "S")
 
@@ -210,8 +210,8 @@ class TestValidationContext:
             if index + 1 < len(people):
                 graph.add(Triple(person, FOAF.knows, people[index + 1]))
         engine = DerivativeEngine()
-        context = ValidationContext(graph, schema, engine.match_neighbourhood,
-                                    max_recursion_depth=3)
+        context = ReferenceContext(graph, schema, engine.match_neighbourhood,
+                                   max_recursion_depth=3)
         result = context.check_reference(people[0], "Person")
         assert not result.matched
 

@@ -20,7 +20,7 @@ from repro.service import (
     shard_of,
 )
 from repro.shex import BacktrackingEngine, Schema, Validator
-from repro.shex.schema import MAX_RECURSION_DEPTH, ValidationContext
+from repro.shex.reference import MAX_RECURSION_DEPTH, ReferenceContext
 from repro.shex.typing import ShapeLabel
 from repro.workloads import (
     generate_community_workload,
@@ -204,8 +204,8 @@ class TestSettledVerdictProtocol:
         graph = paper_example_graph()
         schema = person_schema()
         validator = Validator(graph, schema)
-        context = ValidationContext(graph, schema,
-                                    validator.engine.match_neighbourhood)
+        context = ReferenceContext(graph, schema,
+                                   validator.engine.match_neighbourhood)
         label = ShapeLabel("Person")
         context.seed_settled(confirmed=[(EX.bob, label)])
         assert context.is_confirmed(EX.bob, label)
@@ -216,13 +216,13 @@ class TestSettledVerdictProtocol:
         graph = paper_example_graph()
         schema = person_schema()
         validator = Validator(graph, schema)
-        context = ValidationContext(graph, schema,
-                                    validator.engine.match_neighbourhood)
+        context = ReferenceContext(graph, schema,
+                                   validator.engine.match_neighbourhood)
         for node in (EX.john, EX.bob, EX.mary):
             context.check_reference(node, "Person")
         confirmed, failed = context.settled_verdicts()
-        other = ValidationContext(graph, schema,
-                                  validator.engine.match_neighbourhood)
+        other = ReferenceContext(graph, schema,
+                                 validator.engine.match_neighbourhood)
         other.seed_settled(confirmed, failed)
         label = ShapeLabel("Person")
         assert other.is_confirmed(EX.john, label)
@@ -235,8 +235,8 @@ class TestSettledVerdictProtocol:
         graph, _ = knows_cycle_graph(4)
         schema = person_schema()
         validator = Validator(graph, schema)
-        context = ValidationContext(graph, schema,
-                                    validator.engine.match_neighbourhood)
+        context = ReferenceContext(graph, schema,
+                                   validator.engine.match_neighbourhood)
         assert context.check_reference(EX.cycle0, "Person").matched
         confirmed, failed = context.settled_verdicts()
         assert failed == ()

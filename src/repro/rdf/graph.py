@@ -9,9 +9,10 @@ Section 2 of the paper defines the operations the matchers rely on:
   ``g1 ⊕ g2 = g`` (Example 3), which the backtracking matcher enumerates and
   which is the source of its exponential behaviour.
 
-The :class:`Graph` class maintains three hash indexes (SPO, POS, OSP) so that
-triple-pattern lookups used by the SPARQL engine and by neighbourhood
-extraction stay close to O(result size).
+The :class:`Graph` class stores the triples once, in a subject → predicate →
+objects hash index (SPO) that answers ``Σgₙ`` directly.  Reverse lookups use
+an object → subjects bucket per predicate, built by the first query binding
+that predicate (every predicate, for an object-only pattern) and kept exact.
 """
 
 from __future__ import annotations
@@ -140,16 +141,14 @@ class Graph:
     def __init__(self, triples: Optional[Iterable[Triple]] = None,
                  namespaces: Optional[NamespaceManager] = None,
                  journal_max_entries: int = DEFAULT_JOURNAL_BOUND):
-        self._triples: Set[Triple] = set()
         self._spo: Dict[SubjectTerm, Dict[IRI, Set[ObjectTerm]]] = defaultdict(
             lambda: defaultdict(set)
         )
-        self._pos: Dict[IRI, Dict[ObjectTerm, Set[SubjectTerm]]] = defaultdict(
-            lambda: defaultdict(set)
-        )
-        self._osp: Dict[ObjectTerm, Dict[SubjectTerm, Set[IRI]]] = defaultdict(
-            lambda: defaultdict(set)
-        )
+        self._count = 0
+        #: predicate → object → subjects, per predicate once a query bound it
+        #: (:meth:`_reverse`), for every predicate once ``_pos_complete``.
+        self._pos: Dict[IRI, Dict[ObjectTerm, Set[SubjectTerm]]] = {}
+        self._pos_complete = False
         #: per-subject neighbourhood caches (``Σgₙ`` as a frozenset and as a
         #: predicate-sorted tuple); invalidated per subject on mutation.  The
         #: engines ask for the same neighbourhood once per ``(node, label)``
@@ -173,75 +172,76 @@ class Graph:
 
     # ------------------------------------------------------------------ set API
     def __len__(self) -> int:
-        return len(self._triples)
+        return self._count
 
     def __iter__(self) -> Iterator[Triple]:
-        return iter(self._triples)
+        return (tuple.__new__(Triple, (s, p, o)) for s, by_pred in self._spo.items()
+                for p, objects in by_pred.items() for o in objects)
 
     def __contains__(self, triple: object) -> bool:
-        return triple in self._triples
+        if not isinstance(triple, tuple) or len(triple) != 3:
+            return False
+        return triple[2] in self._spo.get(triple[0], {}).get(triple[1], ())
 
     def __bool__(self) -> bool:
-        return bool(self._triples)
+        return bool(self._spo)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Graph):
-            return self._triples == other._triples
+            return self._spo == other._spo
         if isinstance(other, (set, frozenset)):
-            return self._triples == other
+            return len(other) == self._count and all(t in self for t in other)
         return NotImplemented
 
     def __hash__(self):  # pragma: no cover - mutable container
         raise TypeError("Graph is mutable and unhashable; use frozenset(graph)")
 
     def __repr__(self) -> str:
-        return f"Graph(<{len(self._triples)} triples>)"
+        return f"Graph(<{self._count} triples>)"
 
     # ------------------------------------------------------------- modification
     def add(self, triple: Triple) -> "Graph":
         """Add a triple (the ``t ∘ ts`` operation).  Returns ``self``."""
         if not isinstance(triple, Triple):
             raise GraphError(f"can only add Triple instances, got {type(triple).__name__}")
-        if triple in self._triples:
+        s, p, o = triple
+        objects = self._spo[s][p]
+        if o in objects:
             return self
-        self._triples.add(triple)
-        s, p, o = triple.subject, triple.predicate, triple.object
-        self._spo[s][p].add(o)
-        self._pos[p][o].add(s)
-        self._osp[o][s].add(p)
+        objects.add(o)
+        self._count += 1
+        bucket = self._pos.setdefault(p, {}) if self._pos_complete else self._pos.get(p)
+        if bucket is not None:
+            bucket.setdefault(o, set()).add(s)
         self._invalidate_neighbourhood(s)
         return self
 
     def discard(self, triple: Triple) -> "Graph":
         """Remove ``triple`` if present.  Returns ``self``."""
-        if triple not in self._triples:
+        if triple not in self:
             return self
-        self._triples.discard(triple)
-        s, p, o = triple.subject, triple.predicate, triple.object
-        self._spo[s][p].discard(o)
-        if not self._spo[s][p]:
-            del self._spo[s][p]
-            if not self._spo[s]:
+        s, p, o = triple
+        by_pred = self._spo[s]
+        by_pred[p].discard(o)
+        if not by_pred[p]:
+            del by_pred[p]
+            if not by_pred:
                 del self._spo[s]
-        self._pos[p][o].discard(s)
-        if not self._pos[p][o]:
-            del self._pos[p][o]
-            if not self._pos[p]:
-                del self._pos[p]
-        self._osp[o][s].discard(p)
-        if not self._osp[o][s]:
-            del self._osp[o][s]
-            if not self._osp[o]:
-                del self._osp[o]
+        self._count -= 1
+        bucket = self._pos.get(p)
+        if bucket is not None:
+            bucket[o].discard(s)
+            if not bucket[o]:
+                del bucket[o]
         self._invalidate_neighbourhood(s)
         return self
 
     def clear(self) -> None:
         """Remove every triple."""
-        self._triples.clear()
         self._spo.clear()
-        self._pos.clear()
-        self._osp.clear()
+        self._count = 0
+        for bucket in self._pos.values():
+            bucket.clear()
         self._neigh_sets.clear()
         self._neigh_ordered.clear()
         self._generation += 1
@@ -268,7 +268,7 @@ class Graph:
 
     def remove(self, triple: Triple) -> "Graph":
         """Remove ``triple``; raise :class:`GraphError` if absent."""
-        if triple not in self._triples:
+        if triple not in self:
             raise GraphError(f"triple not in graph: {triple}")
         return self.discard(triple)
 
@@ -383,7 +383,7 @@ class Graph:
         """Iterate over triples matching a pattern; ``None`` is a wildcard."""
         if subject is not None and predicate is not None and obj is not None:
             candidate = Triple(subject, predicate, obj)
-            if candidate in self._triples:
+            if candidate in self:
                 yield candidate
             return
         if subject is not None:
@@ -401,9 +401,7 @@ class Graph:
                             yield Triple(subject, p, o)
             return
         if predicate is not None:
-            by_obj = self._pos.get(predicate)
-            if not by_obj:
-                return
+            by_obj = self._reverse(predicate)
             if obj is not None:
                 for s in by_obj.get(obj, ()):
                     yield Triple(s, predicate, obj)
@@ -413,14 +411,26 @@ class Graph:
                         yield Triple(s, predicate, o)
             return
         if obj is not None:
-            by_subj = self._osp.get(obj)
-            if not by_subj:
-                return
-            for s, predicates in by_subj.items():
-                for p in predicates:
+            if not self._pos_complete:
+                for p in {p for by_pred in self._spo.values() for p in by_pred}:
+                    self._reverse(p)
+                self._pos_complete = True
+            for p, by_obj in self._pos.items():
+                for s in by_obj.get(obj, ()):
                     yield Triple(s, p, obj)
             return
-        yield from self._triples
+        yield from self
+
+    def _reverse(self, predicate: IRI) -> Dict[ObjectTerm, Set[SubjectTerm]]:
+        """The object → subjects bucket of ``predicate``, built from SPO on
+        first use and maintained by every mutation after that."""
+        bucket = self._pos.get(predicate)
+        if bucket is None:
+            bucket = self._pos[predicate] = {}
+            for s, by_pred in self._spo.items():
+                for o in by_pred.get(predicate, ()):
+                    bucket.setdefault(o, set()).add(s)
+        return bucket
 
     def nodes(self) -> Iterator[SubjectTerm]:
         """Iterate over every distinct subject node in the graph."""
@@ -558,19 +568,20 @@ class Graph:
 
     def to_set(self) -> FrozenSet[Triple]:
         """Return the triples as an immutable frozenset."""
-        return frozenset(self._triples)
+        return frozenset(self)
 
     def sorted_triples(self) -> List[Triple]:
         """Return triples in a deterministic (term-ordered) list."""
-        return sorted(self._triples, key=Triple.sort_key)
+        return sorted(self, key=Triple.sort_key)
 
     # ------------------------------------------------------------ observability
     def store_stats(self) -> Dict[str, object]:
         """Store-level counters surfaced by ``--cache-stats``."""
         return {
-            "triples": len(self._triples),
+            "triples": self._count,
             "cached_neighbourhoods":
                 len(self._neigh_sets) + len(self._neigh_ordered),
+            "reverse_predicates": len(self._pos),
         }
 
     # ------------------------------------------------------------ serialisation

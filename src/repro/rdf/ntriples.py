@@ -271,7 +271,11 @@ def iter_ntriples(data: str) -> Iterator[Triple]:
 def parse_ntriples(data: str) -> Graph:
     """Parse N-Triples text into a :class:`~repro.rdf.graph.Graph`."""
     graph = Graph()
-    graph.add_all(iter_ntriples(data))
+    # streamed into one batch: ``add_all`` would list its input first, in
+    # case it is a live view of the graph being filled
+    with graph.batch():
+        for triple in iter_ntriples(data):
+            graph.add(triple)
     return graph
 
 

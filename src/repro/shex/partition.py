@@ -16,7 +16,7 @@ mutation, only the nodes that can reach a changed subject along those
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 from ..rdf.graph import Graph
 from ..rdf.terms import IRI, Literal, ObjectTerm, SubjectTerm
@@ -98,6 +98,14 @@ class ReferenceIndex:
             return False
         return bool(self.labels_for(predicate))
 
+    def referrers(self, graph: Graph, node: ObjectTerm) -> Iterator[SubjectTerm]:
+        """Subjects with a reference edge into ``node``, read from the exact
+        reference predicates' reverse buckets (every predicate's if a stem or
+        wildcard set can demand a reference)."""
+        if self._general:
+            return (s for s, p, _ in graph.triples(obj=node) if self.demands(p))
+        return (s for p in self._exact for s, _, _ in graph.triples(None, p, node))
+
 
 def affected_nodes(
     graph: Graph,
@@ -111,8 +119,8 @@ def affected_nodes(
     mutations that dirtied ``dirty_subjects``: the dirty nodes themselves
     plus every node that can *reach* a dirty node through reference edges —
     walked backwards, one in-edge scan per affected node through the graph's
-    OSP/POS indexes, so the cost is proportional to the closure, never to
-    the graph.
+    per-predicate reverse buckets (:meth:`ReferenceIndex.referrers`), so the
+    cost is proportional to the closure, never to the graph.
 
     Soundness of the closure over the **current** edge set: a stale verdict
     was derived over the *old* edges, but any old edge that no longer exists
@@ -130,8 +138,8 @@ def affected_nodes(
         node = frontier.pop()
         if isinstance(node, Literal):
             continue
-        for subject, predicate, _ in graph.triples(obj=node):
-            if subject not in affected and index.demands(predicate):
+        for subject in index.referrers(graph, node):
+            if subject not in affected:
                 affected.add(subject)
                 frontier.append(subject)
     return frozenset(affected)

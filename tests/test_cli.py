@@ -122,6 +122,7 @@ class TestValidateCommand:
               "--all-nodes", "--cache-stats", "--format", "summary"])
         err = capsys.readouterr().err
         assert "store-stats: triples=8 cached_neighbourhoods=" in err
+        assert " reverse_predicates=0\n" in err  # validate builds no bucket
         assert "dictionary-stats:" not in err
 
     def test_journal_stats_are_printed_with_cache_stats(self, data_file,

@@ -256,12 +256,32 @@ class TestStoreStats:
     def test_counts_triples_and_cached_neighbourhoods(self):
         graph = Graph([Triple(EX.s, FOAF.name, Literal("Ada")),
                        Triple(EX.t, FOAF.name, Literal("Bo"))])
-        assert graph.store_stats() == {"triples": 2, "cached_neighbourhoods": 0}
+        assert graph.store_stats() == {"triples": 2, "cached_neighbourhoods": 0,
+                                       "reverse_predicates": 0}
         graph.neighbourhood(EX.s)
         graph.neighbourhood_ordered(EX.s)
         assert graph.store_stats()["cached_neighbourhoods"] == 2
         graph.add(Triple(EX.s, FOAF.name, Literal("Ada L.")))
-        assert graph.store_stats() == {"triples": 3, "cached_neighbourhoods": 0}
+        assert graph.store_stats() == {"triples": 3, "cached_neighbourhoods": 0,
+                                       "reverse_predicates": 0}
+
+    def test_counts_the_reverse_buckets_built_by_pattern_queries(self):
+        graph = Graph([Triple(EX.s, FOAF.name, Literal("Ada")),
+                       Triple(EX.s, FOAF.knows, EX.t)])
+        list(graph.triples(subject=EX.s))  # SPO answers it: no bucket
+        assert graph.store_stats()["reverse_predicates"] == 0
+        list(graph.triples(predicate=FOAF.knows, obj=EX.t))
+        list(graph.triples(predicate=FOAF.age))  # absent, still built
+        assert graph.store_stats()["reverse_predicates"] == 2
+        graph.clear()  # a built bucket stays built, and empty
+        assert graph.store_stats() == {"triples": 0, "cached_neighbourhoods": 0,
+                                       "reverse_predicates": 2}
+        graph.add(Triple(EX.u, EX.p, Literal("Bo")))
+        list(graph.triples(obj=EX.t))  # object-only: every predicate
+        assert graph.store_stats()["reverse_predicates"] == 3
+        graph.add(Triple(EX.u, EX.q, EX.t))  # ... including later ones
+        assert graph.store_stats()["reverse_predicates"] == 4
+        assert set(graph.triples(obj=EX.t)) == {Triple(EX.u, EX.q, EX.t)}
 
     def test_validator_passes_the_graph_counters_through(self):
         graph = paper_example_graph()

@@ -196,6 +196,75 @@ class TestGraphAgainstASetModel:
         _check_patterns(graph, model)
 
 
+#: a universe small enough that edits often hit present triples and
+#: queries often bind their predicate and object; it has a cycle and a
+#: literal, and one query predicate (``EX.r``) never occurs in it.
+SMALL_OBJECTS = [Literal(1)] + NODES[:2]
+SMALL_UNIVERSE = [Triple(subject, predicate, obj)
+                  for subject in NODES[:2]
+                  for predicate in PREDICATES[:2]
+                  for obj in SMALL_OBJECTS]
+#: every pattern shape, subject-free ones (the reverse-bucket reads) included
+QUERY_PATTERNS = list(product(NODES[:2] + [None], PREDICATES + [None],
+                              SMALL_OBJECTS + [None]))
+
+
+def queried_operations() -> st.SearchStrategy[list]:
+    """Edit sequences in which every step, batches and the steps inside them
+    included, carries a pattern to query just before it runs; half the
+    patterns are subject-free, the shapes that read (and build) reverse
+    buckets."""
+    subject_free = [pattern for pattern in QUERY_PATTERNS if pattern[0] is None]
+    pattern = st.one_of(st.sampled_from(subject_free),
+                        st.sampled_from(QUERY_PATTERNS))
+    edit = st.tuples(st.sampled_from(["add", "discard"]),
+                     st.sampled_from(SMALL_UNIVERSE), pattern)
+    step = st.one_of(edit, edit, edit,
+                     st.tuples(st.just("clear"), st.none(), pattern))
+    batched = st.tuples(st.just("batch"), st.lists(step, max_size=6), pattern)
+    return st.lists(st.one_of(step, step, batched), min_size=1, max_size=16)
+
+
+def _check_pattern(graph: Graph, model: Model, pattern) -> None:
+    s, p, o = pattern
+    matched = list(graph.triples(s, p, o))
+    assert len(matched) == len(set(matched))  # no duplicates
+    assert set(matched) == {
+        t for t in model.triples
+        if (s is None or t.subject == s)
+        and (p is None or t.predicate == p)
+        and (o is None or t.object == o)}
+
+
+def _run_querying(graph: Graph, model: Model, ops) -> None:
+    for kind, payload, pattern in ops:
+        _check_pattern(graph, model, pattern)
+        if kind == "batch":
+            model.batch_dirty = set()
+            with graph.batch():
+                _run_querying(graph, model, payload)
+            model.end_batch()
+        else:
+            _step(graph, model, kind, payload)
+
+
+class TestGraphWithAWarmReverseIndex:
+    """A reverse bucket is built by the first query binding its predicate
+    (every predicate's by an object-only query) and must stay exact through
+    every later edit, so queries are issued at random points of the edit
+    sequence, not only after it."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(initial=st.lists(st.sampled_from(SMALL_UNIVERSE), max_size=8),
+           ops=queried_operations())
+    def test_queries_between_edits_match_the_model(self, initial, ops):
+        graph, model = Graph(initial), Model(initial)
+        _run_querying(graph, model, ops)
+        _check_contents(graph, model)
+        _check_patterns(graph, model)
+        _check_journal(graph, model)
+
+
 def _matching(triples, subject=None, predicate=None, obj=None):
     return {t for t in triples
             if (subject is None or t.subject == subject)

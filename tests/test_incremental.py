@@ -21,7 +21,16 @@ from repro.rdf import (
     Literal,
     Triple,
 )
-from repro.shex import Validator
+from repro.shex import (
+    Arc,
+    PredicateSet,
+    Schema,
+    ShapeRef,
+    Validator,
+    arc,
+    interleave_all,
+    star,
+)
 from repro.shex.partition import ReferenceIndex, affected_nodes
 from repro.shex.schema import SchemaError
 from repro.shex.typing import ShapeLabel
@@ -275,6 +284,40 @@ class TestAffectedNodes:
         # a dirty node always propagates to its referrers
         assert affected_nodes(graph, schema, {EX.target}) \
             == {EX.target, EX.referrer}
+
+    #: reference arcs whose predicate set is not enumerable (``.`` and a
+    #: stem), alone and beside an exact reference predicate.
+    GENERAL_REFERENCES = {
+        "any predicate": [PredicateSet(any_predicate=True)],
+        "stem": [PredicateSet(stem="http://example.org/")],
+        "stem and exact": [PredicateSet(stem="http://example.org/r"),
+                           PredicateSet.single(FOAF.knows)],
+    }
+
+    @pytest.mark.parametrize("name", sorted(GENERAL_REFERENCES))
+    def test_stem_and_wildcard_closures_equal_a_brute_force_scan(self, name):
+        predicate_sets = self.GENERAL_REFERENCES[name]
+        schema = Schema({"S": interleave_all(
+            arc(FOAF.name, None),
+            *(star(Arc(predicates, ShapeRef(ShapeLabel("S"))))
+              for predicates in predicate_sets))})
+        assert ReferenceIndex(schema)._general
+        graph = Graph(_triples(
+            (EX.a, EX.p, EX.b), (EX.b, EX.ref, EX.c), (EX.c, EX.q, EX.a),  # cycle
+            (EX.d, FOAF.knows, EX.a), (EX.e, FOAF.name, Literal("e")),
+            (EX.f, EX.ref, EX.e), (EX.f, EX.p, Literal(1)),  # literal object
+            (EX.g, FOAF.knows, EX.f), (EX.g, EX.p, EX.g), (EX.h, EX.q, EX.d)))
+        # the reference edges, by a full scan of the triples
+        edges = [(s, o) for s, p, o in graph
+                 if any(predicates.matches(p) for predicates in predicate_sets)]
+        for dirty in [{node} for node in graph.nodes()] + [{EX.e, EX.c}]:
+            expected = set(dirty)
+            while True:
+                referrers = {s for s, o in edges if o in expected} - expected
+                if not referrers:
+                    break
+                expected |= referrers
+            assert affected_nodes(graph, schema, dirty) == expected
 
 
 # ------------------------------------------------------------------ retraction

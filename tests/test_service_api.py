@@ -249,7 +249,8 @@ class TestServiceStatsFormat:
     def _stats(self):
         return ServiceStats(
             generation=7,
-            store={"triples": 10, "cached_neighbourhoods": 2},
+            store={"triples": 10, "cached_neighbourhoods": 2,
+                   "reverse_predicates": 1},
             journal={"tracked_subjects": 3, "records": 4, "overflows": 0,
                      "max_entries": 1024},
             prefilter={"accepts": 1, "rejects": 2, "reference_checks": 3,
@@ -262,7 +263,8 @@ class TestServiceStatsFormat:
 
     def test_line_prefixes_and_keys(self):
         rendered = self._stats().format_text()
-        assert "store-stats: triples=10 cached_neighbourhoods=2" in rendered
+        assert ("store-stats: triples=10 cached_neighbourhoods=2 "
+                "reverse_predicates=1") in rendered
         assert "dictionary-stats:" not in rendered
         assert "journal-stats: tracked_subjects=3" in rendered
         assert "prefilter-stats: accepts=1 rejects=2" in rendered

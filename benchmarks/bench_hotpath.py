@@ -108,7 +108,7 @@ def run_full_arm(mode: str, scale: int, hubs: int, seed: int,
             validator, production_report = rep_validator, rep_production
             reference_report = rep_reference
     production_verdicts = _verdicts(production_report)
-    stats = collect_stats(validator, production_report.total_stats())
+    stats = collect_stats(validator, production_report.stats)
     return {
         "mode": mode,
         "entities": scale,
@@ -180,7 +180,7 @@ def run_backtracking_probe(seed: int) -> dict:
     validator = Validator(workload.graph, workload.schema,
                           engine=BacktrackingEngine())
     report = validator.validate_graph()
-    stats = collect_stats(validator, report.total_stats())
+    stats = collect_stats(validator, report.stats)
     return dict(stats.profile)
 
 

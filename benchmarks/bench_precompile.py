@@ -163,7 +163,7 @@ def run_sparse_size(num_nodes: int, seed: int) -> dict:
     reference_s = time.perf_counter() - start
 
     production_verdicts = _verdicts(production_report)
-    stats = production_report.total_stats()
+    stats = production_report.stats
     return {
         "nodes": num_nodes,
         "triples": len(graph),

@@ -64,10 +64,10 @@ def example_14_chain() -> None:
     """A chain of people, each knowing the next (Example 14's Person schema)."""
     graph, head = knows_chain_graph(depth=6)
     validator = Validator(graph, person_schema())
-    entry = validator.validate_node(head, "Person")
+    report = validator.validate_map({head: "Person"})
     print("Example 14 — chain of foaf:knows references")
-    print(f"  head of the chain: {entry}")
-    print(f"  shape-reference checks performed: {entry.stats.reference_checks}")
+    print(f"  head of the chain: {report.entries[0]}")
+    print(f"  shape-reference checks performed: {report.stats.reference_checks}")
     print()
 
 

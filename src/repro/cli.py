@@ -101,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     validate.add_argument("--format", choices=["text", "json", "csv", "summary"],
                           default="text", dest="output_format")
     validate.add_argument("--include-stats", action="store_true",
-                          help="include work counters in JSON output")
+                          help="include the run's work counters in JSON output")
 
     revalidate = subparsers.add_parser(
         "revalidate",
@@ -130,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     revalidate.add_argument("--format", choices=["text", "json", "csv", "summary"],
                             default="text", dest="output_format")
     revalidate.add_argument("--include-stats", action="store_true",
-                            help="include work counters in JSON output")
+                            help="include the runs' work counters in JSON output")
 
     serve = subparsers.add_parser(
         "serve",
@@ -283,7 +283,7 @@ def _command_validate(args: argparse.Namespace) -> int:
     sys.stdout.write(_render_report(report, args.output_format, args.include_stats))
     if args.cache_stats:
         if shape_map:
-            stats = collect_stats(session.validator, report.total_stats())
+            stats = collect_stats(session.validator, report.stats)
         else:
             stats = session.stats()
         _print_service_stats(stats, args.cache_stats)
@@ -307,7 +307,7 @@ def _command_revalidate(args: argparse.Namespace) -> int:
     schema = _load_schema(args.schema)
     labels = [args.shape] if args.shape else None
     session = ValidationSession(graph, schema)
-    session.validate(labels=labels)
+    baseline = session.validate(labels=labels)
 
     additions = _load_graph(args.add, args.data_format) if args.add else ()
     removals = _load_graph(args.remove, args.data_format) if args.remove else ()
@@ -316,8 +316,10 @@ def _command_revalidate(args: argparse.Namespace) -> int:
     response, result = session.apply_changes(
         add=additions, remove=removals, labels=labels,
         allow_full_rebuild=True)
-    shown = result.delta if args.delta_only \
-        else session.validator.maintained_report()
+    # the stats of the shown report: the delta round's, or both runs'
+    shown = result.delta if args.delta_only else ValidationReport(
+        session.validator.maintained_report().entries,
+        baseline.stats.combined(result.delta.stats))
     sys.stdout.write(_render_report(shown, args.output_format, args.include_stats))
     print(f"revalidate: +{response.added}/-{response.removed} triples, "
           f"{response.dirty_subjects} dirty subject(s), "

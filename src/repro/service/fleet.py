@@ -42,6 +42,7 @@ import zlib
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..rdf.graph import Graph
+from ..shex.results import MatchStats
 from ..shex.validator import IncrementalFallback, Validator
 from .api import ServiceError
 from .faults import FaultInjector, FaultPlan
@@ -90,15 +91,18 @@ class _ShardReplica:
             subject_filter=_OwnedBy(shards, shard_index), **options)
         self.rounds = 0
         self.full_runs = 0
+        #: the stats of every run on this replica, summed.
+        self.totals = MatchStats()
 
     # -- commands -------------------------------------------------------------
-    def run(self, labels) -> Tuple[list, list, list]:
-        """Full owned validation; returns (entries, confirmed, failed)."""
+    def run(self, labels) -> Tuple[list, list, list, MatchStats]:
+        """Full owned validation; returns (entries, confirmed, failed, stats)."""
         report = self.validator.validate_graph(labels=list(labels) or None)
         self.full_runs += 1
+        self.totals.merge(report.stats)
         context = self.validator._bulk_context()
         confirmed, failed = context.settled_verdicts()
-        return list(report.entries), list(confirmed), list(failed)
+        return list(report.entries), list(confirmed), list(failed), report.stats
 
     def apply(self, add, remove) -> int:
         """Apply one delta batch to the replica; returns the generation."""
@@ -131,24 +135,25 @@ class _ShardReplica:
                     "full run is required")
         return None
 
-    def revalidate(self, labels) -> Tuple[list, list, list, dict]:
-        """The shard-local PR 5 loop; returns only the affected delta.
+    def revalidate(self, labels) -> Tuple[list, list, list, MatchStats]:
+        """The shard-local incremental loop; returns only the affected delta.
 
         ``(delta_entries, confirmed, failed, stats)`` where the settled
         lists are restricted to the round's affected closure — the verdicts
-        this round actually (re-)derived.  Unaffected baseline verdicts
-        never re-cross the process boundary.
+        this round actually (re-)derived — and the round's run stats.
+        Unaffected baseline verdicts never re-cross the process boundary.
         """
         result = self.validator.revalidate(labels=list(labels) or None,
                                            allow_full_rebuild=False)
         self.rounds += 1
+        self.totals.merge(result.delta.stats)
         context = self.validator._bulk_context()
         confirmed, failed = context.settled_verdicts()
         affected = result.affected
         new_confirmed = [pair for pair in confirmed if pair[0] in affected]
         new_failed = [pair for pair in failed if pair[0] in affected]
         return (list(result.delta.entries), new_confirmed, new_failed,
-                result.stats())
+                result.delta.stats)
 
     def verdicts(self, pairs) -> list:
         """Baseline entries for ``pairs`` (``None`` → the whole baseline)."""
@@ -167,7 +172,6 @@ class _ShardReplica:
         return self.validator._incremental_generation, self.verdicts(pairs)
 
     def stats(self) -> Dict[str, Any]:
-        context = self.validator._context
         return {
             "shard": self.shard_index,
             "triples": len(self.graph),
@@ -175,8 +179,7 @@ class _ShardReplica:
             "rounds": self.rounds,
             "full_runs": self.full_runs,
             "maintained_pairs": len(self.validator._incremental_entries or ()),
-            "signature_hits": (context.stats.signature_hits
-                               if context is not None else 0),
+            "signature_hits": self.totals.signature_hits,
             "journal": dict(self.graph.journal.stats()),
         }
 

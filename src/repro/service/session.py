@@ -61,7 +61,8 @@ def collect_stats(validator: Validator, totals: MatchStats,
 
     The single source of the unified stats structure: sessions build theirs
     here, and the CLI's shape-map path reuses it so ``--cache-stats`` output
-    is one format everywhere.
+    is one format everywhere.  ``totals``, the summed run stats, is the only
+    source of the ``prefilter`` and ``profile`` counters.
     """
     graph = validator.graph
     store = dict(graph.store_stats())
@@ -88,23 +89,19 @@ def collect_stats(validator: Validator, totals: MatchStats,
     else:
         signature = dict(signature_obj.stats())
         signature["hit_rate"] = round(signature_obj.hit_rate, 4)
-    context = getattr(validator, "_context", None)
-    # the shared context's cumulative stats include the probe/store work that
-    # happens *between* per-entry snapshot windows (signature misses, build
-    # time); the per-entry totals are the fallback for the reference.
-    profiled = context.stats if context is not None else totals
     profile = {
-        "signature_hits": profiled.signature_hits,
-        "signature_misses": profiled.signature_misses,
-        "signature_dedupes": profiled.signature_dedupes,
-        "signature_time": round(profiled.signature_time, 6),
-        "prefilter_time": round(profiled.prefilter_time, 6),
-        "dispatch_time": round(profiled.dispatch_time, 6),
-        "backtrack_time": round(profiled.backtrack_time, 6),
-        "cache_time": round(profiled.cache_time, 6),
+        "signature_hits": totals.signature_hits,
+        "signature_misses": totals.signature_misses,
+        "signature_dedupes": totals.signature_dedupes,
+        "signature_time": round(totals.signature_time, 6),
+        "prefilter_time": round(totals.prefilter_time, 6),
+        "dispatch_time": round(totals.dispatch_time, 6),
+        "backtrack_time": round(totals.backtrack_time, 6),
+        "cache_time": round(totals.cache_time, 6),
     }
     if not any(profile.values()):
         profile = {}
+    context = getattr(validator, "_context", None)
     verdicts = dict(context.settled_counts()) if context is not None else {}
     entries = getattr(validator, "_incremental_entries", None)
     verdicts["maintained_pairs"] = len(entries) if entries else 0
@@ -157,6 +154,7 @@ class ValidationSession:
         else:
             self.validator = Validator(graph, schema, **options)
         self._lock = threading.RLock()
+        #: the stats of every full run and delta round, summed.
         self._totals = MatchStats()
         self._full_runs = 0
         self._delta_rounds = 0
@@ -230,7 +228,7 @@ class ValidationSession:
             self._check_open()
             report = self.validator.validate_graph(labels=labels)
             self._full_runs += 1
-            self._totals = report.total_stats()
+            self._totals.merge(report.stats)
             return report
 
     def apply_changes(self, add: Iterable[Triple] = (),
@@ -301,7 +299,7 @@ class ValidationSession:
                                f"delta applied (+{added}/-{removed}) but "
                                f"not revalidated: {error}", 409) from error
         self._delta_rounds += 1
-        self._totals = self._totals.merge(result.delta.total_stats())
+        self._totals.merge(result.delta.stats)
         stats = result.stats()
         response = DeltaResponse(
             generation=self.validator.maintained_generation or 0,

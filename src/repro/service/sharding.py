@@ -27,9 +27,9 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..rdf.terms import ObjectTerm
-from ..shex.results import ValidationReportEntry
+from ..shex.results import MatchStats, ValidationReportEntry
 from ..shex.typing import ShapeLabel
-from ..shex.validator import IncrementalFallback, Validator
+from ..shex.validator import IncrementalFallback, ValidationReport, Validator
 from .api import ServiceError
 from .fleet import ShardFleet, shard_of
 
@@ -71,8 +71,7 @@ class ShardedValidator(Validator):
     # -- dispatch -------------------------------------------------------------
     def _schedule(self, label_list: Sequence[ShapeLabel],
                   restrict: Optional[FrozenSet[ObjectTerm]] = None,
-                  ) -> Optional[Dict[Tuple[ObjectTerm, ShapeLabel],
-                                     ValidationReportEntry]]:
+                  ) -> Optional[ValidationReport]:
         if self.shards <= 1:
             return None
         if self.reference:
@@ -151,8 +150,7 @@ class ShardedValidator(Validator):
 
     # -- resident fleet: scheduling -------------------------------------------
     def _fleet_full_run(self, label_list: Sequence[ShapeLabel]
-                        ) -> Optional[Dict[Tuple[ObjectTerm, ShapeLabel],
-                                           ValidationReportEntry]]:
+                        ) -> Optional[ValidationReport]:
         subject_count = sum(1 for _ in self.graph.nodes())
         if subject_count <= 1:
             return None
@@ -164,12 +162,12 @@ class ShardedValidator(Validator):
             outcomes = fleet.broadcast("run", list(labels))
         else:
             outcomes = self._fleet_load(fleet, labels)
-        return self._merge_outcomes(context, outcomes)
+        entries, stats = self._merge_outcomes(context, outcomes)
+        return ValidationReport(list(entries.values()), stats)
 
     def _fleet_delta_run(self, label_list: Sequence[ShapeLabel],
                          restrict: FrozenSet[ObjectTerm],
-                         ) -> Optional[Dict[Tuple[ObjectTerm, ShapeLabel],
-                                            ValidationReportEntry]]:
+                         ) -> Optional[ValidationReport]:
         """One resident incremental round: check, revalidate, merge.
 
         Two-phase: every shard first confirms (``check``) that its local
@@ -205,9 +203,7 @@ class ShardedValidator(Validator):
                 raise IncrementalFallback(outcome[0], outcome[1])
         outcomes = fleet.broadcast("revalidate", list(labels))
         context = self._bulk_context()
-        entries = self._merge_outcomes(
-            context, [(delta, confirmed, failed)
-                      for delta, confirmed, failed, _stats in outcomes])
+        entries, stats = self._merge_outcomes(context, outcomes)
 
         # coverage: the caller needs every (affected subject × label) pair.
         # A freshly healed shard reports an empty delta — pull the missing
@@ -232,10 +228,13 @@ class ShardedValidator(Validator):
                                key=lambda term: term.sort_key())
         if still_missing:
             # safety net: derive the stragglers on the coordinator itself.
-            for entry in self._validate_pairs_serial(context, list(labels),
-                                                     still_missing):
+            stragglers = self._validate_pairs(
+                [(node, label) for node in still_missing for label in labels],
+                context)
+            stats.merge(stragglers.stats)
+            for entry in stragglers:
                 entries[(entry.node, entry.label)] = entry
-        return entries
+        return ValidationReport(list(entries.values()), stats)
 
     def _heal_workers(self, fleet: ShardFleet,
                       labels: Tuple[ShapeLabel, ...]) -> None:
@@ -253,14 +252,16 @@ class ShardedValidator(Validator):
             fresh.loaded = True
 
     def _merge_outcomes(self, context, outcomes
-                        ) -> Dict[Tuple[ObjectTerm, ShapeLabel],
-                                  ValidationReportEntry]:
-        """Merge per-shard results under the settled-verdict protocol."""
+                        ) -> Tuple[Dict[Tuple[ObjectTerm, ShapeLabel],
+                                        ValidationReportEntry], MatchStats]:
+        """Merge shard entries and run stats under the settled-verdict protocol."""
         entries: Dict[Tuple[ObjectTerm, ShapeLabel], ValidationReportEntry] = {}
+        stats = MatchStats()
         new_confirmed: List[Tuple[ObjectTerm, ShapeLabel]] = []
         new_failed: List[Tuple[ObjectTerm, ShapeLabel]] = []
         seen: Set[Tuple[ObjectTerm, ShapeLabel]] = set()
-        for worker_entries, confirmed, failed in outcomes:
+        for worker_entries, confirmed, failed, worker_stats in outcomes:
+            stats.merge(worker_stats)
             for entry in worker_entries:
                 entries[(entry.node, entry.label)] = entry
             # two shards can settle the same cross-shard target; the
@@ -274,7 +275,7 @@ class ShardedValidator(Validator):
                     seen.add(pair)
                     new_failed.append(pair)
         context.seed_settled(new_confirmed, new_failed)
-        return entries
+        return entries, stats
 
     # -- resident fleet: session hooks ----------------------------------------
     def stage_fleet_delta(self, add, remove) -> None:

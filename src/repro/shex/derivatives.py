@@ -343,8 +343,7 @@ class DerivativeEngine:
         The loop also feeds the per-phase profile: wall time spent here goes
         to ``dispatch_time``, the slice spent in global-cache lookups and
         stores to ``cache_time`` — accumulated into the context's stats when
-        one is present (per-entry deltas are carved out of those by the bulk
-        path), else into the local record.
+        one is present (a bulk run's record), else into the local record.
         """
         simplify = self.simplify
         atoms_for = cache.atoms_for

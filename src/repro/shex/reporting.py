@@ -75,7 +75,7 @@ def format_text(report: ValidationReport, show_reasons: bool = True,
 
 
 def report_to_dict(report: ValidationReport, include_stats: bool = False) -> Dict:
-    """Convert the report to a JSON-friendly dictionary."""
+    """Convert the report to a JSON-friendly dictionary (and its run's stats)."""
     entries = []
     for entry in _sorted_entries(report):
         item: Dict = {
@@ -85,15 +85,16 @@ def report_to_dict(report: ValidationReport, include_stats: bool = False) -> Dic
         }
         if entry.reason:
             item["reason"] = entry.reason
-        if include_stats:
-            item["stats"] = entry.stats.as_dict()
         entries.append(item)
-    return {
+    document = {
         "conforms": report.conforms,
         "summary": summarize(report),
         "entries": entries,
         "typing": report.typing.to_dict(),
     }
+    if include_stats:
+        document["stats"] = report.stats.as_dict()
+    return document
 
 
 def report_to_json(report: ValidationReport, include_stats: bool = False,

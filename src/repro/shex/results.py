@@ -10,7 +10,7 @@ expression size, …).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from operator import attrgetter, sub
+from operator import attrgetter
 from typing import Optional
 
 __all__ = ["MatchStats", "MatchResult", "ValidationReportEntry"]
@@ -46,8 +46,7 @@ class MatchStats:
         per-phase wall-clock accumulators (seconds) for the profile-guided
         hot path: signature construction + cache probes, static prefilter
         passes, the flattened derivative dispatch loop, backtracking-engine
-        search, and global derivative-cache bookkeeping.  They subtract like
-        ordinary counters in :meth:`delta_since`.
+        search, and global derivative-cache bookkeeping.
     max_expression_size:
         largest expression (AST node count) materialised during matching;
         tracks the derivative growth discussed in Example 10.
@@ -107,27 +106,6 @@ class MatchStats:
         """Pure variant of :meth:`merge`: return a new accumulated record."""
         return self.copy().merge(other)
 
-    def snapshot(self) -> tuple:
-        """The counters as a tuple, for :meth:`delta_since`."""
-        return _counters(self)
-
-    def delta_since(self, before: tuple) -> "MatchStats":
-        """Return the work done since the ``before`` :meth:`snapshot` was taken.
-
-        Counters are subtracted; ``max_expression_size`` is a high-water mark
-        and carries over unchanged.  Used by ``Validator.validate_node`` to
-        attribute per-entry statistics without aliasing the accumulated
-        context record.
-        """
-        values = list(map(sub, _counters(self), before))
-        # a maintained report keeps one record per pair: share the zero
-        # rather than keep a fresh float per untouched timer
-        for index in _TIMERS:
-            values[index] = values[index] or 0.0
-        delta = MatchStats(*values)
-        delta.max_expression_size = self.max_expression_size
-        return delta
-
     def as_dict(self) -> dict:
         """Return the counters as a plain dictionary (for benchmark tables)."""
         return {
@@ -152,9 +130,6 @@ class MatchStats:
 
 #: every counter of a :class:`MatchStats`, in field order, in one C call.
 _counters = attrgetter(*(counter.name for counter in fields(MatchStats)))
-#: field positions of the wall-clock counters (floats).
-_TIMERS = tuple(index for index, counter in enumerate(fields(MatchStats))
-                if counter.type == "float")
 
 
 @dataclass
@@ -194,7 +169,6 @@ class ValidationReportEntry:
     label: object
     conforms: bool
     reason: str = ""
-    stats: MatchStats = field(default_factory=MatchStats)
     #: True when the verdict hit the recursion-depth budget instead of being
     #: derived semantically (see :attr:`MatchResult.limit_exceeded`).
     limit_exceeded: bool = False

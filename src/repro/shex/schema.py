@@ -32,6 +32,7 @@ from typing import (
     List,
     Mapping,
     Optional,
+    Sequence,
     Set,
     Tuple,
 )
@@ -377,10 +378,11 @@ class FixpointContext(ValidationContext):
     the coinductive typing rules of Section 8 define for schemas without
     shape negation.  :meth:`check_reference` never recurses.  A reference
     met inside a match reads the current status of the pair and records the
-    read (:meth:`_status`).  A call from outside a match demands the pair
-    and runs a worklist solve to its end (:meth:`_solve`).  Each pair of a
-    solve is decided by the signature lane (:meth:`_decide`: typed
-    signature → signature cache → prefilter → matcher).  After a solve every
+    read (:meth:`_status`).  :meth:`verdicts` solves the unsettled pairs of a
+    bulk run in one worklist (:meth:`_solve`); a call from outside a match is
+    its single-pair case.  Each pair of a solve is decided by the signature
+    lane (:meth:`_decide`: typed signature → signature cache → prefilter →
+    matcher).  After a solve every
     verdict it reached is final, so the confirmed and failed stores only
     ever hold settled verdicts, and stack depth does not grow with
     reference chains.
@@ -577,26 +579,42 @@ class FixpointContext(ValidationContext):
         """Validate ``node`` against the shape named ``label``.
 
         The pair is answered from the typing and never recursed into: inside
-        a match the call is a read (:meth:`_status`); outside one the pair is
-        demanded and the greatest fixpoint is solved (:meth:`_solve`) before
-        the verdict is returned.
+        a match the call is a read (:meth:`_status`); outside one it is the
+        single-pair case of :meth:`verdicts`.
         """
         label = label if isinstance(label, ShapeLabel) else ShapeLabel(label)
-        self.stats.reference_checks += 1
         if self._reader is not None:
+            self.stats.reference_checks += 1
             return _HOLDS if self._status(node, label) else _FAILS
-        pair, verdict = (node, label), None
-        if self.is_confirmed(node, label):
-            return MatchResult.success()
-        if not self.is_failed(node, label):
-            holds, verdict = self._solve(pair)
-            if holds:
-                return MatchResult.success()
-        if verdict is None or self._signatures[node][1]:
-            # explain under the final typing: the first verdict of a
-            # subject with reference bits may rest on statuses that fell
-            verdict = self._decide(pair)
-        return MatchResult.failure(verdict[1])
+        holds, reason = self.verdicts(((node, label),))[0]
+        return MatchResult(holds, reason=reason)
+
+    def verdicts(self, pairs: Sequence[_Pair]) -> List[Tuple[bool, str]]:
+        """The ``(conforms, reason)`` verdict of each of ``pairs``, in order.
+
+        The unsettled pairs are solved in one worklist (:meth:`_solve`).  A
+        failure's reason is the verdict the solve holds when the node's
+        signature is closed, else one lane pass under the final typing.
+        Each pair counts one reference check, as in the reference.
+        """
+        self.stats.reference_checks += len(pairs)
+        confirmed, failed = self._confirmed, self._failed
+        unsettled = [(node, label) for node, label in pairs
+                     if label not in confirmed.get(node, ())
+                     and label not in failed.get(node, ())]
+        falls = self._solve(unsettled) if unsettled else {}
+        signatures, result = self._signatures, []
+        for pair in pairs:
+            node, label = pair
+            verdict = falls.get(pair)
+            if verdict is None and label in confirmed.get(node, ()):
+                verdict = (True, "")
+            elif verdict is None or signatures[node][1]:
+                # settled by an earlier run, or it read typing bits that may
+                # have fallen after it failed
+                verdict = self._decide(pair)
+            result.append(verdict)
+        return result
 
     def _status(self, node: ObjectTerm, label: ShapeLabel) -> bool:
         """Read the typing bit of ``(node, label)``; never recurses.
@@ -615,7 +633,7 @@ class FixpointContext(ValidationContext):
             return False
         pair = (node, label)
         if self._reader is None:
-            return self._solve(pair)[0]
+            return pair not in self._solve((pair,))
         status = self._pending.get(pair)
         if status is None:
             status = self._pending[pair] = True
@@ -624,37 +642,48 @@ class FixpointContext(ValidationContext):
             self._readers.setdefault(pair, {})[self._reader] = None
         return status
 
-    def _solve(self, pair: _Pair) -> Tuple[bool, Tuple[bool, str]]:
-        """Refine the typing from ``pair`` down to the greatest fixpoint.
+    def _solve(self, roots: Iterable[_Pair]) -> Dict[_Pair, Tuple[bool, str]]:
+        """Refine the typing from the unsettled ``roots`` to the greatest fixpoint.
 
-        Each popped pair is matched once by :meth:`_decide`, its references
-        read from the current typing.  A pair whose match fails turns false
-        and re-queues exactly the pairs that read it.  Statuses only fall,
-        and one-step matching is monotone in the reference bits (no operator
-        of the language is a complement), so the loop ends at the greatest
+        One worklist serves every root; it is drained before the next root.
+        Each pair is matched by :meth:`_decide`, its references read from
+        the current typing.  A closed signature reads no typing bit, so its
+        pair settles at once.  A pair whose match fails turns false and
+        re-queues exactly the pairs that read it.  Statuses only fall, and
+        one-step matching is monotone in the reference bits (no operator of
+        the language is a complement), so the loop ends at the greatest
         fixpoint; pairs settled before the solve stay fixed.  Every pair of
-        the solve is then final and goes to the verdict store.  Returns the
-        final status of ``pair`` and its first verdict: it is matched first,
-        so nothing has read it yet and its own fall re-queues nobody.
+        the solve then settles.  Returns the failing verdict of each pair
+        that fell.
         """
         pending, queue, readers = self._pending, self._queue, self._readers
-        try:
-            first = self._decide(pair)
-            if not pending:
-                # it read no unsettled pair: its verdict is final already
-                (self._confirmed if first[0] else self._failed).setdefault(
+        confirmed, failed = self._confirmed, self._failed
+        signatures, decide, falls = self._signatures, self._decide, {}
+
+        def match(pair: _Pair) -> bool:
+            verdict = decide(pair)
+            if not signatures[pair[0]][1]:
+                (confirmed if verdict[0] else failed).setdefault(
                     pair[0], set()).add(pair[1])
-                return first[0], first
-            root, pending[pair] = pair, first[0]
-            while queue:
-                pair = queue.pop()
-                if pending[pair] and not self._decide(pair)[0]:
-                    pending[pair] = False
-                    queue.extend(readers.pop(pair, ()))
-            confirmed, failed = self._confirmed, self._failed
+            if verdict[0]:
+                return True
+            falls[pair] = verdict
+            queue.extend(readers.pop(pair, ()))
+            return False
+
+        try:
+            for root in roots:
+                if root not in pending:
+                    holds = match(root)
+                    if signatures[root[0]][1]:
+                        pending[root] = holds
+                while queue:
+                    pair = queue.pop()
+                    if pending[pair] and not match(pair):
+                        pending[pair] = False
             for (node, label), holds in pending.items():
                 (confirmed if holds else failed).setdefault(node, set()).add(label)
-            return pending[root], first
+            return falls
         finally:
             pending.clear()
             queue.clear()

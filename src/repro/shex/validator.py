@@ -94,9 +94,13 @@ def get_engine(engine: Union[str, object, None] = None, **options):
 
 @dataclass
 class ValidationReport:
-    """The outcome of validating a shape map or a whole graph."""
+    """The outcome of validating a shape map or a whole graph.
+
+    ``stats`` records the work of the run that built the report, once.
+    """
 
     entries: List[ValidationReportEntry] = field(default_factory=list)
+    stats: MatchStats = field(default_factory=MatchStats)
 
     @property
     def conforms(self) -> bool:
@@ -132,13 +136,6 @@ class ValidationReport:
 
     def __str__(self) -> str:
         return "\n".join(str(entry) for entry in self.entries)
-
-    def total_stats(self) -> MatchStats:
-        """Aggregate the per-entry statistics into one record."""
-        total = MatchStats()
-        for entry in self.entries:
-            total.merge(entry.stats)
-        return total
 
 
 @dataclass
@@ -197,11 +194,11 @@ class Validator:
     reference:
         False (default) runs the one production configuration: the bulk
         operations — ``validate_map``, ``validate_graph``, ``infer_typing``,
-        ``conforming_nodes`` — thread **one**
-        :class:`~repro.shex.schema.FixpointContext` through one pair loop
-        (and keep it across runs, rebuilding it when the graph mutates).  It
-        solves the typing as a greatest fixpoint without recursing; each
-        pair it matches goes typed signature →
+        ``conforming_nodes``, ``revalidate`` — share **one**
+        :class:`~repro.shex.schema.FixpointContext` (kept across runs,
+        rebuilt when the graph mutates), and each solves all of its pairs
+        in one greatest-fixpoint worklist without recursing; each pair it
+        matches goes typed signature →
         :class:`~repro.shex.cache.SignatureCache` → the compiled prefilter →
         the engine, and a named derivatives engine gets a global
         :class:`~repro.shex.cache.DerivativeCache`.  True runs the paper's
@@ -360,36 +357,22 @@ class Validator:
 
     # -- schema-level API ----------------------------------------------------------
     def validate_node(self, node: SubjectTerm,
-                      label: Union[ShapeLabel, str, None] = None,
-                      context: Optional[ValidationContext] = None
+                      label: Union[ShapeLabel, str, None] = None
                       ) -> ValidationReportEntry:
         """Validate one node against one shape label (default: the start shape).
 
-        A fresh context is used unless ``context`` is given (the bulk
-        operations pass their shared context here).  The entry's stats are an
-        independent snapshot of the work done *for this entry* — never an
-        alias of the (possibly shared) context record, which accumulates
-        every matcher's counters too.
+        The single-pair API: the pair is solved in a fresh context, so the
+        answer never depends on what earlier calls settled.
         """
-        label = self._resolve_label(label)
-        if context is None:
-            context = self._new_context()
-        before = context.stats.snapshot()
-        result = context.check_reference(node, label)
-        entry_stats = context.stats.delta_since(before)
-        return ValidationReportEntry(
-            node=node, label=label, conforms=result.matched,
-            reason=result.reason, stats=entry_stats,
-            limit_exceeded=result.limit_exceeded,
-        )
+        pair = (node, self._resolve_label(label))
+        context = None if self.reference else self._new_context()
+        return self._validate_pairs([pair], context).entries[0]
 
     def validate_map(self, shape_map: Mapping[SubjectTerm, Union[ShapeLabel, str]]
                      ) -> ValidationReport:
         """Validate every ``node → label`` association of a shape map."""
-        return ValidationReport(entries=self._validate_pairs(
-            self._bulk_context(),
-            [(node, self._resolve_label(label))
-             for node, label in shape_map.items()]))
+        return self._validate_pairs([(node, self._resolve_label(label))
+                                     for node, label in shape_map.items()])
 
     def infer_typing(self, nodes: Optional[Iterable[SubjectTerm]] = None,
                      labels: Optional[Iterable[Union[ShapeLabel, str]]] = None
@@ -399,8 +382,7 @@ class Validator:
         Tries every combination of the given nodes (default: every subject
         node of the graph) and labels (default: every label of the schema)
         and returns the typing containing the associations that validate.
-        Outside the reference, verdicts established while checking one
-        combination are reused by every later one.
+        Outside the reference, all combinations are solved together.
         """
         if self.schema is None:
             raise SchemaError("infer_typing requires a schema")
@@ -409,16 +391,15 @@ class Validator:
         )
         label_list = [self._resolve_label(label) for label in labels] if labels \
             else list(self.schema.labels())
-        return ValidationReport(entries=self._validate_pairs_serial(
-            self._bulk_context(), label_list, node_list)).typing
+        return self._validate_pairs(_product(node_list, label_list)).typing
 
     def conforming_nodes(self, label: Union[ShapeLabel, str, None] = None
                          ) -> List[SubjectTerm]:
         """Return the subject nodes that conform to ``label`` (Example 2)."""
         label = self._resolve_label(label)
         nodes = sorted(self.graph.nodes(), key=lambda term: term.sort_key())
-        return [entry.node for entry in self._validate_pairs_serial(
-            self._bulk_context(), [label], nodes) if entry.conforms]
+        return [entry.node for entry in self._validate_pairs(
+            _product(nodes, [label])) if entry.conforms]
 
     def validate_graph(self, labels: Optional[Sequence[Union[ShapeLabel, str]]] = None
                        ) -> ValidationReport:
@@ -433,55 +414,65 @@ class Validator:
             raise SchemaError("validate_graph requires a schema")
         label_list = [self._resolve_label(label) for label in labels] if labels \
             else list(self.schema.labels())
-        table = self._schedule(label_list)
-        report = None
-        if table is None:
-            report = self._validate_graph_serial(label_list)
-            table = {(entry.node, entry.label): entry for entry in report.entries}
+        scheduled = self._schedule(label_list)
+        report = scheduled if scheduled is not None else self._validate_pairs(
+            _product(self._owned_subjects(), label_list))
         self._incremental_labels = tuple(label_list)
-        self._incremental_entries = table
+        self._incremental_entries = {(entry.node, entry.label): entry
+                                     for entry in report.entries}
         self._incremental_generation = self.graph.generation
-        if report is None:
-            report = self.maintained_report()
+        if scheduled is not None:
+            # a scheduler's entries come in its own order
+            report = ValidationReport(self.maintained_report().entries,
+                                      scheduled.stats)
         return report
 
     def _schedule(self, label_list: Sequence[ShapeLabel],
                   restrict: Optional[FrozenSet[ObjectTerm]] = None,
-                  ) -> Optional[Dict[Tuple[ObjectTerm, ShapeLabel],
-                                     ValidationReportEntry]]:
+                  ) -> Optional[ValidationReport]:
         """The scheduling seam: hand a run to another scheduler, or not.
 
-        Returns the per-pair entries of a run the scheduler answered — every
-        subject × label on a full run, every affected subject × label when
-        ``restrict`` (incremental revalidation's affected closure) is given
-        — with the scheduler's settled verdicts already merged into the
-        shared context.  ``None`` means "run serially", which is all the
+        Returns the report of a run the scheduler answered — an entry for
+        every subject × label on a full run, for every affected subject ×
+        label when ``restrict`` (incremental revalidation's affected
+        closure) is given, in any order, and the run's stats — with the
+        scheduler's settled verdicts already merged into the shared
+        context.  ``None`` means "run serially", which is all the
         base class ever answers.
         """
         return None
 
-    def _validate_pairs(self, context: Optional[ValidationContext],
-                        pairs: Iterable[Tuple[ObjectTerm, ShapeLabel]],
-                        ) -> List[ValidationReportEntry]:
-        """Validate ``(node, label)`` pairs in order: the one bulk pair loop.
+    def _validate_pairs(self, pairs: Sequence[Tuple[ObjectTerm, ShapeLabel]],
+                        context: Optional[FixpointContext] = None,
+                        ) -> ValidationReport:
+        """Validate ``(node, label)`` pairs: the one path of every run.
 
-        Each pair goes through :meth:`validate_node`: in production the
-        shared context answers it from the typing, solving the greatest
-        fixpoint from it when it is not settled yet (every pair a solve
-        reaches is decided by the signature lane: typed signature, signature
-        cache, prefilter, engine).  Without a context (the reference) every
-        pair gets a fresh one.
+        In production the pairs go to one context (default: the shared
+        one) in one call: :meth:`FixpointContext.verdicts` demands the
+        unsettled pairs into one worklist, solves the greatest fixpoint
+        once, and reads every verdict from the settled stores.  The context
+        starts a fresh stats record for the call, which becomes the
+        report's.  The reference gives every pair a fresh
+        :class:`~repro.shex.reference.ReferenceContext` and merges their
+        stats into the report's.
         """
-        return [self.validate_node(node, label, context=context)
-                for node, label in pairs]
-
-    def _validate_pairs_serial(self, context: Optional[ValidationContext],
-                               label_list: Sequence[ShapeLabel],
-                               subjects: Sequence[SubjectTerm],
-                               ) -> List[ValidationReportEntry]:
-        """Validate ``subjects × label_list`` in order (node-major)."""
-        return self._validate_pairs(
-            context, [(node, label) for node in subjects for label in label_list])
+        if self.reference:
+            stats, entries = MatchStats(), []
+            for node, label in pairs:
+                fresh = self._new_context()
+                result = fresh.check_reference(node, label)
+                stats.merge(fresh.stats)
+                entries.append(ValidationReportEntry(
+                    node, label, result.matched, result.reason,
+                    result.limit_exceeded))
+            return ValidationReport(entries, stats)
+        if context is None:
+            context = self._bulk_context()
+        stats = context.stats = MatchStats()
+        return ValidationReport([
+            ValidationReportEntry(node, label, conforms, reason)
+            for (node, label), (conforms, reason)
+            in zip(pairs, context.verdicts(pairs))], stats)
 
     def _owns(self, node: SubjectTerm) -> bool:
         """Whether bulk reports cover ``node`` (True without a filter)."""
@@ -491,11 +482,6 @@ class Validator:
         """The subjects bulk reports cover, in canonical (``sort_key``) order."""
         return sorted((node for node in self.graph.nodes() if self._owns(node)),
                       key=lambda term: term.sort_key())
-
-    def _validate_graph_serial(self, label_list: Sequence[ShapeLabel]) -> ValidationReport:
-        """The single-process bulk path: one shared context, sorted node order."""
-        return ValidationReport(entries=self._validate_pairs_serial(
-            self._bulk_context(), label_list, self._owned_subjects()))
 
     # -- session hooks --------------------------------------------------------------
     @property
@@ -603,8 +589,7 @@ class Validator:
             self._reference_index = ReferenceIndex(self.schema)
         affected = affected_nodes(self.graph, self.schema, dirty,
                                   index=self._reference_index)
-        context = self._context
-        retracted = context.retract_nodes(affected)
+        retracted = self._context.retract_nodes(affected)
         # the retained context is now consistent with the mutated graph:
         # re-stamp it so the bulk machinery below (and later calls) reuse it
         # instead of rebuilding from scratch.
@@ -617,8 +602,7 @@ class Validator:
              if graph.degree(node) and self._owns(node)),
             key=lambda term: term.sort_key(),
         )
-        new_entries: Dict[Tuple[ObjectTerm, ShapeLabel], ValidationReportEntry] = {}
-        scheduled = None
+        rerun = ValidationReport()
         if affected_subjects:
             try:
                 scheduled = self._schedule(label_list, affected)
@@ -638,13 +622,9 @@ class Validator:
                 # same nodes).
                 self._context_generation = self._incremental_generation
                 raise
-        if scheduled is not None:
-            new_entries = scheduled
-        elif affected_subjects:
-            entries_list = self._validate_pairs_serial(context, label_list,
-                                                       affected_subjects)
-            new_entries = {(entry.node, entry.label): entry
-                           for entry in entries_list}
+            rerun = scheduled if scheduled is not None else \
+                self._validate_pairs(_product(affected_subjects, label_list))
+        new_entries = {(entry.node, entry.label): entry for entry in rerun}
 
         # delta-update the baseline table: drop every affected pair (this
         # covers subjects that no longer exist), then insert the re-runs.
@@ -659,7 +639,7 @@ class Validator:
                 table[(node, label)] = entry
                 delta_entries.append(entry)
         self._incremental_generation = graph.generation
-        return self._result(ValidationReport(entries=delta_entries), dirty,
+        return self._result(ValidationReport(delta_entries, rerun.stats), dirty,
                             affected, False, retracted)
 
     def _result(self, delta: ValidationReport, dirty: FrozenSet[SubjectTerm],
@@ -696,6 +676,12 @@ class Validator:
         if isinstance(label, ShapeLabel):
             return label
         return ShapeLabel(label)
+
+
+def _product(nodes: Iterable[ObjectTerm], labels: Sequence[ShapeLabel]
+             ) -> List[Tuple[ObjectTerm, ShapeLabel]]:
+    """``nodes × labels`` in node-major order, the order of every bulk report."""
+    return [(node, label) for node in nodes for label in labels]
 
 
 # -- the worker engine recipe -------------------------------------------------------

@@ -152,28 +152,55 @@ class TestHypothesisDependentCaching:
 
 
 class TestStatsAliasing:
-    """Satellite 2: report entries carry independent stats snapshots."""
+    """Each run records its work once, in its own ``report.stats``."""
 
     def test_entries_do_not_share_stats_objects(self):
-        from repro.workloads import paper_example_graph
-
-        validator = Validator(paper_example_graph(), person_schema())
-        report = validator.validate_graph()
-        identities = {id(entry.stats) for entry in report}
-        assert len(identities) == len(report.entries)
-
-    def test_total_stats_equals_the_sum_of_entries(self):
+        """Entries carry no stats; each run's report has its own record."""
         from repro.workloads import paper_example_graph
 
         for reference in (False, True):
             validator = Validator(paper_example_graph(), person_schema(),
                                   reference=reference)
+            first = validator.validate_graph()
+            frozen = first.stats.as_dict()
+            second = validator.validate_graph()
+            assert first.stats is not second.stats
+            assert first.stats.as_dict() == frozen
+            assert not hasattr(first.entries[0], "stats")
+
+    def test_total_stats_equals_the_sum_of_entries(self, monkeypatch):
+        """A run's record is the sum of every match and reference check."""
+        from repro.shex.schema import FixpointContext
+        from repro.workloads import paper_example_graph
+
+        for reference in (False, True):
+            validator = Validator(paper_example_graph(), person_schema(),
+                                  reference=reference)
+            steps, reads = [], []
+            match = validator.engine.match_neighbourhood
+
+            def counting_match(expr, triples, context=None):
+                result = match(expr, triples, context)
+                steps.append(result.stats.derivative_steps)
+                return result
+
+            context_class = ReferenceContext if reference else FixpointContext
+            check = context_class.check_reference
+
+            def counting_check(context, node, label):
+                reads.append((node, label))
+                return check(context, node, label)
+
+            monkeypatch.setattr(validator.engine, "match_neighbourhood",
+                                counting_match)
+            monkeypatch.setattr(context_class, "check_reference", counting_check)
             report = validator.validate_graph()
-            totals = report.total_stats()
-            assert totals.derivative_steps == sum(
-                entry.stats.derivative_steps for entry in report)
-            assert totals.reference_checks == sum(
-                entry.stats.reference_checks for entry in report)
+            monkeypatch.undo()
+            assert steps and report.stats.derivative_steps == sum(steps)
+            # the reference checks every pair through check_reference;
+            # production counts each requested pair once, plus every read
+            requested = 0 if reference else len(report)
+            assert report.stats.reference_checks == requested + len(reads)
 
     def test_merge_still_mutates_but_combined_is_pure(self):
         from repro.shex import MatchStats
@@ -353,7 +380,7 @@ class TestBulkOperationsShareThePairLoop:
                 if pair[1] == PERSON}
         assert report.typing == ShapeTyping.from_pairs(
             pair for pair, ok in verdicts.items() if ok and pair[1] == PERSON)
-        assert report.total_stats().signature_hits > 0
+        assert report.stats.signature_hits > 0
 
     def test_infer_typing(self):
         graph, schema, verdicts = self._setup()

@@ -5,7 +5,21 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
-from repro.workloads import PAPER_EXAMPLE_TURTLE, PERSON_SCHEMA_SHEXC
+from repro.rdf import EX, FOAF, Literal, Triple
+from repro.service import ValidationSession
+from repro.shex import Validator
+from repro.workloads import (
+    PAPER_EXAMPLE_TURTLE,
+    PERSON_SCHEMA_SHEXC,
+    paper_example_graph,
+    person_schema,
+)
+
+
+def _library_run(reference: bool):
+    """The paper example's ``validate_graph`` report, built in process."""
+    return Validator(paper_example_graph(), person_schema(),
+                     reference=reference).validate_graph()
 
 
 @pytest.fixture
@@ -71,6 +85,29 @@ class TestValidateCommand:
         assert exit_code == 1
         assert data["conforms"] is False
         assert len(data["entries"]) == 3
+
+    @pytest.mark.parametrize("reference", [False, True])
+    def test_include_stats_is_one_top_level_record(self, data_file,
+                                                   schema_file, reference,
+                                                   capsys):
+        flags = ["--reference"] if reference else []
+        main(["validate", "--data", data_file, "--schema", schema_file,
+              "--all-nodes", "--format", "json", "--include-stats"] + flags)
+        data = json.loads(capsys.readouterr().out)
+        assert all("stats" not in entry for entry in data["entries"])
+        expected = _library_run(reference).stats.as_dict()
+        assert set(data["stats"]) == set(expected)
+        for key, value in expected.items():
+            if not key.endswith("_time"):
+                assert data["stats"][key] == value, key
+        if reference:
+            assert data["stats"]["signature_hits"] == 0
+            assert data["stats"]["prefilter_rejects"] == 0
+        else:
+            assert data["stats"]["prefilter_rejects"] > 0
+        main(["validate", "--data", data_file, "--schema", schema_file,
+              "--all-nodes", "--format", "json"] + flags)
+        assert "stats" not in json.loads(capsys.readouterr().out)
 
     def test_csv_output(self, data_file, schema_file, capsys):
         main(["validate", "--data", data_file, "--schema", schema_file,
@@ -194,6 +231,33 @@ class TestOtherCommands:
         assert exit_code == 1
         # only mary's pair was recomputed: the delta holds a single entry
         assert "0/1 conform" in captured.out
+
+    @pytest.mark.parametrize("delta_only", [False, True])
+    def test_revalidate_include_stats_is_one_top_level_record(
+            self, data_file, schema_file, tmp_path, delta_only, capsys):
+        extra = tmp_path / "extra.ttl"
+        extra.write_text(
+            "@prefix foaf: <http://xmlns.com/foaf/0.1/> .\n"
+            "@prefix : <http://example.org/> .\n"
+            ":mary foaf:age 99 .\n", encoding="utf-8")
+        flags = ["--delta-only"] if delta_only else []
+        main(["revalidate", "--data", data_file, "--schema", schema_file,
+              "--add", str(extra), "--format", "json",
+              "--include-stats"] + flags)
+        data = json.loads(capsys.readouterr().out)
+        assert all("stats" not in entry for entry in data["entries"])
+        # the delta round's stats, or the full run's and the delta's summed
+        session = ValidationSession(paper_example_graph(), person_schema())
+        baseline = session.validate()
+        _, result = session.apply_changes(
+            add=[Triple(EX.mary, FOAF.age, Literal(99))])
+        expected = result.delta.stats if delta_only \
+            else baseline.stats.combined(result.delta.stats)
+        assert set(data["stats"]) == set(expected.as_dict())
+        for key, value in expected.as_dict().items():
+            if not key.endswith("_time"):
+                assert data["stats"][key] == value, key
+        assert data["stats"]["reference_checks"] >= len(data["entries"])
 
     def test_revalidate_requires_a_change_set(self, data_file, schema_file,
                                               capsys):

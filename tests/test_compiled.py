@@ -241,7 +241,7 @@ class TestValidatorIntegration:
     def test_prefilter_counters_appear_in_the_report(self):
         workload = generate_person_workload(num_people=40, seed=1)
         report = Validator(workload.graph, workload.schema).validate_graph()
-        totals = report.total_stats()
+        totals = report.stats
         assert totals.prefilter_rejects > 0
         # every invalid node fails, prefilter or not
         for node in workload.invalid_nodes:
@@ -255,7 +255,7 @@ class TestValidatorIntegration:
         validator = Validator(workload.graph, workload.schema, reference=True)
         assert validator.compiled is None
         report = validator.validate_graph()
-        totals = report.total_stats()
+        totals = report.stats
         assert totals.prefilter_rejects == 0 and totals.prefilter_accepts == 0
 
     def test_compiled_is_built_once_per_validator(self):
@@ -284,10 +284,12 @@ class TestValidatorIntegration:
     def test_validate_node_uses_the_prefilter(self):
         graph = paper_example_graph()
         validator = Validator(graph, person_schema())
-        entry = validator.validate_node(EX.mary, "Person")
-        assert not entry.conforms
-        assert entry.stats.prefilter_rejects == 1
-        assert entry.stats.derivative_steps == 0
+        # a one-pair run: the single-pair path validate_node takes
+        report = validator.validate_map({EX.mary: "Person"})
+        assert not report.entries[0].conforms
+        assert report.stats.prefilter_rejects == 1
+        assert report.stats.derivative_steps == 0
+        assert not validator.validate_node(EX.mary, "Person").conforms
 
     def test_ready_made_compiled_schema_is_adopted(self):
         workload = generate_person_workload(num_people=10, seed=6)

@@ -65,7 +65,7 @@ class TestWhatTheReferenceIs:
         assert validator.compiled is None
         assert validator.signature_cache is None
         assert validator.engine.cache is None
-        totals = report.total_stats()
+        totals = report.stats
         assert totals.prefilter_accepts == totals.prefilter_rejects == 0
         assert totals.signature_hits == 0
         stats = session.stats()
@@ -80,7 +80,7 @@ class TestWhatTheReferenceIs:
         report = validator.validate_graph()
         assert constructions == {"CompiledSchema": 1, "SignatureCache": 1,
                                  "DerivativeCache": 1}
-        totals = report.total_stats()
+        totals = report.stats
         assert totals.prefilter_accepts + totals.prefilter_rejects > 0
         assert totals.signature_hits > 0
         assert validator.engine.cache.hits > 0
@@ -174,7 +174,7 @@ class TestReferenceAgreesWithProduction:
                 for entry in production_report] \
             == [(entry.node, entry.label, entry.conforms)
                 for entry in reference.validate_graph()]
-        assert production_report.total_stats().signature_hits > 0
+        assert production_report.stats.signature_hits > 0
 
     def test_reference_session_serves_verdicts_and_rebuilds_on_delta(self):
         workload = generate_person_workload(num_people=12, seed=3)

@@ -83,8 +83,12 @@ class TestJson:
     def test_stats_are_optional(self, report):
         without_stats = report_to_dict(report)
         with_stats = report_to_dict(report, include_stats=True)
-        assert "stats" not in without_stats["entries"][0]
-        assert "derivative_steps" in with_stats["entries"][0]["stats"]
+        assert "stats" not in without_stats
+        assert "derivative_steps" in with_stats["stats"]
+        assert with_stats["stats"] == report.stats.as_dict()
+        assert all("stats" not in entry for entry in with_stats["entries"])
+        assert {key: value for key, value in with_stats.items()
+                if key != "stats"} == without_stats
 
     def test_json_text_round_trips(self, report):
         parsed = json.loads(report_to_json(report))

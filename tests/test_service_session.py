@@ -21,6 +21,7 @@ from repro.shex import Validator
 from repro.workloads import (
     PAPER_EXAMPLE_TURTLE,
     PERSON_SCHEMA_SHEXC,
+    generate_community_workload,
     paper_example_graph,
     person_schema,
 )
@@ -248,6 +249,60 @@ class TestStats:
         assert stats.verdicts["maintained_pairs"] == 3
         assert stats.journal["tracked_subjects"] >= 1
         assert stats.store["triples"] == len(session.graph)
+
+    def test_run_counters_never_decrease(self):
+        # the session sums each run's stats: a second full run, a delta, a
+        # journal-overflow rebuild (a new shared context) and another full
+        # run each add exactly their own work to prefilter.* and profile.*
+        workload = generate_community_workload(num_communities=3, seed=1)
+        graph = Graph(journal_max_entries=2)
+        with graph.batch():
+            graph.add_all(workload.graph)
+        session = ValidationSession(graph, workload.schema)
+        # (block, key) of ServiceStats -> the MatchStats counter it sums
+        counters = {("prefilter", "accepts"): "prefilter_accepts",
+                    ("prefilter", "rejects"): "prefilter_rejects",
+                    ("prefilter", "reference_checks"): "reference_checks",
+                    ("profile", "signature_hits"): "signature_hits",
+                    ("profile", "signature_misses"): "signature_misses",
+                    ("profile", "signature_dedupes"): "signature_dedupes"}
+        timers = ("signature_time", "prefilter_time", "dispatch_time",
+                  "backtrack_time", "cache_time")
+        people = sorted(graph.nodes(), key=lambda term: term.sort_key())
+
+        def delta(subjects, full_rebuild):
+            add = [Triple(node, FOAF_AGE, Literal("not a number"))
+                   for node in subjects]
+            _, result = session.apply_changes(add=add, allow_full_rebuild=True)
+            assert result.full_rebuild is full_rebuild
+            return result.delta.stats
+
+        steps = [
+            ("validate", lambda: session.validate().stats),
+            ("validate again", lambda: session.validate().stats),
+            ("delta", lambda: delta(people[:1], False)),
+            ("overflow", lambda: delta(people[1:4], True)),
+            ("validate after overflow", lambda: session.validate().stats),
+        ]
+        before = session.stats()
+        for name, step in steps:
+            run = step()
+            after = session.stats()
+            for (block, key), counter in counters.items():
+                old = getattr(before, block).get(key, 0)
+                new = getattr(after, block).get(key, 0)
+                assert new >= old, (name, key)
+                assert new - old == getattr(run, counter), (name, key)
+            for key in timers:
+                old = before.profile.get(key, 0.0)
+                new = after.profile.get(key, 0.0)
+                assert new >= old, (name, key)
+                assert new - old == pytest.approx(getattr(run, key),
+                                                  abs=2e-6), (name, key)
+            before = after
+        assert after.session["full_runs"] == 3
+        assert after.session["delta_rounds"] == 2
+        assert after.prefilter["rejects"] > 0
 
     def test_stats_round_trip_through_json(self, session):
         session.validate()

@@ -10,9 +10,9 @@ drawn here include shape references (self- and mutually-recursive), the
 graphs include self-loops and cross-references, and the property is checked
 on the serial path and on incremental revalidation after a random mutation.
 
-A regression test rides along for the PR 1 stats contract: report entries
-carry independent stats snapshots even when the signature cache serves the
-verdict.
+A regression test rides along for the stats contract: each run's report
+holds its own stats record, and a run the signature cache serves records
+the hit and no engine work.
 """
 
 from __future__ import annotations
@@ -118,7 +118,7 @@ class TestSignatureDedupeIdentity:
 
 
 class TestStatsSnapshotIndependence:
-    """PR 1 contract: entry stats stay independent snapshots under dedupe."""
+    """Run stats stay independent records under dedupe."""
 
     def _twin_graph(self):
         # two structurally identical subjects: the second is a cache hit
@@ -133,27 +133,29 @@ class TestStatsSnapshotIndependence:
                                 arc(PredicateSet.single(EX.q), datatype(XSD.string)))})
 
     def test_hit_entry_has_its_own_snapshot(self):
+        # one run per twin: the second is served by the signature cache
         validator = Validator(self._twin_graph(), self._twin_schema())
-        report = validator.validate_graph()
-        entries = {entry.node: entry for entry in report}
-        first, second = entries[EX.a], entries[EX.b]
+        first = validator.validate_map({EX.a: "S"})
+        second = validator.validate_map({EX.b: "S"})
         assert validator.signature_cache is not None
         assert second.stats.signature_hits == 1
         assert second.stats.derivative_steps == 0
         assert first.stats.signature_hits == 0
         assert first.stats.derivative_steps > 0
         assert first.stats is not second.stats
+        # the whole graph in one run: one miss, one hit
+        whole = Validator(self._twin_graph(), self._twin_schema()).validate_graph()
+        assert whole.stats.signature_misses == 1
+        assert whole.stats.signature_hits == 1
+        assert whole.stats.derivative_steps == first.stats.derivative_steps
 
     def test_snapshots_survive_later_runs(self):
         validator = Validator(self._twin_graph(), self._twin_schema())
         report = validator.validate_graph()
-        entries = {entry.node: entry for entry in report}
-        frozen = {node: entry.stats.as_dict()
-                  for node, entry in entries.items()}
+        frozen = report.stats.as_dict()
         validator.validate_graph()
         validator.validate_node(EX.a, "S")
-        for node, entry in entries.items():
-            assert entry.stats.as_dict() == frozen[node], node
+        assert report.stats.as_dict() == frozen
 
     def test_verdicts_and_hit_counters_with_conforming_and_failing_twins(self):
         graph = self._twin_graph()

@@ -135,10 +135,17 @@ class TestMapAndGraphValidation:
 
     def test_report_total_stats_aggregates(self):
         validator = Validator(paper_example_graph(), person_schema())
+        steps = []
+        match = validator.engine.match_neighbourhood
+
+        def counting_match(expr, triples, context=None):
+            result = match(expr, triples, context)
+            steps.append(result.stats.derivative_steps)
+            return result
+
+        validator.engine.match_neighbourhood = counting_match
         report = validator.validate_graph()
-        totals = report.total_stats()
-        per_entry = sum(entry.stats.derivative_steps for entry in report)
-        assert totals.derivative_steps == per_entry
+        assert report.stats.derivative_steps == sum(steps) > 0
 
 
 class TestEngineInterchangeability:

@@ -443,28 +443,16 @@ class Graph:
             return 0
         return sum(len(objects) for objects in by_pred.values())
 
-    def predicate_counts(self, node: SubjectTerm) -> Dict[IRI, int]:
-        """Out-edge multiplicities of ``node``, grouped by predicate.
-
-        Computed straight from the SPO index without materialising any
-        :class:`Triple` — the compiled-schema prefilter decides most nodes
-        from these counts alone, so building neighbourhood triples for them
-        is wasted work.
-        """
-        by_pred = self._spo.get(node)
-        if not by_pred:
-            return {}
-        return {p: len(objects) for p, objects in by_pred.items()}
-
     def predicate_objects(self, node: SubjectTerm) -> Mapping[IRI, AbstractSet[ObjectTerm]]:
         """Out-edge objects of ``node``, grouped by predicate, zero-copy.
 
         Returns the store's live SPO bucket — callers MUST treat it as
         read-only and must not hold it across mutations.  Neighbourhood
-        signatures are built from this view: grouping by predicate lets the
-        builder resolve each predicate's candidate atoms once and skip
-        :class:`Triple` construction entirely, which matters when thousands
-        of subjects are probed and most never reach the engine.
+        signatures and the compiled-schema prefilter read this view:
+        grouping by predicate lets the signature builder resolve each
+        predicate's candidate atoms once, gives the prefilter each
+        predicate's count as a bucket size, and skips :class:`Triple`
+        construction entirely.
         """
         by_pred = self._spo.get(node)
         return by_pred if by_pred is not None else {}

@@ -490,7 +490,6 @@ class ServiceStats:
                          f"misses={cache.get('misses', 0)} "
                          f"evictions={cache.get('evictions', 0)} "
                          f"derivatives={cache.get('derivatives', 0)} "
-                         f"constraint_verdicts={cache.get('constraint_verdicts', 0)} "
                          f"max_entries={bound} "
                          f"hit_rate={hit_rate:.1%}")
         else:

@@ -51,9 +51,9 @@ CLI, the service, the shard replicas):
   typed neighbourhood signature (constraint bits plus reference bits read
   from the typing), so recursive subjects get hits too;
 * a :class:`CompiledSchema` (per-label nullability, required-predicate
-  sets, cardinality bounds, value screens, predicate-indexed atom tables)
-  whose **static prefilter** decides a pair on a signature-cache miss,
-  before the engine runs;
+  sets, cardinality bounds, value screens, per-predicate signature atoms)
+  whose **static prefilter** decides a pair on a signature-cache miss from
+  the node's ``predicate → objects`` buckets, before the engine runs;
 * for the derivatives engine, a **global cross-node**
   :class:`DerivativeCache` keyed by hash-consed expression structure plus
   constraint-verdict vectors (bounded by ``cache_max_entries``).

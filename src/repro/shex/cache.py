@@ -24,18 +24,18 @@ descent of a :class:`~repro.shex.reference.ReferenceContext`) per triple
 exactly as in the uncached engine — only the purely structural
 ``verdicts → derivative`` mapping is reused.
 
-The cache also memoises plain constraint verdicts per ``(constraint,
-object)`` pair, which collapses the repeated datatype / value-set checks the
-workloads are full of.
+Nothing else is memoised here: the engine tests each atom's predicate set
+and object constraint directly.  Production reaches the engine only on a
+:class:`SignatureCache` miss, so a verdict memo below that cache would
+save almost nothing.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-from ..rdf.terms import ObjectTerm
 from .expressions import Arc, ShapeExpr, iter_subexpressions
-from .node_constraints import NodeConstraint, PredicateSet, ShapeRef
+from .node_constraints import NodeConstraint, PredicateSet
 
 __all__ = ["DerivativeCache", "SignatureCache"]
 
@@ -52,14 +52,15 @@ class DerivativeCache:
     :class:`~repro.shex.validator.Validator` owns one; to share one across
     validators, attach it to a
     :class:`~repro.shex.derivatives.DerivativeEngine` via its ``cache``
-    option and pass that engine.
+    option and pass that engine.  It holds no constraint verdicts: the
+    engine tests each atom's predicate set and object constraint directly.
 
-    ``max_entries`` bounds the two unbounded tables (derivatives and
-    constraint verdicts) for long-running services: when set, the derivative
-    table evicts its least-recently-used entry and the verdict table its
-    oldest entry once the bound is exceeded.  Eviction can only cost
-    recomputation, never correctness — every entry is a pure function of its
-    key.  The default (``None``) keeps today's unbounded behaviour.
+    ``max_entries`` bounds both tables (per-expression atoms and
+    derivatives) for long-running services: when set, the derivative table
+    evicts its least-recently-used entry and the atom table its oldest entry
+    once the bound is exceeded.  Eviction can only cost recomputation, never
+    correctness — every entry is a pure function of its key.  The default
+    (``None``) keeps today's unbounded behaviour.
     """
 
     def __init__(self, max_entries: Optional[int] = None) -> None:
@@ -71,8 +72,6 @@ class DerivativeCache:
         #: (expression, verdict vector) → derivative expression; insertion
         #: order doubles as the LRU order when ``max_entries`` is set.
         self._derivatives: Dict[Tuple[ShapeExpr, Tuple[bool, ...]], ShapeExpr] = {}
-        #: (constraint, object term) → verdict, for non-reference constraints.
-        self._verdicts: Dict[Tuple[NodeConstraint, ObjectTerm], bool] = {}
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -82,7 +81,6 @@ class DerivativeCache:
         """Drop every cached entry (counters included)."""
         self._atoms.clear()
         self._derivatives.clear()
-        self._verdicts.clear()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -92,7 +90,6 @@ class DerivativeCache:
         return {
             "expressions": len(self._atoms),
             "derivatives": len(self._derivatives),
-            "constraint_verdicts": len(self._verdicts),
             "hits": self.hits,
             "misses": self.misses,
             "evictions": self.evictions,
@@ -122,39 +119,6 @@ class DerivativeCache:
                 self._atoms.pop(next(iter(self._atoms)))
                 self.evictions += 1
         return atoms
-
-    def adopt_atoms(self, tables: Mapping[ShapeExpr, Tuple[ArcAtom, ...]]) -> None:
-        """Seed the atom table from precomputed per-expression atom tuples.
-
-        A :class:`~repro.shex.compiled.CompiledSchema` flattens each label's
-        atoms at compile time (in the same deterministic first-seen order
-        :meth:`atoms_for` would produce); adopting them saves the first walk
-        per label expression and keeps atom order — and therefore verdict
-        signatures — identical across processes sharing the compiled schema.
-        """
-        for expr, atoms in tables.items():
-            if expr not in self._atoms:
-                self._atoms[expr] = atoms
-                if self.max_entries is not None and len(self._atoms) > self.max_entries:
-                    self._atoms.pop(next(iter(self._atoms)))
-                    self.evictions += 1
-
-    # -- verdicts --------------------------------------------------------------
-    def constraint_verdict(self, constraint: NodeConstraint, term: ObjectTerm) -> bool:
-        """Memoised ``constraint.matches(term)`` for non-reference constraints."""
-        if isinstance(constraint, ShapeRef):  # pragma: no cover - guarded by caller
-            raise TypeError("shape-reference verdicts are context-dependent")
-        key = (constraint, term)
-        verdict = self._verdicts.get(key)
-        if verdict is None:
-            verdict = constraint.matches(term)
-            self._verdicts[key] = verdict
-            if self.max_entries is not None and len(self._verdicts) > self.max_entries:
-                # FIFO is enough here: verdicts are cheap to recompute, so
-                # the bound matters more than perfect recency tracking.
-                self._verdicts.pop(next(iter(self._verdicts)))
-                self.evictions += 1
-        return verdict
 
     # -- derivatives -----------------------------------------------------------
     def lookup(self, expr: ShapeExpr, signature: Tuple[bool, ...]) -> Optional[ShapeExpr]:

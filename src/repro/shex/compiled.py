@@ -16,14 +16,14 @@ of the schema alone, computed **once per schema** instead of once per node:
   every derivative ``∅``,
 * **value screens** — for predicates whose consuming arcs all carry trivially
   decidable object constraints, a triple satisfying none of them rejects,
-* **atom tables** — each label's arc atoms, hash-consed and indexed by
-  predicate, so the derivative engine looks up the atoms a triple can touch
-  in O(1) instead of re-testing every predicate set.
+* **signature atoms** — each label's arc atoms, hash-consed, and per data
+  predicate the schema's atoms that can touch it, in a fixed order: one bit
+  each in a typed neighbourhood signature.
 
 Soundness of each fast path is argued in ``docs/architecture.md`` ("Schema
 compilation").  Two properties keep the prefilter compatible with the
 greatest-fixpoint typing: decisions depend only on the neighbourhood's
-predicate multiset, trivially-screened objects and the schema — never on the
+per-predicate buckets, trivially-screened objects and the schema — never on the
 typing — so every prefilter verdict is **definitive** (safe to cache under a
 typed signature, safe to share across processes), and shape-reference arcs
 are never screened, so typing-dependent outcomes always fall through to the
@@ -35,10 +35,9 @@ coordinator's compiled tables once per process instead of recompiling them.
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
+from typing import AbstractSet, Dict, FrozenSet, List, Mapping, Optional, Tuple
 
-from ..rdf.terms import IRI, Triple
+from ..rdf.terms import IRI, ObjectTerm
 from .analysis import first_predicates, neighbourhood_cardinality_bounds
 from .cache import ArcAtom
 from .derivatives import nullable
@@ -60,7 +59,6 @@ __all__ = [
     "CompiledShape",
     "CompiledSchema",
     "PrefilterDecision",
-    "predicate_counts",
 ]
 
 
@@ -80,10 +78,10 @@ class PrefilterDecision:
 #: shared accept decision: accepts carry no reason, so one instance suffices.
 _ACCEPT = PrefilterDecision(True)
 
-#: bound on the per-predicate memo tables (reject decisions, candidate atom
-#: sets).  They are keyed by *data* predicates, so a long-lived service
-#: validating ever-new vocabulary would otherwise grow them without limit;
-#: FIFO eviction only ever costs a re-computation.
+#: bound on the per-predicate signature-atom memo.  It is keyed by *data*
+#: predicates, so a long-lived service validating ever-new vocabulary would
+#: otherwise grow it without limit; FIFO eviction only ever costs a
+#: re-computation.
 _MEMO_LIMIT = 4096
 
 
@@ -92,14 +90,6 @@ def _memo_insert(table: Dict, key, value) -> None:
     table[key] = value
     if len(table) > _MEMO_LIMIT:
         table.pop(next(iter(table)))
-
-
-def predicate_counts(triples: Iterable[Triple]) -> Counter:
-    """The predicate multiset of a neighbourhood (what the prefilter consumes)."""
-    counts: Counter = Counter()
-    for triple in triples:
-        counts[triple.predicate] += 1
-    return counts
 
 
 def _is_screenable(constraint: NodeConstraint) -> bool:
@@ -128,7 +118,7 @@ class CompiledShape:
     __slots__ = (
         "label", "expr", "nullable", "first_exact", "first_open",
         "required", "max_counts", "allowed_exact", "allowed_stems",
-        "allows_any", "screens", "atoms", "has_references", "_rejects",
+        "allows_any", "screens", "atoms", "has_references",
     )
 
     def __init__(self, label: ShapeLabel, expr: ShapeExpr):
@@ -137,8 +127,8 @@ class CompiledShape:
         self.nullable: bool = nullable(expr)
         self.first_exact, self.first_open = first_predicates(expr)
 
-        # the flattened atom table, in the deterministic first-seen order the
-        # derivative cache uses (so seeded atom tuples agree across processes)
+        # the distinct arc atoms, in the deterministic first-seen order of
+        # DerivativeCache.atoms_for
         seen: Dict[ArcAtom, None] = {}
         allowed_exact: set = set()
         allowed_stems: set = set()
@@ -197,82 +187,62 @@ class CompiledShape:
                                 for constraint in constraints):
                     self.screens[predicate] = tuple(constraints)
 
-        # reject decisions are pure functions of (shape, rule, predicate):
-        # memoising them makes the steady-state reject path allocation-free.
-        self._rejects: Dict[Tuple[str, Optional[IRI]], PrefilterDecision] = {}
-
-    def _reject(self, rule: str,
-                predicate: Optional[IRI] = None) -> PrefilterDecision:
-        """The memoised reject decision for ``(rule, predicate)``.
-
-        The reason string is only formatted on the first occurrence of a
-        ``(rule, predicate)`` pair; afterwards rejects are allocation-free.
-        """
-        key = (rule, predicate)
-        decision = self._rejects.get(key)
-        if decision is None:
-            if rule == "empty":
-                reason = "empty neighbourhood but the shape requires arcs"
-            elif rule == "first":
-                reason = ("no triple's predicate is in the shape's "
-                          "first-predicate set, so nothing can begin a match")
-            elif rule == "allowed":
-                reason = f"predicate {predicate.n3()} is not allowed by the shape"
-            elif rule == "max":
-                reason = f"more {predicate.n3()} arcs than the shape allows"
-            elif rule == "required":
-                reason = f"missing required {predicate.n3()} arc(s)"
-            else:  # "screen"
-                reason = (f"a {predicate.n3()} triple's object satisfies no "
-                          "constraint able to consume it")
-            decision = PrefilterDecision(False, reason)
-            _memo_insert(self._rejects, key, decision)
-        return decision
-
     # -- the prefilter ---------------------------------------------------------
-    def prefilter(self, triples: Iterable[Triple],
-                  counts: Optional[Mapping[IRI, int]] = None
+    def prefilter(self, buckets: Mapping[IRI, AbstractSet[ObjectTerm]]
                   ) -> Optional[PrefilterDecision]:
-        """Decide the neighbourhood statically, or return ``None`` (unknown).
+        """Decide a neighbourhood statically, or return ``None`` (unknown).
 
-        Every returned decision agrees with the derivative engine by the
-        soundness arguments in ``docs/architecture.md``; ``None`` means the
-        engine must run.  Decisions never consult the typing context, so they
-        are definitive even inside recursive validations.
+        ``buckets`` is the node's ``predicate → objects`` view
+        (:meth:`Graph.predicate_objects`): a predicate's count is its
+        bucket's size, and the value screens walk its objects.  The rules
+        run in a fixed order — empty, first predicates, allowed and maximum
+        counts, required counts, value screens — and the count and screen
+        rules walk the buckets in insertion order, so the reason a reject
+        names does not depend on hashing.  Every returned decision agrees with the
+        derivative engine by the soundness arguments in
+        ``docs/architecture.md``; ``None`` means the engine must run.
+        Decisions never consult the typing context, so they are definitive
+        even inside recursive validations.
         """
-        if counts is None:
-            counts = predicate_counts(triples)
-        if not counts:
+        if not buckets:
             if self.nullable:
                 return _ACCEPT
-            return self._reject("empty")
+            return PrefilterDecision(
+                False, "empty neighbourhood but the shape requires arcs")
         if not self.nullable and not self.first_open \
-                and self.first_exact.isdisjoint(counts):
-            return self._reject("first")
+                and self.first_exact.isdisjoint(buckets):
+            return PrefilterDecision(
+                False, "no triple's predicate is in the shape's "
+                       "first-predicate set, so nothing can begin a match")
         allowed_exact = self.allowed_exact
         allows_any = self.allows_any
         allowed_stems = self.allowed_stems
         max_counts = self.max_counts
-        for predicate, count in counts.items():
+        for predicate, objects in buckets.items():
             if predicate not in allowed_exact and not allows_any \
                     and not any(predicate.value.startswith(stem)
                                 for stem in allowed_stems):
-                return self._reject("allowed", predicate)
+                return PrefilterDecision(
+                    False, f"predicate {predicate.n3()} is not allowed by the shape")
             if max_counts:
                 maximum = max_counts.get(predicate)
-                if maximum is not None and count > maximum:
-                    return self._reject("max", predicate)
+                if maximum is not None and len(objects) > maximum:
+                    return PrefilterDecision(
+                        False, f"more {predicate.n3()} arcs than the shape allows")
         for predicate, minimum in self.required:
-            if counts.get(predicate, 0) < minimum:
-                return self._reject("required", predicate)
-        if self.screens:
-            for triple in triples:
-                screen = self.screens.get(triple.predicate)
-                if screen is None:
-                    continue
-                obj = triple.object
-                if not any(constraint.matches(obj) for constraint in screen):
-                    return self._reject("screen", triple.predicate)
+            if len(buckets.get(predicate, ())) < minimum:
+                return PrefilterDecision(
+                    False, f"missing required {predicate.n3()} arc(s)")
+        screens = self.screens
+        if screens:
+            for predicate, objects in buckets.items():
+                screen = screens.get(predicate)
+                if screen is not None and not all(
+                        any(constraint.matches(obj) for constraint in screen)
+                        for obj in objects):
+                    return PrefilterDecision(
+                        False, f"a {predicate.n3()} triple's object satisfies "
+                               "no constraint able to consume it")
         return None
 
 
@@ -282,11 +252,10 @@ class CompiledSchema:
     Build one per :class:`~repro.shex.schema.Schema` (the
     :class:`~repro.shex.validator.Validator` does this by default) and thread
     it through validation contexts; resident shard workers receive it pickled
-    instead of recompiling.  A context reads three things from it: the
+    instead of recompiling.  A context reads two things from it: the
     per-label prefilter (only from the signature lane, on a signature-cache
-    miss), the candidate atom index (the derivative engine's dispatch) and
-    the ordered signature atoms (typed neighbourhood signatures, which never
-    consult the prefilter).
+    miss) and the ordered signature atoms (typed neighbourhood signatures,
+    which never consult the prefilter).
     """
 
     def __init__(self, schema: Schema):
@@ -294,15 +263,13 @@ class CompiledSchema:
         self._shapes: Dict[ShapeLabel, CompiledShape] = {
             label: CompiledShape(label, expr) for label, expr in schema.items()
         }
-        # the schema-wide predicate → atom index used by the derivative
-        # engine: exact entries resolve in one dict lookup, stem/wildcard
-        # atoms are the (rare) general tail evaluated per predicate.
+        # the schema-wide predicate → atom index behind the signature atoms:
+        # exact entries resolve in one dict lookup, stem/wildcard atoms are
+        # the (rare) general tail evaluated per predicate.
         exact: Dict[IRI, set] = {}
         general: Dict[ArcAtom, None] = {}
-        known: Dict[ArcAtom, None] = {}
         for shape in self._shapes.values():
             for atom in shape.atoms:
-                known.setdefault(atom, None)
                 predicate_set = atom[0]
                 if predicate_set.any_predicate or predicate_set.stem is not None:
                     general.setdefault(atom, None)
@@ -313,9 +280,6 @@ class CompiledSchema:
             predicate: frozenset(atoms) for predicate, atoms in exact.items()
         }
         self._general_atoms: Tuple[ArcAtom, ...] = tuple(general)
-        self.known_atoms: FrozenSet[ArcAtom] = frozenset(known)
-        #: memoised candidate sets per concrete predicate seen in the data.
-        self._candidates: Dict[IRI, FrozenSet[ArcAtom]] = {}
         #: memoised *ordered* candidate tuples per predicate (signature path).
         self._signature_atoms: Dict[IRI, Tuple[ArcAtom, ...]] = {}
 
@@ -337,29 +301,18 @@ class CompiledSchema:
     def __len__(self) -> int:
         return len(self._shapes)
 
-    def atom_tables(self) -> Dict[ShapeExpr, Tuple[ArcAtom, ...]]:
-        """Per-label-expression atom tuples, for seeding a derivative cache."""
-        return {shape.expr: shape.atoms for shape in self._shapes.values()}
-
-    # -- the predicate-indexed atom dispatch -----------------------------------
+    # -- the predicate-indexed atoms ---------------------------------------------
     def candidate_atoms(self, predicate: IRI) -> FrozenSet[ArcAtom]:
         """The atoms (schema-wide) whose predicate set admits ``predicate``.
 
-        One dict lookup after the first query for a predicate.  The
-        derivative engine uses this to decide an atom's predicate test with a
-        set-membership check instead of re-running ``PredicateSet.matches``
-        for every atom at every derivative step.
+        Not memoised: :meth:`signature_atoms`, its one caller, memoises per
+        predicate.
         """
-        cached = self._candidates.get(predicate)
-        if cached is not None:
-            return cached
         atoms = set(self._exact_atoms.get(predicate, ()))
         for atom in self._general_atoms:
             if atom[0].matches(predicate):
                 atoms.add(atom)
-        result = frozenset(atoms)
-        _memo_insert(self._candidates, predicate, result)
-        return result
+        return frozenset(atoms)
 
     def signature_atoms(self, predicate: IRI) -> Tuple[ArcAtom, ...]:
         """:meth:`candidate_atoms` in a *deterministic* order.
@@ -382,17 +335,21 @@ class CompiledSchema:
         return result
 
     # -- the prefilter ---------------------------------------------------------
-    def prefilter(self, label: ShapeLabel | str, triples: Iterable[Triple],
-                  counts: Optional[Mapping[IRI, int]] = None
+    def prefilter(self, label: ShapeLabel | str,
+                  buckets: Mapping[IRI, AbstractSet[ObjectTerm]]
                   ) -> Optional[PrefilterDecision]:
-        """Statically decide ``triples`` against ``label``, or ``None``."""
-        return self.shape(label).prefilter(triples, counts)
+        """Statically decide ``buckets`` against ``label``, or ``None``."""
+        return self.shape(label).prefilter(buckets)
+
+    def _atom_count(self) -> int:
+        """The number of distinct arc atoms across the schema."""
+        return len({atom for shape in self._shapes.values() for atom in shape.atoms})
 
     def stats(self) -> Dict[str, int]:
         """Summary counters (for benchmarks and the CLI)."""
         return {
             "labels": len(self._shapes),
-            "atoms": len(self.known_atoms),
+            "atoms": self._atom_count(),
             "indexed_predicates": len(self._exact_atoms),
             "general_atoms": len(self._general_atoms),
             "screened_predicates": sum(
@@ -400,4 +357,4 @@ class CompiledSchema:
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"CompiledSchema({len(self._shapes)} labels, {len(self.known_atoms)} atoms)"
+        return f"CompiledSchema({len(self._shapes)} labels, {self._atom_count()} atoms)"

@@ -320,25 +320,18 @@ class DerivativeEngine:
         """The global-cache matching loop, flattened for the hot path.
 
         Each triple is abstracted into its verdict vector over the current
-        expression's arc atoms (resolving shape references through the
-        context, with the usual side effects); the structural derivative for
-        that vector is then looked up or computed once per distinct vector.
-        Compared to the naive per-triple step, everything loop-invariant is
-        hoisted out (bound methods, the compiled tables, the candidate-atom
-        set per *run* of equal predicates — the neighbourhood is
-        predicate-sorted) and the verdict bits go into a scratch buffer
-        reused across triples; the per-atom verdict *dict* is only
-        materialised on a cache miss, so the steady-state hit path allocates
-        nothing but the lookup key.  The scratch buffer is local to this
-        call: a reference check can re-enter the engine, and a shared
-        per-engine buffer would be clobbered by the nested activation.
-
-        When the context carries a :class:`~repro.shex.compiled.CompiledSchema`
-        the predicate test per atom is answered from its predicate-indexed
-        atom table (one membership check against the candidate set for the
-        triple's predicate) instead of re-running ``PredicateSet.matches``
-        for every atom at every step.  Atoms outside the compiled tables
-        (bare expressions not part of the schema) keep the direct test.
+        expression's arc atoms: an atom's bit is its predicate set's
+        ``matches`` and then its object constraint's ``matches``, exactly
+        the tests :func:`derivative` makes, except that a shape reference is
+        resolved through the context (with the usual side effects).  The
+        structural derivative for that vector is then looked up or computed
+        once per distinct vector.  Loop invariants (bound methods) are
+        hoisted out and the verdict bits go into a scratch buffer reused
+        across triples; the per-atom verdict *dict* is only materialised on
+        a cache miss, so the steady-state hit path allocates nothing but the
+        lookup key.  The scratch buffer is local to this call: a reference
+        check can re-enter the engine, and a shared per-engine buffer would
+        be clobbered by the nested activation.
 
         The loop also feeds the per-phase profile: wall time spent here goes
         to ``dispatch_time``, the slice spent in global-cache lookups and
@@ -349,34 +342,20 @@ class DerivativeEngine:
         atoms_for = cache.atoms_for
         lookup = cache.lookup
         store = cache.store
-        constraint_verdict = cache.constraint_verdict
         check_reference = context.check_reference if context is not None else None
-        compiled = getattr(context, "compiled", None)
-        known_atoms = compiled.known_atoms if compiled is not None else None
-        candidate_atoms = compiled.candidate_atoms if compiled is not None else None
         target = context.stats if context is not None else stats
         scratch: List[bool] = []
-        last_predicate = None
-        candidates: Optional[FrozenSet[ArcAtom]] = None
         current = expr
         cache_clock = 0.0
         start = perf_counter()
         for triple in ordered:
             predicate = triple.predicate
             obj = triple.object
-            if predicate is not last_predicate and predicate != last_predicate:
-                last_predicate = predicate
-                if candidate_atoms is not None:
-                    candidates = candidate_atoms(predicate)
             atoms = atoms_for(current)
             stats.arc_checks += len(atoms)
             del scratch[:]
             for atom in atoms:
-                if known_atoms is not None and atom in known_atoms:
-                    admits = atom in candidates
-                else:
-                    admits = atom[0].matches(predicate)
-                if not admits:
+                if not atom[0].matches(predicate):
                     scratch.append(False)
                 elif isinstance(atom[1], ShapeRef):
                     if check_reference is None:
@@ -386,7 +365,7 @@ class DerivativeEngine:
                         )
                     scratch.append(check_reference(obj, atom[1].label).matched)
                 else:
-                    scratch.append(constraint_verdict(atom[1], obj))
+                    scratch.append(atom[1].matches(obj))
             # the simplify flag changes the structural result, so it is part
             # of the key: one cache safely serves differently-configured
             # engines.

@@ -77,24 +77,13 @@ class MatchStats:
     def merge(self, other: "MatchStats") -> "MatchStats":
         """Accumulate ``other`` into this record and return ``self``.
 
-        This **mutates** ``self``; use :meth:`combined` for a pure version
-        that leaves both operands untouched.
+        Every counter and timer is summed except ``max_expression_size``,
+        which takes the larger value.  This **mutates** ``self``; use
+        :meth:`combined` for a pure version that leaves both operands
+        untouched.
         """
-        self.derivative_steps += other.derivative_steps
-        self.decompositions += other.decompositions
-        self.rule_applications += other.rule_applications
-        self.arc_checks += other.arc_checks
-        self.reference_checks += other.reference_checks
-        self.prefilter_accepts += other.prefilter_accepts
-        self.prefilter_rejects += other.prefilter_rejects
-        self.signature_hits += other.signature_hits
-        self.signature_misses += other.signature_misses
-        self.signature_dedupes += other.signature_dedupes
-        self.signature_time += other.signature_time
-        self.prefilter_time += other.prefilter_time
-        self.dispatch_time += other.dispatch_time
-        self.backtrack_time += other.backtrack_time
-        self.cache_time += other.cache_time
+        for name in _SUMMED:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
         self.max_expression_size = max(self.max_expression_size, other.max_expression_size)
         return self
 
@@ -107,29 +96,17 @@ class MatchStats:
         return self.copy().merge(other)
 
     def as_dict(self) -> dict:
-        """Return the counters as a plain dictionary (for benchmark tables)."""
-        return {
-            "derivative_steps": self.derivative_steps,
-            "decompositions": self.decompositions,
-            "rule_applications": self.rule_applications,
-            "arc_checks": self.arc_checks,
-            "reference_checks": self.reference_checks,
-            "prefilter_accepts": self.prefilter_accepts,
-            "prefilter_rejects": self.prefilter_rejects,
-            "signature_hits": self.signature_hits,
-            "signature_misses": self.signature_misses,
-            "signature_dedupes": self.signature_dedupes,
-            "signature_time": self.signature_time,
-            "prefilter_time": self.prefilter_time,
-            "dispatch_time": self.dispatch_time,
-            "backtrack_time": self.backtrack_time,
-            "cache_time": self.cache_time,
-            "max_expression_size": self.max_expression_size,
-        }
+        """Return the counters as a plain dictionary (for benchmark tables),
+        in field order."""
+        return dict(zip(_NAMES, _counters(self)))
 
 
-#: every counter of a :class:`MatchStats`, in field order, in one C call.
-_counters = attrgetter(*(counter.name for counter in fields(MatchStats)))
+#: every counter of a :class:`MatchStats`, in field order.
+_NAMES = tuple(counter.name for counter in fields(MatchStats))
+#: the counters :meth:`MatchStats.merge` sums (all but the peak size).
+_SUMMED = tuple(name for name in _NAMES if name != "max_expression_size")
+#: the values of every counter, in field order, in one C call.
+_counters = attrgetter(*_NAMES)
 
 
 @dataclass

@@ -57,7 +57,7 @@ from .results import MatchResult, MatchStats
 from .typing import ShapeLabel, ShapeTyping, _as_label
 
 __all__ = ["Schema", "SchemaError", "ValidationContext", "FixpointContext",
-           "NeighbourhoodMatcher", "LazyNeighbourhood"]
+           "NeighbourhoodMatcher"]
 
 #: a ``(node, label)`` pair of the typing.
 _Pair = Tuple[ObjectTerm, ShapeLabel]
@@ -219,32 +219,6 @@ def _nests_shape_ref(constraint: NodeConstraint) -> bool:
     return False
 
 
-#: shared empty neighbourhood (literals, node-free subjects) — one instance.
-_EMPTY_NEIGHBOURHOOD: FrozenSet[Triple] = frozenset()
-
-
-class LazyNeighbourhood:
-    """An iterable ``Σgₙ`` proxy that defers the scan until iterated.
-
-    The compiled-schema prefilter only touches its ``triples`` argument in
-    the value-screen loop; every count-only decision (nullability, first /
-    allowed / required predicates, cardinality bounds) reads the counts
-    from :meth:`Graph.predicate_counts` alone.  Handing the prefilter this
-    proxy means most decisions never materialise a single neighbourhood
-    triple.  The graph caches the underlying scan, so repeated iteration
-    costs one lookup.
-    """
-
-    __slots__ = ("_fetch", "_node")
-
-    def __init__(self, fetch, node):
-        self._fetch = fetch
-        self._node = node
-
-    def __iter__(self):
-        return iter(self._fetch(self._node))
-
-
 def _no_bit(obj: ObjectTerm) -> bool:
     """Placeholder test of a ``@label`` atom: its bit is read from the typing."""
     return False
@@ -382,14 +356,17 @@ class FixpointContext(ValidationContext):
     bulk run in one worklist (:meth:`_solve`); a call from outside a match is
     its single-pair case.  Each pair of a solve is decided by the signature
     lane (:meth:`_decide`: typed signature → signature cache → prefilter →
-    matcher).  After a solve every
+    matcher).  The context's only per-node memo is the typing-free part of
+    each signature; nothing under the signature cache keeps one: the
+    prefilter reads the graph's SPO buckets and the engine tests atoms
+    directly.  After a solve every
     verdict it reached is final, so the confirmed and failed stores only
     ever hold settled verdicts, and stack depth does not grow with
     reference chains.
 
     ``compiled`` (a :class:`~repro.shex.compiled.CompiledSchema`, untyped
-    to avoid a circular import) supplies the schema, the signature atoms,
-    the prefilter and the engine's atom dispatch; ``signature_cache`` (a
+    to avoid a circular import) supplies the schema, the signature atoms
+    and the prefilter; ``signature_cache`` (a
     :class:`~repro.shex.cache.SignatureCache`, or ``None``) holds the
     verdicts of typed signatures.
     """
@@ -399,14 +376,6 @@ class FixpointContext(ValidationContext):
         super().__init__(graph, compiled.schema, matcher)
         self.compiled = compiled
         self.signature_cache = signature_cache
-        #: per-node predicate multisets, computed once and shared by every
-        #: label the node is checked against.
-        self._pred_counts: Dict[ObjectTerm, Mapping] = {}
-        #: pairs the prefilter already found undecidable (keyed by node so
-        #: retraction pops per node).  A solve re-matches a pair whose reads
-        #: fell, under a new typed signature, and this memo spares the
-        #: prefilter's count and value scans then.
-        self._prefilter_unknown: Dict[ObjectTerm, Set[ShapeLabel]] = {}
         #: node → typing-free part of its signature (:meth:`node_signature`).
         self._signatures: Dict[ObjectTerm, Tuple[tuple, tuple]] = {}
         #: object-class memo: predicate → (object → candidate-atom bits, the
@@ -454,12 +423,10 @@ class FixpointContext(ValidationContext):
         # never a scan of everything the context has settled.
         for node in node_set:
             dropped += len(self._confirmed.pop(node, ())) + len(self._failed.pop(node, ()))
-            # per-node caches: predicate counts, prefilter misses and the
-            # signature are pure functions of the node's own (changed) arcs.
-            # (The SignatureCache itself survives: its entries are keyed by
-            # the signature structure, which mutated nodes no longer produce.)
-            self._pred_counts.pop(node, None)
-            self._prefilter_unknown.pop(node, None)
+            # the signature memo is a pure function of the node's own
+            # (changed) arcs.  (The SignatureCache itself survives: its
+            # entries are keyed by the signature structure, which mutated
+            # nodes no longer produce.)
             self._signatures.pop(node, None)
         # object classes never go stale (constraint bits are context-free),
         # but clearing them here is what bounds the memo on a long-lived
@@ -468,45 +435,26 @@ class FixpointContext(ValidationContext):
         return dropped
 
     # -- the compiled-schema fast path ---------------------------------------------
-    def _prefilter_inputs(self, node: ObjectTerm):
-        """``(neighbourhood, predicate counts)`` for the prefilter, cached.
-
-        The counts come from the graph's SPO index without materialising a
-        single triple, once per node, shared by every label the node is
-        checked against.  The neighbourhood stays lazy — the prefilter only
-        iterates it when value screens apply, and is order-insensitive, so
-        the predicate sort the engines want is never paid here.
-        """
-        if isinstance(node, Literal):
-            return _EMPTY_NEIGHBOURHOOD, self._pred_counts.setdefault(node, {})
-        counts = self._pred_counts.get(node)
-        if counts is None:
-            counts = self._pred_counts[node] = self.graph.predicate_counts(node)
-        return LazyNeighbourhood(self.graph.neighbourhood, node), counts
-
     def prefilter_check(self, node: ObjectTerm, label: ShapeLabel):
         """Try to decide ``(node, label)`` statically.
 
         Returns the :class:`~repro.shex.compiled.PrefilterDecision` or
-        ``None`` when the engine must run.  Decisions never read the typing,
-        so they are definitive.  The signature lane of :meth:`_decide` is its
-        only caller.
+        ``None`` when the engine must run.  The prefilter reads the node's
+        ``predicate → objects`` buckets straight from the graph's SPO index
+        (a literal has none), so no triple is built.  Decisions never read
+        the typing, so they are definitive.  The signature lane of
+        :meth:`_decide` is its only caller.
         """
-        unknown = self._prefilter_unknown.get(node)
-        if unknown is not None and label in unknown:
-            return None
         shape = self.compiled.shape_or_none(label)
         if shape is None:
             return None
         start = perf_counter()
-        neighbourhood, counts = self._prefilter_inputs(node)
-        decision = shape.prefilter(neighbourhood, counts)
-        if decision is None:
-            self._prefilter_unknown.setdefault(node, set()).add(label)
-        elif decision.matched:
-            self.stats.prefilter_accepts += 1
-        else:
-            self.stats.prefilter_rejects += 1
+        decision = shape.prefilter(self.graph.predicate_objects(node))
+        if decision is not None:
+            if decision.matched:
+                self.stats.prefilter_accepts += 1
+            else:
+                self.stats.prefilter_rejects += 1
         self.stats.prefilter_time += perf_counter() - start
         return decision
 

@@ -256,11 +256,6 @@ class Validator:
         if not reference and schema is not None:
             self._compiled = compiled if compiled is not None \
                 else CompiledSchema(schema)
-            # seed the engine's derivative cache with the compiled atom
-            # tables so the per-label atom walk is never repeated
-            cache = getattr(self._engine, "cache", None)
-            if cache is not None:
-                cache.adopt_atoms(self._compiled.atom_tables())
             self._signature_cache = SignatureCache(max_entries=cache_max_entries)
         #: the persistent shared context and the graph generation it
         #: describes; a graph mutation makes it stale.
@@ -299,8 +294,7 @@ class Validator:
         """The compiled tables of the schema (None for the reference).
 
         Built once at construction (or adopted from the ``compiled``
-        argument); the engine's global derivative cache, when present,
-        adopted its atom tables then.
+        argument).
         """
         return self._compiled
 

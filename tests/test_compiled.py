@@ -6,7 +6,7 @@ import pickle
 
 import pytest
 
-from repro.rdf import EX, FOAF, XSD, Literal, Triple
+from repro.rdf import EX, FOAF, XSD, Graph, Literal, Triple
 from repro.shex import (
     CompiledSchema,
     CompiledShape,
@@ -19,7 +19,6 @@ from repro.shex import (
     value_set,
 )
 from repro.shex.analysis import first_predicates, neighbourhood_cardinality_bounds
-from repro.shex.compiled import predicate_counts
 from repro.shex.expressions import EPSILON, alternative, interleave
 from repro.shex.node_constraints import PredicateSet
 from repro.workloads import (
@@ -32,6 +31,11 @@ from repro.workloads import (
 
 def compiled_person() -> CompiledShape:
     return CompiledSchema(person_schema()).shape("Person")
+
+
+def buckets(*triples: Triple):
+    """The ``predicate → objects`` buckets of ``EX.n`` over ``triples``."""
+    return Graph(triples).predicate_objects(EX.n)
 
 
 # ------------------------------------------------------------------ analysis layer
@@ -125,11 +129,11 @@ class TestCompiledShape:
 
     def test_nullable_shape_accepts_empty_neighbourhood(self):
         schema = Schema.single("S", star(arc(EX.p, value_set(1))))
-        decision = CompiledSchema(schema).prefilter("S", frozenset())
+        decision = CompiledSchema(schema).prefilter("S", {})
         assert decision is not None and decision.matched
 
     def test_non_nullable_shape_rejects_empty_neighbourhood(self):
-        decision = compiled_person().prefilter(frozenset())
+        decision = compiled_person().prefilter({})
         assert decision is not None and not decision.matched
 
     def test_wildcard_constraint_disables_the_screen(self):
@@ -141,45 +145,44 @@ class TestCompiledShape:
 class TestPrefilterDecisions:
     def test_closed_world_reject(self):
         shape = compiled_person()
-        triples = frozenset([Triple(EX.n, EX.unrelated, Literal(1))])
-        decision = shape.prefilter(triples)
+        decision = shape.prefilter(buckets(Triple(EX.n, EX.unrelated, Literal(1))))
         assert decision is not None and not decision.matched
 
     def test_cardinality_reject_on_duplicate_age(self):
         graph = paper_example_graph()
-        decision = compiled_person().prefilter(graph.neighbourhood(EX.mary))
+        decision = compiled_person().prefilter(graph.predicate_objects(EX.mary))
         assert decision is not None and not decision.matched
         assert "age" in decision.reason
 
     def test_required_reject_on_missing_name(self):
-        triples = frozenset([Triple(EX.n, FOAF.age, Literal(30))])
-        decision = compiled_person().prefilter(triples)
+        decision = compiled_person().prefilter(
+            buckets(Triple(EX.n, FOAF.age, Literal(30))))
         assert decision is not None and not decision.matched
 
     def test_value_screen_reject_on_string_age(self):
-        triples = frozenset([
+        decision = compiled_person().prefilter(buckets(
             Triple(EX.n, FOAF.age, Literal("thirty", datatype=XSD.string)),
             Triple(EX.n, FOAF.name, Literal("N")),
-        ])
-        decision = compiled_person().prefilter(triples)
+        ))
         assert decision is not None and not decision.matched
+
+    def test_screen_reason_names_the_first_failing_bucket(self):
+        schema = Schema.single("S", interleave(
+            arc(EX.a, value_set(1)), arc(EX.b, value_set(1))))
+        shape = CompiledSchema(schema).shape("S")
+        for first, second in ((EX.a, EX.b), (EX.b, EX.a)):
+            decision = shape.prefilter(buckets(
+                Triple(EX.n, first, Literal(2)),
+                Triple(EX.n, second, Literal(2))))
+            assert decision is not None and not decision.matched
+            assert decision.reason == (f"a {first.n3()} triple's object "
+                                       "satisfies no constraint able to "
+                                       "consume it")
 
     def test_plausible_neighbourhood_is_unknown(self):
         graph = paper_example_graph()
-        assert compiled_person().prefilter(graph.neighbourhood(EX.john)) is None
-        assert compiled_person().prefilter(graph.neighbourhood(EX.bob)) is None
-
-    def test_reject_decisions_are_memoised(self):
-        shape = compiled_person()
-        triples = frozenset([Triple(EX.n, EX.unrelated, Literal(1))])
-        first = shape.prefilter(triples)
-        second = shape.prefilter(triples)
-        assert first is second
-
-    def test_predicate_counts(self):
-        graph = paper_example_graph()
-        counts = predicate_counts(graph.neighbourhood(EX.mary))
-        assert counts == {FOAF.age: 2}
+        assert compiled_person().prefilter(graph.predicate_objects(EX.john)) is None
+        assert compiled_person().prefilter(graph.predicate_objects(EX.bob)) is None
 
 
 # ----------------------------------------------------------------- schema-wide tables
@@ -197,22 +200,14 @@ class TestCompiledSchema:
         compiled = CompiledSchema(schema)
         cache = DerivativeCache()
         for label, expr in schema.items():
-            assert compiled.atom_tables()[expr] == cache.atoms_for(expr)
-
-    def test_adopt_atoms_seeds_the_cache(self):
-        schema = person_schema()
-        compiled = CompiledSchema(schema)
-        cache = DerivativeCache()
-        cache.adopt_atoms(compiled.atom_tables())
-        expr = schema.expression("Person")
-        assert cache.atoms_for(expr) is compiled.shape("Person").atoms
+            assert compiled.shape(label).atoms == cache.atoms_for(expr)
 
     def test_pickle_roundtrip_preserves_decisions(self):
         compiled = CompiledSchema(person_schema())
         clone = pickle.loads(pickle.dumps(compiled))
         graph = paper_example_graph()
         for node in (EX.john, EX.bob, EX.mary):
-            neighbourhood = graph.neighbourhood(node)
+            neighbourhood = graph.predicate_objects(node)
             original = compiled.prefilter("Person", neighbourhood)
             copied = clone.prefilter("Person", neighbourhood)
             if original is None:
@@ -296,10 +291,6 @@ class TestValidatorIntegration:
         ready = CompiledSchema(workload.schema)
         validator = Validator(workload.graph, workload.schema, compiled=ready)
         assert validator.compiled is ready
-        # the engine's derivative cache adopted the precomputed atom tables
-        expr = workload.schema.expression("Person")
-        assert validator.engine.cache.atoms_for(expr) \
-            is ready.shape("Person").atoms
         plain = Validator(workload.graph, workload.schema, reference=True)
         assert ({(e.node, e.conforms) for e in validator.validate_graph()}
                 == {(e.node, e.conforms) for e in plain.validate_graph()})

@@ -204,7 +204,6 @@ class TestPaperAlgebra:
         ghost = EX.nobody
         assert list(graph.neighbourhood_ordered(ghost)) == []
         assert graph.degree(ghost) == 0
-        assert graph.predicate_counts(ghost) == {}
         assert graph.predicate_objects(ghost) == {}
         assert list(graph.triples(subject=ghost)) == []
 

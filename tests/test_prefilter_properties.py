@@ -12,14 +12,25 @@ The expressions drawn here mix value sets, datatype constraints and
 multi-predicate sets; the neighbourhood universe deliberately contains a
 predicate no expression mentions (exercising the closed-world rule),
 duplicate predicates (cardinality bounds) and objects of the wrong type
-(value screens).
+(value screens).  The prefilter reads a node's ``predicate → objects``
+buckets, so each drawn neighbourhood is fed to it as
+``Graph(triples).predicate_objects(NODE)``.
+
+A reject's reason must not depend on hashing either: the last test
+validates one subject in two interpreters with different hash seeds.
 """
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 from hypothesis import given, settings, strategies as st
 
-from repro.rdf import EX, XSD, Literal, Triple
+import repro
+from repro.rdf import EX, XSD, Graph, Literal, Triple
 from repro.shex import arc, datatype, matches, value_set
 from repro.shex.compiled import CompiledShape
 from repro.shex.expressions import EMPTY, EPSILON, And, Or, ShapeExpr, Star
@@ -89,7 +100,7 @@ class TestPrefilterAgreement:
     @given(expression=expressions(), triples=neighbourhoods())
     def test_decisions_agree_with_the_derivative_engine(self, expression, triples):
         shape = CompiledShape(LABEL, expression)
-        decision = shape.prefilter(triples)
+        decision = shape.prefilter(Graph(triples).predicate_objects(NODE))
         if decision is None:
             return  # unknown: the engine decides, nothing to check
         assert decision.matched == matches(expression, triples), (
@@ -101,18 +112,36 @@ class TestPrefilterAgreement:
     @given(expression=expressions())
     def test_empty_neighbourhood_is_always_decided(self, expression):
         shape = CompiledShape(LABEL, expression)
-        decision = shape.prefilter(frozenset())
+        decision = shape.prefilter(Graph().predicate_objects(NODE))
         assert decision is not None
         assert decision.matched == matches(expression, frozenset())
 
-    @settings(max_examples=150, deadline=None)
-    @given(expression=expressions(), triples=neighbourhoods())
-    def test_counts_argument_changes_nothing(self, expression, triples):
-        from repro.shex.compiled import predicate_counts
 
-        shape = CompiledShape(LABEL, expression)
-        with_counts = shape.prefilter(triples, predicate_counts(triples))
-        without = shape.prefilter(triples)
-        assert (with_counts is None) == (without is None)
-        if with_counts is not None:
-            assert with_counts.matched == without.matched
+#: four screened predicates, and one subject all four of whose objects miss:
+#: every screen fails, so the reason names whichever bucket is walked first.
+FOUR_SCREENS_SHEX = """PREFIX ex: <http://example.org/>
+<S> { ex:a [ex:x] ; ex:b [ex:y] ; ex:c [ex:z] ; ex:d [ex:w] }
+"""
+FOUR_SCREENS_TTL = """@prefix ex: <http://example.org/> .
+ex:n ex:a ex:p ; ex:b ex:q ; ex:c ex:r ; ex:d ex:s .
+"""
+
+
+class TestReasonsDoNotDependOnHashing:
+    def test_screen_reason_is_the_same_under_two_hash_seeds(self, tmp_path):
+        (tmp_path / "s.shex").write_text(FOUR_SCREENS_SHEX)
+        (tmp_path / "d.ttl").write_text(FOUR_SCREENS_TTL)
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        outputs = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+            completed = subprocess.run(
+                [sys.executable, "-m", "repro", "validate", "--data", "d.ttl",
+                 "--schema", "s.shex", "--all-nodes", "--format", "csv"],
+                cwd=tmp_path, env=env, capture_output=True, text=True,
+                timeout=120)
+            assert completed.returncode == 1, completed.stderr
+            outputs.append(completed.stdout)
+        assert outputs[0] == outputs[1]
+        assert ("<http://example.org/n>,S,false,a <http://example.org/a> "
+                "triple's object") in outputs[0]

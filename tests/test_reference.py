@@ -122,7 +122,7 @@ class TestTheTwoContexts:
         reference = Validator(workload.graph, workload.schema,
                               reference=True)._new_context()
         assert type(reference) is ReferenceContext
-        for name in ("_signatures", "_prefilter_unknown", "_pending",
+        for name in ("_signatures", "_pending",
                      "signature_cache"):
             assert not hasattr(reference, name), name
 

@@ -256,7 +256,7 @@ class TestServiceStatsFormat:
             prefilter={"accepts": 1, "rejects": 2, "reference_checks": 3,
                        "schema": {"labels": 1}},
             cache={"hits": 5, "misses": 7, "evictions": 0, "derivatives": 9,
-                   "constraint_verdicts": 4, "max_entries": 0,
+                   "max_entries": 0,
                    "hit_rate": 0.4167},
             session={"shards": 0},
         )

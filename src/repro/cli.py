@@ -33,6 +33,7 @@ from typing import List, Optional
 from .rdf import Graph, ParseError
 from .service.api import ServiceError
 from .shex import Schema, SchemaError
+from .shex.derivatives import DerivativeBudgetExceeded
 from .shex.reporting import format_csv, format_text, report_to_json, summarize
 from .shex.shape_map import parse_shape_map
 from .shex.validator import ValidationReport
@@ -456,6 +457,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     except (ParseError, SchemaError) as error:
         print(f"error: {error}", file=sys.stderr)
+        return 2
+    except DerivativeBudgetExceeded as error:
+        print(f"error [limit-exceeded]: {error}", file=sys.stderr)
         return 2
     except SystemExit as error:
         if isinstance(error.code, str):

@@ -56,6 +56,10 @@ class ServiceError(Exception):
                                 applied but incremental revalidation refused
                                 the unbounded rebuild (retry with
                                 ``allow_full_rebuild``)
+    ``limit-exceeded``   422    matching one neighbourhood took more than
+                                the derivative-step budget
+                                (``MAX_DERIVATIVE_STEPS``); on a delta the
+                                triples were applied but not revalidated
     ``request-timeout``  408    the client stalled mid-request-body
     ``payload-too-large`` 413   request body exceeds the server's bound
     ``shutdown-timeout`` 500    the serve thread outlived its shutdown

@@ -32,6 +32,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 from ..rdf import Graph, ParseError
 from ..rdf.ntriples import iter_ntriples, parse_term
 from ..rdf.terms import ObjectTerm, Triple
+from ..shex.derivatives import DerivativeBudgetExceeded
 from ..shex.results import MatchStats
 from ..shex.schema import Schema, SchemaError
 from ..shex.typing import ShapeLabel
@@ -226,7 +227,10 @@ class ValidationSession:
         """Run (or re-run) the full validation and refresh the baseline."""
         with self._lock:
             self._check_open()
-            report = self.validator.validate_graph(labels=labels)
+            try:
+                report = self.validator.validate_graph(labels=labels)
+            except DerivativeBudgetExceeded as error:
+                raise ServiceError("limit-exceeded", str(error), 422) from error
             self._full_runs += 1
             self._totals.merge(report.stats)
             return report
@@ -298,6 +302,10 @@ class ValidationSession:
             raise ServiceError(error.reason,
                                f"delta applied (+{added}/-{removed}) but "
                                f"not revalidated: {error}", 409) from error
+        except DerivativeBudgetExceeded as error:
+            raise ServiceError("limit-exceeded",
+                               f"delta applied (+{added}/-{removed}) but "
+                               f"not revalidated: {error}", 422) from error
         self._delta_rounds += 1
         self._totals.merge(result.delta.stats)
         stats = result.stats()

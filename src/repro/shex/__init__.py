@@ -81,6 +81,8 @@ from .backtracking import (
 from .cache import DerivativeCache
 from .compiled import CompiledSchema, CompiledShape, PrefilterDecision
 from .derivatives import (
+    MAX_DERIVATIVE_STEPS,
+    DerivativeBudgetExceeded,
     DerivativeEngine,
     derivative,
     derivative_graph,
@@ -101,7 +103,6 @@ from .expressions import (
     alternative,
     alternative_all,
     arc,
-    clear_expression_caches,
     expression_cache_stats,
     expression_depth,
     expression_size,
@@ -162,7 +163,7 @@ __all__ = [
     "arc", "interleave", "alternative", "interleave_all", "alternative_all",
     "star", "plus", "optional", "repeat",
     "expression_size", "expression_depth", "iter_subexpressions", "referenced_labels",
-    "clear_expression_caches", "expression_cache_stats",
+    "expression_cache_stats",
     # node constraints
     "NodeConstraint", "AnyValue", "ValueSet", "DatatypeConstraint", "NodeKind",
     "NodeKindConstraint", "IRIStem", "LanguageTag", "Facets",
@@ -172,6 +173,7 @@ __all__ = [
     "enumerate_language", "language_size", "LanguageEnumerationError",
     "nullable", "derivative", "derivative_graph", "derivative_trace", "matches",
     "DerivativeEngine", "DerivativeCache",
+    "MAX_DERIVATIVE_STEPS", "DerivativeBudgetExceeded",
     "BacktrackingEngine", "BacktrackingBudgetExceeded", "matches_backtracking",
     # schema layer
     "Schema", "SchemaError", "ValidationContext",

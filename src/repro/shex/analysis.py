@@ -64,17 +64,17 @@ def is_empty(expr: ShapeExpr) -> bool:
     """True if ``Sₙ[[expr]] = ∅`` (the expression accepts no graph at all).
 
     Computed structurally: ``∅`` is empty, ``ε`` and arcs are not, ``e*`` never
-    is (it accepts ``{}``), ``e1 ‖ e2`` is empty if either operand is, and
-    ``e1 | e2`` if both are.
+    is (it accepts ``{}``), a ``‖`` node is empty if any operand is, and a
+    ``|`` node if every operand is.
     """
     if isinstance(expr, Empty):
         return True
     if isinstance(expr, (EmptyTriples, Arc, Star)):
         return False
     if isinstance(expr, And):
-        return is_empty(expr.left) or is_empty(expr.right)
+        return any(is_empty(operand) for operand in expr.operands)
     if isinstance(expr, Or):
-        return is_empty(expr.left) and is_empty(expr.right)
+        return all(is_empty(operand) for operand in expr.operands)
     raise TypeError(f"unknown shape expression: {expr!r}")
 
 
@@ -91,9 +91,9 @@ def is_universal(expr: ShapeExpr) -> bool:
     if isinstance(expr, Star):
         return is_universal(expr.expr) or is_empty(expr.expr)
     if isinstance(expr, And):
-        return is_universal(expr.left) and is_universal(expr.right)
+        return all(is_universal(operand) for operand in expr.operands)
     if isinstance(expr, Or):
-        branches = [branch for branch in (expr.left, expr.right) if not is_empty(branch)]
+        branches = [branch for branch in expr.operands if not is_empty(branch)]
         return bool(branches) and all(is_universal(branch) for branch in branches)
     raise TypeError(f"unknown shape expression: {expr!r}")
 
@@ -210,27 +210,44 @@ def _bounds(expr: ShapeExpr) -> _Bounds:
         return result
     if isinstance(expr, Star):
         return {predicate: (0, None) for predicate in _bounds(expr.expr)}
-    if isinstance(expr, And):
-        left, right = _bounds(expr.left), _bounds(expr.right)
-        combined: _Bounds = {}
-        for predicate in set(left) | set(right):
-            left_min, left_max = left.get(predicate, (0, 0))
-            right_min, right_max = right.get(predicate, (0, 0))
-            maximum = None if left_max is None or right_max is None \
-                else left_max + right_max
-            combined[predicate] = (left_min + right_min, maximum)
-        return combined
-    if isinstance(expr, Or):
-        left, right = _bounds(expr.left), _bounds(expr.right)
-        combined = {}
-        for predicate in set(left) | set(right):
-            left_min, left_max = left.get(predicate, (0, 0))
-            right_min, right_max = right.get(predicate, (0, 0))
-            maximum = None if left_max is None or right_max is None \
-                else max(left_max, right_max)
-            combined[predicate] = (min(left_min, right_min), maximum)
-        return combined
+    if isinstance(expr, (And, Or)):
+        return _fold_bounds(expr, [_bounds(operand) for operand in expr.operands])
     raise TypeError(f"unknown shape expression: {expr!r}")
+
+
+def _fold_bounds(expr: ShapeExpr, parts: List[_Bounds],
+                 covering: List[Tuple[_Bounds, FrozenSet[str], bool]] = ()) -> _Bounds:
+    """Fold the operand bounds of a ``‖`` node (counts add) or a ``|`` node
+    (the least minimum, the greatest maximum).
+
+    An operand that does not mention a predicate counts ``(0, 0)`` for it,
+    or ``(0, ∞)`` when it is one of the ``covering`` operands
+    ``(bounds, stems, any_open)`` and a stem or wildcard arc of it admits
+    the predicate.  Predicates keep their first-seen order.
+    """
+    interleaved = isinstance(expr, And)
+    combined: _Bounds = {}
+    mentions: Dict[IRI, int] = {}
+    for part in parts:
+        for predicate, (low, high) in part.items():
+            if predicate not in combined:
+                combined[predicate] = (low, high)
+                mentions[predicate] = 1
+                continue
+            old_low, old_high = combined[predicate]
+            mentions[predicate] += 1
+            unbounded = old_high is None or high is None
+            combined[predicate] = (
+                (old_low + low, None if unbounded else old_high + high) if interleaved
+                else (min(old_low, low), None if unbounded else max(old_high, high)))
+    for predicate, (low, high) in combined.items():
+        if mentions[predicate] < len(parts):
+            if high is not None and any(
+                    predicate not in bounds and _covers(predicate, stems, any_open)
+                    for bounds, stems, any_open in covering):
+                high = None
+            combined[predicate] = (low if interleaved else 0, high)
+    return combined
 
 
 # --------------------------------------------------------- sound neighbourhood bounds
@@ -286,36 +303,12 @@ def _sound_bounds(expr: ShapeExpr) -> _SoundBounds:
     if isinstance(expr, Star):
         inner, stems, any_open = _sound_bounds(expr.expr)
         return ({predicate: (0, None) for predicate in inner}, stems, any_open)
-    if isinstance(expr, And):
-        left, left_stems, left_open = _sound_bounds(expr.left)
-        right, right_stems, right_open = _sound_bounds(expr.right)
-        combined: _Bounds = {}
-        for predicate in set(left) | set(right):
-            left_min, left_max = left.get(
-                predicate,
-                (0, None if _covers(predicate, left_stems, left_open) else 0))
-            right_min, right_max = right.get(
-                predicate,
-                (0, None if _covers(predicate, right_stems, right_open) else 0))
-            maximum = None if left_max is None or right_max is None \
-                else left_max + right_max
-            combined[predicate] = (left_min + right_min, maximum)
-        return combined, left_stems | right_stems, left_open or right_open
-    if isinstance(expr, Or):
-        left, left_stems, left_open = _sound_bounds(expr.left)
-        right, right_stems, right_open = _sound_bounds(expr.right)
-        combined = {}
-        for predicate in set(left) | set(right):
-            left_min, left_max = left.get(
-                predicate,
-                (0, None if _covers(predicate, left_stems, left_open) else 0))
-            right_min, right_max = right.get(
-                predicate,
-                (0, None if _covers(predicate, right_stems, right_open) else 0))
-            maximum = None if left_max is None or right_max is None \
-                else max(left_max, right_max)
-            combined[predicate] = (min(left_min, right_min), maximum)
-        return combined, left_stems | right_stems, left_open or right_open
+    if isinstance(expr, (And, Or)):
+        results = [_sound_bounds(operand) for operand in expr.operands]
+        combined = _fold_bounds(expr, [bounds for bounds, _, _ in results],
+                                [result for result in results if result[1] or result[2]])
+        return (combined, frozenset().union(*(stems for _, stems, _ in results)),
+                any(any_open for _, _, any_open in results))
     raise TypeError(f"unknown shape expression: {expr!r}")
 
 
@@ -338,20 +331,13 @@ def first_predicates(expr: ShapeExpr) -> Tuple[FrozenSet[IRI], bool]:
                 predicate_set.any_predicate or predicate_set.stem is not None)
     if isinstance(expr, Star):
         return first_predicates(expr.expr)
-    if isinstance(expr, And):
-        if is_empty(expr.left) or is_empty(expr.right):
-            return frozenset(), False
-        left, left_open = first_predicates(expr.left)
-        right, right_open = first_predicates(expr.right)
-        return left | right, left_open or right_open
-    if isinstance(expr, Or):
-        left, left_open = first_predicates(expr.left)
-        right, right_open = first_predicates(expr.right)
-        if is_empty(expr.left):
-            left, left_open = frozenset(), False
-        if is_empty(expr.right):
-            right, right_open = frozenset(), False
-        return left | right, left_open or right_open
+    if isinstance(expr, And) and is_empty(expr):
+        return frozenset(), False
+    if isinstance(expr, (And, Or)):
+        live = [first_predicates(operand) for operand in expr.operands
+                if not is_empty(operand)]
+        return (frozenset().union(*(predicates for predicates, _ in live)),
+                any(is_open for _, is_open in live))
     raise TypeError(f"unknown shape expression: {expr!r}")
 
 

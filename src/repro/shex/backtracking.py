@@ -166,14 +166,17 @@ class BacktrackingEngine:
             # rule Arc / Arctype / Arcref: exactly one triple
             return self._match_arc(expr, triples, context, stats)
         if isinstance(expr, Or):
-            # rules Or1 / Or2
-            return (self._match(expr.left, triples, context, stats)
-                    or self._match(expr.right, triples, context, stats))
+            # rules Or1 / Or2, one operand at a time
+            return any(self._match(operand, triples, context, stats)
+                       for operand in expr.operands)
         if isinstance(expr, And):
-            # rule And: try every decomposition g = g1 ⊕ g2
+            # rule And on r1 ‖ r2 with r1 the first operand and r2 the rest:
+            # try every decomposition g = g1 ⊕ g2
+            first, *rest = expr.operands
+            rest_expr = rest[0] if len(rest) == 1 else And(*rest)
             for left_part, right_part in self._decompositions(triples, stats):
-                if (self._match(expr.left, left_part, context, stats)
-                        and self._match(expr.right, right_part, context, stats)):
+                if (self._match(first, left_part, context, stats)
+                        and self._match(rest_expr, right_part, context, stats)):
                     return True
             return False
         if isinstance(expr, Star):

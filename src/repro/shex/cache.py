@@ -14,7 +14,9 @@ on the triple ``t`` only through its **verdict vector**: for each distinct
 satisfies the constraint.  Two triples with equal verdict vectors produce
 structurally identical derivatives — regardless of which node they hang off.
 Because expressions are hash-consed (:mod:`repro.shex.expressions`), the
-cache key ``(expression, verdict-vector)`` hashes in O(1).
+cache key ``(expression, verdict-vector)`` hashes in O(1); because ``‖`` and
+``|`` are built in one canonical form, residuals that differ only in the
+order or grouping of their operands are one key.
 
 Shape references (``@label``) stay sound because the verdict for a reference
 atom is obtained through the context's ``check_reference`` *before* the

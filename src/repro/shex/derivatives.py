@@ -26,6 +26,7 @@ The :class:`DerivativeEngine` adds the engineering the paper alludes to:
 
 from __future__ import annotations
 
+from functools import reduce
 from time import perf_counter
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple, Union
 
@@ -45,12 +46,15 @@ from .expressions import (
     alternative,
     expression_size,
     interleave,
+    iter_subexpressions,
 )
 from .node_constraints import ShapeRef
 from .results import MatchResult, MatchStats
 from .schema import ValidationContext
 
 __all__ = [
+    "MAX_DERIVATIVE_STEPS",
+    "DerivativeBudgetExceeded",
     "nullable",
     "derivative",
     "derivative_graph",
@@ -61,13 +65,31 @@ __all__ = [
 ]
 
 
+#: derivative steps one :meth:`DerivativeEngine.match_neighbourhood` call may
+#: take.  ShEx validation is NP-complete in general (Staworko et al., ICDT
+#: 2015), so a schema and a neighbourhood can always be found that need more;
+#: past this budget the call raises :class:`DerivativeBudgetExceeded` rather
+#: than return a verdict it could not reach.
+MAX_DERIVATIVE_STEPS = 1_000_000
+
+
+class DerivativeBudgetExceeded(Exception):
+    """One neighbourhood match took more than :data:`MAX_DERIVATIVE_STEPS`."""
+
+    def __init__(self, budget: int):
+        super().__init__(
+            f"matching one neighbourhood took more than {budget:,} derivative "
+            "steps; the schema is too costly for this data")
+        self.budget = budget
+
+
 # --------------------------------------------------------------------- nullability
 def nullable(expr: ShapeExpr) -> bool:
     """``ν(e)`` — True when ``e`` matches the empty graph (Section 6).
 
     * ``ν(∅) = false``              * ``ν(e*) = true``
-    * ``ν(ε) = true``               * ``ν(e1 ‖ e2) = ν(e1) ∧ ν(e2)``
-    * ``ν(vp → vo) = false``        * ``ν(e1 | e2) = ν(e1) ∨ ν(e2)``
+    * ``ν(ε) = true``               * ``ν(e₁ ‖ … ‖ eₙ) = ν(e₁) ∧ … ∧ ν(eₙ)``
+    * ``ν(vp → vo) = false``        * ``ν(e₁ | … | eₙ) = ν(e₁) ∨ … ∨ ν(eₙ)``
     """
     if isinstance(expr, EmptyTriples):
         return True
@@ -76,13 +98,21 @@ def nullable(expr: ShapeExpr) -> bool:
     if isinstance(expr, Star):
         return True
     if isinstance(expr, And):
-        return nullable(expr.left) and nullable(expr.right)
+        return all(nullable(operand) for operand in expr.operands)
     if isinstance(expr, Or):
-        return nullable(expr.left) or nullable(expr.right)
+        return any(nullable(operand) for operand in expr.operands)
     raise TypeError(f"unknown shape expression: {expr!r}")
 
 
 # ---------------------------------------------------------------------- derivatives
+def _alternatives(terms: List[ShapeExpr], simplify: bool) -> ShapeExpr:
+    """``|`` over ``terms``: one canonical node, or without ``simplify`` the
+    left fold of raw two-operand nodes (the ablation's binary trees)."""
+    if simplify:
+        return alternative(*terms)
+    return reduce(lambda left, right: alternative(left, right, simplify=False), terms)
+
+
 def _walk_derivative(expr: ShapeExpr, derive_arc, simplify: bool,
                      stats: Optional[MatchStats]) -> ShapeExpr:
     """The Section 6 rule structure, parameterised over the arc case.
@@ -91,9 +121,13 @@ def _walk_derivative(expr: ShapeExpr, derive_arc, simplify: bool,
     concrete triple (:func:`derivative`) or from a precomputed verdict
     vector (:func:`_derivative_by_verdicts`).  Keeping one walker guarantees
     the cached and uncached paths can never diverge on the other rules.
+    Each call is one derivative step; past :data:`MAX_DERIVATIVE_STEPS`
+    steps on one ``stats`` record it raises :class:`DerivativeBudgetExceeded`.
     """
     if stats is not None:
         stats.derivative_steps += 1
+        if stats.derivative_steps > MAX_DERIVATIVE_STEPS:
+            raise DerivativeBudgetExceeded(MAX_DERIVATIVE_STEPS)
     if isinstance(expr, (Empty, EmptyTriples)):
         return EMPTY
     if isinstance(expr, Arc):
@@ -102,17 +136,29 @@ def _walk_derivative(expr: ShapeExpr, derive_arc, simplify: bool,
         inner = _walk_derivative(expr.expr, derive_arc, simplify, stats)
         return interleave(inner, expr, simplify=simplify)
     if isinstance(expr, And):
-        left = _walk_derivative(expr.left, derive_arc, simplify, stats)
-        right = _walk_derivative(expr.right, derive_arc, simplify, stats)
-        return alternative(
-            interleave(left, expr.right, simplify=simplify),
-            interleave(right, expr.left, simplify=simplify),
-            simplify=simplify,
-        )
+        operands = expr.operands
+        terms = []
+        previous = None
+        for index, operand in enumerate(operands):
+            if simplify and operand is previous:
+                continue  # a repeated operand derives the same term again
+            previous = operand
+            inner = _walk_derivative(operand, derive_arc, simplify, stats)
+            rest = operands[:index] + operands[index + 1:]
+            if simplify:
+                if not isinstance(inner, Empty):
+                    terms.append(interleave(inner, *rest))
+            else:
+                rest_expr = rest[0] if len(rest) == 1 else And(*rest)
+                terms.append(interleave(inner, rest_expr, simplify=False))
+        return _alternatives(terms, simplify)
     if isinstance(expr, Or):
-        left = _walk_derivative(expr.left, derive_arc, simplify, stats)
-        right = _walk_derivative(expr.right, derive_arc, simplify, stats)
-        return alternative(left, right, simplify=simplify)
+        # a plain loop: a comprehension would add a frame per level to the
+        # reference's per-hop stack cost
+        terms = []
+        for operand in expr.operands:
+            terms.append(_walk_derivative(operand, derive_arc, simplify, stats))
+        return _alternatives(terms, simplify)
     raise TypeError(f"unknown shape expression: {expr!r}")
 
 
@@ -127,9 +173,14 @@ def derivative(expr: ShapeExpr, triple: Triple,
         ∂t(∅) = ∅
         ∂t(ε) = ∅
         ∂⟨s,p,o⟩(vp → vo) = ε   if p ∈ vp and o ∈ vo, else ∅
-        ∂t(e*)       = ∂t(e) ‖ e*
-        ∂t(e1 ‖ e2)  = ∂t(e1) ‖ e2  |  ∂t(e2) ‖ e1
-        ∂t(e1 | e2)  = ∂t(e1) | ∂t(e2)
+        ∂t(e*)            = ∂t(e) ‖ e*
+        ∂t(e₁ ‖ … ‖ eₙ)   = |ᵢ (e₁ ‖ … ‖ ∂t(eᵢ) ‖ … ‖ eₙ)
+        ∂t(e₁ | … | eₙ)   = ∂t(e₁) | … | ∂t(eₙ)
+
+    ``‖`` and ``|`` are n-ary and canonical (:mod:`repro.shex.expressions`),
+    so the ``‖`` rule takes one term per *distinct* operand ``eᵢ`` (equal
+    operands give equal terms, and ``x | x = x``), and the binary rule
+    ``∂t(e1 ‖ e2) = ∂t(e1) ‖ e2 | ∂t(e2) ‖ e1`` is its two-operand case.
 
     When an arc's object constraint is a shape reference ``@label`` the
     context-aware rule of Section 8 is used: the triple's object is validated
@@ -417,8 +468,6 @@ def _derivative_by_verdicts(expr: ShapeExpr, verdicts: Mapping[ArcAtom, bool],
 
 def _has_references(expr: ShapeExpr) -> bool:
     """True if ``expr`` contains any ``@label`` arc."""
-    from .expressions import iter_subexpressions
-
     return any(
         isinstance(sub, Arc) and isinstance(sub.object, ShapeRef)
         for sub in iter_subexpressions(expr)

@@ -16,25 +16,38 @@ Derived operators (defined exactly as in the paper):
 * ``E{m,n}`` — between ``m`` and ``n`` repetitions, by recursive expansion.
 
 The classes are immutable and hashable so that derivative computations can be
-memoised.  The *smart constructors* :func:`interleave` and :func:`alternative`
-apply the simplification rules listed at the end of Section 4 (``∅ | x = x``,
-``∅ ‖ x = ∅``, ``ε ‖ x = x`` …); these rules are what keeps the derivative
-representation small, and the ablation benchmark B8 switches them off to
-measure their effect.
+memoised.  ``‖`` and ``|`` are associative and commutative, so :class:`And`
+and :class:`Or` are n-ary nodes over an ``operands`` tuple.  The *smart
+constructors* :func:`interleave` and :func:`alternative` build them in one
+canonical form: nested nodes of the same kind are flattened, the
+simplification rules listed at the end of Section 4 are applied (``∅ | x =
+x``, ``∅ ‖ x = ∅``, ``ε ‖ x = x``, ``x | x = x``) and the operands are
+sorted.  ``‖`` keeps repeated operands (a multiset: ``E{2}`` is ``E ‖ E``),
+``|`` drops them (a set).  Residuals that differ only in operand order or
+grouping are therefore one expression, which keeps the derivatives of
+repeated predicates polynomial; the ablation benchmark B8 switches the
+rules off (``simplify=False``) to measure their effect.
 
 Expressions are additionally *hash-consed*: every constructor interns the
 node in a module-level table, so structurally-equal expressions are the same
-object.  Hashes are computed once at construction time, which makes
-expressions O(1) dictionary keys — the property the global derivative cache
-(:mod:`repro.shex.cache`) relies on.  :func:`clear_expression_caches` drops
-the interning table (long-lived processes validating many unrelated schemas
-may want to call it between runs); structural equality keeps working across
-a clear because ``__eq__`` falls back to comparing children.
+object.  Hashes and sizes are computed once at construction time, which
+makes expressions O(1) dictionary keys — the property the global derivative
+cache (:mod:`repro.shex.cache`) relies on.  The table holds its nodes
+weakly: an expression nothing references any more drops out by itself, so
+a long-lived process interning many unrelated schemas needs no bound and no
+``clear``.  A node gets a serial number when it is first interned, and
+canonical operands are sorted by serial, never by hash: the order is
+consistent among live nodes (a live node's operands are live, so their
+serials cannot change) and does not depend on ``PYTHONHASHSEED``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, Optional, Sequence, Tuple, Union
+import itertools
+import sys
+import weakref
+from operator import attrgetter
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from ..rdf.terms import IRI, Literal, ObjectTerm
 from .node_constraints import (
@@ -68,84 +81,26 @@ __all__ = [
     "expression_depth",
     "iter_subexpressions",
     "referenced_labels",
-    "clear_expression_caches",
-    "clear_intern_tables",
     "expression_cache_stats",
-    "set_intern_limit",
 ]
 
 
-#: interning table: structural key → the canonical instance for that key.
-_INTERN: Dict[tuple, "ShapeExpr"] = {}
-#: memoised AST node counts, keyed by interned expression.
-_SIZE_CACHE: Dict["ShapeExpr", int] = {}
-#: optional bound on either table (None = unbounded, the historical default).
-_INTERN_LIMIT: Optional[int] = None
-#: entries dropped to honour the bound, for observability.
-_INTERN_EVICTIONS = 0
-
-
-def set_intern_limit(limit: Optional[int]) -> None:
-    """Bound the interning and size tables to at most ``limit`` entries.
-
-    Long-running services interning many unrelated schemas can cap the
-    module-level tables; once full, the oldest entry is dropped (FIFO —
-    entries are pure functions of their key, so eviction can only cost a
-    re-construction, never correctness: structural equality keeps working
-    for evicted expressions, they just stop being pointer-equal to new
-    ones).  ``None`` restores the unbounded default.
-    """
-    global _INTERN_LIMIT
-    if limit is not None and limit < 1:
-        raise ValueError("intern limit must be at least 1 (or None for unbounded)")
-    _INTERN_LIMIT = limit
-    if limit is not None:
-        while len(_INTERN) > limit:
-            _evict_one(_INTERN)
-        while len(_SIZE_CACHE) > limit:
-            _evict_one(_SIZE_CACHE)
-
-
-def _evict_one(table: Dict) -> None:
-    global _INTERN_EVICTIONS
-    table.pop(next(iter(table)))
-    _INTERN_EVICTIONS += 1
-
-
-def clear_expression_caches() -> None:
-    """Drop the interning table and the memoised size cache.
-
-    Existing expressions stay valid (equality falls back to a structural
-    comparison), but new structurally-equal constructions will no longer be
-    pointer-equal to the old ones.  Any long-lived
-    :class:`~repro.shex.cache.DerivativeCache` should be cleared alongside
-    (``cache.clear()``): its entries keep pre-clear expressions alive and,
-    without pointer equality, every lookup pays a structural comparison.
-    """
-    global _INTERN_EVICTIONS
-    _INTERN.clear()
-    _SIZE_CACHE.clear()
-    _INTERN_EVICTIONS = 0
-
-
-#: explicit alias for tests and services that reason about the intern bound.
-clear_intern_tables = clear_expression_caches
+#: interning table: structural key → the live canonical instance for that key.
+_INTERN: "weakref.WeakValueDictionary[tuple, ShapeExpr]" = weakref.WeakValueDictionary()
+#: serial numbers, handed out as nodes are first interned.
+_SERIALS = itertools.count()
+_serial_of = attrgetter("_serial")
 
 
 def expression_cache_stats() -> Dict[str, int]:
-    """Return the sizes (and bound counters) of the expression caches."""
-    return {
-        "interned": len(_INTERN),
-        "sizes": len(_SIZE_CACHE),
-        "limit": _INTERN_LIMIT if _INTERN_LIMIT is not None else 0,
-        "evictions": _INTERN_EVICTIONS,
-    }
+    """Return the number of live interned expressions."""
+    return {"interned": len(_INTERN)}
 
 
 class ShapeExpr:
     """Base class of every regular shape expression node."""
 
-    __slots__ = ()
+    __slots__ = ("__weakref__",)
 
     # -- operator sugar ------------------------------------------------------
     def __or__(self, other: "ShapeExpr") -> "ShapeExpr":
@@ -190,6 +145,10 @@ class Empty(ShapeExpr):
 
     __slots__ = ()
     _instance: Optional["Empty"] = None
+    _size = 1
+    #: ``∅`` and ``ε`` sort after every interned node, so ``E?`` reads
+    #: ``E | ε`` (``∅`` never stays an operand of a canonical node).
+    _serial = sys.maxsize
 
     def __new__(cls):
         if cls._instance is None:
@@ -217,6 +176,8 @@ class EmptyTriples(ShapeExpr):
 
     __slots__ = ()
     _instance: Optional["EmptyTriples"] = None
+    _size = 1
+    _serial = sys.maxsize
 
     def __new__(cls):
         if cls._instance is None:
@@ -250,15 +211,16 @@ EPSILON = EmptyTriples()
 _set_attr = object.__setattr__
 
 
-def _intern(cls, key: tuple, attrs: Tuple[Tuple[str, object], ...]) -> "ShapeExpr":
+def _intern(cls, key: tuple, attrs: Tuple[Tuple[str, object], ...],
+            size: int) -> "ShapeExpr":
     """Look up or build the canonical instance for a structural ``key``.
 
     The single interning protocol shared by every compound node: find the
-    cached instance, or construct one with the given attributes plus the
-    precomputed ``_hash``, and register it.  A cached instance is only
-    reused for the exact same class — a subclass constructor builds its own
-    (uninterned) instance rather than returning, or shadowing, the base
-    class entry.
+    live instance, or construct one with the given attributes plus the
+    precomputed ``_hash``, its ``size`` and a fresh serial number, and
+    register it.  A cached instance is only reused for the exact same
+    class — a subclass constructor builds its own (uninterned) instance
+    rather than returning, or shadowing, the base class entry.
     """
     cached = _INTERN.get(key)
     if cached is not None and type(cached) is cls:
@@ -267,10 +229,10 @@ def _intern(cls, key: tuple, attrs: Tuple[Tuple[str, object], ...]) -> "ShapeExp
     for name, value in attrs:
         _set_attr(self, name, value)
     _set_attr(self, "_hash", hash(key))
+    _set_attr(self, "_size", size)
+    _set_attr(self, "_serial", next(_SERIALS))
     if cached is None:
         _INTERN[key] = self
-        if _INTERN_LIMIT is not None and len(_INTERN) > _INTERN_LIMIT:
-            _evict_one(_INTERN)
     return self
 
 
@@ -281,7 +243,7 @@ class Arc(ShapeExpr):
     returns the same object, and the hash is computed once.
     """
 
-    __slots__ = ("predicate", "object", "_hash")
+    __slots__ = ("predicate", "object", "_hash", "_size", "_serial")
 
     def __new__(cls, predicate: PredicateSet, object: NodeConstraint):
         if not isinstance(predicate, PredicateSet):
@@ -289,7 +251,7 @@ class Arc(ShapeExpr):
         if not isinstance(object, NodeConstraint):
             raise TypeError("Arc object must be a NodeConstraint")
         return _intern(cls, ("Arc", predicate, object),
-                       (("predicate", predicate), ("object", object)))
+                       (("predicate", predicate), ("object", object)), 1)
 
     def __init__(self, predicate: PredicateSet, object: NodeConstraint):
         pass  # fully constructed (and possibly reused) in __new__
@@ -329,12 +291,12 @@ class Arc(ShapeExpr):
 class Star(ShapeExpr):
     """``E*`` — Kleene closure (zero or more occurrences of ``E``)."""
 
-    __slots__ = ("expr", "_hash")
+    __slots__ = ("expr", "_hash", "_size", "_serial")
 
     def __new__(cls, expr: ShapeExpr):
         if not isinstance(expr, ShapeExpr):
             raise TypeError("Star operand must be a ShapeExpr")
-        return _intern(cls, ("Star", expr), (("expr", expr),))
+        return _intern(cls, ("Star", expr), (("expr", expr),), 1 + expr._size)
 
     def __init__(self, expr: ShapeExpr):
         pass  # fully constructed (and possibly reused) in __new__
@@ -363,80 +325,64 @@ class Star(ShapeExpr):
         return self._hash
 
 
-class And(ShapeExpr):
-    """``E ‖ F`` — unordered concatenation (interleave)."""
+class _Nary(ShapeExpr):
+    """An n-ary node over an ``operands`` tuple (``‖`` or ``|``).
 
-    __slots__ = ("left", "right", "_hash")
+    The class constructor builds the node exactly as given (at least two
+    operands, in the given order); :func:`interleave` and
+    :func:`alternative` build the canonical form.
+    """
 
-    def __new__(cls, left: ShapeExpr, right: ShapeExpr):
-        if not isinstance(left, ShapeExpr) or not isinstance(right, ShapeExpr):
-            raise TypeError("And operands must be ShapeExprs")
-        return _intern(cls, ("And", left, right),
-                       (("left", left), ("right", right)))
+    __slots__ = ("operands", "_hash", "_size", "_serial")
+    _symbol = ""
 
-    def __init__(self, left: ShapeExpr, right: ShapeExpr):
+    def __new__(cls, *operands: ShapeExpr):
+        if len(operands) < 2:
+            raise TypeError(f"{cls.__name__} needs at least two operands")
+        if not all(isinstance(operand, ShapeExpr) for operand in operands):
+            raise TypeError(f"{cls.__name__} operands must be ShapeExprs")
+        return _intern(cls, (cls.__name__, operands), (("operands", operands),),
+                       1 + sum(operand._size for operand in operands))
+
+    def __init__(self, *operands: ShapeExpr):
         pass  # fully constructed (and possibly reused) in __new__
 
     def __setattr__(self, name, value):  # pragma: no cover
-        raise AttributeError("And is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __reduce__(self):
-        return (And, (self.left, self.right))
+        return (type(self), self.operands)
 
     def children(self) -> Tuple[ShapeExpr, ...]:
-        return (self.left, self.right)
+        return self.operands
 
     def to_str(self) -> str:
-        return f"({self.left.to_str()} ‖ {self.right.to_str()})"
+        return "(" + self._symbol.join(operand.to_str() for operand in self.operands) + ")"
 
     def __repr__(self) -> str:
-        return f"And({self.left!r}, {self.right!r})"
+        return f"{type(self).__name__}({', '.join(map(repr, self.operands))})"
 
     def __eq__(self, other) -> bool:
         if self is other:
             return True
-        return isinstance(other, And) and other.left == self.left and other.right == self.right
+        return type(other) is type(self) and other.operands == self.operands
 
     def __hash__(self) -> int:
         return self._hash
 
 
-class Or(ShapeExpr):
-    """``E | F`` — alternative."""
+class And(_Nary):
+    """``E₁ ‖ … ‖ Eₙ`` — unordered concatenation (interleave)."""
 
-    __slots__ = ("left", "right", "_hash")
+    __slots__ = ()
+    _symbol = " ‖ "
 
-    def __new__(cls, left: ShapeExpr, right: ShapeExpr):
-        if not isinstance(left, ShapeExpr) or not isinstance(right, ShapeExpr):
-            raise TypeError("Or operands must be ShapeExprs")
-        return _intern(cls, ("Or", left, right),
-                       (("left", left), ("right", right)))
 
-    def __init__(self, left: ShapeExpr, right: ShapeExpr):
-        pass  # fully constructed (and possibly reused) in __new__
+class Or(_Nary):
+    """``E₁ | … | Eₙ`` — alternative."""
 
-    def __setattr__(self, name, value):  # pragma: no cover
-        raise AttributeError("Or is immutable")
-
-    def __reduce__(self):
-        return (Or, (self.left, self.right))
-
-    def children(self) -> Tuple[ShapeExpr, ...]:
-        return (self.left, self.right)
-
-    def to_str(self) -> str:
-        return f"({self.left.to_str()} | {self.right.to_str()})"
-
-    def __repr__(self) -> str:
-        return f"Or({self.left!r}, {self.right!r})"
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        return isinstance(other, Or) and other.left == self.left and other.right == self.right
-
-    def __hash__(self) -> int:
-        return self._hash
+    __slots__ = ()
+    _symbol = " | "
 
 
 # --------------------------------------------------------------- smart constructors
@@ -463,71 +409,64 @@ def arc(predicate: Union[IRI, PredicateSet],
     return Arc(predicate, constraint)
 
 
-def interleave(left: ShapeExpr, right: ShapeExpr, simplify: bool = True) -> ShapeExpr:
-    """``left ‖ right`` with the paper's simplification rules applied.
-
-    ``∅ ‖ x = x ‖ ∅ = ∅`` and ``ε ‖ x = x ‖ ε = x``.  Passing
-    ``simplify=False`` builds the raw node (used by the ablation benchmark).
-    """
-    if not simplify:
-        return And(left, right)
-    if isinstance(left, Empty) or isinstance(right, Empty):
-        return EMPTY
-    if isinstance(left, EmptyTriples):
-        return right
-    if isinstance(right, EmptyTriples):
-        return left
-    return And(left, right)
+def _flatten(cls, exprs: Iterable[ShapeExpr]) -> Iterator[ShapeExpr]:
+    """Yield the operands of ``exprs``, splicing in nested ``cls`` nodes."""
+    stack = list(exprs)
+    while stack:
+        expr = stack.pop()
+        if isinstance(expr, cls):
+            stack.extend(expr.operands)
+        else:
+            yield expr
 
 
-def alternative(left: ShapeExpr, right: ShapeExpr, simplify: bool = True) -> ShapeExpr:
-    """``left | right`` with the paper's simplification rules applied.
-
-    ``∅ | x = x`` and ``x | ∅ = x``; identical branches are collapsed
-    (``x | x = x``), which is sound because alternation is idempotent and it
-    keeps derivatives small.
-    """
-    if not simplify:
-        return Or(left, right)
-    if isinstance(left, Empty):
-        return right
-    if isinstance(right, Empty):
-        return left
-    if left == right:
-        return left
-    return Or(left, right)
-
-
-def balanced(combine: Callable[[ShapeExpr, ShapeExpr], ShapeExpr],
-             exprs: Sequence[ShapeExpr], unit: ShapeExpr) -> ShapeExpr:
-    """Fold ``exprs`` with the associative ``combine`` into a balanced tree.
-
-    Adjacent pairs are combined level by level, so ``n`` operands nest
-    ``⌈log2 n⌉`` deep instead of ``n`` — a shape with thousands of
-    interleaved constraints stays shallow enough for the recursive
-    derivative and compile passes.  Up to three operands the tree equals the
-    left fold (``(a ‖ b) ‖ c``).  ``unit`` is the result for no operands.
-    """
-    level = list(exprs)
-    if not level:
+def _canonical(cls, operands: List[ShapeExpr], unit: ShapeExpr) -> ShapeExpr:
+    if not operands:
         return unit
-    while len(level) > 1:
-        paired = [combine(level[i], level[i + 1])
-                  for i in range(0, len(level) - 1, 2)]
-        if len(level) % 2:
-            paired.append(level[-1])
-        level = paired
-    return level[0]
+    if len(operands) == 1:
+        return operands[0]
+    operands.sort(key=_serial_of)
+    return cls(*operands)
 
 
-def interleave_all(*exprs: ShapeExpr) -> ShapeExpr:
-    """Interleave any number of expressions (``ε`` when called with none)."""
-    return balanced(interleave, exprs, EPSILON)
+def interleave(*exprs: ShapeExpr, simplify: bool = True) -> ShapeExpr:
+    """``e₁ ‖ … ‖ eₙ`` in canonical form (``ε`` for no operands).
+
+    Nested ``‖`` nodes are flattened, ``∅ ‖ x = ∅`` and ``ε ‖ x = x`` are
+    applied, repeats are kept and the operands sorted by serial; a lone
+    operand is returned as itself.  Passing ``simplify=False`` builds the
+    raw node from the operands as given (used by the ablation benchmark).
+    """
+    if not simplify:
+        return And(*exprs)
+    operands = []
+    for expr in _flatten(And, exprs):
+        if isinstance(expr, Empty):
+            return EMPTY
+        if not isinstance(expr, EmptyTriples):
+            operands.append(expr)
+    return _canonical(And, operands, EPSILON)
 
 
-def alternative_all(*exprs: ShapeExpr) -> ShapeExpr:
-    """Alternate any number of expressions (``∅`` when called with none)."""
-    return balanced(alternative, exprs, EMPTY)
+def alternative(*exprs: ShapeExpr, simplify: bool = True) -> ShapeExpr:
+    """``e₁ | … | eₙ`` in canonical form (``∅`` for no operands).
+
+    Nested ``|`` nodes are flattened, ``∅ | x = x`` is applied, identical
+    branches are collapsed (``x | x = x``, sound because alternation is
+    idempotent, and it keeps derivatives small) and the operands sorted by
+    serial; a lone operand is returned as itself.  ``simplify=False``
+    builds the raw node.
+    """
+    if not simplify:
+        return Or(*exprs)
+    operands = dict.fromkeys(expr for expr in _flatten(Or, exprs)
+                             if not isinstance(expr, Empty))
+    return _canonical(Or, list(operands), EMPTY)
+
+
+#: the n-ary names of the two smart constructors.
+interleave_all = interleave
+alternative_all = alternative
 
 
 def star(expr: ShapeExpr) -> ShapeExpr:
@@ -559,17 +498,16 @@ def repeat(expr: ShapeExpr, minimum: int, maximum: Optional[int]) -> ShapeExpr:
     * ``E{0, 0} = ε``.
 
     ``maximum=None`` means unbounded (``E{m,}``), which expands to
-    ``E{m,m} ‖ E*``.
+    ``E{m,m} ‖ E*``.  The copies form one ``‖`` multiset.
     """
     if minimum < 0:
         raise ValueError("minimum repetition count must be >= 0")
     if maximum is None:
-        return interleave_all(*[expr] * minimum, star(expr))
+        return interleave(*[expr] * minimum, star(expr))
     if maximum < minimum:
         raise ValueError("maximum repetition count must be >= minimum")
     # between m and n: exactly m copies interleaved with (n - m) optional copies
-    return interleave_all(*[expr] * minimum,
-                          *[optional(expr)] * (maximum - minimum))
+    return interleave(*[expr] * minimum, *[optional(expr)] * (maximum - minimum))
 
 
 # ----------------------------------------------------------------- introspection
@@ -585,37 +523,10 @@ def iter_subexpressions(expr: ShapeExpr) -> Iterator[ShapeExpr]:
 def expression_size(expr: ShapeExpr) -> int:
     """Return the number of AST nodes in ``expr`` (a proxy for memory use).
 
-    Sizes are memoised per interned expression: engines call this after every
-    derivative step, and hash-consing makes repeated lookups O(1) instead of
-    a full tree walk.
+    Each node counts its size once, at construction: 1 plus the sizes of
+    its operands, so an n-ary ``‖`` or ``|`` counts 1 however wide it is.
     """
-    cached = _SIZE_CACHE.get(expr)
-    if cached is not None:
-        return cached
-    # iterative post-order so deep expressions cannot overflow the stack; the
-    # local overlay keeps the walk correct even when a bounded _SIZE_CACHE
-    # evicts an entry the pending parents still need
-    local: Dict["ShapeExpr", int] = {}
-    stack = [(expr, False)]
-    while stack:
-        current, expanded = stack.pop()
-        if current in local:
-            continue
-        known = _SIZE_CACHE.get(current)
-        if known is not None:
-            local[current] = known
-            continue
-        if expanded:
-            size = 1 + sum(local[child] for child in current.children())
-            local[current] = size
-            _SIZE_CACHE[current] = size
-            if _INTERN_LIMIT is not None and len(_SIZE_CACHE) > _INTERN_LIMIT:
-                _evict_one(_SIZE_CACHE)
-        else:
-            stack.append((current, True))
-            for child in current.children():
-                stack.append((child, False))
-    return local[expr]
+    return expr._size
 
 
 def expression_depth(expr: ShapeExpr) -> int:

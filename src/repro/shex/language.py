@@ -10,6 +10,9 @@ neighbourhood graphs it accepts::
     Sₙ[[e1 ‖ e2]]  = {t1 ∪ t2 | t1 ∈ Sₙ[[e1]], t2 ∈ Sₙ[[e2]]}
     Sₙ[[e1 | e2]]  = Sₙ[[e1]] ∪ Sₙ[[e2]]
 
+(``‖`` and ``|`` are n-ary nodes; the binary rules fold over their
+operands.)
+
 For expressions built from *finite* constraints (explicit predicate sets and
 value sets) the language is computable once the Kleene star is unrolled a
 bounded number of times; because the accepted objects are *sets* of triples,
@@ -35,6 +38,7 @@ check that both matching engines accept exactly the enumerated graphs
 
 from __future__ import annotations
 
+from functools import reduce
 from typing import FrozenSet, Set
 
 from ..rdf.terms import SubjectTerm, Triple
@@ -76,12 +80,11 @@ def _enumerate(expr: ShapeExpr, node: SubjectTerm, unroll: int) -> GraphSet:
     if isinstance(expr, Arc):
         return _enumerate_arc(expr, node)
     if isinstance(expr, Or):
-        return _enumerate(expr.left, node, unroll) | _enumerate(expr.right, node, unroll)
+        return frozenset().union(*(_enumerate(operand, node, unroll)
+                                   for operand in expr.operands))
     if isinstance(expr, And):
-        return _combine(
-            _enumerate(expr.left, node, unroll),
-            _enumerate(expr.right, node, unroll),
-        )
+        return reduce(_combine, (_enumerate(operand, node, unroll)
+                                 for operand in expr.operands))
     if isinstance(expr, Star):
         base = _enumerate(expr.expr, node, unroll)
         result: Set[FrozenSet[Triple]] = {frozenset()}

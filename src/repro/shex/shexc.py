@@ -31,6 +31,7 @@ by the workloads:
 from __future__ import annotations
 
 import re
+from collections import Counter
 from typing import Dict, List, Optional, Tuple
 
 from ..rdf.errors import ParseError
@@ -38,7 +39,6 @@ from ..rdf.namespaces import NamespaceManager, XSD
 from ..rdf.ntriples import unescape_string
 from ..rdf.terms import IRI, Literal
 from .expressions import (
-    EMPTY,
     EPSILON,
     And,
     Arc,
@@ -46,9 +46,9 @@ from .expressions import (
     Or,
     ShapeExpr,
     Star,
-    balanced,
+    alternative,
     expression_size,
-    interleave_all,
+    interleave,
     optional,
     plus,
     repeat,
@@ -79,8 +79,9 @@ __all__ = ["parse_shexc", "serialize_shexc", "ShExCParser", "ShExCSerializer"]
 MAX_NESTING_DEPTH = 128
 
 #: largest schema the parser builds, counted in expression-tree nodes
-#: (:func:`~repro.shex.expressions.expression_size`, summed over shapes).
-#: ``E+`` expands to ``E ‖ E*`` and ``E{m,n}`` to ``n`` copies of ``E``, so
+#: (:func:`~repro.shex.expressions.expression_size`, summed over shapes; a
+#: flat ``‖`` or ``|`` counts one node plus its operands).  ``E+`` expands
+#: to ``E ‖ E*`` and ``E{m,n}`` to ``n`` copies of ``E``, so
 #: nested repetitions grow geometrically while the text grows linearly;
 #: every later pass over a shape walks that tree.  Each expansion and each
 #: finished shape is checked, and past this size the parser raises a
@@ -281,15 +282,15 @@ class ShExCParser:
     def _parse_one_of(self) -> ShapeExpr:
         """oneOf: eachOf ('|' eachOf)*
 
-        The branches (and the members of each ``eachOf``) are combined as a
-        balanced tree: both operators are associative, and a balanced tree
-        keeps thousand-member shapes shallow for the recursive passes.
+        The branches (and the members of each ``eachOf``) go to the smart
+        constructors, which build one flat canonical node per operator, so
+        thousand-member shapes stay one level deep for the recursive passes.
         """
         branches = [self._parse_each_of()]
         while self._peek().kind == "PIPE":
             self._next()
             branches.append(self._parse_each_of())
-        return balanced(Or, branches, EMPTY)
+        return alternative(*branches)
 
     def _parse_each_of(self) -> ShapeExpr:
         """eachOf: unary ((',' | ';') unary)*"""
@@ -299,7 +300,7 @@ class ShExCParser:
             if self._peek().kind in ("RBRACE", "RPAREN"):
                 break  # trailing separator
             members.append(self._parse_unary())
-        return interleave_all(*members)
+        return interleave(*members)
 
     def _parse_unary(self) -> ShapeExpr:
         token = self._peek()
@@ -553,20 +554,20 @@ class ShExCSerializer:
         return self._render(expr, prefixes_used)
 
     def _render(self, expr: ShapeExpr, prefixes_used: set) -> str:
-        plus_body = _detect_plus(expr)
-        if plus_body is not None:
-            return self._render_with_cardinality(plus_body, "+", prefixes_used)
         optional_body = _detect_optional(expr)
         if optional_body is not None:
             return self._render_with_cardinality(optional_body, "?", prefixes_used)
         if isinstance(expr, Star):
             return self._render_with_cardinality(expr.expr, "*", prefixes_used)
         if isinstance(expr, And):
-            return (f"{self._render(expr.left, prefixes_used)} ; "
-                    f"{self._render(expr.right, prefixes_used)}")
+            plus_bodies, rest = _detect_plus(expr)
+            return " ; ".join(
+                [self._render_with_cardinality(body, "+", prefixes_used)
+                 for body in plus_bodies]
+                + [self._render(operand, prefixes_used) for operand in rest])
         if isinstance(expr, Or):
-            return (f"( {self._render(expr.left, prefixes_used)} | "
-                    f"{self._render(expr.right, prefixes_used)} )")
+            return "( " + " | ".join(self._render(operand, prefixes_used)
+                                     for operand in expr.operands) + " )"
         if isinstance(expr, Arc):
             return self._render_arc(expr, prefixes_used)
         if isinstance(expr, EmptyTriples):
@@ -647,21 +648,27 @@ def _render_facets(facets: Facets) -> str:
     return " " + " ".join(parts)
 
 
-def _detect_plus(expr: ShapeExpr) -> Optional[ShapeExpr]:
-    """Recognise ``E ‖ E*`` (the expansion of ``E+``)."""
-    if isinstance(expr, And) and isinstance(expr.right, Star) and expr.right.expr == expr.left:
-        return expr.left
-    if isinstance(expr, And) and isinstance(expr.left, Star) and expr.left.expr == expr.right:
-        return expr.right
-    return None
+def _detect_plus(expr: And) -> Tuple[List[ShapeExpr], List[ShapeExpr]]:
+    """Split a ``‖`` node into ``E+`` bodies and the remaining operands.
+
+    ``E+`` expands to ``E ‖ E*``, so an operand ``E*`` beside an operand
+    ``E`` is one ``E+``; each ``E`` pairs with one ``E*``.
+    """
+    counts = Counter(expr.operands)
+    plus_bodies = []
+    for operand in expr.operands:
+        if isinstance(operand, Star) and counts[operand] and counts[operand.expr]:
+            counts[operand] -= 1
+            counts[operand.expr] -= 1
+            plus_bodies.append(operand.expr)
+    return plus_bodies, list(counts.elements())
 
 
 def _detect_optional(expr: ShapeExpr) -> Optional[ShapeExpr]:
-    """Recognise ``E | ε`` (the expansion of ``E?``)."""
-    if isinstance(expr, Or) and isinstance(expr.right, EmptyTriples):
-        return expr.left
-    if isinstance(expr, Or) and isinstance(expr.left, EmptyTriples):
-        return expr.right
+    """Recognise ``E | ε`` (the expansion of ``E?``): an ``Or`` holding ``ε``."""
+    if isinstance(expr, Or) and EPSILON in expr.operands:
+        return alternative(*(operand for operand in expr.operands
+                             if not isinstance(operand, EmptyTriples)))
     return None
 
 

@@ -21,6 +21,8 @@ from .expressions import (
     Or,
     ShapeExpr,
     Star,
+    alternative,
+    interleave,
 )
 from .node_constraints import (
     AnyValue,
@@ -178,14 +180,9 @@ def expression_to_dict(expr: ShapeExpr) -> Dict[str, Any]:
         }
     if isinstance(expr, Star):
         return {"type": "Star", "expression": expression_to_dict(expr.expr)}
-    if isinstance(expr, And):
-        return {"type": "And",
-                "left": expression_to_dict(expr.left),
-                "right": expression_to_dict(expr.right)}
-    if isinstance(expr, Or):
-        return {"type": "Or",
-                "left": expression_to_dict(expr.left),
-                "right": expression_to_dict(expr.right)}
+    if isinstance(expr, (And, Or)):
+        return {"type": type(expr).__name__,
+                "operands": [expression_to_dict(operand) for operand in expr.operands]}
     raise TypeError(f"cannot serialise expression {expr!r}")
 
 
@@ -204,9 +201,9 @@ def expression_from_dict(data: Dict[str, Any]) -> ShapeExpr:
     if kind == "Star":
         return Star(expression_from_dict(data["expression"]))
     if kind == "And":
-        return And(expression_from_dict(data["left"]), expression_from_dict(data["right"]))
+        return interleave(*(expression_from_dict(operand) for operand in data["operands"]))
     if kind == "Or":
-        return Or(expression_from_dict(data["left"]), expression_from_dict(data["right"]))
+        return alternative(*(expression_from_dict(operand) for operand in data["operands"]))
     raise ValueError(f"unknown expression type: {kind!r}")
 
 

@@ -35,7 +35,17 @@ from ..rdf.namespaces import XSD
 from ..rdf.terms import BNode, IRI, Literal, SubjectTerm, Triple
 from ..sparql import ask as sparql_ask
 from ..sparql import select as sparql_select
-from .expressions import And, Arc, Empty, EmptyTriples, Or, ShapeExpr, Star
+from .expressions import (
+    EPSILON,
+    And,
+    Arc,
+    Empty,
+    EmptyTriples,
+    Or,
+    ShapeExpr,
+    Star,
+    alternative,
+)
 from .node_constraints import (
     AnyValue,
     DatatypeConstraint,
@@ -142,10 +152,8 @@ def _flatten(expr: ShapeExpr) -> List[PredicateSpec]:
             "Kleene star over a composite expression cannot be compiled to SPARQL"
         )
     if isinstance(expr, And):
-        plus_body = _plus_body(expr)
-        if plus_body is not None:
-            return [_arc_spec(plus_body, 1, None)]
-        return _flatten(expr.left) + _flatten(expr.right)
+        # ``Arc+`` is ``Arc ‖ Arc*``: its {1,1} and {0,∞} specs merge to {1,∞}
+        return [spec for operand in expr.operands for spec in _flatten(operand)]
     if isinstance(expr, Or):
         optional_body = _optional_body(expr)
         if optional_body is not None:
@@ -160,19 +168,11 @@ def _flatten(expr: ShapeExpr) -> List[PredicateSpec]:
     raise SparqlCompilationError(f"cannot flatten expression {expr.to_str()}")
 
 
-def _plus_body(expr: And) -> Optional[Arc]:
-    if isinstance(expr.right, Star) and expr.right.expr == expr.left and isinstance(expr.left, Arc):
-        return expr.left
-    if isinstance(expr.left, Star) and expr.left.expr == expr.right and isinstance(expr.right, Arc):
-        return expr.right
-    return None
-
-
 def _optional_body(expr: Or) -> Optional[ShapeExpr]:
-    if isinstance(expr.right, EmptyTriples):
-        return expr.left
-    if isinstance(expr.left, EmptyTriples):
-        return expr.right
+    """Recognise ``E | ε`` (the expansion of ``E?``): an ``Or`` holding ``ε``."""
+    if EPSILON in expr.operands:
+        return alternative(*(operand for operand in expr.operands
+                             if not isinstance(operand, EmptyTriples)))
     return None
 
 

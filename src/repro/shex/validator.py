@@ -600,24 +600,25 @@ class Validator:
         if affected_subjects:
             try:
                 scheduled = self._schedule(label_list, affected)
+                rerun = scheduled if scheduled is not None else \
+                    self._validate_pairs(_product(affected_subjects, label_list))
             except IncrementalFallback as error:
                 # a scheduler (e.g. the resident shard fleet) declared the
                 # restricted run unanswerable; honour the caller's rebuild
                 # policy exactly like a coordinator-detected fallback.
                 return full_rebuild(error.reason, str(error))
             except Exception:
-                # the scheduler died mid-round (a fleet worker crash, say):
-                # no baseline state has moved yet, but the context was
-                # already re-stamped to the mutated generation.  Stamp it
-                # back to the baseline generation so the retained baseline
-                # stays usable and a retried round can still answer
-                # incrementally (the retraction above is idempotent — the
-                # retry recomputes the same affected set and retracts the
-                # same nodes).
+                # the re-run died mid-round (a fleet worker crash, or a
+                # match past the derivative budget): no baseline state has
+                # moved yet, but the context was already re-stamped to the
+                # mutated generation.  Stamp it back to the baseline
+                # generation so the retained baseline stays usable and a
+                # retried round can still answer incrementally (the
+                # retraction above is idempotent — the retry recomputes the
+                # same affected set and retracts the same nodes — and an
+                # aborted solve settles only final verdicts).
                 self._context_generation = self._incremental_generation
                 raise
-            rerun = scheduled if scheduled is not None else \
-                self._validate_pairs(_product(affected_subjects, label_list))
         new_entries = {(entry.node, entry.label): entry for entry in rerun}
 
         # delta-update the baseline table: drop every affected pair (this

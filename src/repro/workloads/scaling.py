@@ -171,8 +171,9 @@ def cardinality_case(minimum: int, maximum: int, arcs: int) -> NeighbourhoodCase
     """``(p→V){m,n}`` against ``arcs`` arcs (benchmark B4).
 
     The expected verdict is ``m <= arcs <= n``; the repeat operator expands
-    into nested interleaves/alternatives exactly as defined in Section 4, so
-    large ranges stress the expression-size handling of both engines.
+    into ``m`` copies and ``n - m`` optional copies interleaved, as defined
+    in Section 4, so large ranges stress the expression-size handling of
+    both engines.
     """
     values = value_set(*range(arcs + 2)) if arcs else value_set(0, 1)
     expression = repeat(arc(EX.p, values), minimum, maximum)

@@ -117,9 +117,9 @@ class TestEngineBehaviour:
 
     def test_budget_is_enforced(self):
         # a wide interleave that cannot match forces exhaustive search
-        expression = interleave_all(*(arc(EX[f"p{i}"], value_set(1)) for i in range(8)))
+        expression = interleave_all(*(arc(EX[f"p{i}"], value_set(1)) for i in range(11)))
         triples = frozenset(
-            Triple(NODE, EX[f"p{i}"], Literal(2)) for i in range(8)
+            Triple(NODE, EX[f"p{i}"], Literal(2)) for i in range(11)
         )
         engine = BacktrackingEngine(budget=1000)
         with pytest.raises(BacktrackingBudgetExceeded):

@@ -1,6 +1,9 @@
-"""Tests for the LRU-bounded derivative and signature caches."""
+"""Tests for the LRU-bounded derivative and signature caches and the weak
+expression interning table."""
 
 from __future__ import annotations
+
+import gc
 
 import pytest
 
@@ -118,89 +121,32 @@ class TestSignatureCacheEdges:
         assert report.conforms
 
 
-class TestBoundedInternTables:
-    """The expression interning tables honour an explicit bound (ROADMAP)."""
+class TestWeakInternTable:
+    """The expression interning table holds its nodes weakly: an expression
+    nothing references drops out by itself, and a live one is reused."""
 
-    def setup_method(self):
-        from repro.shex.expressions import clear_intern_tables, set_intern_limit
-
-        set_intern_limit(None)
-        clear_intern_tables()
-
-    teardown_method = setup_method
-
-    def test_unbounded_by_default(self):
+    def test_unreferenced_expressions_drop_out(self):
         from repro.shex.expressions import expression_cache_stats
 
-        stats = expression_cache_stats()
-        assert stats["limit"] == 0
-        assert stats["evictions"] == 0
+        gc.collect()
+        before = expression_cache_stats()["interned"]
+        for index in range(1_000):
+            arc(EX[f"weak{index}"], index)
+        gc.collect()
+        assert abs(expression_cache_stats()["interned"] - before) <= 4
 
-    def test_rejects_nonpositive_limits(self):
-        from repro.shex.expressions import set_intern_limit
-
-        with pytest.raises(ValueError):
-            set_intern_limit(0)
-
-    def test_interning_honours_the_limit(self):
-        from repro.rdf.namespaces import EX
-        from repro.shex.expressions import (
-            arc,
-            expression_cache_stats,
-            set_intern_limit,
-        )
-
-        set_intern_limit(8)
+    def test_live_expressions_stay_identical(self):
+        first = star(arc(EX.a, 1))
         for index in range(50):
-            arc(EX[f"p{index}"], index)
-        stats = expression_cache_stats()
-        assert stats["interned"] <= 8
-        assert stats["evictions"] > 0
+            arc(EX[f"other{index}"], index)
+        gc.collect()
+        assert star(arc(EX.a, 1)) is first
 
-    def test_setting_a_smaller_limit_trims_existing_tables(self):
-        from repro.rdf.namespaces import EX
-        from repro.shex.expressions import (
-            arc,
-            expression_cache_stats,
-            set_intern_limit,
-        )
-
-        for index in range(20):
-            arc(EX[f"q{index}"], index)
-        set_intern_limit(4)
-        assert expression_cache_stats()["interned"] <= 4
-
-    def test_evicted_expressions_keep_structural_equality(self):
-        from repro.rdf.namespaces import EX
-        from repro.shex.expressions import arc, set_intern_limit
-
-        set_intern_limit(1)
-        first = arc(EX.a, 1)
-        arc(EX.b, 2)  # evicts the first entry
-        again = arc(EX.a, 1)
-        assert first == again  # equal, even if no longer pointer-equal
-
-    def test_size_cache_honours_the_limit(self):
-        from repro.rdf.namespaces import EX
-        from repro.shex.expressions import (
-            arc,
-            expression_cache_stats,
-            expression_size,
-            interleave_all,
-            set_intern_limit,
-        )
-
-        set_intern_limit(4)
-        expr = interleave_all(*[arc(EX[f"r{i}"], i) for i in range(10)])
-        assert expression_size(expr) == 19  # 10 arcs + 9 interleave nodes
-        assert expression_cache_stats()["sizes"] <= 4
-
-    def test_verdicts_survive_a_tiny_intern_limit(self):
-        from repro.shex.expressions import set_intern_limit
-
+    def test_verdicts_survive_rebuilt_expressions(self):
         baseline = generate_person_workload(num_people=15, seed=5)
         plain = verdicts(Validator(baseline.graph, baseline.schema).validate_graph())
-        set_intern_limit(2)
+        del baseline
+        gc.collect()
         workload = generate_person_workload(num_people=15, seed=5)
-        bounded = verdicts(Validator(workload.graph, workload.schema).validate_graph())
-        assert bounded == plain
+        rebuilt = verdicts(Validator(workload.graph, workload.schema).validate_graph())
+        assert rebuilt == plain

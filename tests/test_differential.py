@@ -23,6 +23,10 @@ A second generator builds chains and rings of 6–12 nodes linked by
 ``ex:p`` under a self-referencing shape, with deltas that touch the middle
 of the chain.  An edit there flips the verdicts of referrers two or more
 hops upstream, which is what a retraction closure cut short would miss.
+
+A third generator builds one shape whose arcs repeat a predicate, the
+case canonical ``‖`` and ``|`` exist for; there the derivative verdicts
+are also checked against the backtracking engine.
 """
 
 from __future__ import annotations
@@ -146,6 +150,29 @@ def chains(draw):
     return schema, graph, rounds
 
 
+@st.composite
+def repeated_predicate_cases(draw):
+    """``(schema, graph)``: one shape whose arcs share one or two predicates.
+
+    Two to four arcs on ``ex:p`` / ``ex:q`` (``@<L0>`` among their
+    constraints), each under a cardinality, interleaved; subjects carry a
+    few arcs of those predicates.  Such shapes are where operand order and
+    multiplicity matter: the residuals of repeated predicates.
+    """
+    repeated = PREDICATES[:2]
+    items = draw(st.lists(
+        st.builds(lambda predicate, constraint, card: card(arc(predicate, constraint)),
+                  st.sampled_from(repeated), constraints(["L0"]), cardinalities()),
+        min_size=2, max_size=4))
+    subjects = SUBJECTS[:3]
+    objects = subjects + [Literal(1), Literal(2), Literal("s")]
+    triples = draw(st.lists(
+        st.builds(Triple, st.sampled_from(subjects), st.sampled_from(repeated),
+                  st.sampled_from(objects)),
+        min_size=1, max_size=8))
+    return Schema({"L0": interleave(*items)}), Graph(triples)
+
+
 def verdicts(report):
     """``(node, label) → conforms``; the reference's budget cut-offs become ``None``."""
     return {(entry.node, str(entry.label)):
@@ -181,6 +208,20 @@ class TestProductionAgreesWithTheReference:
     @given(chains())
     def test_revalidate_mid_chain_edits_equals_a_fresh_run(self, case):
         revalidate_rounds(*case)
+
+
+class TestRepeatedPredicates:
+    @settings(max_examples=100, deadline=DEADLINE)
+    @given(repeated_predicate_cases())
+    def test_derivatives_agree_with_the_reference_and_backtracking(self, case):
+        """Production, the reference and the backtracking engine (which
+        keeps the paper's binary ``And`` rule) give the same verdicts."""
+        schema, graph = case
+        production = verdicts(Validator(graph, schema).validate_graph())
+        agree(production, verdicts(Validator(graph, schema,
+                                              reference=True).validate_graph()))
+        assert verdicts(Validator(graph, schema, engine="backtracking")
+                        .validate_graph()) == production
 
 
 def revalidate_rounds(schema, graph, rounds):

@@ -138,7 +138,7 @@ class TestDerivedOperators:
         """E+ = E ‖ E* (Section 4)."""
         expression = plus(simple_arc)
         assert isinstance(expression, And)
-        assert expression.left == simple_arc
+        assert expression.operands == (simple_arc, Star(simple_arc))
         assert expression == And(simple_arc, Star(simple_arc))
 
     def test_optional_expansion(self, simple_arc):

@@ -308,15 +308,11 @@ class TestNestingDepth:
 def _sized_schema(size: int) -> str:
     """A schema of exactly ``size`` expression nodes.
 
-    ``ex:p . {k}`` expands to ``k`` arcs under ``k - 1`` interleaves
-    (``2k - 1`` nodes); a second one-arc shape makes the total even.
+    ``ex:p . {k}`` expands to one interleave of ``k`` arcs (``k + 1``
+    nodes).
     """
-    copies = (size + 1) // 2
-    text = ("PREFIX ex: <http://example.org/>\n"
-            f"<S> {{ ex:p . {{{copies}}} }}\n")
-    if size % 2 == 0:
-        text += "<T> { ex:q . }\n"
-    return text
+    return ("PREFIX ex: <http://example.org/>\n"
+            f"<S> {{ ex:p . {{{size - 1}}} }}\n")
 
 
 def _nested_plus(levels: int) -> str:

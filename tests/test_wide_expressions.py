@@ -4,10 +4,10 @@ A shape with 1,000 interleaved ``p . ?`` constraints, or ``p . {0,1000}``,
 used to die with ``RecursionError``: the parser built left-deep ``‖``
 chains and the compile passes (``nullable`` first) walked them
 recursively.  ``‖`` is associative and commutative, so the parser now
-builds balanced trees, ``⌈log2 n⌉`` deep.  Widths run up to what
-``MAX_EXPRESSION_SIZE`` admits: 20,000 bare ``p .`` constraints, and
-12,000 for ``p . ?`` and ``{0,n}``, whose optional copies cost three
-expression nodes each.
+builds one flat n-ary node, whatever the width.  Widths run to 20,000
+bare ``p .`` constraints, and 12,000 for ``p . ?`` and ``{0,n}``, whose
+optional copies cost three expression nodes each; all stay under
+``MAX_EXPRESSION_SIZE``.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ def verdicts(report):
 def test_library_verdicts_in_production_and_reference(case):
     text, width, expected = CASES[case]
     schema = parse_shexc(text)
-    # balanced: the width costs depth logarithmically
+    # flat: the width costs no depth (a balanced tree's bound still holds)
     assert expression_depth(schema.expression("S")) <= 2 * width.bit_length() + 4
     graph = Graph.parse(DATA, format="ntriples")
     assert verdicts(Validator(graph, schema).validate_graph()) == expected

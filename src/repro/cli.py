@@ -207,15 +207,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_file(path: str) -> str:
+def _read_file(path: str, newline: Optional[str] = None) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8", newline=newline) as handle:
+            return handle.read()
     except OSError as error:
         raise SystemExit(f"error: cannot read {path}: {error}")
 
 
 def _load_graph(path: str, data_format: str) -> Graph:
-    return Graph.parse(_read_file(path), format=data_format)
+    # untranslated for N-Triples, whose parser ends lines at \r itself
+    newline = "" if data_format == "ntriples" else None
+    return Graph.parse(_read_file(path, newline), format=data_format)
 
 
 def _load_schema(path: str) -> Schema:

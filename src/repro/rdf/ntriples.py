@@ -60,6 +60,7 @@ _TRIPLE_RE = re.compile(
 )
 
 _EOL_RE = re.compile(r"\r\n?|\n")
+_LF_RE = re.compile("\n")
 
 _ESCAPE_RE = re.compile(r"\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|(.?))",
                         re.DOTALL)
@@ -246,26 +247,34 @@ def _iter_triples(lines: Iterable[str]) -> Iterator[Triple]:
         yield new(Triple, (subject, predicate, obj))
 
 
-def split_ntriples_lines(data: str) -> List[str]:
-    """Split N-Triples text at its end-of-line markers only.
+def _iter_lines(data: str) -> Iterator[str]:
+    """Yield the lines of N-Triples text, each sliced when it is asked for.
 
     N-Triples ends a line with ``\\n``, ``\\r\\n`` or ``\\r``.  Everything
     else :meth:`str.splitlines` also breaks at (U+2028, U+2029, U+0085,
     ``\\x0b``, ``\\x0c``, ``\\x1c``–``\\x1e``) is a legal raw character
     inside a literal.
     """
-    if "\r" in data:
-        return _EOL_RE.split(data)
-    return data.split("\n")
+    start = 0
+    for eol in (_EOL_RE if "\r" in data else _LF_RE).finditer(data):
+        yield data[start:eol.start()]
+        start = eol.end()
+    yield data[start:]
+
+
+def split_ntriples_lines(data: str) -> List[str]:
+    """Split N-Triples text at its end-of-line markers only (a list)."""
+    return list(_iter_lines(data))
 
 
 def iter_ntriples(data: str) -> Iterator[Triple]:
     """Yield triples from N-Triples text, skipping comments and blank lines.
 
     The whole text is resident already, so the parse keeps a term table for
-    its lifetime: triples that repeat a term share one term object.
+    its lifetime: triples that repeat a term share one term object.  Lines
+    are sliced one at a time: the text is the only copy of the input.
     """
-    return _iter_triples(split_ntriples_lines(data))
+    return _iter_triples(_iter_lines(data))
 
 
 def parse_ntriples(data: str) -> Graph:

@@ -83,11 +83,15 @@ class ServiceError(Exception):
                                 budget; the last underlying error is chained
     ``offline-cache-miss`` 503  offline client had no cached verdict
     ==================== ====== =============================================
+
+    ``generation`` is set when a failed request still moved the graph (a
+    delta applied but not revalidated).
     """
 
     code: str = "internal"
     message: str = ""
     http_status: int = 500
+    generation: Optional[int] = None
 
     def __post_init__(self):
         # populate BaseException.args so str()/traceback rendering work;
@@ -95,8 +99,11 @@ class ServiceError(Exception):
         Exception.__init__(self, self.message)
 
     def to_json(self) -> Dict[str, Any]:
-        return {"version": API_VERSION, "error": self.code,
-                "message": self.message, "http_status": self.http_status}
+        payload = {"version": API_VERSION, "error": self.code,
+                   "message": self.message, "http_status": self.http_status}
+        if self.generation is not None:
+            payload["generation"] = self.generation
+        return payload
 
     @classmethod
     def from_json(cls, payload: Union[str, Mapping[str, Any]]) -> "ServiceError":
@@ -104,7 +111,8 @@ class ServiceError(Exception):
         _check_version(data)
         return cls(code=_get(data, "error", str),
                    message=_get(data, "message", str, ""),
-                   http_status=_get(data, "http_status", int, 500))
+                   http_status=_get(data, "http_status", int, 500),
+                   generation=_opt_int(data, "generation"))
 
 
 def _load(payload: Union[str, Mapping[str, Any]]) -> Mapping[str, Any]:

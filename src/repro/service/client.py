@@ -363,8 +363,14 @@ class ServiceClient:
                 if known is not None:
                     stamp["expected_generation"] = known
             request = replace(request, **stamp)
-        data = self._request("POST", f"/graphs/{graph_id}/delta",
-                             request.to_json(), idempotent=True)
+        try:
+            data = self._request("POST", f"/graphs/{graph_id}/delta",
+                                 request.to_json(), idempotent=True)
+        except ServiceError as error:
+            # applied but not revalidated: the graph moved all the same
+            if error.generation is not None:
+                self.cache.observe(graph_id, error.generation)
+            raise
         response = DeltaResponse.from_json(data)
         self.cache.observe(graph_id, response.generation)
         return response

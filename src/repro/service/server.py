@@ -107,7 +107,12 @@ class ValidationService:
         self._lock = threading.Lock()
 
     def create_graph(self, request: ValidationRequest) -> Dict[str, Any]:
-        """Load a graph, run the initial full validation, register it."""
+        """Load a graph, run the initial full validation, register it.
+
+        The request is dropped once the graph is parsed, so its payload
+        text is freed before the validation runs (unless the caller keeps it).
+        """
+        labels = request.labels
         session = ValidationSession.from_request(
             request, default_schema=self.schema,
             default_shards=self.shards,
@@ -115,7 +120,8 @@ class ValidationService:
             fleet_response_timeout=self.fleet_response_timeout,
             fault_plan=self.fault_plan,
             delta_ledger_size=self.delta_ledger_size)
-        report = session.validate(labels=request.labels)
+        del request
+        report = session.validate(labels=labels)
         with self._lock:
             graph_id = f"g{next(self._ids)}"
             self._sessions[graph_id] = session
@@ -281,29 +287,28 @@ def _make_handler(service: ValidationService):
                     "payload-too-large",
                     f"request body of {length} bytes exceeds this server's "
                     f"{max_bytes}-byte bound", 413)
-            chunks = []
-            remaining = length
+            # one buffer, grown as bytes arrive (never sized from the header)
+            body = bytearray()
             try:
-                while remaining:
-                    chunk = self.rfile.read(min(remaining, 65536))
+                while len(body) < length:
+                    chunk = self.rfile.read(min(length - len(body), 65536))
                     if not chunk:
                         self.close_connection = True
                         raise ServiceError(
                             "bad-request",
                             f"request body truncated: Content-Length "
                             f"promised {length} bytes but the connection "
-                            f"closed after {length - remaining}", 400)
-                    chunks.append(chunk)
-                    remaining -= len(chunk)
+                            f"closed after {len(body)}", 400)
+                    body += chunk
             except TimeoutError as error:  # socket.timeout alias (3.10+)
                 self.close_connection = True
                 raise ServiceError(
                     "request-timeout",
                     f"client stalled mid-body: received "
-                    f"{length - remaining} of {length} bytes before the "
+                    f"{len(body)} of {length} bytes before the "
                     "connection timeout", 408) from error
             try:
-                return b"".join(chunks).decode("utf-8")
+                return body.decode("utf-8")
             except UnicodeDecodeError as error:
                 raise ServiceError(
                     "bad-request",
@@ -332,8 +337,9 @@ def _make_handler(service: ValidationService):
             if method == "GET" and path == "/healthz":
                 return 200, service.healthz()
             if method == "POST" and path == "/graphs":
-                request = ValidationRequest.from_json(self._read_body())
-                return 201, service.create_graph(request)
+                # unnamed: create_graph frees it once the graph is parsed
+                return 201, service.create_graph(
+                    ValidationRequest.from_json(self._read_body()))
             match = _GRAPH_PATH.match(path)
             if not match:
                 raise ServiceError("not-found",

@@ -301,11 +301,13 @@ class ValidationSession:
         except IncrementalFallback as error:
             raise ServiceError(error.reason,
                                f"delta applied (+{added}/-{removed}) but "
-                               f"not revalidated: {error}", 409) from error
+                               f"not revalidated: {error}", 409,
+                               self.generation) from error
         except DerivativeBudgetExceeded as error:
             raise ServiceError("limit-exceeded",
                                f"delta applied (+{added}/-{removed}) but "
-                               f"not revalidated: {error}", 422) from error
+                               f"not revalidated: {error}", 422,
+                               self.generation) from error
         self._delta_rounds += 1
         self._totals.merge(result.delta.stats)
         stats = result.stats()

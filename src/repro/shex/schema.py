@@ -378,10 +378,11 @@ class FixpointContext(ValidationContext):
         self.signature_cache = signature_cache
         #: node → typing-free part of its signature (:meth:`node_signature`).
         self._signatures: Dict[ObjectTerm, Tuple[tuple, tuple]] = {}
-        #: object-class memo: predicate → (object → candidate-atom bits, the
-        #: ``(bit index, label)`` of each ``@label`` atom among them, one
-        #: bit test per atom).
-        self._object_classes: Dict[IRI, Tuple[Dict[ObjectTerm, tuple], tuple, tuple]] = {}
+        #: object-class memo: predicate → (object → its ``(predicate key,
+        #: candidate-atom bits)`` item, bits → that item, so equal classes
+        #: share one item, the ``(bit index, label)`` of each ``@label``
+        #: atom among them, one bit test per atom).
+        self._object_classes: Dict[IRI, Tuple[dict, dict, tuple, tuple]] = {}
         #: the greatest-fixpoint solve: the pair being matched (``None``
         #: outside a match), the status of every unsettled demanded pair,
         #: the pairs still to match, and who read which pair.
@@ -503,22 +504,23 @@ class FixpointContext(ValidationContext):
             sub = classes.get(predicate)
             if sub is None:
                 atoms = [constraint for _, constraint in signature_atoms(predicate)]
-                sub = classes[predicate] = ({}, tuple(
+                sub = classes[predicate] = ({}, {}, tuple(
                     (index, _as_label(constraint.label))
                     for index, constraint in enumerate(atoms)
                     if isinstance(constraint, ShapeRef)), tuple(
                     _no_bit if isinstance(constraint, ShapeRef) else constraint.matches
                     for constraint in atoms))
-            table, refs, tests = sub
+            table, items, refs, tests = sub
             pkey = predicate.value
             for obj in objects:
-                bits = table.get(obj)
-                if bits is None:
-                    bits = table[obj] = tuple(test(obj) for test in tests)
+                item = table.get(obj)
+                if item is None:
+                    bits = tuple(test(obj) for test in tests)
+                    item = table[obj] = items.setdefault(bits, (pkey, bits))
                 if refs:
-                    opened.append((pkey, obj, bits, refs))
+                    opened.append((pkey, obj, item[1], refs))
                 else:
-                    closed.append((pkey, bits))
+                    closed.append(item)
         closed.sort()
         return tuple(closed), tuple(opened)
 

@@ -50,6 +50,25 @@ class TestParser:
 
 
 class TestValidateCommand:
+    @pytest.mark.parametrize("eol", ["\r\n", "\r"], ids=repr)
+    def test_ntriples_line_ends_do_not_change_the_output(
+            self, tmp_path, schema_file, capsys, eol):
+        # the file reaches the N-Triples parser untranslated: \r and \r\n
+        # end its lines, a raw U+2028 in a literal does not
+        text = paper_example_graph().serialize("ntriples").replace(
+            '"Robert"', '"Rob\u2028ert"')
+        assert "\u2028" in text
+        outputs = []
+        for name, end in (("lf", "\n"), ("other", eol)):
+            path = tmp_path / f"people.{name}.nt"
+            path.write_bytes(text.replace("\n", end).encode("utf-8"))
+            assert main(["validate", "--data", str(path), "--data-format",
+                         "ntriples", "--schema", schema_file, "--all-nodes",
+                         "--format", "csv"]) == 1
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert outputs[0].count("\n") == 4  # a header and three nodes
+
     def test_all_nodes_text_output(self, data_file, schema_file, capsys):
         exit_code = main(["validate", "--data", data_file, "--schema", schema_file,
                           "--all-nodes"])

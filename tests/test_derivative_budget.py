@@ -147,14 +147,16 @@ class TestBudgetOverTheWire:
             assert info.value.code == "limit-exceeded"
             assert info.value.http_status == 422
             assert "delta applied (+8/-0) but not revalidated" in info.value.message
+            # the error carries the generation the applied delta moved to
+            assert info.value.generation == loaded["generation"] + 8
+            assert client.cache.latest_generation(graph_id) == info.value.generation
             # the baseline stays stale, and reads say so
             with pytest.raises(ServiceError) as stale:
                 client.verdict(graph_id, NODE, "S")
             assert stale.value.code == "stale-baseline"
             monkeypatch.undo()
-            # the retained baseline still answers the next delta incrementally
-            # (a fresh client: the graph moved past the generation this one saw)
-            client = ServiceClient(server.host, server.port)
+            # the retained baseline still answers the next delta incrementally,
+            # stamped by the same client with the generation it observed
             response = client.apply_delta(graph_id, DeltaRequest())
             assert response.full_rebuild is False
             assert response.conforms is True

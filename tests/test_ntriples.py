@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from repro.rdf import BNode, EX, Graph, Literal, Triple, XSD, parse_turtle
 from repro.rdf.errors import ParseError
 from repro.rdf.ntriples import (
+    _EOL_RE,
+    _iter_triples,
     _parse_line_tokens,
     escape_string,
     iter_ntriples,
@@ -333,3 +335,42 @@ class TestDifferentialParser:
             assert parsed == ("ok", set(expected[1]))
         else:
             assert parsed == expected
+
+
+# -- the lazy line walk against a whole-text regex split -------------------
+
+#: literal contents with raw U+2028 and U+0085 (no N-Triples line end)
+#: beside an escaped newline
+_BREAK_LEXICALS = st.lists(st.sampled_from(["a", " ", "\u2028", "\x85", "\\n"]),
+                           max_size=4).map("".join)
+
+
+@st.composite
+def mixed_eol_documents(draw):
+    """Lines of every kind, each ended by its own ``\\n``, ``\\r\\n`` or ``\\r``."""
+    objects = st.one_of(iris, literals, st.builds(
+        lambda lexical: f'"{lexical}"', _BREAK_LEXICALS))
+    kinds = st.one_of(triple_lines(objects), triple_lines(bad_literals),
+                      spaces, st.builds(lambda line: f"# {line}", triple_lines()))
+    lines = draw(st.lists(st.one_of(kinds, mutated(draw(triple_lines()))),
+                          max_size=8))
+    text = ""
+    for line in lines:
+        text += line + draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return text + draw(st.one_of(st.just(""), triple_lines(), spaces))
+
+
+class TestLazyLineWalk:
+    @settings(max_examples=300, deadline=None)
+    @given(text=mixed_eol_documents())
+    def test_the_walk_equals_the_regex_split(self, text):
+        lines = _EOL_RE.split(text)
+        assert split_ntriples_lines(text) == lines
+        # the same triples, or the same error at the same line and column
+        expected = _outcome(lambda: list(_iter_triples(lines)))
+        assert _outcome(lambda: list(iter_ntriples(text))) == expected
+
+    @pytest.mark.parametrize("text", ["", "\n", "\r", "\r\n", "\n\r", "a", "a\r\r\nb"],
+                             ids=repr)
+    def test_edge_texts_split_like_the_regex(self, text):
+        assert split_ntriples_lines(text) == _EOL_RE.split(text)

@@ -111,6 +111,7 @@ service_errors = st.builds(
                           "fleet-worker-died", "offline-cache-miss"]),
     message=text,
     http_status=st.sampled_from([400, 404, 408, 409, 413, 500, 503]),
+    generation=st.none() | st.integers(0, 10**6),
 )
 
 

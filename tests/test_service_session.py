@@ -160,6 +160,8 @@ class TestTypedErrors:
             session.apply_delta(delta)
         assert exc.value.code == "journal-overflow"
         assert exc.value.http_status == 409
+        # the error reports the generation the applied delta moved to
+        assert exc.value.generation == session.generation
         # the delta WAS applied; recovery is an explicit rebuild opt-in
         response = session.apply_delta(
             DeltaRequest(allow_full_rebuild=True))

@@ -13,14 +13,15 @@ The :class:`Graph` class stores the triples once, in a subject → predicate →
 objects hash index (SPO) that answers ``Σgₙ`` directly.  Reverse lookups use
 an object → subjects bucket per predicate, built by the first query binding
 that predicate (every predicate, for an object-only pattern) and kept exact.
+A bucket is a tuple while it is small and a set past that
+(:func:`bucket_add`).
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from contextlib import contextmanager
-from typing import (AbstractSet, Dict, FrozenSet, Iterable, Iterator, List,
-                    Mapping, Optional, Set, Tuple)
+from typing import (Collection, Dict, FrozenSet, Hashable, Iterable, Iterator,
+                    List, Mapping, Optional, Set, Tuple)
 
 from .errors import GraphError
 from .namespaces import NamespaceManager
@@ -39,6 +40,38 @@ __all__ = [
 #: for interactive editing sessions, small enough that the journal never
 #: rivals the triple indexes in memory.
 DEFAULT_JOURNAL_BOUND = 1 << 17
+
+#: the most items a bucket keeps in a tuple.  A one-item tuple costs 48 B and
+#: the smallest set 216 B, and most buckets of a real graph hold one to a few
+#: items; past this size a tuple's linear ``in`` and copy-on-add would cost
+#: more than the set's bytes save.
+_SMALL = 8
+
+
+def bucket_add(bucket: Collection, item: Hashable) -> Collection:
+    """``bucket`` with ``item`` in it; ``()`` is the empty bucket.
+
+    A bucket is a tuple of at most :data:`_SMALL` items; one more item turns
+    it into a set, which then grows in place.  The caller stores the bucket
+    this returns.
+    """
+    if type(bucket) is tuple:
+        if item in bucket:
+            return bucket
+        if len(bucket) < _SMALL:
+            return bucket + (item,)
+        bucket = set(bucket)
+    bucket.add(item)
+    return bucket
+
+
+def bucket_discard(bucket: Collection, item: Hashable) -> Collection:
+    """``bucket`` without ``item`` (empty buckets are falsy); the caller
+    stores the result.  A set shrinks in place and stays a set."""
+    if type(bucket) is tuple:
+        return tuple(other for other in bucket if other != item)
+    bucket.discard(item)
+    return bucket
 
 
 class ChangeJournal:
@@ -141,13 +174,12 @@ class Graph:
     def __init__(self, triples: Optional[Iterable[Triple]] = None,
                  namespaces: Optional[NamespaceManager] = None,
                  journal_max_entries: int = DEFAULT_JOURNAL_BOUND):
-        self._spo: Dict[SubjectTerm, Dict[IRI, Set[ObjectTerm]]] = defaultdict(
-            lambda: defaultdict(set)
-        )
+        #: subject → predicate → its objects, a bucket (:func:`bucket_add`).
+        self._spo: Dict[SubjectTerm, Dict[IRI, Collection[ObjectTerm]]] = {}
         self._count = 0
         #: predicate → object → subjects, per predicate once a query bound it
         #: (:meth:`_reverse`), for every predicate once ``_pos_complete``.
-        self._pos: Dict[IRI, Dict[ObjectTerm, Set[SubjectTerm]]] = {}
+        self._pos: Dict[IRI, Dict[ObjectTerm, Collection[SubjectTerm]]] = {}
         self._pos_complete = False
         #: per-subject neighbourhood caches (``Σgₙ`` as a frozenset and as a
         #: predicate-sorted tuple); invalidated per subject on mutation.  The
@@ -187,9 +219,9 @@ class Graph:
         return bool(self._spo)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, Graph):
-            return self._spo == other._spo
-        if isinstance(other, (set, frozenset)):
+        # membership, not bucket equality: a small bucket's tuple keeps
+        # insertion order
+        if isinstance(other, (Graph, set, frozenset)):
             return len(other) == self._count and all(t in self for t in other)
         return NotImplemented
 
@@ -205,14 +237,16 @@ class Graph:
         if not isinstance(triple, Triple):
             raise GraphError(f"can only add Triple instances, got {type(triple).__name__}")
         s, p, o = triple
-        objects = self._spo[s][p]
-        if o in objects:
+        by_pred = self._spo.setdefault(s, {})
+        objects = by_pred.get(p, ())
+        size = len(objects)
+        objects = by_pred[p] = bucket_add(objects, o)
+        if len(objects) == size:
             return self
-        objects.add(o)
         self._count += 1
         bucket = self._pos.setdefault(p, {}) if self._pos_complete else self._pos.get(p)
         if bucket is not None:
-            bucket.setdefault(o, set()).add(s)
+            bucket[o] = bucket_add(bucket.get(o, ()), s)
         self._invalidate_neighbourhood(s)
         return self
 
@@ -222,16 +256,16 @@ class Graph:
             return self
         s, p, o = triple
         by_pred = self._spo[s]
-        by_pred[p].discard(o)
-        if not by_pred[p]:
+        objects = by_pred[p] = bucket_discard(by_pred[p], o)
+        if not objects:
             del by_pred[p]
             if not by_pred:
                 del self._spo[s]
         self._count -= 1
         bucket = self._pos.get(p)
         if bucket is not None:
-            bucket[o].discard(s)
-            if not bucket[o]:
+            subjects = bucket[o] = bucket_discard(bucket[o], s)
+            if not subjects:
                 del bucket[o]
         self._invalidate_neighbourhood(s)
         return self
@@ -421,7 +455,7 @@ class Graph:
             return
         yield from self
 
-    def _reverse(self, predicate: IRI) -> Dict[ObjectTerm, Set[SubjectTerm]]:
+    def _reverse(self, predicate: IRI) -> Dict[ObjectTerm, Collection[SubjectTerm]]:
         """The object → subjects bucket of ``predicate``, built from SPO on
         first use and maintained by every mutation after that."""
         bucket = self._pos.get(predicate)
@@ -429,7 +463,7 @@ class Graph:
             bucket = self._pos[predicate] = {}
             for s, by_pred in self._spo.items():
                 for o in by_pred.get(predicate, ()):
-                    bucket.setdefault(o, set()).add(s)
+                    bucket[o] = bucket_add(bucket.get(o, ()), s)
         return bucket
 
     def nodes(self) -> Iterator[SubjectTerm]:
@@ -443,7 +477,7 @@ class Graph:
             return 0
         return sum(len(objects) for objects in by_pred.values())
 
-    def predicate_objects(self, node: SubjectTerm) -> Mapping[IRI, AbstractSet[ObjectTerm]]:
+    def predicate_objects(self, node: SubjectTerm) -> Mapping[IRI, Collection[ObjectTerm]]:
         """Out-edge objects of ``node``, grouped by predicate, zero-copy.
 
         Returns the store's live SPO bucket — callers MUST treat it as

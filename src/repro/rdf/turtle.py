@@ -39,7 +39,7 @@ MAX_NESTING_DEPTH = 128
 
 # --------------------------------------------------------------------------- tokens
 _TOKEN_SPEC = [
-    ("COMMENT", r"#[^\n]*"),
+    ("COMMENT", r"#[^\r\n]*"),
     ("WS", r"[ \t\r\n]+"),
     ("PREFIX_DIR", r"@prefix\b|PREFIX\b(?=[ \t])"),
     ("BASE_DIR", r"@base\b|BASE\b(?=[ \t])"),
@@ -95,10 +95,13 @@ def _tokenize(data: str) -> List[_Token]:
         column = pos - line_start + 1
         if kind not in ("WS", "COMMENT"):
             tokens.append(_Token(kind, value, line, column))
+        # ``\r\n``, ``\r`` and ``\n`` each end one line
         newlines = value.count("\n")
+        if "\r" in value:
+            newlines += value.count("\r") - value.count("\r\n")
         if newlines:
             line += newlines
-            line_start = pos + value.rfind("\n") + 1
+            line_start = pos + max(value.rfind("\n"), value.rfind("\r")) + 1
         pos = match.end()
     tokens.append(_Token("EOF", "", line, pos - line_start + 1))
     return tokens

@@ -287,11 +287,13 @@ def _make_handler(service: ValidationService):
                     "payload-too-large",
                     f"request body of {length} bytes exceeds this server's "
                     f"{max_bytes}-byte bound", 413)
-            # one buffer, grown as bytes arrive (never sized from the header)
+            # one buffer, grown as bytes arrive (never sized from the header);
+            # ``read1`` returns what one receive delivers, so the bytes that
+            # came before a stall are counted
             body = bytearray()
             try:
                 while len(body) < length:
-                    chunk = self.rfile.read(min(length - len(body), 65536))
+                    chunk = self.rfile.read1(min(length - len(body), 65536))
                     if not chunk:
                         self.close_connection = True
                         raise ServiceError(

@@ -35,7 +35,7 @@ coordinator's compiled tables once per process instead of recompiling them.
 
 from __future__ import annotations
 
-from typing import AbstractSet, Dict, FrozenSet, List, Mapping, Optional, Tuple
+from typing import Collection, Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from ..rdf.terms import IRI, ObjectTerm
 from .analysis import first_predicates, neighbourhood_cardinality_bounds
@@ -188,7 +188,7 @@ class CompiledShape:
                     self.screens[predicate] = tuple(constraints)
 
     # -- the prefilter ---------------------------------------------------------
-    def prefilter(self, buckets: Mapping[IRI, AbstractSet[ObjectTerm]]
+    def prefilter(self, buckets: Mapping[IRI, Collection[ObjectTerm]]
                   ) -> Optional[PrefilterDecision]:
         """Decide a neighbourhood statically, or return ``None`` (unknown).
 
@@ -336,7 +336,7 @@ class CompiledSchema:
 
     # -- the prefilter ---------------------------------------------------------
     def prefilter(self, label: ShapeLabel | str,
-                  buckets: Mapping[IRI, AbstractSet[ObjectTerm]]
+                  buckets: Mapping[IRI, Collection[ObjectTerm]]
                   ) -> Optional[PrefilterDecision]:
         """Statically decide ``buckets`` against ``label``, or ``None``."""
         return self.shape(label).prefilter(buckets)

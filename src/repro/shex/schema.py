@@ -25,6 +25,7 @@ from __future__ import annotations
 from time import perf_counter
 from typing import (
     Callable,
+    Collection,
     Dict,
     FrozenSet,
     Iterable,
@@ -37,7 +38,7 @@ from typing import (
     Tuple,
 )
 
-from ..rdf.graph import Graph
+from ..rdf.graph import Graph, bucket_add
 from ..rdf.terms import IRI, Literal, ObjectTerm, Triple
 from .expressions import (
     Arc,
@@ -247,9 +248,11 @@ class ValidationContext:
         self.schema = schema
         self._matcher = matcher
         #: confirmed and refuted verdicts, keyed by node (retraction pops
-        #: whole nodes).  Only settled verdicts are ever written here.
-        self._confirmed: Dict[ObjectTerm, Set[ShapeLabel]] = {}
-        self._failed: Dict[ObjectTerm, Set[ShapeLabel]] = {}
+        #: whole nodes), each node's labels a graph-style bucket
+        #: (:func:`~repro.rdf.graph.bucket_add`).  Only settled verdicts are
+        #: ever written here.
+        self._confirmed: Dict[ObjectTerm, Collection[ShapeLabel]] = {}
+        self._failed: Dict[ObjectTerm, Collection[ShapeLabel]] = {}
         self.stats = MatchStats()
         # hand engines that consume triples in predicate order the graph's
         # cached pre-sorted neighbourhoods; engines that don't (backtracking,
@@ -275,11 +278,11 @@ class ValidationContext:
 
     def confirm(self, node: ObjectTerm, label: ShapeLabel) -> None:
         """Record ``node → label`` as definitely established."""
-        self._confirmed.setdefault(node, set()).add(label)
+        self._confirmed[node] = bucket_add(self._confirmed.get(node, ()), label)
 
     def record_failure(self, node: ObjectTerm, label: ShapeLabel) -> None:
         """Record that ``node`` definitely does not have shape ``label``."""
-        self._failed.setdefault(node, set()).add(label)
+        self._failed[node] = bucket_add(self._failed.get(node, ()), label)
 
     def is_confirmed(self, node: ObjectTerm, label: ShapeLabel) -> bool:
         """True if ``node → label`` has already been established."""
@@ -315,9 +318,9 @@ class ValidationContext:
         outcomes.
         """
         for node, label in confirmed:
-            self._confirmed.setdefault(node, set()).add(label)
+            self.confirm(node, label)
         for node, label in failed:
-            self._failed.setdefault(node, set()).add(label)
+            self.record_failure(node, label)
 
     def settled_verdicts(self) -> Tuple[Tuple[_Pair, ...], Tuple[_Pair, ...]]:
         """Export the settled ``(confirmed, failed)`` pairs of this context.
@@ -379,10 +382,12 @@ class FixpointContext(ValidationContext):
         #: node → typing-free part of its signature (:meth:`node_signature`).
         self._signatures: Dict[ObjectTerm, Tuple[tuple, tuple]] = {}
         #: object-class memo: predicate → (object → its ``(predicate key,
-        #: candidate-atom bits)`` item, bits → that item, so equal classes
-        #: share one item, the ``(bit index, label)`` of each ``@label``
-        #: atom among them, one bit test per atom).
-        self._object_classes: Dict[IRI, Tuple[dict, dict, tuple, tuple]] = {}
+        #: candidate-atom bits)`` item, the ``(bit index, label)`` of each
+        #: ``@label`` atom among them, one bit test per atom).
+        self._object_classes: Dict[IRI, Tuple[dict, tuple, tuple]] = {}
+        #: hash-cons table: each signature item and each closed memo pair
+        #: ``(closed items, ())`` maps to its one shared copy.
+        self._shared: Dict[tuple, tuple] = {}
         #: the greatest-fixpoint solve: the pair being matched (``None``
         #: outside a match), the status of every unsettled demanded pair,
         #: the pairs still to match, and who read which pair.
@@ -433,6 +438,7 @@ class FixpointContext(ValidationContext):
         # but clearing them here is what bounds the memo on a long-lived
         # session that keeps meeting new objects.
         self._object_classes.clear()
+        self._shared.clear()
         return dropped
 
     # -- the compiled-schema fast path ---------------------------------------------
@@ -491,9 +497,13 @@ class FixpointContext(ValidationContext):
         return tuple(items)
 
     def _build_signature(self, node: ObjectTerm) -> Tuple[tuple, tuple]:
-        """``(closed items, open items)``: the typing-free part of a signature."""
+        """``(closed items, open items)``: the typing-free part of a signature.
+
+        Items and closed pairs come from the hash-cons table, so nodes with
+        equal closed signatures share one memo.
+        """
         signature_atoms = self.compiled.signature_atoms
-        classes = self._object_classes
+        classes, shared = self._object_classes, self._shared
         closed: List[tuple] = []
         opened: List[tuple] = []
         # one atom-table fetch per predicate group, per-object class memo,
@@ -504,25 +514,28 @@ class FixpointContext(ValidationContext):
             sub = classes.get(predicate)
             if sub is None:
                 atoms = [constraint for _, constraint in signature_atoms(predicate)]
-                sub = classes[predicate] = ({}, {}, tuple(
+                sub = classes[predicate] = ({}, tuple(
                     (index, _as_label(constraint.label))
                     for index, constraint in enumerate(atoms)
                     if isinstance(constraint, ShapeRef)), tuple(
                     _no_bit if isinstance(constraint, ShapeRef) else constraint.matches
                     for constraint in atoms))
-            table, items, refs, tests = sub
+            table, refs, tests = sub
             pkey = predicate.value
             for obj in objects:
                 item = table.get(obj)
                 if item is None:
-                    bits = tuple(test(obj) for test in tests)
-                    item = table[obj] = items.setdefault(bits, (pkey, bits))
+                    item = (pkey, tuple(test(obj) for test in tests))
+                    item = table[obj] = shared.setdefault(item, item)
                 if refs:
                     opened.append((pkey, obj, item[1], refs))
                 else:
                     closed.append(item)
         closed.sort()
-        return tuple(closed), tuple(opened)
+        if opened:
+            return tuple(closed), tuple(opened)
+        memo = (tuple(closed), ())
+        return shared.setdefault(memo, memo)
 
     # -- the greatest fixpoint -----------------------------------------------------
     def check_reference(self, node: ObjectTerm, label: ShapeLabel | str) -> MatchResult:
@@ -607,14 +620,12 @@ class FixpointContext(ValidationContext):
         that fell.
         """
         pending, queue, readers = self._pending, self._queue, self._readers
-        confirmed, failed = self._confirmed, self._failed
         signatures, decide, falls = self._signatures, self._decide, {}
 
         def match(pair: _Pair) -> bool:
             verdict = decide(pair)
             if not signatures[pair[0]][1]:
-                (confirmed if verdict[0] else failed).setdefault(
-                    pair[0], set()).add(pair[1])
+                (self.confirm if verdict[0] else self.record_failure)(*pair)
             if verdict[0]:
                 return True
             falls[pair] = verdict
@@ -632,7 +643,7 @@ class FixpointContext(ValidationContext):
                     if pending[pair] and not match(pair):
                         pending[pair] = False
             for (node, label), holds in pending.items():
-                (confirmed if holds else failed).setdefault(node, set()).add(label)
+                (self.confirm if holds else self.record_failure)(node, label)
             return falls
         finally:
             pending.clear()

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import http.client
 import json
-import re
 import socket
 import time
 
@@ -333,9 +332,9 @@ class TestHardenedRequestPath:
                 status, response = read_http_response(sock)
             assert status == 408
             assert response["error"] == "request-timeout"
-            assert re.fullmatch(
-                r"client stalled mid-body: received \d+ of 500 bytes before "
-                r"the connection timeout", response["message"])
+            assert response["message"] == (
+                "client stalled mid-body: received 10 of 500 bytes before "
+                "the connection timeout")
 
     def test_body_that_is_not_utf8_is_typed_400(self, server):
         head, payload = raw_request_lines(b'{"data": "\xff"}')

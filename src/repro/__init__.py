@@ -33,6 +33,7 @@ Quickstart::
     print(Validator(graph, schema).conforming_nodes("Person"))
 """
 
+from ._lazy import lazy_exports
 from .rdf import (
     BNode,
     Graph,
@@ -41,12 +42,9 @@ from .rdf import (
     Namespace,
     Triple,
     parse_ntriples,
-    parse_turtle,
     serialize_ntriples,
-    serialize_turtle,
 )
 from .shex import (
-    BacktrackingEngine,
     DerivativeEngine,
     MatchResult,
     Schema,
@@ -66,3 +64,10 @@ __all__ = [
     "MatchResult", "DerivativeEngine", "BacktrackingEngine", "parse_shexc",
     "__version__",
 ]
+
+# Turtle and the backtracking engine load on first attribute access.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "parse_turtle": "rdf",
+    "serialize_turtle": "rdf",
+    "BacktrackingEngine": "shex",
+})

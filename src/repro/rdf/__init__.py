@@ -11,8 +11,12 @@ Shape Expression matchers need:
 * namespace management and the common vocabularies,
 * XSD datatype validation,
 * N-Triples and Turtle parsers and serialisers.
+
+The Turtle module loads on first use (PEP 562), so an N-Triples run never
+imports it.
 """
 
+from .._lazy import lazy_exports
 from .datatypes import (
     canonical_lexical,
     datatype_matches,
@@ -60,7 +64,6 @@ from .terms import (
     is_predicate_term,
     is_subject_term,
 )
-from .turtle import parse_turtle, serialize_turtle
 
 __all__ = [
     # terms
@@ -79,3 +82,9 @@ __all__ = [
     # errors
     "RDFError", "NamespaceError", "DatatypeError", "ParseError", "GraphError",
 ]
+
+# Names whose modules load on first attribute access.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "parse_turtle": "turtle",
+    "serialize_turtle": "turtle",
+})

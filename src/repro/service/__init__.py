@@ -12,10 +12,9 @@ client, the server or the multiprocessing shard fleet.
 
 from __future__ import annotations
 
-import importlib
-from typing import Any, Dict
+from .._lazy import lazy_exports
 
-_EXPORTS: Dict[str, str] = {
+_EXPORTS = {
     "API_VERSION": "api",
     "DeltaRequest": "api",
     "DeltaResponse": "api",
@@ -41,15 +40,4 @@ _EXPORTS: Dict[str, str] = {
 
 __all__ = sorted(_EXPORTS)
 
-
-def __getattr__(name: str) -> Any:
-    module = _EXPORTS.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{module}", __name__), name)
-    globals()[name] = value
-    return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_EXPORTS))
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -62,6 +62,12 @@ class ServiceError(Exception):
                                 triples were applied but not revalidated
     ``request-timeout``  408    the client stalled mid-request-body
     ``payload-too-large`` 413   request body exceeds the server's bound
+    ``uri-too-long``     414    request line over 65,536 bytes
+    ``headers-too-large`` 431   a header line over 65,536 bytes, or more
+                                than 100 headers
+    ``not-implemented``  501    a method other than GET, POST and DELETE, or
+                                any ``Transfer-Encoding``
+    ``http-version-not-supported`` 505 a version other than HTTP/1.0 or 1.1
     ``shutdown-timeout`` 500    the serve thread outlived its shutdown
                                 deadline; the listener socket was force-closed
     ``generation-conflict`` 409 the delta's ``expected_generation`` does not

@@ -1,4 +1,4 @@
-"""``repro serve``: validation-as-a-service over stdlib HTTP.
+"""``repro serve``: validation-as-a-service over stdlib HTTP/1.1.
 
 The server loads a schema once, keeps each graph's
 :class:`~repro.service.session.ValidationSession` warm (shared context,
@@ -28,8 +28,15 @@ GET       ``/healthz``                    liveness + per-graph fleet health;
                                           lock (liveness ≠ readiness)
 ========  ==============================  =======================================
 
-Transport is a hardened ``http.server.ThreadingHTTPServer`` — one OS thread
-per connection, no new runtime dependencies, but the connection path is
+Transport is a small HTTP/1.1 handler on
+:class:`socketserver.ThreadingTCPServer`, one OS thread per connection:
+GET, POST and DELETE with ``Content-Length`` bodies, keep-alive unless the
+request is HTTP/1.0 or says ``Connection: close``, and ``100 Continue`` for
+``Expect: 100-continue``.  Malformed framing (400, 414, 431, 501, 505; see
+:class:`ServiceError`) gets a typed JSON error and a close.  So does any
+answer to a request with a body, unless it is a successful POST: the route
+may have left the body unread.  Without ``http.server`` the process never
+loads ``http.client``, ``email`` or ``ssl``.  The connection path is
 bounded and timeout-guarded so hostile or unlucky clients cannot pin the
 server:
 
@@ -59,9 +66,10 @@ from __future__ import annotations
 import itertools
 import json
 import re
+import socketserver
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http import HTTPStatus
 from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
@@ -81,6 +89,12 @@ _GRAPH_PATH = re.compile(r"^/graphs/([A-Za-z0-9_.-]+)(?:/([a-z]+))?$")
 #: default cap on request bodies (64 MiB): far above any sane delta, far
 #: below what would let one request exhaust the process.
 DEFAULT_MAX_BODY_BYTES = 64 * 1024 * 1024
+
+#: bounds on a request line or header line, and on the number of headers
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
+_DAYS = "Mon Tue Wed Thu Fri Sat Sun".split()
+_MONTHS = "Jan Feb Mar Apr May Jun Jul Aug Sep Oct Nov Dec".split()
 
 
 class ValidationService:
@@ -198,22 +212,110 @@ class ValidationService:
                 "graphs": graphs}
 
 
-def _make_handler(service: ValidationService):
-    class _Handler(BaseHTTPRequestHandler):
-        protocol_version = "HTTP/1.1"
-        server_version = "repro-serve/1"
+def _http_date() -> str:
+    """The current time as an IMF-fixdate, with English names in any locale."""
+    now = time.gmtime()
+    return (f"{_DAYS[now.tm_wday]}, {now.tm_mday:02d} "
+            f"{_MONTHS[now.tm_mon - 1]} {now.tm_year} "
+            f"{now.tm_hour:02d}:{now.tm_min:02d}:{now.tm_sec:02d} GMT")
 
+
+def _make_handler(service: ValidationService):
+    class _Handler(socketserver.StreamRequestHandler):
         # -- plumbing -----------------------------------------------------------
         def setup(self):
             # StreamRequestHandler applies self.timeout as the connection's
             # socket timeout; a client that connects and never sends (or
-            # stalls mid-request-line) trips it and the stdlib request loop
-            # closes the connection instead of pinning this thread forever.
+            # stalls mid-request-line) trips it and the request loop closes
+            # the connection instead of pinning this thread forever.
             self.timeout = getattr(self.server, "connection_timeout", None)
             super().setup()
 
-        def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-            pass  # request logging stays out of stderr (tests, benchmarks)
+        def handle(self):
+            self.close_connection = False
+            while not self.close_connection:
+                self.close_connection = True  # until a request head parses
+                try:
+                    if not self._read_head():
+                        return  # the client closed between requests
+                except ServiceError as error:  # framing: answer, then close
+                    self._send_json(error.http_status, error.to_json())
+                    return
+                except OSError:  # idle timeout or reset: close silently
+                    return
+                self._dispatch(self.command)
+
+        def _read_head(self) -> bool:
+            """Parse a request line and its headers; ``False`` on EOF.
+
+            Sets ``command``, ``path``, ``headers`` and ``close_connection``.
+            Malformed framing raises a typed :class:`ServiceError`.
+            """
+            line = self.rfile.readline(_MAX_LINE + 1)
+            if not line:
+                return False
+            if len(line) > _MAX_LINE:
+                raise ServiceError(
+                    "uri-too-long",
+                    f"request line longer than {_MAX_LINE} bytes", 414)
+            text = line.decode("latin-1").strip()
+            words = text.split()
+            if len(words) != 3:
+                raise ServiceError("bad-request",
+                                   f"malformed request line {text!r}", 400)
+            self.command, self.path, version = words
+            if version not in ("HTTP/1.0", "HTTP/1.1"):
+                if re.fullmatch(r"HTTP/\d+\.\d+", version):
+                    raise ServiceError(
+                        "http-version-not-supported",
+                        f"{version} is not supported; use HTTP/1.1", 505)
+                raise ServiceError("bad-request",
+                                   f"malformed HTTP version {version!r}", 400)
+            # title() maps every spelling of a name to one key, so
+            # ``headers.get("Content-Length")`` is case-insensitive
+            self.headers = headers = {}
+            for _ in range(_MAX_HEADERS + 1):
+                line = self.rfile.readline(_MAX_LINE + 1)
+                if len(line) > _MAX_LINE:
+                    raise ServiceError(
+                        "headers-too-large",
+                        f"header line longer than {_MAX_LINE} bytes", 431)
+                if line in (b"\r\n", b"\n", b""):
+                    break
+                text = line.decode("latin-1")
+                name, colon, value = text.partition(":")
+                name, value = name.strip().title(), value.strip()
+                if not colon or not name:
+                    raise ServiceError(
+                        "bad-request",
+                        f"malformed header line {text.strip()!r}", 400)
+                if name == "Content-Length" and headers.get(name, value) != value:
+                    raise ServiceError(
+                        "bad-request",
+                        f"conflicting Content-Length headers "
+                        f"{headers[name]!r} and {value!r}", 400)
+                headers.setdefault(name, value)
+            else:
+                raise ServiceError(
+                    "headers-too-large",
+                    f"more than {_MAX_HEADERS} headers", 431)
+            if "Transfer-Encoding" in headers:
+                raise ServiceError(
+                    "not-implemented",
+                    f"Transfer-Encoding {headers['Transfer-Encoding']!r} is "
+                    "not supported; send the body with Content-Length", 501)
+            if self.command not in ("GET", "POST", "DELETE"):
+                raise ServiceError(
+                    "not-implemented",
+                    f"method {self.command} is not supported", 501)
+            tokens = {token.strip().lower()
+                      for token in headers.get("Connection", "").split(",")}
+            self.close_connection = "close" in tokens or (
+                version == "HTTP/1.0" and "keep-alive" not in tokens)
+            if version == "HTTP/1.1" \
+                    and headers.get("Expect", "").lower() == "100-continue":
+                self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+            return True
 
         def _drop_connection(self) -> None:
             self.close_connection = True
@@ -237,26 +339,34 @@ def _make_handler(service: ValidationService):
                 truncate = injector.fire("server.truncate-response") is not None
             body = json.dumps(payload).encode("utf-8")
             try:
-                self.send_response(status)
-                self.send_header("Content-Type", "application/json")
-                self.send_header("Content-Length", str(len(body)))
-                if status == 503:
-                    # overload/outage responses tell retrying clients when
-                    # to come back instead of letting them hammer the server
-                    self.send_header("Retry-After", "1")
-                self.end_headers()
-                if truncate:
-                    # declare the full length but deliver half: the client's
-                    # read fails mid-body, exercising its reconnect path.
-                    self.wfile.write(body[:len(body) // 2])
-                    self.wfile.flush()
-                    self._drop_connection()
-                    return
-                self.wfile.write(body)
-            except (TimeoutError, OSError):
+                self._write_response(status, body, truncate)
+            except OSError:  # TimeoutError included
                 # the client is gone (or too slow to take the response);
                 # drop the connection rather than crash the handler thread.
                 self.close_connection = True
+                return
+            if truncate:
+                # declared the full length but delivered half: the client's
+                # read fails mid-body, exercising its reconnect path.
+                self._drop_connection()
+
+        def _write_response(self, status: int, body: bytes,
+                            truncate: bool) -> None:
+            """Send the head, then the body: two writes on the unbuffered
+            ``wfile``, so the body waits for the client to acknowledge the
+            head (Nagle's algorithm is on)."""
+            head = (f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\n"
+                    f"Server: repro-serve/1\r\nDate: {_http_date()}\r\n"
+                    f"Content-Type: application/json\r\n"
+                    f"Content-Length: {len(body)}\r\n")
+            if status == 503:
+                # overload/outage responses tell retrying clients when to
+                # come back instead of letting them hammer the server
+                head += "Retry-After: 1\r\n"
+            if self.close_connection:
+                head += "Connection: close\r\n"
+            self.wfile.write(head.encode("latin-1") + b"\r\n")
+            self.wfile.write(body[:len(body) // 2] if truncate else body)
 
         def _read_body(self) -> str:
             """Read exactly Content-Length bytes, or fail with a typed error.
@@ -327,6 +437,11 @@ def _make_handler(service: ValidationService):
                 payload = ServiceError(
                     "internal", f"{type(error).__name__}: {error}",
                     500).to_json()
+            if self.headers.get("Content-Length", "0") != "0" \
+                    and (status >= 400 or method != "POST"):
+                # only a successful POST surely read its body: close rather
+                # than parse what is left of it as the next request
+                self.close_connection = True
             self._send_json(status, payload)
 
         # -- routing ------------------------------------------------------------
@@ -374,19 +489,10 @@ def _make_handler(service: ValidationService):
                              "dropped": True}
             raise ServiceError("not-found", f"no route {method} {path}", 404)
 
-        def do_GET(self):  # noqa: N802 - stdlib naming
-            self._dispatch("GET")
-
-        def do_POST(self):  # noqa: N802
-            self._dispatch("POST")
-
-        def do_DELETE(self):  # noqa: N802
-            self._dispatch("DELETE")
-
     return _Handler
 
 
-class _HardenedHTTPServer(ThreadingHTTPServer):
+class _HardenedHTTPServer(socketserver.ThreadingTCPServer):
     """Thread-per-connection, but bounded and timeout-guarded.
 
     A :class:`~threading.BoundedSemaphore` caps the number of in-flight
@@ -396,6 +502,7 @@ class _HardenedHTTPServer(ThreadingHTTPServer):
     ``max_body_bytes`` are read by the handler (see ``_make_handler``).
     """
 
+    allow_reuse_address = True
     daemon_threads = True
     request_queue_size = 128
 

@@ -66,18 +66,13 @@ descent under coinductive hypotheses bounded by
 compiled, signature or derivative caches.  It gives the same verdicts
 within its budget and is the oracle the fast paths are tested against.
 
-The SPARQL compiler (:mod:`repro.shex.sparql_gen`) and the SPARQL engine
-behind it load on first use (PEP 562), and the reference validator imports
-:mod:`repro.shex.reference` itself, so a production run never loads them.
+The backtracking engine, the SPARQL compiler (:mod:`repro.shex.sparql_gen`)
+and the SPARQL engine behind it load on first use (PEP 562), and the
+reference validator imports :mod:`repro.shex.reference` itself, so a
+production run never loads them.
 """
 
-import importlib as _importlib
-
-from .backtracking import (
-    BacktrackingBudgetExceeded,
-    BacktrackingEngine,
-    matches_backtracking,
-)
+from .._lazy import lazy_exports
 from .cache import DerivativeCache
 from .compiled import CompiledSchema, CompiledShape, PrefilterDecision
 from .derivatives import (
@@ -190,22 +185,12 @@ __all__ = [
     "shape_to_sparql_ask", "shape_to_sparql_select", "SparqlEngine",
 ]
 
-# Exported names whose modules load on first attribute access.
-_LAZY_EXPORTS = {
+# Names whose modules load on first attribute access.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "BacktrackingBudgetExceeded": "backtracking",
+    "BacktrackingEngine": "backtracking",
+    "matches_backtracking": "backtracking",
     "SparqlEngine": "sparql_gen",
     "shape_to_sparql_ask": "sparql_gen",
     "shape_to_sparql_select": "sparql_gen",
-}
-
-
-def __getattr__(name):
-    module = _LAZY_EXPORTS.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(_importlib.import_module(f".{module}", __name__), name)
-    globals()[name] = value
-    return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_LAZY_EXPORTS))
+})

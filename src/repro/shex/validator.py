@@ -32,7 +32,6 @@ from typing import (
 
 from ..rdf.graph import Graph
 from ..rdf.terms import ObjectTerm, SubjectTerm
-from .backtracking import BacktrackingEngine
 from .cache import DerivativeCache, SignatureCache
 from .compiled import CompiledSchema
 from .derivatives import DerivativeEngine
@@ -63,10 +62,17 @@ class IncrementalFallback(Exception):
         self.reason = reason
 
 
+def _backtracking_engine(**options):
+    """Build the backtracking engine, importing its module on first use."""
+    from .backtracking import BacktrackingEngine
+
+    return BacktrackingEngine(**options)
+
+
 #: registry of engine factories keyed by their public names.
 ENGINES = {
     "derivatives": DerivativeEngine,
-    "backtracking": BacktrackingEngine,
+    "backtracking": _backtracking_engine,
 }
 
 

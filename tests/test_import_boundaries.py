@@ -5,8 +5,12 @@ fleet, the SPARQL engine and the ShEx → SPARQL compiler — load on first
 use, so a ``repro validate`` or a plain ``repro serve`` never pays for
 them, and neither run imports anything outside the standard library and
 ``repro``.  The reference context (:mod:`repro.shex.reference`) is loaded
-only by ``repro validate --reference``.  Both runs happen in a fresh interpreter and report the modules
-they added to ``sys.modules``; nothing here measures time.
+only by ``repro validate --reference``; Turtle and the backtracking engine
+only when a run reads Turtle or matches by backtracking; and the server
+speaks HTTP on :mod:`socketserver`, without the TLS, e-mail and HTML stacks
+behind :mod:`http.server`.  Every run happens in a fresh interpreter and
+reports the modules it added to ``sys.modules``; nothing here measures
+time.
 """
 
 from __future__ import annotations
@@ -52,6 +56,13 @@ NEVER_LOADED = (
     "repro.shex.reference",
 )
 
+#: what ``http.server`` and ``http.client`` would bring into a server.
+HTTP_STACK = ("ssl", "http.client", "http.server", "email", "html",
+              "mimetypes")
+
+#: what only a Turtle read or a backtracking match needs.
+ON_DEMAND = ("repro.rdf.turtle", "repro.shex.backtracking")
+
 # Runs the CLI in-process and prints the names of the modules loaded since
 # interpreter start-up as one JSON line.  For ``serve`` it does so on the
 # listening line and exits at once.
@@ -89,6 +100,8 @@ sys.exit(code)
 def run_cli(args, tmp_path: Path):
     (tmp_path / "person.shex").write_text(PERSON_SHEX)
     (tmp_path / "people.ttl").write_text(PEOPLE_TTL)
+    (tmp_path / "people.nt").write_text(
+        repro.Graph.parse(PEOPLE_TTL).serialize("ntriples"))
     env = dict(os.environ, PYTHONPATH=SRC)
     completed = subprocess.run(
         [sys.executable, "-c", RUNNER, *args], cwd=tmp_path, env=env,
@@ -120,6 +133,16 @@ def test_validate_loads_no_optional_stack(tmp_path):
     assert third_party(modules) == []
 
 
+def test_ntriples_validate_loads_no_turtle_or_backtracking(tmp_path):
+    completed, modules = run_cli(
+        ["validate", "--data", "people.nt", "--data-format", "ntriples",
+         "--schema", "person.shex", "--all-nodes", "--format", "csv"],
+        tmp_path)
+    assert completed.returncode == 1  # ex:mary has no name
+    assert "repro.rdf.ntriples" in modules
+    assert loaded(modules, ON_DEMAND) == []
+
+
 def test_validate_reference_loads_the_reference_context(tmp_path):
     completed, modules = run_cli(
         ["validate", "--data", "people.ttl", "--schema", "person.shex",
@@ -137,7 +160,17 @@ def test_serve_without_shards_loads_no_fleet_or_sparql(tmp_path):
     assert re.search(r"^serve: listening on http://127\.0\.0\.1:\d+ \(shards=0\)$",
                      completed.stderr, re.MULTILINE), completed.stderr
     assert "repro.service.server" in modules
-    assert loaded(modules, NEVER_LOADED) == []
+    assert loaded(modules, NEVER_LOADED + HTTP_STACK) == []
+    assert third_party(modules) == []
+
+
+def test_serve_without_turtle_data_loads_no_http_stack_or_turtle(tmp_path):
+    completed, modules = run_cli(
+        ["serve", "--schema", "person.shex", "--host", "127.0.0.1",
+         "--port", "0"], tmp_path)
+    assert completed.returncode == 0
+    assert "socketserver" in modules
+    assert loaded(modules, NEVER_LOADED + HTTP_STACK + ON_DEMAND) == []
     assert third_party(modules) == []
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import re
 import socket
 import time
 
@@ -12,6 +13,9 @@ import pytest
 
 from repro.service import (
     DeltaRequest,
+    FaultInjector,
+    FaultPlan,
+    FaultSpec,
     ServiceClient,
     ServiceError,
     ValidationRequest,
@@ -382,6 +386,130 @@ class TestHardenedRequestPath:
             assert excinfo.value.message == (
                 f"request body of {size} bytes exceeds this server's "
                 "64-byte bound")
+
+
+
+def read_to_eof(sock):
+    """Read one response and then EOF off a raw socket: (status line,
+    lower-cased headers, parsed JSON body).  Fails on any byte after the
+    declared body."""
+    data = b""
+    while True:
+        chunk = sock.recv(65536)
+        if not chunk:
+            break
+        data += chunk
+    head, _, body = data.partition(b"\r\n\r\n")
+    status_line, *lines = head.decode("latin-1").split("\r\n")
+    headers = {}
+    for line in lines:
+        name, _, value = line.partition(":")
+        headers[name.strip().lower()] = value.strip()
+    assert len(body) == int(headers["content-length"]), data
+    return status_line, headers, json.loads(body.decode("utf-8"))
+
+
+HEALTHZ = b"GET /healthz HTTP/1.1\r\nHost: localhost\r\n\r\n"
+
+
+class TestRequestFraming:
+    """Malformed or unsupported framing gets one typed JSON error with a
+    status line, and then the connection closes."""
+
+    @pytest.mark.parametrize("request_bytes, status, code", [
+        (b"GARBAGE\r\n\r\n", 400, "bad-request"),
+        (b"GET /healthz HTTP/9.9\r\n\r\n", 505,
+         "http-version-not-supported"),
+        (b"GET /healthz HTTP/1.1\r\nNo colon here\r\n\r\n", 400,
+         "bad-request"),
+        (b"PUT /graphs HTTP/1.1\r\nHost: localhost\r\n\r\n", 501,
+         "not-implemented"),
+        (b"GET /healthz HTTP/1.1\r\n"
+         + b"".join(b"X-H%d: v\r\n" % i for i in range(101)) + b"\r\n",
+         431, "headers-too-large"),
+        (b"GET /healthz HTTP/1.1\r\nX-Long: " + b"a" * 70_000 + b"\r\n\r\n",
+         431, "headers-too-large"),
+        (b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n", 414,
+         "uri-too-long"),
+        # a chunked body is refused, not parsed as the next request
+        (b"POST /graphs HTTP/1.1\r\nHost: localhost\r\n"
+         b"Transfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n"
+         + HEALTHZ, 501, "not-implemented"),
+        (b"POST /graphs HTTP/1.1\r\nContent-Length: 2\r\n"
+         b"Content-Length: 3\r\n\r\n{}" + HEALTHZ, 400, "bad-request"),
+        # a body the route never read is not parsed as the next request
+        (b"POST /graphs/nope/delta HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}"
+         + HEALTHZ, 404, "graph-not-found"),
+    ], ids=["garbage", "http-9.9", "header-without-colon", "put",
+            "101-headers", "long-header", "long-request-line", "chunked",
+            "conflicting-content-length", "unread-body"])
+    def test_framing_error_is_one_typed_json_reply_then_eof(
+            self, server, request_bytes, status, code):
+        with socket.create_connection((server.host, server.port),
+                                      timeout=10) as sock:
+            sock.sendall(request_bytes)
+            status_line, headers, body = read_to_eof(sock)
+        assert status_line.startswith(f"HTTP/1.1 {status} ")
+        assert headers["content-type"] == "application/json"
+        assert headers["connection"] == "close"
+        assert body["error"] == code and body["http_status"] == status
+
+    def test_keep_alive_connection_answers_two_requests(self, server):
+        with socket.create_connection((server.host, server.port),
+                                      timeout=10) as sock:
+            head, payload = raw_request_lines(json.dumps(ValidationRequest(
+                data=PAPER_EXAMPLE_TURTLE).to_json()).encode("utf-8"))
+            sock.sendall(head + payload)
+            status, loaded = read_http_response(sock)
+            assert status == 201 and loaded["graph_id"] == "g1"
+            sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: localhost\r\n"
+                         b"Connection: close\r\n\r\n")
+            status_line, headers, health = read_to_eof(sock)
+        assert status_line == "HTTP/1.1 200 OK"
+        assert list(health["graphs"]) == ["g1"]
+
+    def test_http_1_0_request_is_answered_then_closed(self, server):
+        with socket.create_connection((server.host, server.port),
+                                      timeout=10) as sock:
+            sock.sendall(b"GET /healthz HTTP/1.0\r\n\r\n")
+            status_line, headers, health = read_to_eof(sock)
+        assert status_line == "HTTP/1.1 200 OK"
+        assert headers["connection"] == "close"
+        assert health["status"] == "ok"
+        assert re.fullmatch(r"[A-Z][a-z]{2}, \d\d [A-Z][a-z]{2} \d{4} "
+                            r"\d\d:\d\d:\d\d GMT", headers["date"])
+
+    def test_expect_100_continue_gets_an_interim_response(self, server):
+        body = json.dumps(ValidationRequest(
+            data=PAPER_EXAMPLE_TURTLE).to_json()).encode("utf-8")
+        head, payload = raw_request_lines(body)
+        head = head[:-2] + b"Expect: 100-continue\r\n\r\n"
+        with socket.create_connection((server.host, server.port),
+                                      timeout=10) as sock:
+            sock.sendall(head)  # the body waits for the go-ahead
+            interim = b""
+            while not interim.endswith(b"\r\n\r\n"):
+                interim += sock.recv(1)
+            assert interim == b"HTTP/1.1 100 Continue\r\n\r\n"
+            sock.sendall(payload)
+            status, loaded = read_http_response(sock)
+        assert status == 201 and loaded["triples"] == 8
+
+    def test_truncate_fault_declares_the_body_and_sends_half(self):
+        plan = FaultPlan(specs=(
+            FaultSpec(point="server.truncate-response", hits=(0,)),), seed=1)
+        with serve(person_schema(), faults=FaultInjector(plan)) as srv:
+            srv.start_background()
+            with socket.create_connection((srv.host, srv.port),
+                                          timeout=10) as sock:
+                sock.sendall(HEALTHZ)
+                data = b""
+                while chunk := sock.recv(65536):
+                    data += chunk
+        head, _, body = data.partition(b"\r\n\r\n")
+        full = json.dumps(srv.service.healthz()).encode("utf-8")
+        assert b"\r\nContent-Length: %d\r\n" % len(full) in head + b"\r\n"
+        assert body == full[:len(full) // 2]
 
 
 class TestHardenedShutdown:

@@ -2,8 +2,9 @@
 
 Every benchmark asserts the expected verdict before timing anything, so a
 regression in correctness cannot hide behind a performance number.  The
-``--benchmark-only`` flag (see EXPERIMENTS.md) skips the assertion-only runs
-pytest would otherwise perform.
+``--benchmark-only`` flag of the pytest-benchmark plugin (each benchmark's
+module docstring gives its command) skips the assertion-only runs pytest
+would otherwise perform.
 """
 
 from __future__ import annotations

@@ -95,6 +95,9 @@ _MAX_LINE = 65536
 _MAX_HEADERS = 100
 _DAYS = "Mon Tue Wed Thu Fri Sat Sun".split()
 _MONTHS = "Jan Feb Mar Apr May Jun Jul Aug Sep Oct Nov Dec".split()
+#: the Content-Length syntax (RFC 9110 §8.6): ASCII digits only, so no sign,
+#: underscore or other spelling ``int()`` would accept
+_CONTENT_LENGTH = re.compile(r"[0-9]+")
 
 
 class ValidationService:
@@ -299,6 +302,10 @@ def _make_handler(service: ValidationService):
                 raise ServiceError(
                     "headers-too-large",
                     f"more than {_MAX_HEADERS} headers", 431)
+            length = headers.get("Content-Length")
+            if length is not None and not _CONTENT_LENGTH.fullmatch(length):
+                raise ServiceError(
+                    "bad-request", f"invalid Content-Length {length!r}", 400)
             if "Transfer-Encoding" in headers:
                 raise ServiceError(
                     "not-implemented",
@@ -379,16 +386,9 @@ def _make_handler(service: ValidationService):
             trips the socket timeout → 408, an oversized declaration → 413
             before a single body byte is read.
             """
-            raw_length = self.headers.get("Content-Length")
-            if raw_length is None:
-                return ""
-            try:
-                length = int(raw_length)
-            except ValueError:
-                raise ServiceError(
-                    "bad-request",
-                    f"invalid Content-Length {raw_length!r}", 400) from None
-            if length <= 0:
+            # digits only: _read_head refused any other spelling
+            length = int(self.headers.get("Content-Length", "0"))
+            if length == 0:
                 return ""
             max_bytes = getattr(self.server, "max_body_bytes", None)
             if max_bytes is not None and length > max_bytes:

@@ -63,6 +63,13 @@ __all__ = ["Schema", "SchemaError", "ValidationContext", "FixpointContext",
 #: a ``(node, label)`` pair of the typing.
 _Pair = Tuple[ObjectTerm, ShapeLabel]
 
+#: entries the signature hash-cons table (``FixpointContext._shared``) may
+#: hold before a write clears it.  The table is kept across writes, so memos
+#: rebuilt after a write share with those of untouched nodes; the bound only
+#: stops a long-lived session that keeps meeting new structures from growing
+#: it for ever.
+MAX_SHARED_SIGNATURE_ENTRIES = 1 << 16
+
 
 class SchemaError(Exception):
     """Raised for malformed schemas (unknown labels, missing start shape…)."""
@@ -438,7 +445,8 @@ class FixpointContext(ValidationContext):
         # but clearing them here is what bounds the memo on a long-lived
         # session that keeps meeting new objects.
         self._object_classes.clear()
-        self._shared.clear()
+        if len(self._shared) > MAX_SHARED_SIGNATURE_ENTRIES:
+            self._shared.clear()
         return dropped
 
     # -- the compiled-schema fast path ---------------------------------------------

@@ -37,6 +37,7 @@ from repro.shex import (
 from repro.rdf.namespaces import XSD
 from repro.shex.reference import MAX_RECURSION_DEPTH, ReferenceContext
 from repro.workloads import (
+    generate_kb_workload,
     generate_person_workload,
     knows_chain_graph,
     knows_cycle_graph,
@@ -319,6 +320,29 @@ class TestBulkAgreement:
         d = {e.node: e.conforms for e in derivative.validate_graph()}
         b = {e.node: e.conforms for e in backtracking.validate_graph()}
         assert d == b
+
+    def test_derivatives_and_backtracking_agree_at_the_default_knows_density(self):
+        workload = generate_person_workload(num_people=20, invalid_fraction=0.2,
+                                            seed=1)
+        derivative = Validator(workload.graph, workload.schema)
+        backtracking = Validator(workload.graph, workload.schema,
+                                 engine=BacktrackingEngine(budget=5_000_000))
+        d = {e.node: e.conforms for e in derivative.validate_graph()}
+        b = {e.node: e.conforms for e in backtracking.validate_graph()}
+        assert d == b
+
+    def test_every_profile_timer_runs(self):
+        # a kb pass goes through the signature, prefilter, dispatch and
+        # derivative-cache phases; only the backtracking engine backtracks
+        kb = generate_kb_workload(num_entities=120, num_hubs=4, seed=11)
+        stats = Validator(kb.graph, kb.schema).validate_graph().stats
+        people = generate_person_workload(num_people=12, invalid_fraction=0.25,
+                                          knows_probability=0.2, seed=11)
+        stats.merge(Validator(people.graph, people.schema,
+                              engine=BacktrackingEngine()).validate_graph().stats)
+        for timer in ("signature_time", "prefilter_time", "dispatch_time",
+                      "backtrack_time", "cache_time"):
+            assert getattr(stats, timer) > 0, timer
 
     def test_engines_agree_on_cyclic_graphs_in_production(self):
         graph, _ = knows_cycle_graph(5)

@@ -27,6 +27,7 @@ from repro.rdf.ntriples import parse_ntriples
 from repro.service import DeltaRequest, ValidationRequest, ValidationSession
 from repro.service.server import ValidationService
 from repro.shex import Validator
+from repro.shex import schema as schema_module
 from repro.shex.expressions import Arc, iter_subexpressions
 from repro.shex.node_constraints import ShapeRef
 from repro.shex.reporting import format_csv
@@ -189,6 +190,43 @@ class TestSignatureItems:
                 first = len(context._shared)
                 assert first
             assert len(context._shared) <= first
+
+    @staticmethod
+    def _write_cycles(session, kb, cycles):
+        edit = f'{kb[0].valid_entities[0].n3()} <{EX.tag.value}> "cycled" .\n'
+        for _ in range(cycles):
+            session.apply_delta(DeltaRequest(add=edit))
+            session.apply_delta(DeltaRequest(remove=edit))
+            yield
+
+    def test_memos_rebuilt_after_writes_share_with_untouched_ones(self, kb):
+        session, context = self._session(kb)
+        for _ in self._write_cycles(session, kb, 20):
+            pass
+        closed = [memo for memo in context._signatures.values() if not memo[1]]
+        assert len({id(memo) for memo in closed}) == len(set(closed))
+
+    def test_a_write_clears_the_table_only_past_its_bound(self, kb, monkeypatch):
+        session, context = self._session(kb)
+        size = len(context._shared)
+        node = kb[0].valid_entities[0]
+        monkeypatch.setattr(schema_module, "MAX_SHARED_SIGNATURE_ENTRIES", size)
+        context.retract_nodes([node])
+        assert len(context._shared) == size
+        monkeypatch.setattr(schema_module, "MAX_SHARED_SIGNATURE_ENTRIES",
+                            size - 1)
+        context.retract_nodes([node])
+        assert not context._shared
+
+    def test_a_small_bound_keeps_the_table_small(self, kb, monkeypatch):
+        session, context = self._session(kb)
+        full = len(context._shared)
+        monkeypatch.setattr(schema_module, "MAX_SHARED_SIGNATURE_ENTRIES", 4)
+        sizes = [len(context._shared)
+                 for _ in self._write_cycles(session, kb, 20)]
+        # each write starts the table afresh: it holds what one round
+        # rebuilt, never what earlier rounds left
+        assert max(sizes) == sizes[0] < full // 4
 
 
 def _bucket(graph, subject, predicate):

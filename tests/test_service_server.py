@@ -410,6 +410,9 @@ def read_to_eof(sock):
 
 
 HEALTHZ = b"GET /healthz HTTP/1.1\r\nHost: localhost\r\n\r\n"
+LOAD = json.dumps(ValidationRequest(
+    data=PAPER_EXAMPLE_TURTLE).to_json()).encode("utf-8")
+LOAD_LENGTH = b"%d" % len(LOAD)
 
 
 class TestRequestFraming:
@@ -440,9 +443,19 @@ class TestRequestFraming:
         # a body the route never read is not parsed as the next request
         (b"POST /graphs/nope/delta HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}"
          + HEALTHZ, 404, "graph-not-found"),
+        # Content-Length is 1*DIGIT (RFC 9110 §8.6), whatever int() accepts
+        (b"POST /graphs HTTP/1.1\r\nContent-Length: +" + LOAD_LENGTH
+         + b"\r\n\r\n" + LOAD + HEALTHZ, 400, "bad-request"),
+        (b"POST /graphs HTTP/1.1\r\nContent-Length: " + LOAD_LENGTH[:1]
+         + b"_" + LOAD_LENGTH[1:] + b"\r\n\r\n" + LOAD + HEALTHZ, 400,
+         "bad-request"),
+        (b"GET /healthz HTTP/1.1\r\nContent-Length: -5\r\n\r\n" + HEALTHZ,
+         400, "bad-request"),
     ], ids=["garbage", "http-9.9", "header-without-colon", "put",
             "101-headers", "long-header", "long-request-line", "chunked",
-            "conflicting-content-length", "unread-body"])
+            "conflicting-content-length", "unread-body",
+            "content-length-plus", "content-length-underscore",
+            "content-length-negative"])
     def test_framing_error_is_one_typed_json_reply_then_eof(
             self, server, request_bytes, status, code):
         with socket.create_connection((server.host, server.port),

@@ -94,11 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "(store/journal/prefilter/cache) to stderr after "
                                "validation; '=json' emits the same structure "
                                "GET /stats serves")
-    validate.add_argument("--cache-max-entries", type=_at_least(1), default=None,
-                          metavar="N",
-                          help="bound the global derivative cache and the "
-                               "signature cache to N >= 1 entries each, with "
-                               "LRU eviction (default: unbounded)")
     validate.add_argument("--format", choices=["text", "json", "csv", "summary"],
                           default="text", dest="output_format")
     validate.add_argument("--include-stats", action="store_true",
@@ -168,10 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "shard worker before declaring it dead "
                             "(fleet-worker-died 503; the next write "
                             "respawns it)")
-    serve.add_argument("--cache-max-entries", type=_at_least(1), default=None,
-                       metavar="N",
-                       help="bound each graph's derivative and signature "
-                            "caches to N >= 1 entries each (LRU)")
     serve.add_argument("--connection-timeout", type=_at_least(0, float),
                        default=30.0, metavar="SECONDS",
                        help="per-connection socket timeout; stalled clients "
@@ -262,14 +253,11 @@ def _render_report(report: ValidationReport, output_format: str,
 def _command_validate(args: argparse.Namespace) -> int:
     from .service.session import ValidationSession, collect_stats
 
-    if args.reference and args.cache_max_entries is not None:
-        raise SystemExit("error: --reference runs without a derivative cache; "
-                         "drop --cache-max-entries")
     graph = _load_graph(args.data, args.data_format)
     schema = _load_schema(args.schema)
     session = ValidationSession(
         graph, schema, engine=_build_engine(args.engine),
-        reference=args.reference, cache_max_entries=args.cache_max_entries)
+        reference=args.reference)
 
     shape_map = args.shape_map or args.shape_map_file
     if shape_map:
@@ -354,7 +342,6 @@ def _command_serve(args: argparse.Namespace) -> int:
     schema = _load_schema(args.schema)
     server = serve(schema, host=args.host, port=args.port,
                    shards=args.shards,
-                   cache_max_entries=args.cache_max_entries,
                    connection_timeout=args.connection_timeout or None,
                    max_connections=args.max_connections or None,
                    max_body_bytes=args.max_body_bytes or None,
@@ -363,7 +350,6 @@ def _command_serve(args: argparse.Namespace) -> int:
         graph = _load_graph(args.data, args.data_format)
         session = ValidationSession(
             graph, schema, shards=args.shards,
-            cache_max_entries=args.cache_max_entries,
             fleet_response_timeout=args.fleet_response_timeout)
         report = session.validate()
         graph_id = server.service.register(session)

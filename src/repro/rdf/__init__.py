@@ -33,7 +33,6 @@ from .errors import (
 from .graph import (
     ChangeJournal,
     Graph,
-    OrderedTriples,
     decomposition_count,
     decompositions,
 )
@@ -70,8 +69,7 @@ __all__ = [
     "Term", "IRI", "BNode", "Literal", "Triple", "SubjectTerm", "ObjectTerm",
     "is_subject_term", "is_predicate_term", "is_object_term",
     # graph / storage layer
-    "Graph", "ChangeJournal",
-    "OrderedTriples", "decompositions", "decomposition_count",
+    "Graph", "ChangeJournal", "decompositions", "decomposition_count",
     # namespaces
     "Namespace", "NamespaceManager",
     "RDF", "RDFS", "XSD", "OWL", "FOAF", "SCHEMA", "DC", "DCTERMS", "SHEX", "EX",

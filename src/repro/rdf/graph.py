@@ -30,7 +30,6 @@ from .terms import IRI, ObjectTerm, SubjectTerm, Triple
 __all__ = [
     "ChangeJournal",
     "Graph",
-    "OrderedTriples",
     "decompositions",
     "decomposition_count",
 ]
@@ -148,17 +147,6 @@ class ChangeJournal:
                 f"floor={self._floor}, bound={self.max_entries}>)")
 
 
-class OrderedTriples(tuple):
-    """A tuple of triples already sorted by :meth:`Triple.sort_key`.
-
-    Produced by :meth:`Graph.neighbourhood_ordered`; matching engines treat
-    it as pre-ordered and skip their own sort.  A plain tuple or list makes
-    no ordering promise and is sorted by the engine as usual.
-    """
-
-    __slots__ = ()
-
-
 class Graph:
     """A set of RDF triples with pattern-matching indexes.
 
@@ -166,9 +154,9 @@ class Graph:
     ``in``, ``len``, iteration) and adds RDF-specific operations: triple
     pattern queries, namespace management, node neighbourhoods and union.
 
-    Every effective mutation pops the subject's cached neighbourhoods, bumps
-    :attr:`generation` and records the subject in the bounded change
-    journal; :meth:`batch` coalesces the journal records of a bulk edit.
+    Every effective mutation bumps :attr:`generation` and records the
+    subject in the bounded change journal; :meth:`batch` coalesces the
+    journal records of a bulk edit.
     """
 
     def __init__(self, triples: Optional[Iterable[Triple]] = None,
@@ -181,18 +169,12 @@ class Graph:
         #: (:meth:`_reverse`), for every predicate once ``_pos_complete``.
         self._pos: Dict[IRI, Dict[ObjectTerm, Collection[SubjectTerm]]] = {}
         self._pos_complete = False
-        #: per-subject neighbourhood caches (``Σgₙ`` as a frozenset and as a
-        #: predicate-sorted tuple); invalidated per subject on mutation.  The
-        #: engines ask for the same neighbourhood once per ``(node, label)``
-        #: pair, so bulk validation hits these constantly.
-        self._neigh_sets: Dict[SubjectTerm, FrozenSet[Triple]] = {}
-        self._neigh_ordered: Dict[SubjectTerm, Tuple[Triple, ...]] = {}
         #: mutation counter; bumps on every effective add/discard/clear so
         #: derived state (e.g. a shared ValidationContext) can notice change.
         self._generation = 0
         #: bounded per-subject dirty log (see :class:`ChangeJournal`).
         self._journal = ChangeJournal(max_entries=journal_max_entries)
-        #: batch nesting depth; > 0 coalesces invalidations (see ``batch``).
+        #: batch nesting depth; > 0 coalesces journal records (see ``batch``).
         self._batch_depth = 0
         #: subjects dirtied inside the current outermost batch.
         self._batch_dirty: Set[SubjectTerm] = set()
@@ -247,7 +229,7 @@ class Graph:
         bucket = self._pos.setdefault(p, {}) if self._pos_complete else self._pos.get(p)
         if bucket is not None:
             bucket[o] = bucket_add(bucket.get(o, ()), s)
-        self._invalidate_neighbourhood(s)
+        self._record_change(s)
         return self
 
     def discard(self, triple: Triple) -> "Graph":
@@ -267,7 +249,7 @@ class Graph:
             subjects = bucket[o] = bucket_discard(bucket[o], s)
             if not subjects:
                 del bucket[o]
-        self._invalidate_neighbourhood(s)
+        self._record_change(s)
         return self
 
     def clear(self) -> None:
@@ -276,21 +258,15 @@ class Graph:
         self._count = 0
         for bucket in self._pos.values():
             bucket.clear()
-        self._neigh_sets.clear()
-        self._neigh_ordered.clear()
         self._generation += 1
         # every subject changed: no bounded log can say *which*, so the
         # journal honestly forgets and answers None for earlier generations.
         self._journal.truncate(self._generation)
         self._batch_dirty.clear()
 
-    def _invalidate_neighbourhood(self, subject: SubjectTerm) -> None:
-        # the cache pop is unconditional so reads *inside* a batch still see
-        # current triples; only the journal record is coalesced to the end
-        # of the batch.
-        self._neigh_sets.pop(subject, None)
-        self._neigh_ordered.pop(subject, None)
-        # the generation counts every effective mutation, batch or not: an
+    def _record_change(self, subject: SubjectTerm) -> None:
+        # only the journal record is coalesced to the end of a batch; the
+        # generation counts every effective mutation, batch or not: an
         # integer bump is nearly free, and anything derived from the graph
         # (shared contexts, maintained baselines) stays stale-detectable even
         # mid-batch.
@@ -369,8 +345,7 @@ class Graph:
         """Enter batch mode: coalesce journal records until ``end_batch``.
 
         Nestable; only the outermost pair takes effect.  While a batch is
-        open, triple reads see every mutation immediately (per-subject
-        neighbourhood caches are still invalidated eagerly, and the
+        open, triple reads see every mutation immediately (and the
         generation still counts every effective mutation — derived state
         stays stale-detectable mid-batch), but the journal
         receives one record per touched *subject* instead of one per triple,
@@ -537,36 +512,12 @@ class Graph:
     def neighbourhood(self, node: SubjectTerm) -> FrozenSet[Triple]:
         """Return ``Σgₙ``: the set of triples whose subject is ``node``.
 
-        The frozenset is cached per subject (and invalidated on mutation), so
-        validating the same node against many shapes rebuilds nothing.
+        Built from the SPO index on each call; production asks for it only
+        when the matching engine runs, on a signature-cache miss.
         """
-        cached = self._neigh_sets.get(node)
-        if cached is not None:
-            return cached
-        by_pred = self._spo.get(node)
-        if not by_pred:
-            result: FrozenSet[Triple] = frozenset()
-        else:
-            result = frozenset(
-                Triple(node, p, o) for p, objects in by_pred.items() for o in objects
-            )
-        self._neigh_sets[node] = result
-        return result
-
-    def neighbourhood_ordered(self, node: SubjectTerm) -> "OrderedTriples":
-        """Return ``Σgₙ`` as a predicate-sorted :class:`OrderedTriples`.
-
-        This is the order the derivative engine consumes triples in;
-        computing (and sorting) it once per node instead of once per
-        ``(node, label)`` pair removes a per-validation O(d log d) cost.
-        The result is cached per subject.
-        """
-        cached = self._neigh_ordered.get(node)
-        if cached is not None:
-            return cached
-        result = OrderedTriples(sorted(self.neighbourhood(node), key=Triple.sort_key))
-        self._neigh_ordered[node] = result
-        return result
+        return frozenset(
+            Triple(node, p, o)
+            for p, objects in self._spo.get(node, {}).items() for o in objects)
 
     def union(self, other: "Graph") -> "Graph":
         """Return a new graph ``self ⊕ other`` (blank-node identity preserved)."""
@@ -601,8 +552,6 @@ class Graph:
         """Store-level counters surfaced by ``--cache-stats``."""
         return {
             "triples": self._count,
-            "cached_neighbourhoods":
-                len(self._neigh_sets) + len(self._neigh_ordered),
             "reverse_predicates": len(self._pos),
         }
 

@@ -194,7 +194,8 @@ class ValidationRequest:
     paths); ``schema`` is ShExC text, empty to use the server's preloaded
     schema.  ``labels`` restricts validation to the named shapes (default:
     every shape).  ``shards`` of ``None`` defers to the server's
-    configuration; an explicit value overrides it per graph.
+    configuration; an explicit value from 0 up to the server's own shard
+    count overrides it per graph (more is a ``400 bad-request``).
     """
 
     data: str = ""
@@ -416,7 +417,7 @@ class ServiceStats:
     ``--cache-stats`` prints :meth:`format_text` (the same prefixed
     ``key=value`` stderr lines the CLI has always emitted), and
     ``--cache-stats=json`` prints the JSON.  The groups mirror the
-    subsystems: ``store`` (triple and cached-neighbourhood counts),
+    subsystems: ``store`` (triple and reverse-bucket counts),
     ``journal`` (change journal), ``prefilter`` (compiled-schema counters),
     ``cache`` (derivative cache), ``signature`` (neighbourhood-signature
     verdict cache) — the last three empty for the
@@ -501,20 +502,18 @@ class ServiceStats:
                          "(--reference or no schema)")
         if self.cache:
             cache = self.cache
-            bound = cache.get("max_entries") or "unbounded"
             hit_rate = cache.get("hit_rate", 0.0)
             lines.append("cache-stats: "
                          f"hits={cache.get('hits', 0)} "
                          f"misses={cache.get('misses', 0)} "
                          f"evictions={cache.get('evictions', 0)} "
                          f"derivatives={cache.get('derivatives', 0)} "
-                         f"max_entries={bound} "
+                         f"max_entries={cache.get('max_entries', 0)} "
                          f"hit_rate={hit_rate:.1%}")
         else:
             lines.append("cache-stats: no derivative cache active")
         if self.signature:
             signature = self.signature
-            bound = signature.get("max_entries") or "unbounded"
             hit_rate = signature.get("hit_rate", 0.0)
             lines.append("signature-stats: "
                          f"hits={signature.get('hits', 0)} "
@@ -522,7 +521,7 @@ class ServiceStats:
                          f"dedupes={signature.get('dedupes', 0)} "
                          f"evictions={signature.get('evictions', 0)} "
                          f"signatures={signature.get('signatures', 0)} "
-                         f"max_entries={bound} "
+                         f"max_entries={signature.get('max_entries', 0)} "
                          f"hit_rate={hit_rate:.1%}")
         else:
             lines.append("signature-stats: no signature cache active")

@@ -77,8 +77,7 @@ class _ShardReplica:
     """Worker-side state: the shard-local graph, journal and validator."""
 
     def __init__(self, shard_index: int, shards: int, schema, engine_spec,
-                 compiled, triples, journal_max_entries: int,
-                 cache_max_entries: Optional[int]):
+                 compiled, triples, journal_max_entries: int):
         self.shard_index = shard_index
         self.shards = shards
         self.graph = Graph(journal_max_entries=journal_max_entries)
@@ -87,7 +86,6 @@ class _ShardReplica:
         name, options = engine_spec
         self.validator = Validator(
             self.graph, schema, engine=name, compiled=compiled,
-            cache_max_entries=cache_max_entries,
             subject_filter=_OwnedBy(shards, shard_index), **options)
         self.rounds = 0
         self.full_runs = 0
@@ -239,10 +237,10 @@ def _fleet_worker_main(shard_index: int, shards: int,
                 break
             if command == "load":
                 (schema, engine_spec, compiled, triples, labels,
-                 journal_max_entries, cache_max_entries) = payload
+                 journal_max_entries) = payload
                 replica = _ShardReplica(
                     shard_index, shards, schema, engine_spec, compiled,
-                    triples, journal_max_entries, cache_max_entries)
+                    triples, journal_max_entries)
                 _respond(responses, injector, ("ok", replica.run(labels)))
             elif command == "stats":
                 _respond(responses, injector,

@@ -109,13 +109,11 @@ class ValidationService:
 
     def __init__(self, schema: Optional[Schema] = None, *,
                  shards: int = 0,
-                 cache_max_entries: Optional[int] = None,
                  fleet_response_timeout: float = 120.0,
                  fault_plan=None,
                  delta_ledger_size: int = 256):
         self.schema = schema
         self.shards = shards
-        self.cache_max_entries = cache_max_entries
         self.fleet_response_timeout = fleet_response_timeout
         self.fault_plan = fault_plan
         self.delta_ledger_size = delta_ledger_size
@@ -133,7 +131,6 @@ class ValidationService:
         session = ValidationSession.from_request(
             request, default_schema=self.schema,
             default_shards=self.shards,
-            cache_max_entries=self.cache_max_entries,
             fleet_response_timeout=self.fleet_response_timeout,
             fault_plan=self.fault_plan,
             delta_ledger_size=self.delta_ledger_size)
@@ -627,7 +624,6 @@ class ReproServer:
 
 def serve(schema: Optional[Schema] = None, *, host: str = "127.0.0.1",
           port: int = 0, shards: int = 0,
-          cache_max_entries: Optional[int] = None,
           connection_timeout: Optional[float] = 30.0,
           max_connections: Optional[int] = 64,
           max_body_bytes: Optional[int] = DEFAULT_MAX_BODY_BYTES,
@@ -642,7 +638,6 @@ def serve(schema: Optional[Schema] = None, *, host: str = "127.0.0.1",
     """
     service = ValidationService(
         schema, shards=shards,
-        cache_max_entries=cache_max_entries,
         fleet_response_timeout=fleet_response_timeout,
         fault_plan=faults.plan if faults is not None else None)
     return ReproServer(service, host=host, port=port,

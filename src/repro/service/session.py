@@ -121,10 +121,9 @@ class ValidationSession:
     """A warm, lock-serialized validation lifecycle around one graph.
 
     The validator runs the one production configuration (see
-    :class:`Validator`); ``cache_max_entries`` bounds its derivative cache.
-    ``reference=True`` swaps in the paper's reference semantics — a fresh
-    context per node and no caches — so its deltas are always full
-    rebuilds (``no-baseline`` unless ``allow_full_rebuild``).
+    :class:`Validator`).  ``reference=True`` swaps in the paper's reference
+    semantics — a fresh context per node and no caches — so its deltas are
+    always full rebuilds (``no-baseline`` unless ``allow_full_rebuild``).
     ``shards > 1`` runs on a resident shard fleet (``0``/``1`` means
     serial; the fleet rejects ``reference``).  The session takes
     ownership of ``graph``:
@@ -136,15 +135,13 @@ class ValidationSession:
                  engine: Union[str, object, None] = None,
                  shards: int = 0,
                  reference: bool = False,
-                 cache_max_entries: Optional[int] = None,
                  fleet_response_timeout: float = 120.0,
                  fault_plan=None,
                  delta_ledger_size: int = 256):
         self.graph = graph
         self.schema = schema
         self.shards = max(shards, 0)
-        options = dict(engine=engine, reference=reference,
-                       cache_max_entries=cache_max_entries)
+        options = dict(engine=engine, reference=reference)
         if self.shards > 1:
             from .sharding import ShardedValidator  # loads the fleet stack
 
@@ -177,7 +174,6 @@ class ValidationSession:
     def from_request(cls, request: ValidationRequest, *,
                      default_schema: Optional[Schema] = None,
                      default_shards: int = 0,
-                     cache_max_entries: Optional[int] = None,
                      fleet_response_timeout: float = 120.0,
                      fault_plan=None,
                      delta_ledger_size: int = 256,
@@ -186,9 +182,16 @@ class ValidationSession:
 
         Parse failures become typed errors: ``schema-error`` for the ShExC
         text, ``parse-error`` for the RDF payload, ``bad-request`` for a
-        ``labels`` entry the schema does not define — the codes the server
-        returns as HTTP 400.
+        ``labels`` entry the schema does not define or a ``shards`` count
+        outside ``0..default_shards`` — the codes the server returns as
+        HTTP 400.  A request may ask for fewer shards than the server runs,
+        never more: each shard is a worker process.
         """
+        shards = request.shards if request.shards is not None else default_shards
+        if not 0 <= shards <= default_shards:
+            raise ServiceError("bad-request",
+                               f"shards must be between 0 and {default_shards}, "
+                               f"got {shards}", 400)
         if request.schema:
             try:
                 schema = Schema.from_shexc(request.schema)
@@ -212,11 +215,7 @@ class ValidationSession:
             graph = Graph.parse(request.data, format=request.data_format)
         except ParseError as error:
             raise ServiceError("parse-error", str(error), 400) from error
-        shards = request.shards if request.shards is not None else default_shards
-        if shards < 0:
-            raise ServiceError("bad-request", "shards must be >= 0", 400)
         return cls(graph, schema, shards=shards,
-                   cache_max_entries=cache_max_entries,
                    fleet_response_timeout=fleet_response_timeout,
                    fault_plan=fault_plan,
                    delta_ledger_size=delta_ledger_size)

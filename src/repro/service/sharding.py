@@ -114,7 +114,7 @@ class ShardedValidator(Validator):
         if bound is None:
             bound = self.graph.journal.max_entries
         return (self.schema, self._worker_engine_spec, self.compiled,
-                triples, list(labels), bound, self.cache_max_entries)
+                triples, list(labels), bound)
 
     def _fleet_load(self, fleet: ShardFleet,
                     labels: Tuple[ShapeLabel, ...]) -> List[tuple]:

@@ -56,7 +56,13 @@ CLI, the service, the shard replicas):
   the node's ``predicate → objects`` buckets, before the engine runs;
 * for the derivatives engine, a **global cross-node**
   :class:`DerivativeCache` keyed by hash-consed expression structure plus
-  constraint-verdict vectors (bounded by ``cache_max_entries``).
+  constraint-verdict vectors.
+
+Every production memo table holds at most a module constant's worth of
+entries, and a store into a full table clears it first
+(:func:`repro.shex.cache.bounded_store`): ``MAX_SIGNATURE_CACHE_ENTRIES``
+and ``MAX_DERIVATIVE_CACHE_ENTRIES`` in :mod:`repro.shex.cache`,
+``MAX_SIGNATURE_ATOM_ENTRIES`` in :mod:`repro.shex.compiled`.
 
 ``Validator(..., reference=True)`` (CLI ``validate --reference``) is the
 only alternative: the paper's reference semantics — a fresh

@@ -14,8 +14,8 @@ that observation without running any data through the matchers:
 * :func:`is_deterministic` — can every triple be attributed to at most one
   arc constraint without lookahead (no two overlapping arcs for the same
   predicate)?
-* :func:`cardinality_bounds` — per-predicate (min, max) arc counts implied by
-  the expression,
+* :func:`cardinality_bounds` — sound per-predicate (min, max) triple counts
+  implied by the expression,
 * :func:`schema_dependency_graph` and :func:`stratify_schema` — the reference
   structure between shapes, recursion detection and a bottom-up validation
   order for the non-recursive part.
@@ -49,7 +49,6 @@ __all__ = [
     "is_deterministic",
     "CardinalityBound",
     "cardinality_bounds",
-    "neighbourhood_cardinality_bounds",
     "first_predicates",
     "schema_dependency_graph",
     "recursive_labels",
@@ -184,14 +183,23 @@ class CardinalityBound:
 
 
 def cardinality_bounds(expr: ShapeExpr) -> Dict[IRI, CardinalityBound]:
-    """Compute, per predicate, how many arcs accepted neighbourhoods carry.
+    """Per-predicate bounds on the triples an accepted neighbourhood carries.
 
-    The bounds are exact for the expression algebra (alternatives take the
-    min/max across branches, interleaves add, stars multiply by [0, ∞)).
-    Wildcard and stem predicates are ignored — the bounds only cover concrete
-    predicates.
+    The bounds are **sound**: a neighbourhood whose ``p``-count falls
+    outside ``[minimum, maximum]`` cannot match, whatever the objects are,
+    so the compiled prefilter rejects on them.  Alternatives take the
+    min/max across branches, interleaves add, stars multiply by [0, ∞), and:
+
+    * the **minimum** for predicate ``p`` counts only arcs whose predicate
+      set is exactly ``{p}``: an arc ``{p q} → vo`` consumes one triple
+      whose predicate is ``p`` **or** ``q``, so it guarantees neither,
+    * the **maximum** for ``p`` adds one per arc that *could* consume a
+      ``p``-triple, and collapses to unbounded (``None``) as soon as a
+      wildcard or matching stem arc could absorb extra ``p``-triples.
+
+    Only predicates some arc names are listed.
     """
-    bounds = _bounds(expr)
+    bounds, _stems, _open = _sound_bounds(expr)
     return {predicate: CardinalityBound(minimum, maximum)
             for predicate, (minimum, maximum) in bounds.items()}
 
@@ -199,24 +207,8 @@ def cardinality_bounds(expr: ShapeExpr) -> Dict[IRI, CardinalityBound]:
 _Bounds = Dict[IRI, Tuple[int, Optional[int]]]
 
 
-def _bounds(expr: ShapeExpr) -> _Bounds:
-    if isinstance(expr, (Empty, EmptyTriples)):
-        return {}
-    if isinstance(expr, Arc):
-        result: _Bounds = {}
-        if not expr.predicate.any_predicate and expr.predicate.stem is None:
-            for predicate in expr.predicate.predicates:
-                result[predicate] = (1, 1)
-        return result
-    if isinstance(expr, Star):
-        return {predicate: (0, None) for predicate in _bounds(expr.expr)}
-    if isinstance(expr, (And, Or)):
-        return _fold_bounds(expr, [_bounds(operand) for operand in expr.operands])
-    raise TypeError(f"unknown shape expression: {expr!r}")
-
-
 def _fold_bounds(expr: ShapeExpr, parts: List[_Bounds],
-                 covering: List[Tuple[_Bounds, FrozenSet[str], bool]] = ()) -> _Bounds:
+                 covering: List[Tuple[_Bounds, FrozenSet[str], bool]]) -> _Bounds:
     """Fold the operand bounds of a ``‖`` node (counts add) or a ``|`` node
     (the least minimum, the greatest maximum).
 
@@ -248,31 +240,6 @@ def _fold_bounds(expr: ShapeExpr, parts: List[_Bounds],
                 high = None
             combined[predicate] = (low if interleaved else 0, high)
     return combined
-
-
-# --------------------------------------------------------- sound neighbourhood bounds
-def neighbourhood_cardinality_bounds(expr: ShapeExpr) -> Dict[IRI, CardinalityBound]:
-    """Per-predicate bounds on triple counts, **sound** for prefiltering.
-
-    :func:`cardinality_bounds` treats every predicate of a multi-predicate
-    arc as if the arc required one triple of *each* predicate, which
-    over-states the minimum (an arc ``{p q} → vo`` consumes one triple whose
-    predicate is ``p`` **or** ``q``).  This variant computes bounds a
-    validator may reject on:
-
-    * the **minimum** for predicate ``p`` counts only arcs whose predicate
-      set is exactly ``{p}`` — every accepted neighbourhood provably carries
-      at least that many ``p``-triples,
-    * the **maximum** for ``p`` adds one per arc that *could* consume a
-      ``p``-triple, and collapses to unbounded (``None``) as soon as a
-      wildcard or matching stem arc could absorb extra ``p``-triples.
-
-    A neighbourhood whose ``p``-count falls outside ``[minimum, maximum]``
-    therefore cannot match, whatever the objects are.
-    """
-    bounds, _stems, _open = _sound_bounds(expr)
-    return {predicate: CardinalityBound(minimum, maximum)
-            for predicate, (minimum, maximum) in bounds.items()}
 
 
 #: recursion result: (per-predicate bounds, stems seen, wildcard-arc seen).

@@ -30,6 +30,11 @@ Nothing else is memoised here: the engine tests each atom's predicate set
 and object constraint directly.  Production reaches the engine only on a
 :class:`SignatureCache` miss, so a verdict memo below that cache would
 save almost nothing.
+
+Every table here is bounded by construction (:func:`bounded_store`): it
+holds at most a module constant's worth of entries, and a store into a full
+table clears it first.  Every entry is a pure function of its key, so a
+clear only ever costs recomputation, never a verdict.
 """
 
 from __future__ import annotations
@@ -39,10 +44,37 @@ from typing import Dict, Optional, Tuple
 from .expressions import Arc, ShapeExpr, iter_subexpressions
 from .node_constraints import NodeConstraint, PredicateSet
 
-__all__ = ["DerivativeCache", "SignatureCache"]
+__all__ = ["MAX_DERIVATIVE_CACHE_ENTRIES", "MAX_SIGNATURE_CACHE_ENTRIES",
+           "DerivativeCache", "SignatureCache", "bounded_store"]
 
 #: one ``(predicate-set, object-constraint)`` atom of an expression.
 ArcAtom = Tuple[PredicateSet, NodeConstraint]
+
+#: entries each :class:`DerivativeCache` table (atoms, derivatives) holds.
+#: An entry retains about 0.2 KiB (a derivative) to 0.8 KiB (an atom
+#: tuple), so a full cache stays within about 4 MiB; one perfbench kb
+#: ``validate_graph`` fills 23 derivatives and 10 atom tuples.
+MAX_DERIVATIVE_CACHE_ENTRIES = 1 << 12
+
+#: entries a :class:`SignatureCache` holds.  An entry retains about 0.4 to
+#: 0.55 KiB (its typed signature and verdict), so a full table stays within
+#: about 35 MiB; one perfbench kb ``validate_graph`` fills 442.
+MAX_SIGNATURE_CACHE_ENTRIES = 1 << 16
+
+
+def bounded_store(table: Dict, key, value, limit: int) -> int:
+    """Store ``key → value`` in a memo table of at most ``limit`` entries.
+
+    A store into a full table clears it first.  Returns the number of
+    entries dropped (0 or ``limit``), for the caller's eviction counter.
+    """
+    dropped = len(table)
+    if dropped < limit:
+        dropped = 0
+    else:
+        table.clear()
+    table[key] = value
+    return dropped
 
 
 class DerivativeCache:
@@ -57,22 +89,15 @@ class DerivativeCache:
     option and pass that engine.  It holds no constraint verdicts: the
     engine tests each atom's predicate set and object constraint directly.
 
-    ``max_entries`` bounds both tables (per-expression atoms and
-    derivatives) for long-running services: when set, the derivative table
-    evicts its least-recently-used entry and the atom table its oldest entry
-    once the bound is exceeded.  Eviction can only cost recomputation, never
-    correctness — every entry is a pure function of its key.  The default
-    (``None``) keeps today's unbounded behaviour.
+    Each of its two tables (per-expression atoms and derivatives) holds at
+    most :data:`MAX_DERIVATIVE_CACHE_ENTRIES` entries; ``evictions`` counts
+    the entries their clears dropped.
     """
 
-    def __init__(self, max_entries: Optional[int] = None) -> None:
-        if max_entries is not None and max_entries < 1:
-            raise ValueError("max_entries must be at least 1 (or None for unbounded)")
-        self.max_entries = max_entries
+    def __init__(self) -> None:
         #: expression → its distinct arc atoms, in deterministic first-seen order.
         self._atoms: Dict[ShapeExpr, Tuple[ArcAtom, ...]] = {}
-        #: (expression, verdict vector) → derivative expression; insertion
-        #: order doubles as the LRU order when ``max_entries`` is set.
+        #: (expression, verdict vector) → derivative expression.
         self._derivatives: Dict[Tuple[ShapeExpr, Tuple[bool, ...]], ShapeExpr] = {}
         self.hits = 0
         self.misses = 0
@@ -95,7 +120,7 @@ class DerivativeCache:
             "hits": self.hits,
             "misses": self.misses,
             "evictions": self.evictions,
-            "max_entries": self.max_entries if self.max_entries is not None else 0,
+            "max_entries": MAX_DERIVATIVE_CACHE_ENTRIES,
         }
 
     @property
@@ -114,25 +139,18 @@ class DerivativeCache:
                 if isinstance(sub, Arc):
                     seen.setdefault((sub.predicate, sub.object), None)
             atoms = tuple(seen)
-            self._atoms[expr] = atoms
-            if self.max_entries is not None and len(self._atoms) > self.max_entries:
-                # the atom table also pins its expression keys alive, so it
-                # must honour the bound too (FIFO; recomputation is cheap).
-                self._atoms.pop(next(iter(self._atoms)))
-                self.evictions += 1
+            # the atom table pins its expression keys alive, so it is
+            # bounded as well
+            self.evictions += bounded_store(self._atoms, expr, atoms,
+                                            MAX_DERIVATIVE_CACHE_ENTRIES)
         return atoms
 
     # -- derivatives -----------------------------------------------------------
     def lookup(self, expr: ShapeExpr, signature: Tuple[bool, ...]) -> Optional[ShapeExpr]:
         """Return the cached derivative for ``(expr, signature)``, if any."""
-        key = (expr, signature)
-        cached = self._derivatives.get(key)
+        cached = self._derivatives.get((expr, signature))
         if cached is not None:
             self.hits += 1
-            if self.max_entries is not None:
-                # refresh recency: dict order is the LRU order when bounded.
-                del self._derivatives[key]
-                self._derivatives[key] = cached
         else:
             self.misses += 1
         return cached
@@ -140,10 +158,8 @@ class DerivativeCache:
     def store(self, expr: ShapeExpr, signature: Tuple[bool, ...],
               result: ShapeExpr) -> None:
         """Record the derivative of ``expr`` under the given verdict vector."""
-        self._derivatives[(expr, signature)] = result
-        if self.max_entries is not None and len(self._derivatives) > self.max_entries:
-            self._derivatives.pop(next(iter(self._derivatives)))
-            self.evictions += 1
+        self.evictions += bounded_store(self._derivatives, (expr, signature),
+                                        result, MAX_DERIVATIVE_CACHE_ENTRIES)
 
     def __len__(self) -> int:
         return len(self._derivatives)
@@ -178,14 +194,12 @@ class SignatureCache:
     Entries are keyed by signature structure only, so one instance may serve
     any number of nodes, validation runs and graph generations over the same
     schema: a mutated node, or a changed typing, simply produces a different
-    signature.  When ``max_entries`` is set the table evicts
-    least-recently-used entries, mirroring :class:`DerivativeCache`.
+    signature.  The table holds at most :data:`MAX_SIGNATURE_CACHE_ENTRIES`
+    entries (:func:`bounded_store`), so signatures no node produces any
+    more cannot pile up in a long-lived session.
     """
 
-    def __init__(self, max_entries: Optional[int] = None) -> None:
-        if max_entries is not None and max_entries < 1:
-            raise ValueError("max_entries must be at least 1 (or None for unbounded)")
-        self.max_entries = max_entries
+    def __init__(self) -> None:
         #: (signature, label) → (conforms, failure reason)
         self._verdicts: Dict[Tuple[object, object], Tuple[bool, str]] = {}
         self.hits = 0
@@ -203,14 +217,9 @@ class SignatureCache:
 
     def lookup(self, signature: object, label: object) -> Optional[Tuple[bool, str]]:
         """Return the cached ``(conforms, reason)`` verdict, if any."""
-        key = (signature, label)
-        cached = self._verdicts.get(key)
+        cached = self._verdicts.get((signature, label))
         if cached is not None:
             self.hits += 1
-            if self.max_entries is not None:
-                # refresh recency: dict order is the LRU order when bounded.
-                del self._verdicts[key]
-                self._verdicts[key] = cached
         else:
             self.misses += 1
         return cached
@@ -218,11 +227,10 @@ class SignatureCache:
     def store(self, signature: object, label: object,
               conforms: bool, reason: str = "") -> None:
         """Record a settled verdict for every node sharing this signature."""
-        self._verdicts[(signature, label)] = (conforms, reason)
+        self.evictions += bounded_store(self._verdicts, (signature, label),
+                                        (conforms, reason),
+                                        MAX_SIGNATURE_CACHE_ENTRIES)
         self.dedupes += 1
-        if self.max_entries is not None and len(self._verdicts) > self.max_entries:
-            self._verdicts.pop(next(iter(self._verdicts)))
-            self.evictions += 1
 
     @property
     def hit_rate(self) -> float:
@@ -238,7 +246,7 @@ class SignatureCache:
             "misses": self.misses,
             "dedupes": self.dedupes,
             "evictions": self.evictions,
-            "max_entries": self.max_entries if self.max_entries is not None else 0,
+            "max_entries": MAX_SIGNATURE_CACHE_ENTRIES,
         }
 
     def __len__(self) -> int:

@@ -9,7 +9,7 @@ of the schema alone, computed **once per schema** instead of once per node:
 * **first-predicate sets** — predicates that can begin a match; a non-empty
   neighbourhood avoiding them entirely cannot match a non-nullable shape,
 * **required-predicate bounds** — sound per-predicate ``[min, max]`` triple
-  counts (:func:`~repro.shex.analysis.neighbourhood_cardinality_bounds`);
+  counts (:func:`~repro.shex.analysis.cardinality_bounds`);
   a count outside the bounds rejects before any derivative is taken,
 * **allowed-predicate sets** — the algebra is closed-world (every triple must
   be consumed by some arc), so a triple whose predicate no arc admits makes
@@ -38,8 +38,8 @@ from __future__ import annotations
 from typing import Collection, Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from ..rdf.terms import IRI, ObjectTerm
-from .analysis import first_predicates, neighbourhood_cardinality_bounds
-from .cache import ArcAtom
+from .analysis import cardinality_bounds, first_predicates
+from .cache import ArcAtom, bounded_store
 from .derivatives import nullable
 from .expressions import Arc, ShapeExpr, iter_subexpressions
 from .node_constraints import (
@@ -56,6 +56,7 @@ from .schema import Schema
 from .typing import ShapeLabel
 
 __all__ = [
+    "MAX_SIGNATURE_ATOM_ENTRIES",
     "CompiledShape",
     "CompiledSchema",
     "PrefilterDecision",
@@ -78,18 +79,12 @@ class PrefilterDecision:
 #: shared accept decision: accepts carry no reason, so one instance suffices.
 _ACCEPT = PrefilterDecision(True)
 
-#: bound on the per-predicate signature-atom memo.  It is keyed by *data*
-#: predicates, so a long-lived service validating ever-new vocabulary would
-#: otherwise grow it without limit; FIFO eviction only ever costs a
-#: re-computation.
-_MEMO_LIMIT = 4096
-
-
-def _memo_insert(table: Dict, key, value) -> None:
-    """Insert into a per-predicate memo table, evicting FIFO over the bound."""
-    table[key] = value
-    if len(table) > _MEMO_LIMIT:
-        table.pop(next(iter(table)))
+#: entries the per-predicate signature-atom memo
+#: (:meth:`CompiledSchema.signature_atoms`) holds.  It is keyed by *data*
+#: predicates, so a long-lived service meeting ever-new vocabulary would
+#: otherwise grow it without limit.  An entry retains about 60 B; perfbench
+#: kb fills 10.
+MAX_SIGNATURE_ATOM_ENTRIES = 1 << 12
 
 
 def _is_screenable(constraint: NodeConstraint) -> bool:
@@ -152,7 +147,7 @@ class CompiledShape:
         self.allows_any: bool = allows_any
         self.has_references: bool = has_references
 
-        bounds = neighbourhood_cardinality_bounds(expr)
+        bounds = cardinality_bounds(expr)
         self.required: Tuple[Tuple[IRI, int], ...] = tuple(
             (predicate, bound.minimum)
             for predicate, bound in sorted(bounds.items(),
@@ -280,8 +275,11 @@ class CompiledSchema:
             predicate: frozenset(atoms) for predicate, atoms in exact.items()
         }
         self._general_atoms: Tuple[ArcAtom, ...] = tuple(general)
-        #: memoised *ordered* candidate tuples per predicate (signature path).
+        #: memoised *ordered* candidate tuples per predicate (signature
+        #: path), bounded by :data:`MAX_SIGNATURE_ATOM_ENTRIES`, and the
+        #: entries its clears dropped.
         self._signature_atoms: Dict[IRI, Tuple[ArcAtom, ...]] = {}
+        self.signature_atom_evictions = 0
 
     # -- accessors -------------------------------------------------------------
     def shape(self, label: ShapeLabel | str) -> CompiledShape:
@@ -320,7 +318,7 @@ class CompiledSchema:
         Neighbourhood signatures record one verdict bit per candidate atom, so
         the bit order must be identical every time a signature is built — a
         ``frozenset`` iterates in hash-table order, which can differ between
-        processes and even between rebuilds after memo eviction.  This
+        processes and even between rebuilds after the memo is cleared.  This
         accessor sorts the atoms by their (stable) textual form once per
         predicate.
         """
@@ -331,7 +329,8 @@ class CompiledSchema:
             self.candidate_atoms(predicate),
             key=lambda atom: (atom[0].describe(), atom[1].describe(), repr(atom)),
         ))
-        _memo_insert(self._signature_atoms, predicate, result)
+        self.signature_atom_evictions += bounded_store(
+            self._signature_atoms, predicate, result, MAX_SIGNATURE_ATOM_ENTRIES)
         return result
 
     # -- the prefilter ---------------------------------------------------------

@@ -28,9 +28,8 @@ from __future__ import annotations
 
 from functools import reduce
 from time import perf_counter
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
-from ..rdf.graph import OrderedTriples
 from ..rdf.terms import Triple
 from .cache import ArcAtom, DerivativeCache
 from .expressions import (
@@ -272,47 +271,28 @@ class DerivativeEngine:
         because reference resolution has side effects on the context.
     cache:
         an optional **global** :class:`~repro.shex.cache.DerivativeCache`
-        shared across nodes, labels and validation runs.  Pass a cache
-        instance to share it between engines, or ``True`` to let the engine
-        build a private one.  Unlike ``memoize``, the global cache also
-        handles expressions containing shape references: the per-triple cache
-        key is the vector of constraint/reference *verdicts*, so reference
-        resolution still runs through the context while the structural
-        derivative construction is reused across neighbourhoods.
+        shared across nodes, labels and validation runs (pass one instance
+        to several engines to share it).  Unlike ``memoize``, the global
+        cache also handles expressions containing shape references: the
+        per-triple cache key is the vector of constraint/reference
+        *verdicts*, so reference resolution still runs through the context
+        while the structural derivative construction is reused across
+        neighbourhoods.
     """
 
     name = "derivatives"
 
     def __init__(self, simplify: bool = True, order_by_predicate: bool = True,
                  memoize: bool = True,
-                 cache: Union[None, bool, DerivativeCache] = None):
+                 cache: Optional[DerivativeCache] = None):
         self.simplify = simplify
         self.order_by_predicate = order_by_predicate
         self.memoize = memoize
-        if cache is True:
-            cache = DerivativeCache()
-        elif cache is False:
-            cache = None
-        self.cache: Optional[DerivativeCache] = cache
-
-    @property
-    def wants_ordered_neighbourhoods(self) -> bool:
-        """True when the context should hand this engine predicate-sorted
-        neighbourhoods (:meth:`Graph.neighbourhood_ordered`) instead of raw
-        frozensets — the engine would sort them anyway."""
-        return self.order_by_predicate
+        self.cache = cache
 
     def order_triples(self, triples: Iterable[Triple]) -> List[Triple]:
-        """Return the triples in the order the engine will consume them.
-
-        :class:`~repro.rdf.graph.OrderedTriples` carries the promise of
-        already being predicate-sorted (``Graph.neighbourhood_ordered`` hands
-        the engines those, so re-sorting per ``(node, label)`` pair would
-        waste the graph-side cache); any other iterable is sorted by
-        predicate when ``order_by_predicate`` is set.
-        """
-        if self.order_by_predicate and isinstance(triples, OrderedTriples):
-            return list(triples)
+        """Return the triples in the order the engine will consume them:
+        sorted by predicate when ``order_by_predicate`` is set."""
         triples = list(triples)
         if self.order_by_predicate:
             triples.sort(key=Triple.sort_key)

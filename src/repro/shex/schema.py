@@ -261,13 +261,6 @@ class ValidationContext:
         self._confirmed: Dict[ObjectTerm, Collection[ShapeLabel]] = {}
         self._failed: Dict[ObjectTerm, Collection[ShapeLabel]] = {}
         self.stats = MatchStats()
-        # hand engines that consume triples in predicate order the graph's
-        # cached pre-sorted neighbourhoods; engines that don't (backtracking,
-        # SPARQL, derivative engine with order_by_predicate=False) keep
-        # getting plain frozensets and no sort is paid on their behalf.
-        engine = getattr(matcher, "__self__", None)
-        self._ordered_neighbourhoods = bool(
-            getattr(engine, "wants_ordered_neighbourhoods", False))
 
     def check_reference(self, node: ObjectTerm, label: ShapeLabel | str) -> MatchResult:
         """Validate ``node`` against the shape named ``label`` (the ``MatchShape`` rule)."""
@@ -344,14 +337,12 @@ class ValidationContext:
 
         return pairs(self._confirmed), pairs(self._failed)
 
-    def _neighbourhood_of(self, node: ObjectTerm):
-        """``Σgₙ`` as the active engine wants it (literals have none)."""
+    def _neighbourhood_of(self, node: ObjectTerm) -> FrozenSet[Triple]:
+        """``Σgₙ`` (literals have none)."""
         if isinstance(node, Literal):
             # literals have no outgoing arcs; they conform only to shapes
             # accepting the empty neighbourhood
             return frozenset()
-        if self._ordered_neighbourhoods:
-            return self.graph.neighbourhood_ordered(node)
         return self.graph.neighbourhood(node)
 
 

@@ -216,9 +216,6 @@ class Validator:
         (except past the budget, where the reference answers
         ``limit_exceeded``); only failure *reasons* may differ (the
         prefilter and signature cache word them statically).
-    cache_max_entries:
-        LRU bound of the production derivative and signature caches
-        (default: unbounded).
     compiled:
         a ready :class:`~repro.shex.compiled.CompiledSchema` to adopt instead
         of compiling one (must belong to ``schema``).
@@ -231,25 +228,21 @@ class Validator:
     def __init__(self, graph: Graph, schema: Optional[Schema] = None,
                  engine: Union[str, object, None] = None,
                  reference: bool = False,
-                 cache_max_entries: Optional[int] = None,
                  compiled: Optional[CompiledSchema] = None,
                  subject_filter: Optional[Callable[[SubjectTerm], bool]] = None,
                  **engine_options):
         if "cache" in engine_options:
-            raise TypeError("the Validator owns the derivative cache; bound it "
-                            "with cache_max_entries")
-        if reference and (compiled is not None or cache_max_entries is not None):
-            raise ValueError("reference=True runs without a compiled schema "
-                             "or a derivative cache")
+            raise TypeError("the Validator owns the derivative cache")
+        if reference and compiled is not None:
+            raise ValueError("reference=True runs without a compiled schema")
         if compiled is not None and compiled.schema is not schema:
             raise ValueError("compiled belongs to another schema")
         self._graph = graph
         self._schema = schema
         self.reference = reference
-        self.cache_max_entries = cache_max_entries
         self._worker_engine_spec = _make_engine_spec(engine, engine_options)
         if not reference and engine in (None, "derivatives"):
-            engine_options["cache"] = DerivativeCache(max_entries=cache_max_entries)
+            engine_options["cache"] = DerivativeCache()
         self._engine = get_engine(engine, **engine_options)
         #: restricts which subjects appear in bulk reports and the maintained
         #: baseline.  A resident shard worker validates (and maintains) only
@@ -262,7 +255,7 @@ class Validator:
         if not reference and schema is not None:
             self._compiled = compiled if compiled is not None \
                 else CompiledSchema(schema)
-            self._signature_cache = SignatureCache(max_entries=cache_max_entries)
+            self._signature_cache = SignatureCache()
         #: the persistent shared context and the graph generation it
         #: describes; a graph mutation makes it stale.
         self._context: Optional[FixpointContext] = None
@@ -308,9 +301,9 @@ class Validator:
     def signature_cache(self) -> Optional[SignatureCache]:
         """The validator-owned signature cache (None for the reference).
 
-        Bounded by ``cache_max_entries``.  Graph mutations need no
-        invalidation because typed signatures embed the neighbourhood
-        structure and the typing bits they describe.
+        Bounded by :data:`~repro.shex.cache.MAX_SIGNATURE_CACHE_ENTRIES`.
+        Graph mutations need no invalidation because typed signatures embed
+        the neighbourhood structure and the typing bits they describe.
         """
         return self._signature_cache
 
@@ -319,7 +312,7 @@ class Validator:
 
         A passthrough to :meth:`Graph.store_stats`, so callers holding
         only the validator (services, the CLI) can report the triple and
-        cached-neighbourhood counts without reaching into the graph.
+        reverse-bucket counts without reaching into the graph.
         """
         return self.graph.store_stats()
 

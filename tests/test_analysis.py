@@ -4,10 +4,11 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.rdf import EX, FOAF
+from repro.rdf import EX, FOAF, Literal, Triple
 from repro.shex import (
     EMPTY,
     EPSILON,
+    AnyValue,
     Arc,
     PredicateSet,
     Schema,
@@ -16,6 +17,7 @@ from repro.shex import (
     arc,
     interleave,
     interleave_all,
+    matches,
     optional,
     plus,
     repeat,
@@ -151,6 +153,23 @@ class TestCardinalityBounds:
     def test_render(self):
         bounds = cardinality_bounds(plus(arc(EX.p)))
         assert bounds[EX.p].render() == "{1,∞}"
+
+    def test_multi_predicate_arc_guarantees_neither_predicate(self):
+        # {p q} → . consumes one triple whose predicate is p or q
+        expr = Arc(PredicateSet([EX.p, EX.q]), AnyValue())
+        bounds = cardinality_bounds(expr)
+        assert (bounds[EX.p].minimum, bounds[EX.p].maximum) == (0, 1)
+        assert (bounds[EX.q].minimum, bounds[EX.q].maximum) == (0, 1)
+        assert matches(expr, [Triple(EX.n, EX.p, Literal(1))])
+
+    def test_stem_arc_lifts_the_maximum_of_the_predicates_it_covers(self):
+        # p . ; <http://example.org/>~ . * : the stem absorbs extra p triples
+        expr = interleave(arc(EX.p, AnyValue()),
+                          star(Arc(PredicateSet(stem=EX.base), AnyValue())))
+        bounds = cardinality_bounds(expr)
+        assert (bounds[EX.p].minimum, bounds[EX.p].maximum) == (1, None)
+        assert matches(expr, [Triple(EX.n, EX.p, Literal(index))
+                              for index in range(3)])
 
 
 class TestSchemaStructure:

@@ -346,7 +346,7 @@ class TestBulkAgreement:
 
     def test_engines_agree_on_cyclic_graphs_in_production(self):
         graph, _ = knows_cycle_graph(5)
-        for engine in (DerivativeEngine(cache=True),
+        for engine in (DerivativeEngine(cache=DerivativeCache()),
                        BacktrackingEngine(budget=5_000_000)):
             validator = Validator(graph, person_schema(), engine=engine)
             report = validator.validate_graph()
@@ -363,7 +363,7 @@ class TestBulkAgreement:
         graph.add(Triple(EX.item, EX.id, Literal(1)))
         graph.add(Triple(EX.item, EX.tag, Literal("news")))
         graph.add(Triple(EX.item, EX.tag, Literal("sports")))
-        for engine in (DerivativeEngine(cache=True),
+        for engine in (DerivativeEngine(cache=DerivativeCache()),
                        BacktrackingEngine(budget=1_000_000)):
             validator = Validator(graph, schema, engine=engine)
             assert validator.validate_node(EX.item, "Tagged").conforms, engine.name
@@ -424,13 +424,15 @@ class TestBulkOperationsShareThePairLoop:
 
 
 class TestGraphNeighbourhoodCache:
-    def test_neighbourhood_ordered_is_cached_and_sorted(self):
+    """Neighbourhoods and contexts follow graph mutations.  The graph keeps
+    no neighbourhood cache: ``Σgₙ`` is built from SPO on each call."""
+
+    def test_engine_consumes_the_neighbourhood_by_predicate(self):
         graph = Graph()
         graph.add(Triple(EX.n, EX.b, Literal(2)))
         graph.add(Triple(EX.n, EX.a, Literal(1)))
-        first = graph.neighbourhood_ordered(EX.n)
-        assert [t.predicate for t in first] == [EX.a, EX.b]
-        assert graph.neighbourhood_ordered(EX.n) is first
+        ordered = DerivativeEngine().order_triples(graph.neighbourhood(EX.n))
+        assert [t.predicate for t in ordered] == [EX.a, EX.b]
 
     def test_mutation_invalidates_the_cache(self):
         graph = Graph()
@@ -438,7 +440,6 @@ class TestGraphNeighbourhoodCache:
         assert len(graph.neighbourhood(EX.n)) == 1
         graph.add(Triple(EX.n, EX.b, Literal(2)))
         assert len(graph.neighbourhood(EX.n)) == 2
-        assert len(graph.neighbourhood_ordered(EX.n)) == 2
         graph.discard(Triple(EX.n, EX.a, Literal(1)))
         assert len(graph.neighbourhood(EX.n)) == 1
 
@@ -471,11 +472,12 @@ class TestGraphNeighbourhoodCache:
     def test_unordered_engine_is_not_handed_presorted_neighbourhoods(self):
         graph = Graph()
         graph.add(Triple(EX.n, EX.p, Literal(1)))
-        ordered = DerivativeEngine(order_by_predicate=True)
+        graph.add(Triple(EX.n, EX.a, Literal(2)))
         unordered = DerivativeEngine(order_by_predicate=False)
-        ctx_ordered = ReferenceContext(graph, person_schema(),
-                                       ordered.match_neighbourhood)
-        ctx_unordered = ReferenceContext(graph, person_schema(),
-                                         unordered.match_neighbourhood)
-        assert ctx_ordered._ordered_neighbourhoods
-        assert not ctx_unordered._ordered_neighbourhoods
+        context = ReferenceContext(graph, person_schema(),
+                                   unordered.match_neighbourhood)
+        # every engine gets the plain set; only an ordering one sorts it
+        neighbourhood = context._neighbourhood_of(EX.n)
+        assert neighbourhood == graph.neighbourhood(EX.n)
+        assert isinstance(neighbourhood, frozenset)
+        assert unordered.order_triples(neighbourhood) == list(neighbourhood)

@@ -8,6 +8,7 @@ from repro.cli import build_parser, main
 from repro.rdf import EX, FOAF, Literal, Triple
 from repro.service import ValidationSession
 from repro.shex import Validator
+from repro.shex.cache import MAX_DERIVATIVE_CACHE_ENTRIES, MAX_SIGNATURE_CACHE_ENTRIES
 from repro.workloads import (
     PAPER_EXAMPLE_TURTLE,
     PERSON_SCHEMA_SHEXC,
@@ -163,22 +164,23 @@ class TestValidateCommand:
         assert "cache-stats:" in err
         assert "hits=" in err and "evictions=" in err
 
-    def test_cache_max_entries_bounds_the_cache(self, data_file, schema_file, capsys):
+    def test_cache_stats_report_the_constant_bounds(self, data_file, schema_file,
+                                                    capsys):
         exit_code = main(["validate", "--data", data_file, "--schema", schema_file,
-                          "--all-nodes", "--cache-stats", "--cache-max-entries", "2",
-                          "--format", "summary"])
+                          "--all-nodes", "--cache-stats", "--format", "summary"])
         captured = capsys.readouterr()
         assert exit_code == 1
-        assert "max_entries=2" in captured.err
-        assert "2/3 conform" in captured.out  # verdicts unchanged under eviction
+        assert f"max_entries={MAX_DERIVATIVE_CACHE_ENTRIES} " in captured.err
+        assert f"max_entries={MAX_SIGNATURE_CACHE_ENTRIES} " in captured.err
+        assert "unbounded" not in captured.err
 
     def test_store_stats_are_printed_with_cache_stats(self, data_file,
                                                       schema_file, capsys):
         main(["validate", "--data", data_file, "--schema", schema_file,
               "--all-nodes", "--cache-stats", "--format", "summary"])
         err = capsys.readouterr().err
-        assert "store-stats: triples=8 cached_neighbourhoods=" in err
-        assert " reverse_predicates=0\n" in err  # validate builds no bucket
+        # validate builds no reverse bucket
+        assert "store-stats: triples=8 reverse_predicates=0\n" in err
         assert "dictionary-stats:" not in err
 
     def test_journal_stats_are_printed_with_cache_stats(self, data_file,

@@ -18,7 +18,7 @@ from repro.shex import (
     star,
     value_set,
 )
-from repro.shex.analysis import first_predicates, neighbourhood_cardinality_bounds
+from repro.shex.analysis import cardinality_bounds, first_predicates
 from repro.shex.expressions import EPSILON, alternative, interleave
 from repro.shex.node_constraints import PredicateSet
 from repro.workloads import (
@@ -41,13 +41,13 @@ def buckets(*triples: Triple):
 # ------------------------------------------------------------------ analysis layer
 class TestSoundCardinalityBounds:
     def test_single_predicate_arc_is_exactly_one(self):
-        bounds = neighbourhood_cardinality_bounds(arc(EX.p, value_set(1)))
+        bounds = cardinality_bounds(arc(EX.p, value_set(1)))
         assert bounds[EX.p].minimum == 1
         assert bounds[EX.p].maximum == 1
 
     def test_multi_predicate_arc_has_no_minimum(self):
         expr = arc(PredicateSet([EX.p, EX.q]), value_set(1))
-        bounds = neighbourhood_cardinality_bounds(expr)
+        bounds = cardinality_bounds(expr)
         # the arc consumes one p-OR-q triple: neither predicate individually
         # is required, each can appear at most once
         assert bounds[EX.p].minimum == 0 and bounds[EX.p].maximum == 1
@@ -55,7 +55,7 @@ class TestSoundCardinalityBounds:
 
     def test_interleave_adds_and_star_unbounds(self):
         expr = interleave(arc(EX.p, value_set(1)), star(arc(EX.p, value_set(2))))
-        bounds = neighbourhood_cardinality_bounds(expr)
+        bounds = cardinality_bounds(expr)
         assert bounds[EX.p].minimum == 1
         assert bounds[EX.p].maximum is None
 
@@ -64,14 +64,14 @@ class TestSoundCardinalityBounds:
             interleave(arc(EX.p, value_set(1)), arc(EX.p, value_set(2))),
             arc(EX.q, value_set(1)),
         )
-        bounds = neighbourhood_cardinality_bounds(expr)
+        bounds = cardinality_bounds(expr)
         assert bounds[EX.p].minimum == 0 and bounds[EX.p].maximum == 2
         assert bounds[EX.q].minimum == 0 and bounds[EX.q].maximum == 1
 
     def test_wildcard_arc_voids_maxima(self):
         expr = interleave(arc(EX.p, value_set(1)),
                           arc(PredicateSet(any_predicate=True), None))
-        bounds = neighbourhood_cardinality_bounds(expr)
+        bounds = cardinality_bounds(expr)
         # the wildcard could absorb a second p-triple, so no finite max
         assert bounds[EX.p].minimum == 1
         assert bounds[EX.p].maximum is None
@@ -81,7 +81,7 @@ class TestSoundCardinalityBounds:
             arc(EX.p, value_set(1)),
             arc(PredicateSet(stem="http://example.org/"), None),
         )
-        bounds = neighbourhood_cardinality_bounds(expr)
+        bounds = cardinality_bounds(expr)
         assert bounds[EX.p].maximum is None
 
 

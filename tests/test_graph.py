@@ -202,7 +202,7 @@ class TestPaperAlgebra:
     def test_unknown_node_has_no_out_edges_in_any_view(self):
         graph = Graph([Triple(EX.n, EX.a, Literal(1))])
         ghost = EX.nobody
-        assert list(graph.neighbourhood_ordered(ghost)) == []
+        assert graph.neighbourhood(ghost) == frozenset()
         assert graph.degree(ghost) == 0
         assert graph.predicate_objects(ghost) == {}
         assert list(graph.triples(subject=ghost)) == []
@@ -252,17 +252,15 @@ class TestSerialisationDispatch:
 
 
 class TestStoreStats:
-    def test_counts_triples_and_cached_neighbourhoods(self):
+    def test_counts_triples_and_keeps_no_neighbourhoods(self):
         graph = Graph([Triple(EX.s, FOAF.name, Literal("Ada")),
                        Triple(EX.t, FOAF.name, Literal("Bo"))])
-        assert graph.store_stats() == {"triples": 2, "cached_neighbourhoods": 0,
-                                       "reverse_predicates": 0}
-        graph.neighbourhood(EX.s)
-        graph.neighbourhood_ordered(EX.s)
-        assert graph.store_stats()["cached_neighbourhoods"] == 2
+        assert graph.store_stats() == {"triples": 2, "reverse_predicates": 0}
+        # a neighbourhood is built on each call and never kept
+        assert graph.neighbourhood(EX.s) is not graph.neighbourhood(EX.s)
         graph.add(Triple(EX.s, FOAF.name, Literal("Ada L.")))
-        assert graph.store_stats() == {"triples": 3, "cached_neighbourhoods": 0,
-                                       "reverse_predicates": 0}
+        assert graph.store_stats() == {"triples": 3, "reverse_predicates": 0}
+        assert len(graph.neighbourhood(EX.s)) == 2
 
     def test_counts_the_reverse_buckets_built_by_pattern_queries(self):
         graph = Graph([Triple(EX.s, FOAF.name, Literal("Ada")),
@@ -273,8 +271,7 @@ class TestStoreStats:
         list(graph.triples(predicate=FOAF.age))  # absent, still built
         assert graph.store_stats()["reverse_predicates"] == 2
         graph.clear()  # a built bucket stays built, and empty
-        assert graph.store_stats() == {"triples": 0, "cached_neighbourhoods": 0,
-                                       "reverse_predicates": 2}
+        assert graph.store_stats() == {"triples": 0, "reverse_predicates": 2}
         graph.add(Triple(EX.u, EX.p, Literal("Bo")))
         list(graph.triples(obj=EX.t))  # object-only: every predicate
         assert graph.store_stats()["reverse_predicates"] == 3

@@ -139,8 +139,6 @@ def _check_contents(graph: Graph, model: Model) -> None:
     for node in NODES + OBJECTS[:1]:
         expected = model.neighbourhood(node)
         assert graph.neighbourhood(node) == expected
-        assert list(graph.neighbourhood_ordered(node)) \
-            == sorted(expected, key=Triple.sort_key)
         assert graph.degree(node) == len(expected)
         counts = {}
         for triple in expected:
@@ -177,10 +175,6 @@ class TestGraphAgainstASetModel:
            ops=operations())
     def test_every_observable_matches_the_model(self, initial, ops):
         graph, model = Graph(initial), Model(initial)
-        # warm the neighbourhood caches so mutations must invalidate them
-        for node in NODES:
-            graph.neighbourhood(node)
-            graph.neighbourhood_ordered(node)
         _run(graph, model, ops)
         _check_contents(graph, model)
         _check_patterns(graph, model)
@@ -298,8 +292,6 @@ class TestGraphOnThePaperExample:
         for node in subjects:
             expected = _matching(triples, subject=node)
             assert graph.neighbourhood(node) == expected
-            assert list(graph.neighbourhood_ordered(node)) \
-                == sorted(expected, key=Triple.sort_key)
             assert graph.degree(node) == len(expected)
             counts = {}
             for triple in expected:

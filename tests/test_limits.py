@@ -3,7 +3,8 @@
 Every integer or float limit of the CLI is range-checked by argparse, so a
 bad value is a one-line usage error (exit 2) instead of a late traceback or
 a server that fails every request.  The bounds themselves are tested at
-``N − 1``, ``N`` and ``N + 1`` with counters, never with wall-clock time.
+``N − 1``, ``N`` and ``N + 1`` with counters, never with wall-clock time;
+the memo-table bounds are module constants, monkeypatched to a small ``N``.
 """
 
 from __future__ import annotations
@@ -12,32 +13,31 @@ import json
 
 import pytest
 
-from repro.cli import build_parser, main
+import repro.shex.cache as cache_module
+import repro.shex.compiled as compiled_module
+from repro.cli import build_parser
 from repro.rdf import EX, Graph, Literal, Triple
 from repro.rdf.graph import ChangeJournal
 from repro.service import ServiceClient, ServiceError, ValidationRequest, serve
-from repro.shex.cache import DerivativeCache
-from repro.shex.expressions import arc
+from repro.shex import CompiledSchema, Schema, arc, star
+from repro.shex.cache import DerivativeCache, SignatureCache
 from repro.workloads import PAPER_EXAMPLE_TURTLE, person_schema
 
 
 class TestLimitsAreCheckedAtParsing:
-    def test_validate_cache_max_entries_below_one(self, tmp_path, capsys):
-        data = tmp_path / "data.ttl"
-        data.write_text(PAPER_EXAMPLE_TURTLE, encoding="utf-8")
-        schema = tmp_path / "s.shex"
-        schema.write_text("<S> { <http://example.org/p> . * }\n",
-                          encoding="utf-8")
+    @pytest.mark.parametrize("command", ["validate", "serve"])
+    def test_cache_max_entries_is_no_option(self, command, capsys):
+        # the memo tables are bounded by constants; no flag sizes them
         with pytest.raises(SystemExit) as excinfo:
-            main(["validate", "--data", str(data), "--schema", str(schema),
-                  "--all-nodes", "--cache-max-entries", "0"])
+            build_parser().parse_args([command, "--data", "d.ttl", "--schema",
+                                       "s.shex", "--cache-max-entries", "8"])
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
-        assert "--cache-max-entries: must be at least 1, got 0" in err
+        assert "unrecognized arguments: --cache-max-entries 8" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("option, value, minimum", [
-        ("--cache-max-entries", "0", 1),
+        ("--shards", "-1", 0),
         ("--max-body-bytes", "-1", 0),
         ("--max-connections", "-1", 0),
         ("--connection-timeout", "-0.5", 0),
@@ -52,7 +52,7 @@ class TestLimitsAreCheckedAtParsing:
             in capsys.readouterr().err
 
     @pytest.mark.parametrize("option, value", [
-        ("--cache-max-entries", "1"), ("--max-body-bytes", "0"),
+        ("--shards", "0"), ("--max-body-bytes", "0"),
         ("--max-connections", "0"), ("--connection-timeout", "0"),
     ])
     def test_serve_limit_at_its_minimum_parses(self, option, value):
@@ -85,18 +85,65 @@ class TestBodyBoundEdges:
                     assert excinfo.value.http_status == 413
 
 
+#: the small bound every memo-table edge test runs at.
+BOUND = 5
+
+#: ``(stored, clears)``: N − 1 and N entries stay; entry N + 1 clears the
+#: table once, leaving one entry and counting N evictions.
+EDGES = [(BOUND - 1, 0), (BOUND, 0), (BOUND + 1, 1)]
+
+
+def _keys(stored):
+    return [star(arc(EX[f"edge{index}"])) for index in range(stored)]
+
+
 class TestDerivativeCacheEdges:
-    @pytest.mark.parametrize("stored, evictions", [(4, 0), (5, 0), (6, 1)])
-    def test_eviction_starts_past_max_entries(self, stored, evictions):
-        cache = DerivativeCache(max_entries=5)
-        keys = [arc(EX[f"edge{index}"]) for index in range(stored)]
+    @pytest.mark.parametrize("stored, clears", EDGES)
+    def test_eviction_starts_past_max_entries(self, stored, clears,
+                                              monkeypatch):
+        monkeypatch.setattr(cache_module, "MAX_DERIVATIVE_CACHE_ENTRIES", BOUND)
+        cache = DerivativeCache()
+        keys = _keys(stored)
         for key in keys:
             cache.store(key, (True,), key)
-        assert cache.evictions == evictions
-        assert len(cache) == min(stored, 5)
-        # the least recently used entry is the one evicted
-        assert (cache.lookup(keys[0], (True,)) is None) == bool(evictions)
+        assert cache.evictions == clears * BOUND
+        assert len(cache) == (1 if clears else stored)
+        assert (cache.lookup(keys[0], (True,)) is None) == bool(clears)
         assert cache.lookup(keys[-1], (True,)) is keys[-1]
+
+    @pytest.mark.parametrize("stored, clears", EDGES)
+    def test_atom_table_edge(self, stored, clears, monkeypatch):
+        monkeypatch.setattr(cache_module, "MAX_DERIVATIVE_CACHE_ENTRIES", BOUND)
+        cache = DerivativeCache()
+        for key in _keys(stored):
+            assert cache.atoms_for(key) == ((key.expr.predicate, key.expr.object),)
+        assert cache.evictions == clears * BOUND
+        assert cache.stats()["expressions"] == (1 if clears else stored)
+
+
+class TestSignatureCacheEdges:
+    @pytest.mark.parametrize("stored, clears", EDGES)
+    def test_clear_starts_past_max_entries(self, stored, clears,
+                                           monkeypatch):
+        monkeypatch.setattr(cache_module, "MAX_SIGNATURE_CACHE_ENTRIES", BOUND)
+        cache = SignatureCache()
+        for index in range(stored):
+            cache.store((("p", (True,) * (index + 1)),), "S", True)
+        assert cache.evictions == clears * BOUND
+        assert len(cache) == (1 if clears else stored)
+        assert cache.lookup((("p", (True,) * stored),), "S") == (True, "")
+
+
+class TestSignatureAtomEdges:
+    @pytest.mark.parametrize("stored, clears", EDGES)
+    def test_clear_starts_past_max_entries(self, stored, clears,
+                                           monkeypatch):
+        monkeypatch.setattr(compiled_module, "MAX_SIGNATURE_ATOM_ENTRIES", BOUND)
+        compiled = CompiledSchema(Schema({"S": star(arc(EX.p))}))
+        for index in range(stored):
+            compiled.signature_atoms(EX[f"data{index}"])
+        assert compiled.signature_atom_evictions == clears * BOUND
+        assert len(compiled._signature_atoms) == (1 if clears else stored)
 
 
 class TestJournalLengthEdges:

@@ -22,7 +22,7 @@ from repro.shex import (
     Validator,
     parse_shexc,
 )
-from repro.shex.cache import SignatureCache
+from repro.shex.cache import MAX_DERIVATIVE_CACHE_ENTRIES, SignatureCache
 from repro.shex.reference import ReferenceContext
 from repro.shex.schema import FixpointContext
 from repro.workloads import (
@@ -89,18 +89,16 @@ class TestWhatTheReferenceIs:
         workload = generate_person_workload(num_people=3, seed=1)
         with pytest.raises(ValueError, match="reference"):
             Validator(workload.graph, workload.schema, reference=True,
-                      cache_max_entries=10)
-        with pytest.raises(ValueError, match="reference"):
-            Validator(workload.graph, workload.schema, reference=True,
                       compiled=CompiledSchema(workload.schema))
 
     def test_the_validator_owns_the_derivative_cache(self):
         workload = generate_person_workload(num_people=3, seed=1)
-        with pytest.raises(TypeError, match="cache_max_entries"):
-            Validator(workload.graph, workload.schema, cache=True)
-        bounded = Validator(workload.graph, workload.schema,
-                            cache_max_entries=7)
-        assert bounded.engine.cache.max_entries == 7
+        with pytest.raises(TypeError, match="owns the derivative cache"):
+            Validator(workload.graph, workload.schema, cache=DerivativeCache())
+        validator = Validator(workload.graph, workload.schema)
+        assert isinstance(validator.engine.cache, DerivativeCache)
+        assert validator.engine.cache.stats()["max_entries"] \
+            == MAX_DERIVATIVE_CACHE_ENTRIES
 
 
 class TestTheTwoContexts:
@@ -226,6 +224,9 @@ class TestCliReference:
 
     def test_reference_with_a_cache_bound_is_a_usage_error(self, files,
                                                            capsys):
-        assert main(files + ["--reference",
-                             "--cache-max-entries", "5"]) == 2
-        assert "--reference" in capsys.readouterr().err
+        # no run takes a cache bound: the memo tables are bounded by constants
+        with pytest.raises(SystemExit) as excinfo:
+            main(files + ["--reference", "--cache-max-entries", "5"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --cache-max-entries 5" \
+            in capsys.readouterr().err

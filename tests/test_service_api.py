@@ -250,27 +250,25 @@ class TestServiceStatsFormat:
     def _stats(self):
         return ServiceStats(
             generation=7,
-            store={"triples": 10, "cached_neighbourhoods": 2,
-                   "reverse_predicates": 1},
+            store={"triples": 10, "reverse_predicates": 1},
             journal={"tracked_subjects": 3, "records": 4, "overflows": 0,
                      "max_entries": 1024},
             prefilter={"accepts": 1, "rejects": 2, "reference_checks": 3,
                        "schema": {"labels": 1}},
             cache={"hits": 5, "misses": 7, "evictions": 0, "derivatives": 9,
-                   "max_entries": 0,
+                   "max_entries": 4096,
                    "hit_rate": 0.4167},
             session={"shards": 0},
         )
 
     def test_line_prefixes_and_keys(self):
         rendered = self._stats().format_text()
-        assert ("store-stats: triples=10 cached_neighbourhoods=2 "
-                "reverse_predicates=1") in rendered
+        assert "store-stats: triples=10 reverse_predicates=1" in rendered
         assert "dictionary-stats:" not in rendered
         assert "journal-stats: tracked_subjects=3" in rendered
         assert "prefilter-stats: accepts=1 rejects=2" in rendered
         assert "cache-stats: hits=5 misses=7 evictions=0" in rendered
-        assert "max_entries=unbounded" in rendered  # 0 renders as unbounded
+        assert "derivatives=9 max_entries=4096 " in rendered
 
     def test_disabled_subsystems_render_explicitly(self):
         rendered = ServiceStats().format_text()

@@ -186,6 +186,27 @@ class TestTypedErrors:
             ValidationSession.from_request(ValidationRequest(data=""))
         assert exc.value.code == "schema-error"
 
+    def test_a_request_asks_for_at_most_the_servers_shards(self, monkeypatch):
+        from repro.service import ValidationService
+        from repro.service.fleet import ShardFleet
+
+        def spawn(fleet, index):
+            pytest.fail("a load request started a shard worker")
+
+        monkeypatch.setattr(ShardFleet, "_spawn", spawn)
+        service = ValidationService(person_schema(), shards=0)
+        for shards in (2, -1):
+            # refused before the (malformed) data is parsed
+            with pytest.raises(ServiceError) as exc:
+                service.create_graph(ValidationRequest(
+                    data="@prefix broken", shards=shards))
+            assert exc.value.code == "bad-request"
+            assert exc.value.http_status == 400
+            assert "shards must be between 0 and 0" in str(exc.value)
+        loaded = service.create_graph(ValidationRequest(
+            data=PAPER_EXAMPLE_TURTLE, shards=0))
+        assert loaded["triples"] == 8
+
 
 class TestSerialization:
     def test_concurrent_deltas_never_interleave(self):

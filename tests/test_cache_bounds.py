@@ -73,11 +73,17 @@ class TestBoundedCache:
         assert signature.stats()["max_entries"] == MAX_SIGNATURE_CACHE_ENTRIES
         assert derivative.stats()["evictions"] == 0
         assert signature.stats()["evictions"] == 0
-        # the bound is a constant, not an option
-        with pytest.raises(TypeError):
-            DerivativeCache(max_entries=4)
-        with pytest.raises(TypeError):
-            SignatureCache(max_entries=4)
+
+    def test_rejects_nonpositive_bounds(self):
+        # every bound is a positive module constant; no caller can pass one
+        for bound in (MAX_DERIVATIVE_CACHE_ENTRIES, MAX_SIGNATURE_CACHE_ENTRIES,
+                      compiled_module.MAX_SIGNATURE_ATOM_ENTRIES):
+            assert isinstance(bound, int) and bound > 0
+        for value in (0, -3, 4):
+            with pytest.raises(TypeError):
+                DerivativeCache(max_entries=value)
+            with pytest.raises(TypeError):
+                SignatureCache(max_entries=value)
 
     def test_derivative_table_stays_within_the_bound(self, monkeypatch):
         set_bounds(monkeypatch, derivatives=4)

@@ -25,15 +25,18 @@ from repro.workloads import PAPER_EXAMPLE_TURTLE, person_schema
 
 
 class TestLimitsAreCheckedAtParsing:
-    @pytest.mark.parametrize("command", ["validate", "serve"])
-    def test_cache_max_entries_is_no_option(self, command, capsys):
-        # the memo tables are bounded by constants; no flag sizes them
+    # the memo tables are bounded by constants; no flag sizes them, so the
+    # flag's old edge values (0 below its minimum, 1 at it) are both refused
+    @pytest.mark.parametrize("command, value", [
+        ("validate", "0"), ("serve", "0"), ("serve", "1"),
+    ])
+    def test_cache_max_entries_is_no_option(self, command, value, capsys):
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args([command, "--data", "d.ttl", "--schema",
-                                       "s.shex", "--cache-max-entries", "8"])
+                                       "s.shex", "--cache-max-entries", value])
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
-        assert "unrecognized arguments: --cache-max-entries 8" in err
+        assert f"unrecognized arguments: --cache-max-entries {value}" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("option, value, minimum", [

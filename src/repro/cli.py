@@ -35,7 +35,6 @@ from .service.api import ServiceError
 from .shex import Schema, SchemaError
 from .shex.derivatives import DerivativeBudgetExceeded
 from .shex.reporting import format_csv, format_text, report_to_json, summarize
-from .shex.shape_map import parse_shape_map
 from .shex.validator import ValidationReport
 
 __all__ = ["main", "build_parser"]
@@ -261,6 +260,8 @@ def _command_validate(args: argparse.Namespace) -> int:
 
     shape_map = args.shape_map or args.shape_map_file
     if shape_map:
+        from .shex.shape_map import parse_shape_map
+
         text = args.shape_map or _read_file(args.shape_map_file)
         report = session.validator.validate_map(
             parse_shape_map(text, graph.namespaces).resolve(graph))

@@ -303,6 +303,39 @@ class Graph:
                 self.add(triple)
         return self
 
+    def fill(self, triples: Iterable[Triple]) -> "Graph":
+        """Fill a new graph from ``triples`` in one pass.  Returns ``self``.
+
+        The parsers' build path: it streams its input (a parse reads text,
+        never a live view of this graph) and leaves the graph, its
+        :attr:`generation` and its journal as ``add`` inside one
+        :meth:`batch` would, without the per-triple call.  The input is
+        trusted: ``(subject, predicate, object)`` tuples of the right term
+        kinds, unchecked.  A run of triples that share one subject object
+        shares its SPO entry.
+        """
+        if self._generation or self._batch_depth:
+            raise GraphError("fill builds a new graph; use add_all to edit one")
+        spo = self._spo
+        count = 0
+        subject = by_pred = None
+        try:
+            for s, p, o in triples:
+                if s is not subject:
+                    by_pred = spo.get(s)
+                    if by_pred is None:
+                        by_pred = spo[s] = {}
+                    subject = s
+                objects = by_pred.get(p, ())
+                size = len(objects)
+                objects = by_pred[p] = bucket_add(objects, o)
+                count += len(objects) - size
+        finally:
+            self._count = self._generation = count
+            for s in spo:
+                self._journal.record(s, count)
+        return self
+
     def remove_all(self, triples: Iterable[Triple]) -> "Graph":
         """Discard every triple inside one batch.  Returns ``self``.
 

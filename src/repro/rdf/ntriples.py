@@ -4,18 +4,24 @@ N-Triples is the simplest RDF concrete syntax: one triple per line, full IRIs
 only.  It is used as the interchange format for the workload generators and as
 the building block of the Turtle serialiser's escaping rules.
 
-Ingest matches each line once against a whole-line regex built from the
-per-token patterns below.  A line it rejects is re-parsed token by token
-(:func:`_parse_line_tokens`) only to raise the precise :class:`ParseError`.
-The parse keeps a term table keyed by raw token, so each distinct IRI,
-blank node or literal is built and validated once and every triple that
-uses it shares the same object.
+Ingest splits each canonical line, ``<s> <p> o .`` with single spaces (all
+that dumps and :func:`serialize_ntriples` write), once into its three raw
+tokens.  The parse keeps one term table keyed by raw token for every role,
+so each distinct IRI, blank node or literal is validated against its role's
+regex and built once, every triple that uses it shares the same object, and
+a hit only checks the role by the term's type.  Any other line (tabs,
+doubled spaces, comments, errors) is parsed token by token by
+:func:`_parse_line_tokens`, the reference, which raises the precise
+:class:`ParseError`.  :func:`parse_ntriples` streams the triples into
+:meth:`Graph.fill <repro.rdf.graph.Graph.fill>`, the one-pass build of a new
+graph.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Dict, Iterable, Iterator, List, Optional
+from functools import partial
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .errors import ParseError
 from .graph import Graph
@@ -38,26 +44,16 @@ _IRIREF = r"<([^\x00-\x20<>\"{}|^`\\]+)>"
 _BNODE = r"_:([A-Za-z0-9][A-Za-z0-9_.-]*)"
 _STRING = r'"((?:[^"\\\n\r]|\\.)*)"'
 _LANGTAG = r"@([a-zA-Z]{1,8}(?:-[a-zA-Z0-9]{1,8})*)"
-_END = r"\s*\.\s*(#.*)?$"
 
+# One regex per role: the token parser matches it at a position, the split
+# path fullmatches a whole token with it.  Any leading whitespace it admits
+# is what the token parser skips at the same spot.
 _SUBJECT_RE = re.compile(rf"\s*(?:{_IRIREF}|{_BNODE})")
 _PREDICATE_RE = re.compile(rf"\s*{_IRIREF}")
 _OBJECT_RE = re.compile(
     rf"\s*(?:{_IRIREF}|{_BNODE}|{_STRING}(?:{_LANGTAG}|\^\^{_IRIREF})?)"
 )
-_END_RE = re.compile(_END)
-
-# The same grammar as one match per line.  Groups 1, 4 and 6 are the whole
-# subject, predicate and object tokens (the term-table keys); the object
-# blank node's lookahead keeps its label as greedy as _OBJECT_RE's, so the
-# regex cannot backtrack a trailing "." out of the label into the end dot.
-_TRIPLE_RE = re.compile(
-    rf"\s*({_IRIREF}|{_BNODE})"
-    rf"\s*({_IRIREF})"
-    rf"\s*({_IRIREF}|{_BNODE}(?![A-Za-z0-9_.-])"
-    rf"|{_STRING}(?:{_LANGTAG}|\^\^{_IRIREF})?)"
-    + _END
-)
+_END_RE = re.compile(r"\s*\.\s*(#.*)?$")
 
 _EOL_RE = re.compile(r"\r\n?|\n")
 _LF_RE = re.compile("\n")
@@ -144,42 +140,46 @@ def _literal(string: str, lang: Optional[str], dtype: Optional[str],
     return Literal(lexical)
 
 
+def _term(match: re.Match, lineno: int, offset: int) -> Term:
+    """The term a role regex matched (its groups: IRI, blank node, string,
+    language, datatype); ``offset`` is where the match's text starts in
+    its line."""
+    iri = match.group(1)
+    if iri is not None:
+        return IRI(iri)
+    bnode = match.group(2)
+    if bnode is not None:
+        return BNode(bnode)
+    string, lang, dtype = match.group(3, 4, 5)
+    return _literal(string, lang, dtype, lineno, offset + match.start(3))
+
+
 def _parse_subject(line: str, pos: int, lineno: int) -> tuple[SubjectTerm, int]:
     match = _SUBJECT_RE.match(line, pos)
     if not match:
         raise ParseError("expected IRI or blank node as subject", lineno, pos)
-    iri, bnode = match.group(1), match.group(2)
-    term: SubjectTerm = IRI(iri) if iri is not None else BNode(bnode)
-    return term, match.end()
+    return _term(match, lineno, 0), match.end()
 
 
 def _parse_predicate(line: str, pos: int, lineno: int) -> tuple[IRI, int]:
     match = _PREDICATE_RE.match(line, pos)
     if not match:
         raise ParseError("expected IRI as predicate", lineno, pos)
-    return IRI(match.group(1)), match.end()
+    return _term(match, lineno, 0), match.end()
 
 
 def _parse_object(line: str, pos: int, lineno: int) -> tuple[ObjectTerm, int]:
     match = _OBJECT_RE.match(line, pos)
     if not match:
         raise ParseError("expected IRI, blank node or literal as object", lineno, pos)
-    iri, bnode, string, lang, dtype = match.group(1, 2, 3, 4, 5)
-    term: ObjectTerm
-    if iri is not None:
-        term = IRI(iri)
-    elif bnode is not None:
-        term = BNode(bnode)
-    else:
-        term = _literal(string, lang, dtype, lineno, match.start(3))
-    return term, match.end()
+    return _term(match, lineno, 0), match.end()
 
 
 def _parse_line_tokens(line: str, lineno: int) -> Triple:
     """Parse one non-blank, non-comment line token by token.
 
-    The reference for the one-match path: ingest calls it only for lines
-    :data:`_TRIPLE_RE` rejects, to raise the :class:`ParseError` naming the
+    The reference for the split path: ingest calls it for every line that
+    is not canonical, and it raises the :class:`ParseError` naming the
     first token that fails, at its line and column.
     """
     subject, pos = _parse_subject(line, 0, lineno)
@@ -205,46 +205,55 @@ def parse_term(text: str) -> ObjectTerm:
     return term
 
 
-def _iter_triples(lines: Iterable[str]) -> Iterator[Triple]:
-    """The ingest loop: one regex match and three term-table probes a line.
+def _new_term(table: Dict[str, Term], token: str, role: re.Pattern,
+              lineno: int, offset: int) -> Optional[Term]:
+    """Validate ``token`` against its role's regex and store its term;
+    ``None`` when the whole token is no such term."""
+    match = role.fullmatch(token)
+    if match is None:
+        return None
+    term = table[token] = _term(match, lineno, offset)
+    return term
 
-    The table maps raw tokens (``<iri>``, ``_:label``, ``"lexical"@lang``
-    …) to the terms built from them, for the lifetime of the parse.
+
+def _iter_triples(lines: Iterable[str]) -> Iterator[Tuple[Term, Term, Term]]:
+    """The ingest loop: one split and at most three table probes a line.
+
+    A canonical line, ``<s> <p> o .`` with single spaces, splits into its
+    three raw tokens.  The table maps each token (``<iri>``, ``_:label``,
+    ``"lexical"@lang`` …) to the one term built from it, whatever role it
+    was first seen in, for the lifetime of the parse; a hit checks the role
+    by the term's type.  Any other line, and any token that is no term of
+    its role, goes to :func:`_parse_line_tokens`.  The role checks fix
+    every term's kind, so a canonical line yields a plain ``(s, p, o)``
+    tuple, without :class:`Triple`'s own checks.
     """
     table: Dict[str, Term] = {}
     get = table.get
-    match_line = _TRIPLE_RE.match
-    new = tuple.__new__
+    s_token = subject = None
     for lineno, line in enumerate(lines, start=1):
-        match = match_line(line)
-        if match is None:
-            stripped = line.strip()
-            if not stripped or stripped[0] == "#":
-                continue
+        parts = line.split(" ", 2)
+        if len(parts) == 3 and parts[2][-2:] == " .":
+            token, p_token, rest = parts
+            if token != s_token:
+                subject = get(token) or _new_term(table, token, _SUBJECT_RE,
+                                                  lineno, 0)
+                s_token = (token if subject is not None
+                           and subject.__class__ is not Literal else None)
+            if s_token is not None:
+                predicate = get(p_token) or _new_term(
+                    table, p_token, _PREDICATE_RE, lineno, 0)
+                if predicate.__class__ is IRI:
+                    o_token = rest[:-2]
+                    obj = get(o_token) or _new_term(
+                        table, o_token, _OBJECT_RE, lineno,
+                        len(token) + len(p_token) + 2)
+                    if obj is not None:
+                        yield subject, predicate, obj
+                        continue
+        stripped = line.strip()
+        if stripped and stripped[0] != "#":
             yield _parse_line_tokens(line, lineno)
-            continue
-        s_token, p_token, o_token = match.group(1, 4, 6)
-        subject = get(s_token)
-        if subject is None:
-            iri = match.group(2)
-            subject = table[s_token] = (IRI(iri) if iri is not None
-                                        else BNode(match.group(3)))
-        predicate = get(p_token)
-        if predicate is None:
-            predicate = table[p_token] = IRI(match.group(5))
-        obj = get(o_token)
-        if obj is None:
-            iri, bnode, string = match.group(7, 8, 9)
-            if iri is not None:
-                obj = IRI(iri)
-            elif bnode is not None:
-                obj = BNode(bnode)
-            else:
-                obj = _literal(string, match.group(10), match.group(11),
-                               lineno, match.start(9))
-            table[o_token] = obj
-        # the grammar fixes every position's term kind: skip Triple's checks
-        yield new(Triple, (subject, predicate, obj))
 
 
 def _iter_lines(data: str) -> Iterator[str]:
@@ -267,6 +276,10 @@ def split_ntriples_lines(data: str) -> List[str]:
     return list(_iter_lines(data))
 
 
+#: an ``(s, p, o)`` tuple the role checks passed, as a :class:`Triple`
+_as_triple = partial(tuple.__new__, Triple)
+
+
 def iter_ntriples(data: str) -> Iterator[Triple]:
     """Yield triples from N-Triples text, skipping comments and blank lines.
 
@@ -274,18 +287,12 @@ def iter_ntriples(data: str) -> Iterator[Triple]:
     its lifetime: triples that repeat a term share one term object.  Lines
     are sliced one at a time: the text is the only copy of the input.
     """
-    return _iter_triples(_iter_lines(data))
+    return map(_as_triple, _iter_triples(_iter_lines(data)))
 
 
 def parse_ntriples(data: str) -> Graph:
     """Parse N-Triples text into a :class:`~repro.rdf.graph.Graph`."""
-    graph = Graph()
-    # streamed into one batch: ``add_all`` would list its input first, in
-    # case it is a live view of the graph being filled
-    with graph.batch():
-        for triple in iter_ntriples(data):
-            graph.add(triple)
-    return graph
+    return Graph().fill(_iter_triples(_iter_lines(data)))
 
 
 def serialize_ntriples(graph: Graph, sort: bool = True) -> str:

@@ -19,7 +19,7 @@ column information.
 from __future__ import annotations
 
 import re
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from .errors import ParseError
 from .graph import Graph
@@ -118,6 +118,9 @@ class TurtleParser:
         self._graph = Graph(namespaces=NamespaceManager(bind_defaults=False))
         self._bnode_counter = 0
         self._depth = 0
+        #: the triples of the statement being parsed, streamed into the
+        #: graph when the statement ends.
+        self._pending: List[Triple] = []
 
     # -- token helpers -----------------------------------------------------
     def _peek(self) -> _Token:
@@ -156,18 +159,21 @@ class TurtleParser:
     # -- grammar -------------------------------------------------------------
     def parse(self) -> Graph:
         """Parse the whole document and return the resulting graph."""
-        # one batch for the whole document: the load coalesces into one
-        # journal record per subject instead of one per triple.
-        with self._graph.batch():
-            while self._peek().kind != "EOF":
-                token = self._peek()
-                if token.kind == "PREFIX_DIR":
-                    self._parse_prefix()
-                elif token.kind == "BASE_DIR":
-                    self._parse_base()
-                else:
-                    self._parse_triples_block()
-        return self._graph
+        return self._graph.fill(self._triples())
+
+    def _triples(self) -> Iterator[Triple]:
+        """The document's triples, each statement's once it ends."""
+        pending = self._pending
+        while self._peek().kind != "EOF":
+            token = self._peek()
+            if token.kind == "PREFIX_DIR":
+                self._parse_prefix()
+            elif token.kind == "BASE_DIR":
+                self._parse_base()
+            else:
+                self._parse_triples_block()
+                yield from pending
+                pending.clear()
 
     def _parse_prefix(self) -> None:
         directive = self._next()
@@ -243,7 +249,7 @@ class TurtleParser:
     def _parse_object_list(self, subject: SubjectTerm, predicate: IRI) -> None:
         while True:
             obj = self._parse_object()
-            self._graph.add(Triple(subject, predicate, obj))
+            self._pending.append(Triple(subject, predicate, obj))
             if self._peek().kind == "COMMA":
                 self._next()
                 continue
@@ -326,12 +332,12 @@ class TurtleParser:
         head = self._fresh_bnode()
         current = head
         for index, item in enumerate(items):
-            self._graph.add(Triple(current, RDF.first, item))
+            self._pending.append(Triple(current, RDF.first, item))
             if index == len(items) - 1:
-                self._graph.add(Triple(current, RDF.rest, RDF.nil))
+                self._pending.append(Triple(current, RDF.rest, RDF.nil))
             else:
                 nxt = self._fresh_bnode()
-                self._graph.add(Triple(current, RDF.rest, nxt))
+                self._pending.append(Triple(current, RDF.rest, nxt))
                 current = nxt
         return head
 

@@ -73,9 +73,9 @@ compiled, signature or derivative caches.  It gives the same verdicts
 within its budget and is the oracle the fast paths are tested against.
 
 The backtracking engine, the SPARQL compiler (:mod:`repro.shex.sparql_gen`)
-and the SPARQL engine behind it load on first use (PEP 562), and the
-reference validator imports :mod:`repro.shex.reference` itself, so a
-production run never loads them.
+and the SPARQL engine behind it, language enumeration, shape maps and ShExJ
+load on first use (PEP 562), and the reference validator imports
+:mod:`repro.shex.reference` itself, so a production run never loads them.
 """
 
 from .._lazy import lazy_exports
@@ -116,7 +116,6 @@ from .expressions import (
     repeat,
     star,
 )
-from .language import LanguageEnumerationError, enumerate_language, language_size
 from .node_constraints import (
     AnyValue,
     ConstraintAnd,
@@ -145,9 +144,7 @@ from .reporting import (
 )
 from .results import MatchResult, MatchStats, ValidationReportEntry
 from .schema import Schema, SchemaError, ValidationContext
-from .shape_map import FixedEntry, QueryEntry, ShapeMap, parse_shape_map
 from .shexc import parse_shexc, serialize_shexc
-from .shexj import schema_from_dict, schema_to_dict
 from .typing import ShapeLabel, ShapeTyping
 from .validator import (
     ENGINES,
@@ -193,6 +190,15 @@ __all__ = [
 
 # Names whose modules load on first attribute access.
 __getattr__, __dir__ = lazy_exports(__name__, {
+    "LanguageEnumerationError": "language",
+    "enumerate_language": "language",
+    "language_size": "language",
+    "FixedEntry": "shape_map",
+    "QueryEntry": "shape_map",
+    "ShapeMap": "shape_map",
+    "parse_shape_map": "shape_map",
+    "schema_from_dict": "shexj",
+    "schema_to_dict": "shexj",
     "BacktrackingBudgetExceeded": "backtracking",
     "BacktrackingEngine": "backtracking",
     "matches_backtracking": "backtracking",

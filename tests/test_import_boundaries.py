@@ -5,10 +5,11 @@ fleet, the SPARQL engine and the ShEx → SPARQL compiler — load on first
 use, so a ``repro validate`` or a plain ``repro serve`` never pays for
 them, and neither run imports anything outside the standard library and
 ``repro``.  The reference context (:mod:`repro.shex.reference`) is loaded
-only by ``repro validate --reference``; Turtle and the backtracking engine
-only when a run reads Turtle or matches by backtracking; and the server
-speaks HTTP on :mod:`socketserver`, without the TLS, e-mail and HTML stacks
-behind :mod:`http.server`.  Every run happens in a fresh interpreter and
+only by ``repro validate --reference``; Turtle, the backtracking engine and
+the shape-map parser only when a run reads Turtle, matches by backtracking
+or takes a shape map; language enumeration and ShExJ by neither; and the
+server speaks HTTP on :mod:`socketserver`, without the TLS, e-mail and HTML
+stacks behind :mod:`http.server`.  Every run happens in a fresh interpreter and
 reports the modules it added to ``sys.modules``; nothing here measures
 time.
 """
@@ -54,14 +55,17 @@ NEVER_LOADED = (
     "repro.service.fleet",
     "repro.service.sharding",
     "repro.shex.reference",
+    "repro.shex.language",
+    "repro.shex.shexj",
 )
 
 #: what ``http.server`` and ``http.client`` would bring into a server.
 HTTP_STACK = ("ssl", "http.client", "http.server", "email", "html",
               "mimetypes")
 
-#: what only a Turtle read or a backtracking match needs.
-ON_DEMAND = ("repro.rdf.turtle", "repro.shex.backtracking")
+#: what only a Turtle read, a backtracking match or a shape map needs.
+ON_DEMAND = ("repro.rdf.turtle", "repro.shex.backtracking",
+             "repro.shex.shape_map")
 
 # Runs the CLI in-process and prints the names of the modules loaded since
 # interpreter start-up as one JSON line.  For ``serve`` it does so on the
@@ -141,6 +145,16 @@ def test_ntriples_validate_loads_no_turtle_or_backtracking(tmp_path):
     assert completed.returncode == 1  # ex:mary has no name
     assert "repro.rdf.ntriples" in modules
     assert loaded(modules, ON_DEMAND) == []
+
+
+def test_only_a_shape_map_run_loads_the_shape_map_parser(tmp_path):
+    completed, modules = run_cli(
+        ["validate", "--data", "people.nt", "--data-format", "ntriples",
+         "--schema", "person.shex", "--format", "csv",
+         "--shape-map", "<http://example.org/john>@<Person>"], tmp_path)
+    assert completed.returncode == 0, completed.stderr
+    assert loaded(modules, ON_DEMAND) == ["repro.shex.shape_map"]
+    assert loaded(modules, NEVER_LOADED) == []
 
 
 def test_validate_reference_loads_the_reference_context(tmp_path):

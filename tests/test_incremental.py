@@ -20,6 +20,7 @@ from repro.rdf import (
     GraphError,
     Literal,
     Triple,
+    XSD,
 )
 from repro.shex import (
     Arc,
@@ -138,6 +139,47 @@ class TestGraphJournalIntegration:
         # … but the journal gets one record per touched subject, not 100
         assert graph.changes_since(start) == {EX.a, EX.b}
         assert graph.journal.stats()["records"] == 2
+
+    @pytest.mark.parametrize("bound", [2, 100])
+    def test_fill_leaves_what_a_batch_of_adds_leaves(self, bound):
+        # runs of one subject, a subject coming back, duplicates, equal
+        # literals that are different objects, and a journal overflow
+        triples = [Triple(EX.a, EX.p, Literal("x")), Triple(EX.a, EX.p, Literal(1)),
+                   Triple(EX.b, EX.p, Literal("x")), Triple(EX.a, EX.q, EX.b),
+                   Triple(EX.a, EX.p, Literal("x", datatype=XSD.string)),
+                   Triple(EX.c, EX.p, EX.a), Triple(EX.b, EX.p, Literal("x"))]
+        triples += [Triple(EX.d, EX.p, Literal(index)) for index in range(12)]
+        filled = Graph(journal_max_entries=bound).fill(iter(triples))
+        added = Graph(journal_max_entries=bound)
+        with added.batch():
+            for triple in triples:
+                added.add(triple)
+        assert filled == added and len(filled) == 17
+        assert filled.generation == added.generation == 17
+        assert filled.journal.stats() == added.journal.stats()
+        assert filled.changes_since(0) == added.changes_since(0)
+
+    def test_fill_builds_only_a_new_graph(self):
+        graph = Graph()
+        graph.add(Triple(EX.a, EX.p, Literal(1)))
+        graph.discard(Triple(EX.a, EX.p, Literal(1)))
+        with pytest.raises(GraphError):
+            graph.fill([Triple(EX.a, EX.p, Literal(2))])
+        fresh = Graph()
+        with fresh.batch(), pytest.raises(GraphError):
+            fresh.fill([Triple(EX.a, EX.p, Literal(2))])
+
+    def test_a_fill_cut_short_journals_what_it_added(self):
+        def failing():
+            yield Triple(EX.a, EX.p, Literal(1))
+            yield Triple(EX.b, EX.p, Literal(1))
+            raise ValueError("input ends")
+
+        graph = Graph()
+        with pytest.raises(ValueError):
+            graph.fill(failing())
+        assert len(graph) == graph.generation == 2
+        assert graph.changes_since(0) == {EX.a, EX.b}
 
     def test_reads_inside_a_batch_see_current_triples(self):
         graph = Graph()

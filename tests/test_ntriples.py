@@ -1,7 +1,7 @@
 """Unit tests for the N-Triples parser and serialiser."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.rdf import BNode, EX, Graph, Literal, Triple, XSD, parse_turtle
@@ -230,7 +230,7 @@ class TestTermSharing:
                 is by_key[("<http://a>", "<http://q>")].subject)
 
 
-# -- differential test: one-match ingest vs the per-token reference ---------
+# -- differential test: split ingest vs the per-token reference -----------
 
 def _reference(text):
     triples = []
@@ -296,17 +296,75 @@ def mutated(draw, line):
     return line[:index] + insert + line[index:]
 
 
+#: tokens every role draws from, so a token first seen in one role comes
+#: back in another: literals as subjects and blank nodes as predicates,
+#: equal literals written as different tokens, and literals holding
+#: `` .`` (which a line split must not take for the end dot).
+_SHARED_TOKENS = [
+    "<http://ex.org/a>", "_:b", "_:b.", '"a"',
+    '"a"^^<http://www.w3.org/2001/XMLSchema#string>', '"q"@en', '"q"@EN',
+    '"x . y"', '"x ."', '" . "', '"\\" ."', '"ab\\q ."',
+]
+shared = st.sampled_from(_SHARED_TOKENS)
+
+
+@st.composite
+def canonical_lines(draw):
+    """``<s> <p> o .`` with single spaces: the lines ingest splits."""
+    subject = draw(st.one_of(shared, iris, bnodes))
+    predicate = draw(st.one_of(shared, iris, iris))
+    obj = draw(st.one_of(shared, iris, bnodes, literals))
+    return f"{subject} {predicate} {obj} ."
+
+
+#: documents every differential run starts with: each role check of the
+#: split path, and each way a line can look canonical without being so.
+_SPLIT_CASES = [
+    # a literal first seen as an object, then as a subject
+    '<http://a> <http://p> "x" .\n"x" <http://p> <http://b> .\n',
+    # a blank node first seen as a subject, then as a predicate
+    "_:b <http://p> <http://a> .\n<http://a> _:b <http://c> .\n",
+    # duplicates, and equal literals written as different tokens
+    '<http://a> <http://p> "a" .\n'
+    '<http://a> <http://p> "a"^^<http://www.w3.org/2001/XMLSchema#string> .\n'
+    '<http://a> <http://p> "a" .\n<http://a> <http://p> "q"@en .\n'
+    '<http://a> <http://p> "q"@EN .\n',
+    # " ." inside literals
+    '<http://a> <http://p> "x . y" .\n<http://a> <http://p> " . " .\n'
+    '<http://a> <http://p> "x ." .\n<http://a> <http://p> "\\" ." .\n',
+    # an escape error behind a " ." in the literal
+    '<http://a> <http://p> "ok" .\n<http://a> <http://p> "ab\\q ." .\n',
+    # no space before the end dot
+    '<http://a> <http://p> "x"a.\n',
+    '<http://a> <http://p> _:b..\n',
+    # canonical lines beside tabs, doubled spaces and comments
+    "<http://a>\t<http://p> <http://b> .\n<http://a> <http://p> <http://b> .\n"
+    "<http://a> <http://p>  <http://c> . # c\n<http://b> <http://p> <http://a> .\n"
+    "# <http://a> <http://p> <http://d> .\n <http://a> <http://p> <http://e> .\n",
+]
+
+
+def split_cases(test):
+    for text in _SPLIT_CASES:
+        test = example(text=text)(test)
+    return test
+
+
 @st.composite
 def documents(draw):
-    # a small pool of lines per document makes terms repeat across lines
-    pool = draw(st.lists(triple_lines(), min_size=1, max_size=4))
+    # a small pool of lines per document makes terms and triples repeat
+    # across lines, canonical ones beside ones with other spacing
+    pool = draw(st.lists(st.one_of(triple_lines(), canonical_lines()),
+                         min_size=1, max_size=4))
     lines = []
     for _ in range(draw(st.integers(0, 8))):
         kind = draw(st.sampled_from(["triple", "triple", "triple", "comment",
                                      "blank", "mutated", "mutated",
-                                     "bad-escape"]))
+                                     "bad-escape", "canonical"]))
         if kind == "triple":
             lines.append(draw(st.sampled_from(pool)))
+        elif kind == "canonical":
+            lines.append(draw(canonical_lines()))
         elif kind == "bad-escape":
             lines.append(draw(triple_lines(bad_literals)))
         elif kind == "comment":
@@ -319,22 +377,35 @@ def documents(draw):
     return eol.join(lines) + draw(st.sampled_from(["", eol]))
 
 
+def _reference_graph(text):
+    """The graph ``add`` builds from the reference triples in one batch."""
+    graph = Graph()
+    with graph.batch():
+        for triple in _reference(text):
+            graph.add(triple)
+    return graph
+
+
+def _built(graph):
+    return set(graph), graph.generation, graph.journal.changes_since(0)
+
+
 class TestDifferentialParser:
     @settings(max_examples=300, deadline=None)
     @given(text=documents())
-    def test_one_match_ingest_agrees_with_the_per_token_reference(self, text):
+    @split_cases
+    def test_split_ingest_agrees_with_the_per_token_reference(self, text):
         expected = _outcome(lambda: _reference(text))
         assert _outcome(lambda: list(iter_ntriples(text))) == expected
 
     @settings(max_examples=100, deadline=None)
     @given(text=documents())
+    @split_cases
     def test_graph_parse_agrees_with_the_per_token_reference(self, text):
-        expected = _outcome(lambda: _reference(text))
-        parsed = _outcome(lambda: Graph.parse(text, format="ntriples"))
-        if expected[0] == "ok":
-            assert parsed == ("ok", set(expected[1]))
-        else:
-            assert parsed == expected
+        # the same triples, generation and journal, or the same error
+        expected = _outcome(lambda: _built(_reference_graph(text)))
+        parsed = _outcome(lambda: _built(Graph.parse(text, format="ntriples")))
+        assert parsed == expected
 
 
 # -- the lazy line walk against a whole-text regex split -------------------

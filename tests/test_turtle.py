@@ -5,6 +5,8 @@ import pytest
 from repro.rdf import BNode, EX, FOAF, Graph, IRI, Literal, RDF, Triple, XSD, parse_turtle
 from repro.rdf.errors import ParseError
 from repro.rdf.turtle import MAX_NESTING_DEPTH
+from repro.workloads import (PAPER_EXAMPLE_TURTLE, generate_person_workload,
+                             generate_portal_workload)
 
 
 class TestDirectives:
@@ -243,3 +245,52 @@ class TestSerialiser:
     def test_unknown_namespace_falls_back_to_full_iri(self):
         graph = Graph([Triple(IRI("http://nowhere.example/x"), EX.p, Literal(1))])
         assert "<http://nowhere.example/x>" in graph.serialize("turtle")
+
+
+#: collections, property lists, and triples written twice (once through
+#: equal literals in different forms).
+NESTED_TURTLE = """@prefix : <http://example.org/> .
+:s :p ( 1 2 3 ) , [ :q "x" ; :r ( ) ] ;
+   :p ( 1 2 3 ) .
+[ :p 1 ] :q 2 .
+:s :p "a" , "a"^^<http://www.w3.org/2001/XMLSchema#string> , "q"@en , "q"@EN .
+:t a :C ; a :C .
+"""
+
+
+def _turtle_documents():
+    return {
+        "paper": PAPER_EXAMPLE_TURTLE,
+        "nested": NESTED_TURTLE,
+        "person": generate_person_workload(num_people=40, seed=3)
+        .graph.serialize("turtle"),
+        "portal": generate_portal_workload(num_datasets=20, seed=3)
+        .graph.serialize("turtle"),
+    }
+
+
+class TestGraphBuild:
+    """``parse_turtle`` fills its graph in one pass (``Graph.fill``): the
+    graph, its generation and its journal are what one batch of ``add``
+    calls leaves, and the figures a batch of ``add`` calls gave."""
+
+    @pytest.mark.parametrize("name, triples, subjects", [
+        ("paper", 8, 3), ("nested", 22, 10), ("person", 446, 40),
+        ("portal", 243, 62),
+    ])
+    def test_generation_and_journal_are_those_of_a_batch_of_adds(
+            self, name, triples, subjects):
+        graph = parse_turtle(_turtle_documents()[name])
+        reference = Graph()
+        with reference.batch():
+            for triple in graph:
+                reference.add(triple)
+        assert graph == reference
+        assert (len(graph), graph.generation) == (triples, triples)
+        assert graph.generation == reference.generation
+        assert graph.journal.stats() == reference.journal.stats()
+        assert graph.journal.stats()["records"] == subjects
+        changed = graph.journal.changes_since(0)
+        assert changed == reference.journal.changes_since(0)
+        assert changed == set(graph.nodes())
+        assert graph.journal.changes_since(graph.generation) == frozenset()
